@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Timing and correctness sweep for the three alignment solvers.
 
-Small instances are cross-checked against brute-force enumeration; larger
-ones report wall-clock time only.
+Small instances are cross-checked against brute-force enumeration: costs
+for every class, and for ``edgecover`` also membership of the link set in
+the enumerated optimal minimal covers.  Larger ones report wall-clock time
+only; a size is N (square) or NxM, such as the argument-filtered 116x9.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import time
 import numpy as np
 
 from roleproj.matcher import build_graph, solve
-from roleproj.oracle import MAX_CELLS, brute_force_optimum
+from roleproj.oracle import MAX_CELLS, brute_force_optimum, enumerate_optimal_covers
 from roleproj.similarity import SimilarityMatrix
 
 
@@ -21,17 +23,25 @@ def random_matrix(rng, n, m, zero_frac=0.3):
     return SimilarityMatrix(tuple(range(n)), tuple(range(m)), sim)
 
 
+def shape(text):
+    n, _, m = text.partition("x")
+    return int(n), int(m or n)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--oracle-instances", type=int, default=200)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10, 50, 100, 200])
+    parser.add_argument(
+        "--sizes", type=shape, nargs="+",
+        default=[(10, 10), (50, 50), (100, 100), (200, 200), (116, 9)],
+    )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
 
     print(f"cross-checking {args.oracle_instances} small instances against brute force")
-    mismatches = 0
+    mismatches = not_optimal_covers = 0
     for _ in range(args.oracle_instances):
         n, m = (int(x) for x in rng.integers(1, 6, size=2))
         if n * m > MAX_CELLS:
@@ -39,13 +49,17 @@ def main():
         sim = random_matrix(rng, n, m)
         for cls in ("perfect", "edgecover", "total"):
             g = build_graph(sim, 1e6, cls)
-            if abs(solve(g, cls).cost - brute_force_optimum(g, cls).cost) > 1e-9:
+            solved = solve(g, cls)
+            if abs(solved.cost - brute_force_optimum(g, cls).cost) > 1e-9:
                 mismatches += 1
+            if cls == "edgecover" and frozenset(solved.link_pairs()) not in enumerate_optimal_covers(g):
+                not_optimal_covers += 1
     print(f"  cost mismatches: {mismatches}")
+    print(f"  edge covers outside the optimal minimal set: {not_optimal_covers}")
 
-    for size in args.sizes:
-        sim = random_matrix(rng, size, size)
-        row = [f"{size:4d}x{size:<4d}"]
+    for n, m in args.sizes:
+        sim = random_matrix(rng, n, m)
+        row = [f"{n:4d}x{m:<4d}"]
         for cls in ("perfect", "edgecover", "total"):
             g = build_graph(sim, 1e6, cls)
             start = time.perf_counter()

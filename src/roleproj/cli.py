@@ -21,7 +21,13 @@ from .errors import OracleSizeError, ToolkitError
 from .evaluation import correspondence_stats, score, stratified_shuffling
 from .matcher import COST_ATOL, build_graph, solve
 from .oracle import brute_force_optimum
-from .pipeline import DEFAULT_FILTER_FOR_MODEL, PipelineConfig, run_corpus
+from .pipeline import (
+    DEFAULT_FILTER_FOR_MODEL,
+    PipelineConfig,
+    run_corpus,
+    select_target_units,
+    target_predicate,
+)
 from .similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
 
 CONFIG_KEYS = {
@@ -114,11 +120,12 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
     for k, b in enumerate(bisentences):
         if cfg.model == "word" or b.src_tree is None or b.tgt_tree is None:
             continue
+        tgt_units, _ = select_target_units(b, cfg, target_predicate(b))
+        if not tgt_units:
+            continue
         view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
         ctx = UnitSimilarity(view, b.src_tree, b.tgt_tree)
-        src_units = list(b.src_tree.node_ids())
-        tgt_units = list(b.tgt_tree.node_ids())
-        m = ctx.matrix(src_units, tgt_units)
+        m = ctx.matrix(list(b.src_tree.node_ids()), tgt_units)
         graph = build_graph(m, cfg.big, cfg.model)
         try:
             reference = brute_force_optimum(graph, cfg.model)

@@ -1,11 +1,12 @@
-"""Exact minimum-cost perfect matching on a square matrix (linear assignment).
+"""Exact minimum-cost assignment of every row of a k×m matrix, k <= m.
 
-Shortest-augmenting-path construction with dual potentials, O(n^3).  The
+Shortest-augmenting-path construction with dual potentials, O(k^2 m).  The
 potentials returned satisfy u[i] + v[j] <= cost[i, j] with equality on
-matched cells, which lets callers recover the full set of optimal matchings
-as the perfect matchings of the tight-cell ("admissible") graph.  That is
-how deterministic lexicographic tie-breaking is implemented here without
-giving up exactness.
+matched cells, and v is zero on unmatched columns.  That lets callers
+recover the full set of optimal assignments as the perfect matchings of
+the tight-cell ("admissible") graph, after padding a rectangular instance
+with zero-cost rows.  That is how deterministic lexicographic tie-breaking
+is implemented here without giving up exactness.
 """
 
 from __future__ import annotations
@@ -19,37 +20,40 @@ ADMISSIBLE_TOL = 1e-7
 
 
 def solve_lap(cost: np.ndarray):
-    """Return (col_of_row, u, v) for a minimum-cost perfect matching.
+    """Return (col_of_row, u, v) for a minimum-cost assignment of every row.
 
-    ``cost`` must be square with finite entries.
+    ``cost`` is k×m with k <= m and finite entries; each row gets its own
+    column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
     """
     cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise ValueError(f"cost matrix must be square, got {cost.shape}")
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(
+            f"cost matrix must have no more rows than columns, got {cost.shape}"
+        )
+    n, m = cost.shape
     if n == 0:
-        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+        return np.empty(0, dtype=int), np.empty(0), np.zeros(m)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
 
     u = np.zeros(n)
-    v = np.zeros(n + 1)  # index n is the virtual column starting each phase
-    row_of = np.full(n + 1, -1, dtype=int)
+    v = np.zeros(m + 1)  # index m is the virtual column starting each phase
+    row_of = np.full(m + 1, -1, dtype=int)
 
     for i in range(n):
-        row_of[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
+        row_of[m] = i
+        j0 = m
+        minv = np.full(m, np.inf)
+        way = np.full(m, m, dtype=int)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = row_of[j0]
-            cur = cost[i0] - u[i0] - v[:n]
-            better = ~used[:n] & (cur < minv)
+            cur = cost[i0] - u[i0] - v[:m]
+            better = ~used[:m] & (cur < minv)
             minv[better] = cur[better]
             way[better] = j0
-            free = np.flatnonzero(~used[:n])
+            free = np.flatnonzero(~used[:m])
             j1 = free[int(np.argmin(minv[free]))]
             delta = minv[j1]
             used_cols = np.flatnonzero(used)
@@ -59,14 +63,15 @@ def solve_lap(cost: np.ndarray):
             j0 = j1
             if row_of[j0] == -1:
                 break
-        while j0 != n:
+        while j0 != m:
             j_prev = way[j0]
             row_of[j0] = row_of[j_prev]
             j0 = j_prev
 
+    matched = np.flatnonzero(row_of[:m] >= 0)
     col_of_row = np.empty(n, dtype=int)
-    col_of_row[row_of[:n]] = np.arange(n)
-    return col_of_row, u, v[:n]
+    col_of_row[row_of[matched]] = matched
+    return col_of_row, u, v[:m]
 
 
 def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray, tol=ADMISSIBLE_TOL):
@@ -84,30 +89,41 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
     all optimal matchings under (row, column) ordering.
     """
     n = len(col_of_row)
-    match = col_of_row.copy()
-    row_of = np.full(n, -1, dtype=int)
-    row_of[match] = np.arange(n)
-    locked = np.zeros(n, dtype=bool)
-
-    adm_cols = [np.flatnonzero(adm[i]) for i in range(n)]
+    match = [int(j) for j in col_of_row]
+    row_of = [-1] * n
+    for i, j in enumerate(match):
+        row_of[j] = i
+    locked = [False] * n
+    adm_cols = [np.flatnonzero(adm[i]).tolist() for i in range(n)]
 
     def try_rematch(start_row, banned_col):
-        """Kuhn augmentation for start_row avoiding locked and banned columns."""
-        visited = np.zeros(n, dtype=bool)
-        visited[banned_col] = True
+        """Kuhn augmentation for start_row avoiding locked and banned columns.
 
-        def dfs(r):
-            for j in adm_cols[r]:
-                if locked[j] or visited[j]:
-                    continue
-                visited[j] = True
-                if row_of[j] == -1 or dfs(row_of[j]):
-                    row_of[j] = r
-                    match[r] = j
-                    return True
-            return False
-
-        return dfs(start_row)
+        Iterative depth-first search: ``rows[k]`` was reached through column
+        ``path[k - 1]``, and ``todo[k]`` holds the columns of ``rows[k]`` not
+        tried yet.
+        """
+        blocked = locked.copy()
+        blocked[banned_col] = True
+        rows, todo, path = [start_row], [iter(adm_cols[start_row])], []
+        while rows:
+            j = next((c for c in todo[-1] if not blocked[c]), -1)
+            if j < 0:
+                rows.pop()
+                todo.pop()
+                if path:
+                    path.pop()
+                continue
+            blocked[j] = True
+            path.append(j)
+            if row_of[j] == -1:
+                for r, c in zip(rows, path):
+                    row_of[c] = r
+                    match[r] = c
+                return True
+            rows.append(row_of[j])
+            todo.append(iter(adm_cols[row_of[j]]))
+        return False
 
     for i in range(n):
         for j in adm_cols[i]:
@@ -126,4 +142,4 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
             row_of[old] = i
             match[i] = old
         locked[match[i]] = True
-    return match
+    return np.array(match, dtype=int)

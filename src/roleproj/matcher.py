@@ -9,20 +9,26 @@ units:
     to padding are stripped from the output, which lets the model abstain.
 
 ``edgecover``
-    Every node has degree at least one.  Solved exactly by reduction to a
-    perfect matching on a mirrored auxiliary graph: left partition
-    U_s + U_t', right partition U_t + U_s', original weights in the two
-    off-diagonal blocks and 2 * (minimum incident weight) on the self
-    cells.  The auxiliary matching costs twice the optimal cover.
+    Every node has degree at least one.  Solved exactly by Gallai's
+    reduction to a matching (Schrijver, *Combinatorial Optimization*,
+    ch. 19): with mu(v) the cheapest weight incident to v, a minimum
+    matching on the reduced costs min(0, w(s, t) - mu(s) - mu(t)) is a
+    rectangular assignment of the min(n, m) units of the smaller side.
+    Matched pairs with non-positive reduced cost are kept, every other
+    unit takes its cheapest incident edge, and a zero-weight link whose
+    endpoints are both linked elsewhere is dropped.  The cover costs the
+    sum of all mu plus the matching cost.
 
 ``total``
     Every source node links to its maximally similar target node; target
     degrees are unconstrained.  Row-independent, hence globally optimal.
 
-All solvers are deterministic: ties are broken toward the lexicographically
-smallest link set under (source index, target index) ordering, computed on
-the tight-cell graph of the assignment duals (for ``edgecover`` the
-canonicalization applies to the auxiliary matching before decoding).
+All solvers are deterministic.  ``perfect`` and ``total`` return the
+lexicographically smallest optimal link set under (source index, target
+index) ordering; for ``perfect`` it is computed on the tight-cell graph of
+the assignment duals.  ``edgecover`` applies the same canonicalization to
+the reduced-cost matching before decoding, which yields an optimal minimal
+cover that is not always the lexicographically smallest one.
 Zero-similarity links forced by degree constraints are retained with
 sim = 0.0; projection drops them.
 """
@@ -115,49 +121,58 @@ def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     return SemanticAlignment(links_from_pairs(g, pairs), "perfect", cost)
 
 
-def _edge_cover_aux(W: np.ndarray):
-    """Mirrored auxiliary matrix for the cover-to-matching reduction."""
-    n, m = W.shape
-    delta_row = W.min(axis=1)
-    delta_col = W.min(axis=0)
-    # The sentinel for absent cells must exceed any feasible matching cost;
-    # the all-self matching bounds that by 2 * (sum of all deltas).
-    forbidden = 2.0 * (delta_row.sum() + delta_col.sum()) + 1.0
-    size = n + m
-    aux = np.full((size, size), forbidden)
-    aux[:n, :m] = W
-    aux[n:, m:] = W.T
-    aux[np.arange(n), m + np.arange(n)] = 2.0 * delta_row
-    aux[n + np.arange(m), np.arange(m)] = 2.0 * delta_col
-    return aux, forbidden
+def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Lexicographically smallest minimum-cost matching of the smaller side.
+
+    ``cost`` is n×m and non-positive.  The assignment runs on the
+    min(n, m)-row orientation; the tie-break runs source-major on the
+    max(n, m) square padded with zero-cost cells.  Padding keeps the duals
+    optimal because they are non-positive and zero on unmatched units, so
+    unmatched units are tight against every padding cell.
+    """
+    n, m = cost.shape
+    size = max(n, m)
+    if n <= m:
+        col_of_row, row_dual, col_dual = lap.solve_lap(cost)
+    else:
+        row_of_col, col_dual, row_dual = lap.solve_lap(cost.T)
+        col_of_row = np.full(n, -1, dtype=int)
+        col_of_row[row_of_col] = np.arange(m)
+    square = np.zeros((size, size))
+    square[:n, :m] = cost
+    u = np.zeros(size)
+    u[:n] = row_dual
+    v = np.zeros(size)
+    v[:m] = col_dual
+    match = np.full(size, -1, dtype=int)
+    match[:n] = col_of_row
+    match[match == -1] = np.setdiff1d(np.arange(size), match)
+    adm = lap.admissible_cells(square, u, v)
+    match = lap.lexmin_perfect_matching(adm, match)
+    return [(i, int(j)) for i, j in enumerate(match[:n]) if j < m]
+
+
+def _cheapest(weights: np.ndarray) -> int:
+    """Index of the cheapest weight; the smallest index among ties."""
+    return int(np.flatnonzero(weights <= weights.min() + COST_ATOL)[0])
 
 
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
-    """Minimum-weight edge cover via reduction to a perfect matching."""
+    """Minimum-weight edge cover via Gallai's reduction to a matching."""
     if g.padding_side != "none":
         raise ValidationError("edge cover expects an unpadded matrix")
     W = g.weights
     n, m = W.shape
-    aux, forbidden = _edge_cover_aux(W)
-    col_of_row, u, v = lap.solve_lap(aux)
-    adm = lap.admissible_cells(aux, u, v)
-    col_of_row = lap.lexmin_perfect_matching(adm, col_of_row)
-
-    pairs = set()
-    for r, c in enumerate(col_of_row):
-        if aux[r, c] >= forbidden:
-            raise ValidationError("edge cover reduction selected a forbidden cell")
-        if r < n:
-            if c < m:
-                pairs.add((r, c))
-            else:  # source self cell: take the cheapest incident edge
-                pairs.add((r, int(np.argmin(W[r]))))
-        else:
-            t = r - n
-            if c < m:  # target self cell
-                pairs.add((int(np.argmin(W[:, t])), t))
-            else:  # mirror block cell decodes to the original edge
-                pairs.add((c - m, t))
+    reduced = W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :]
+    pairs = {
+        (i, j)
+        for i, j in _lexmin_matching(np.minimum(reduced, 0.0))
+        if reduced[i, j] <= COST_ATOL
+    }
+    covered_s = {i for i, _ in pairs}
+    covered_t = {j for _, j in pairs}
+    pairs.update((i, _cheapest(W[i])) for i in range(n) if i not in covered_s)
+    pairs.update((_cheapest(W[:, j]), j) for j in range(m) if j not in covered_t)
 
     pairs = _strip_redundant_links(W, pairs)
     _check_cover(n, m, pairs)

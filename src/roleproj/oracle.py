@@ -1,7 +1,8 @@
 """Exhaustive-enumeration oracle for the alignment solvers.
 
 Used by the test suite and the ``--oracle`` CLI flag to cross-check solver
-costs on small instances.  Refuses instances above the size guard.
+costs on small instances, and by the tests to check solver link sets
+against every optimal solution.  Refuses instances above the size guard.
 """
 
 from __future__ import annotations
@@ -86,16 +87,17 @@ def enumerate_optimal_perfect(g: AlignmentGraph, atol: float = COST_ATOL):
     return out
 
 
-def _best_edge_cover(g: AlignmentGraph):
-    """Enumerate covers as source->target functions plus repairs.
+def _optimal_cover_functions(W: np.ndarray, atol: float):
+    """Source->target functions that complete to an optimal cover.
 
     Every minimal edge cover is a forest of stars, i.e. a total function f
     on the source side together with one chosen source for each target
     left uncovered by f.  Enumerating those reaches every candidate
     optimum; repairs are independent per uncovered target, so cost
-    minimization picks the cheapest incident source for each.
+    minimization picks the cheapest incident source for each.  Returns the
+    optimal cost and, for each optimal function, f and the mask of targets
+    it covers.
     """
-    W = g.weights
     n, m = W.shape
     col_min = W.min(axis=0)
     choices = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
@@ -106,23 +108,56 @@ def _best_edge_cover(g: AlignmentGraph):
     repair = ((~covered) * col_min[None, :]).sum(axis=1)
     total = base + repair
     best = total.min()
+    optimal = total <= best + atol
+    return float(best), choices[optimal], covered[optimal]
 
+
+def _tied_repairs(W: np.ndarray, t: int, atol: float) -> np.ndarray:
+    """Sources whose link to target t ties for cheapest, in index order."""
+    col = W[:, t]
+    return np.flatnonzero(col <= col.min() + atol)
+
+
+def _best_edge_cover(g: AlignmentGraph):
+    W = g.weights
+    best, functions, covered = _optimal_cover_functions(W, COST_ATOL)
     candidates = []
-    for f, covered_row in zip(choices[total <= best + COST_ATOL],
-                              covered[total <= best + COST_ATOL]):
-        pairs = {(i, int(f[i])) for i in range(n)}
-        for t in range(m):
-            if not covered_row[t]:
-                # smallest source index among cost-tied repairs keeps the
-                # link set lexicographically minimal
-                col = W[:, t]
-                s = int(np.flatnonzero(col <= col.min() + COST_ATOL)[0])
-                pairs.add((s, t))
+    for f, covered_row in zip(functions, covered):
+        pairs = {(i, int(t)) for i, t in enumerate(f)}
+        for t in np.flatnonzero(~covered_row):
+            # smallest source index among cost-tied repairs keeps the
+            # link set lexicographically minimal
+            pairs.add((int(_tied_repairs(W, t, COST_ATOL)[0]), int(t)))
         # zero-weight links can make a non-minimal cover tie on cost; only
         # minimal covers (no link with both endpoints of degree >= 2) count
         if not _has_many_to_many(pairs):
             candidates.append(tuple(sorted(pairs)))
-    return float(best), set(min(candidates))
+    return best, set(min(candidates))
+
+
+def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):
+    """All optimal minimal edge covers as frozensets of links.
+
+    Each optimal source->target function is completed with every
+    combination of cost-tied cheapest repairs for the targets it leaves
+    uncovered; covers with a many-to-many link are not minimal and are
+    dropped.
+    """
+    _guard(g)
+    W = g.weights
+    _, functions, covered = _optimal_cover_functions(W, atol)
+    out = set()
+    for f, covered_row in zip(functions, covered):
+        base = frozenset((i, int(t)) for i, t in enumerate(f))
+        repairs = [
+            [(int(s), int(t)) for s in _tied_repairs(W, t, atol)]
+            for t in np.flatnonzero(~covered_row)
+        ]
+        for chosen in itertools.product(*repairs):
+            pairs = base.union(chosen)
+            if not _has_many_to_many(pairs):
+                out.add(pairs)
+    return out
 
 
 def _has_many_to_many(pairs) -> bool:

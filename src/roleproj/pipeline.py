@@ -88,6 +88,22 @@ def target_predicate(b: BiSentence) -> int:
     return image[0] if image else -1
 
 
+def select_target_units(
+    b: BiSentence, cfg: PipelineConfig, tgt_pred: int
+) -> tuple[list[int], list[str]]:
+    """Target units the alignment graph is built over, plus any warning.
+
+    All target nodes, or only the likely arguments of the predicate under
+    the ``arg`` filter; an unaligned predicate (``tgt_pred < 0``) disables
+    the filter.
+    """
+    if "arg" not in cfg.filters:
+        return list(b.tgt_tree.node_ids()), []
+    if tgt_pred < 0:
+        return list(b.tgt_tree.node_ids()), ["predicate unaligned; argument filter skipped"]
+    return argument_filter(b.tgt_tree, tgt_pred, cfg.clause_boundary_labels), []
+
+
 def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
     if b.src_roles is None:
         raise ConfigError("bi-sentence has no source role annotation to project")
@@ -105,7 +121,6 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
 
     view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
     tgt_pred = target_predicate(b)
-    warnings: list[str] = []
 
     if cfg.model == "word":
         return project_word_based(
@@ -113,16 +128,7 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         )
 
     src_units = list(b.src_tree.node_ids())
-    if "arg" in cfg.filters:
-        if tgt_pred < 0:
-            warnings.append("predicate unaligned; argument filter skipped")
-            tgt_units = list(b.tgt_tree.node_ids())
-        else:
-            tgt_units = argument_filter(
-                b.tgt_tree, tgt_pred, cfg.clause_boundary_labels
-            )
-    else:
-        tgt_units = list(b.tgt_tree.node_ids())
+    tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
 
     role_units: dict[str, tuple[int, ...]] = {}
     inexact = set()

@@ -99,6 +99,25 @@ def test_project_oracle_flag_passes_on_toy_corpus(fixture_dir, tmp_path, capsys)
     assert "oracle check passed" in capsys.readouterr().out
 
 
+def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
+    import roleproj.cli as cli
+    import roleproj.pipeline as pipeline
+
+    def recording(build_graph, shapes):
+        def wrapped(m, big, for_class):
+            shapes.append((m.src_units, m.tgt_units))
+            return build_graph(m, big, for_class)
+        return wrapped
+
+    oracle_units, pipeline_units = [], []
+    monkeypatch.setattr(cli, "build_graph", recording(cli.build_graph, oracle_units))
+    monkeypatch.setattr(pipeline, "build_graph", recording(pipeline.build_graph, pipeline_units))
+    cfg = pipeline.PipelineConfig(model="edgecover", filters=frozenset({"arg"}))
+    cli._oracle_check(toy_corpus, cfg)
+    pipeline.run_corpus(toy_corpus, cfg)
+    assert pipeline_units and oracle_units == pipeline_units
+
+
 def test_default_filter_pairing(fixture_dir, tmp_path):
     out = tmp_path / "out.roles"
     args = [

@@ -12,7 +12,11 @@ from roleproj.matcher import (
     solve_perfect_matching,
     solve_total,
 )
-from roleproj.oracle import brute_force_optimum, enumerate_optimal_perfect
+from roleproj.oracle import (
+    brute_force_optimum,
+    enumerate_optimal_covers,
+    enumerate_optimal_perfect,
+)
 
 BIG = 1e6
 
@@ -138,6 +142,30 @@ def test_edge_cover_lexicographic_on_uniform_ties():
     assert a.link_pairs() == ((0, 0), (1, 1))
 
 
+def test_edge_cover_tie_that_crashed_the_mirrored_reduction():
+    sim = [[0, 0, 0, .25, .25], [.25, 0, 0, 0, .75], [.25, .5, 0, .75, 0], [0, 1, .75, .25, 0]]
+    g = build_graph(sim_matrix(sim), BIG, "edgecover")
+    a = solve_edge_cover(g)
+    assert a.cost == pytest.approx(brute_force_optimum(g, "edgecover").cost, abs=1e-9)
+    assert a.cost == pytest.approx(3.348, abs=1e-3)
+
+
+def test_edge_cover_cost_matches_gallai_reference():
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(31)
+    shapes = [(116, 9), (50, 7), (9, 116), (150, 150)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(8)]
+    for n, m in shapes:
+        sim = random_sim(rng, n, m, zero_frac=0.6)
+        g = build_graph(sim, BIG, "edgecover")
+        W = g.weights
+        mu_s, mu_t = W.min(axis=1), W.min(axis=0)
+        reduced = np.minimum(0.0, W - mu_s[:, None] - mu_t[None, :])
+        rows, cols = linear_sum_assignment(reduced)
+        ref = mu_s.sum() + mu_t.sum() + reduced[rows, cols].sum()
+        assert solve_edge_cover(g).cost == pytest.approx(ref, rel=1e-12)
+
+
 # --- total ---------------------------------------------------------------
 
 def test_total_row_argmax():
@@ -218,6 +246,33 @@ def test_similarity_scaling_leaves_optimal_matchings_invariant():
                 build_graph(sim_matrix(sim * alpha), BIG, "perfect")
             )
             assert base == scaled
+
+
+def test_link_sets_are_optimal_on_tie_heavy_instances():
+    # Similarities k/d with d <= 6 tie often, as real Jaccard values do.
+    # Sums of up to 1e6-capped weights round at ~1e-10 per term, so optima
+    # are gathered at a tolerance far below any gap between distinct sums.
+    rng = np.random.default_rng(53)
+    for _ in range(1000):
+        n, m = (int(x) for x in rng.integers(1, 5, size=2))
+        d = rng.integers(1, 7, size=(n, m))
+        sim = sim_matrix(rng.integers(0, d + 1) / d)
+        g = build_graph(sim, BIG, "perfect")
+        assert frozenset(solve(g, "perfect").link_pairs()) in enumerate_optimal_perfect(g, 1e-6)
+        g = build_graph(sim, BIG, "edgecover")
+        cover = solve(g, "edgecover").link_pairs()
+        assert frozenset(cover) in enumerate_optimal_covers(g, 1e-6)
+        assert solve(g, "edgecover").link_pairs() == cover
+        g = build_graph(sim, BIG, "total")
+        assert solve(g, "total").link_pairs() == brute_force_optimum(g, "total").link_pairs()
+
+
+def test_edge_cover_drops_zero_weight_link_between_two_stars():
+    # The tie-broken matching keeps the zero-weight link (0, 0); covering
+    # source 1 and target 1 by their cheapest links then makes it redundant.
+    g = build_graph(sim_matrix([[1.0, 1.0], [1.0, 0.5]]), BIG, "edgecover")
+    assert enumerate_optimal_covers(g) == {frozenset({(0, 1), (1, 0)})}
+    assert solve_edge_cover(g).link_pairs() == ((0, 1), (1, 0))
 
 
 # --- oracle -------------------------------------------------------------
