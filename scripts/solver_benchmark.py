@@ -3,11 +3,15 @@
 
 Small instances are cross-checked against brute-force enumeration: costs
 for every class, and for ``edgecover`` also membership of the link set in
-the enumerated optimal minimal covers.  Larger ones report wall-clock time
-only; a size is N (square) or NxM, such as the argument-filtered 116x9.
+the enumerated optimal minimal covers; the exit code is 1 if any check
+fails.  Larger ones report wall-clock time only, on dense random
+similarities and on tie-heavy ones rounded to k/d with d <= 6, as real
+Jaccard values are.  A size is N (square) or NxM, such as the
+argument-filtered 116x9.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -21,6 +25,12 @@ def random_matrix(rng, n, m, zero_frac=0.3):
     sim = rng.random((n, m))
     sim[rng.random((n, m)) < zero_frac] = 0.0
     return SimilarityMatrix(tuple(range(n)), tuple(range(m)), sim)
+
+
+def tie_heavy_matrix(rng, n, m):
+    dense = random_matrix(rng, n, m)
+    d = rng.integers(1, 7, size=(n, m))
+    return SimilarityMatrix(dense.src_units, dense.tgt_units, np.round(dense.sim * d) / d)
 
 
 def shape(text):
@@ -58,16 +68,18 @@ def main():
     print(f"  edge covers outside the optimal minimal set: {not_optimal_covers}")
 
     for n, m in args.sizes:
-        sim = random_matrix(rng, n, m)
-        row = [f"{n:4d}x{m:<4d}"]
-        for cls in ("perfect", "edgecover", "total"):
-            g = build_graph(sim, 1e6, cls)
-            start = time.perf_counter()
-            solved = solve(g, cls)
-            elapsed = time.perf_counter() - start
-            row.append(f"{cls}: {elapsed * 1000:8.1f}ms (cost {solved.cost:10.3f})")
-        print("  ".join(row))
+        for kind, make in (("dense", random_matrix), ("ties", tie_heavy_matrix)):
+            sim = make(rng, n, m)
+            row = [f"{n:4d}x{m:<4d} {kind:5s}"]
+            for cls in ("perfect", "edgecover", "total"):
+                g = build_graph(sim, 1e6, cls)
+                start = time.perf_counter()
+                solved = solve(g, cls)
+                elapsed = time.perf_counter() - start
+                row.append(f"{cls}: {elapsed * 1000:8.1f}ms (cost {solved.cost:10.3f})")
+            print("  ".join(row))
+    return 1 if mismatches or not_optimal_covers else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

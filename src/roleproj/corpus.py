@@ -187,9 +187,6 @@ class RoleAnnotation:
         items = tuple(sorted((label, frozenset(spans)) for label, spans in roles.items()))
         return cls(frame, items, predicate)
 
-    def role_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.roles)
-
     def spans_of(self, label: str) -> frozenset[Span]:
         for lab, spans in self.roles:
             if lab == label:
@@ -263,71 +260,66 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
 
     Raises FormatError with a character offset for unbalanced or malformed
     bracketings, and when the token count disagrees with ``expected_tokens``.
+    The parse keeps its own stack of open constituents, so tree depth is
+    bounded by memory, not by the interpreter's recursion limit.
     """
     toks = _tokenize_brackets(line)
     if not toks:
         raise FormatError("empty tree line")
-    pos = 0
+    nodes: list[Constituent | None] = []  # preorder; filled when a node closes
+    parents: list[int | None] = []
+    tokens: list[Token] = []
+    # One [node_id, label, word, child_ids] frame per open constituent.
+    stack: list[list] = []
 
-    def parse_node():
-        nonlocal pos
-        if pos >= len(toks):
-            raise FormatError(f"unbalanced brackets: unexpected end of line at offset {len(line)}")
-        kind, text, off = toks[pos]
-        if kind != "(":
-            raise FormatError(f"expected '(' at offset {off}")
+    def open_node(pos: int) -> int:
+        """Open the constituent whose '(' is toks[pos]; return the next position."""
         pos += 1
         if pos >= len(toks) or toks[pos][0] != "atom":
             raise FormatError(f"expected node label at offset {toks[pos - 1][2] + 1}")
-        label = toks[pos][1]
-        pos += 1
-        children = []
-        word = None
-        while pos < len(toks) and toks[pos][0] != ")":
-            kind, text, off = toks[pos]
-            if kind == "atom":
-                if children:
-                    raise FormatError(f"word after child constituent at offset {off}")
-                if word is not None:
-                    raise FormatError(f"second word under one preterminal at offset {off}")
-                word = text
-                pos += 1
-            else:
-                if word is not None:
-                    raise FormatError(f"child constituent after word at offset {off}")
-                children.append(parse_node())
+        node_id = len(nodes)
+        nodes.append(None)
+        parents.append(stack[-1][0] if stack else None)
+        if stack:
+            stack[-1][3].append(node_id)
+        stack.append([node_id, toks[pos][1], None, []])
+        return pos + 1
+
+    if toks[0][0] != "(":
+        raise FormatError(f"expected '(' at offset {toks[0][2]}")
+    pos = open_node(0)
+    while stack:
         if pos >= len(toks):
             raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
-        pos += 1  # consume ')'
-        if word is None and not children:
-            raise FormatError(f"empty constituent '{label}'")
-        return (label, word, children)
-
-    nested = parse_node()
+        kind, text, off = toks[pos]
+        node_id, label, word, child_ids = stack[-1]
+        if kind == "atom":
+            if child_ids:
+                raise FormatError(f"word after child constituent at offset {off}")
+            if word is not None:
+                raise FormatError(f"second word under one preterminal at offset {off}")
+            stack[-1][2] = text
+            pos += 1
+        elif kind == "(":
+            if word is not None:
+                raise FormatError(f"child constituent after word at offset {off}")
+            pos = open_node(pos)
+        else:
+            pos += 1
+            if word is not None:
+                k = len(tokens)
+                tokens.append(Token(k, word, label))
+                nodes[node_id] = Constituent(node_id, label, (k, k), (), True)
+            elif child_ids:
+                lo = nodes[child_ids[0]].span[0]
+                hi = nodes[child_ids[-1]].span[1]
+                nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
+            else:
+                raise FormatError(f"empty constituent '{label}'")
+            stack.pop()
     if pos != len(toks):
         raise FormatError(f"trailing material at offset {toks[pos][2]}")
 
-    nodes: list[Constituent] = []
-    parents: list[int | None] = []
-    tokens: list[Token] = []
-
-    def build(tree, parent_id):
-        label, word, children = tree
-        node_id = len(nodes)
-        nodes.append(None)  # placeholder, filled after spans are known
-        parents.append(parent_id)
-        if word is not None:
-            k = len(tokens)
-            tokens.append(Token(k, word, label))
-            nodes[node_id] = Constituent(node_id, label, (k, k), (), True)
-            return node_id
-        child_ids = tuple(build(c, node_id) for c in children)
-        lo = nodes[child_ids[0]].span[0]
-        hi = nodes[child_ids[-1]].span[1]
-        nodes[node_id] = Constituent(node_id, label, (lo, hi), child_ids, False)
-        return node_id
-
-    build(nested, None)
     if expected_tokens is not None and len(tokens) != expected_tokens:
         raise FormatError(
             f"tree has {len(tokens)} tokens, expected {expected_tokens}"
@@ -337,16 +329,24 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
 
 def tree_to_line(tree: ParseTree) -> str:
     """Serialize a tree back to canonical single-space bracketed form."""
-
-    def render(node_id: int) -> str:
-        node = tree.node(node_id)
+    out = []
+    todo: list[int | str] = [0]  # node ids still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node = tree.node(item)
         if node.is_terminal:
             word = tree.sentence.tokens[node.span[0]].surface
-            return f"({node.label} {word})"
-        inner = " ".join(render(c) for c in node.children)
-        return f"({node.label} {inner})"
-
-    return render(0)
+            out.append(f"({node.label} {word})")
+            continue
+        out.append(f"({node.label} ")
+        todo.append(")")
+        for child in reversed(node.children[1:]):
+            todo += [child, " "]
+        todo.append(node.children[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +472,6 @@ def read_trees_file(path) -> list[ParseTree | None]:
                 except FormatError as exc:
                     raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
     return out
-
-
-def write_trees_file(path, trees) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write("-" if tree is None else tree_to_line(tree))
-            fh.write("\n")
 
 
 def read_tok_file(path) -> list[Sentence]:

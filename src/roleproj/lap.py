@@ -1,12 +1,28 @@
 """Exact minimum-cost assignment of every row of a k×m matrix, k <= m.
 
-Shortest-augmenting-path construction with dual potentials, O(k^2 m).  The
-potentials returned satisfy u[i] + v[j] <= cost[i, j] with equality on
-matched cells, and v is zero on unmatched columns.  That lets callers
-recover the full set of optimal assignments as the perfect matchings of
-the tight-cell ("admissible") graph, after padding a rectangular instance
-with zero-cost rows.  That is how deterministic lexicographic tie-breaking
-is implemented here without giving up exactness.
+``solve_lap`` is a shortest-augmenting-path solver in three steps:
+
+* Warm start.  Each row potential starts at its row minimum and every
+  column potential at zero; in row order, each row takes the
+  smallest-index free column that attains its minimum.
+* Lazy-dual augmenting paths (Crouse 2016, "On implementing 2D
+  rectangular assignment algorithms", the algorithm behind scipy's
+  ``linear_sum_assignment``).  Each row still free runs one Dijkstra
+  phase over reduced costs; the potentials of the rows and columns it
+  scanned are updated once, when the phase ends.
+* Exact-tie free-column preference.  When the closest unscanned column is
+  already assigned, the first free column at exactly the same distance is
+  taken instead, which ends the phase.  Jaccard weights are rationals with
+  small denominators and padding rows are constant, so such ties are
+  common; equality is exact, so optimality is not traded for speed.
+
+The worst case is O(k^2 m).  The potentials returned satisfy
+u[i] + v[j] <= cost[i, j] with equality on matched cells; v is
+non-positive and zero on unmatched columns.  That lets callers recover the
+full set of optimal assignments as the perfect matchings of the tight-cell
+("admissible") graph, after padding a rectangular instance with zero-cost
+rows.  Any optimal dual yields the same set, which is how deterministic
+lexicographic tie-breaking is implemented here without giving up exactness.
 """
 
 from __future__ import annotations
@@ -36,42 +52,66 @@ def solve_lap(cost: np.ndarray):
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
 
-    u = np.zeros(n)
-    v = np.zeros(m + 1)  # index m is the virtual column starting each phase
-    row_of = np.full(m + 1, -1, dtype=int)
-
+    # Warm start: each row at its minimum, taking the first free column there.
+    u = cost.min(axis=1)
+    v = np.zeros(m)
+    col_of_row = np.full(n, -1, dtype=int)
+    row_of = np.full(m, -1, dtype=int)
+    free = np.ones(m, dtype=bool)
+    at_min = cost == u[:, None]
     for i in range(n):
-        row_of[m] = i
-        j0 = m
-        minv = np.full(m, np.inf)
-        way = np.full(m, m, dtype=int)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = row_of[j0]
-            cur = cost[i0] - u[i0] - v[:m]
-            better = ~used[:m] & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            free = np.flatnonzero(~used[:m])
-            j1 = free[int(np.argmin(minv[free]))]
-            delta = minv[j1]
-            used_cols = np.flatnonzero(used)
-            u[row_of[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if row_of[j0] == -1:
-                break
-        while j0 != m:
-            j_prev = way[j0]
-            row_of[j0] = row_of[j_prev]
-            j0 = j_prev
+        j = int(np.argmax(at_min[i] & free))
+        if at_min[i, j] and free[j]:
+            col_of_row[i] = j
+            row_of[j] = i
+            free[j] = False
 
-    matched = np.flatnonzero(row_of[:m] >= 0)
-    col_of_row = np.empty(n, dtype=int)
-    col_of_row[row_of[matched]] = matched
-    return col_of_row, u, v[:m]
+    # One Dijkstra phase per row left free; `shortest` holds distances over
+    # the phase-start reduced costs, `path` the row each column is reached from.
+    shortest = np.empty(m)
+    path = np.empty(m, dtype=int)
+    for start in np.flatnonzero(col_of_row < 0).tolist():
+        shortest.fill(np.inf)
+        # Scanned columns get v = -inf here, so their reduced cost is +inf
+        # and later rows can no longer lower their distance or path.
+        open_v = v.copy()
+        scanned, dists = [], []
+        i, min_val = start, 0.0
+        while True:
+            r = cost[i] - open_v
+            r += min_val - u[i]
+            np.copyto(path, i, where=r < shortest)
+            np.minimum(shortest, r, out=shortest)
+            j = int(shortest.argmin())
+            min_val = float(shortest[j])
+            if row_of[j] >= 0:
+                ties = np.flatnonzero((shortest == min_val) & (row_of < 0))
+                if ties.size:
+                    j = int(ties[0])
+            scanned.append(j)
+            dists.append(min_val)
+            if row_of[j] < 0:
+                break
+            i = int(row_of[j])
+            shortest[j] = np.inf
+            open_v[j] = -np.inf
+
+        # Distances grow along a phase; the clamp keeps float rounding
+        # from pushing a column potential above zero.
+        cols = np.array(scanned)
+        slack = np.maximum(min_val - np.array(dists), 0.0)
+        u[start] += min_val
+        u[row_of[cols[:-1]]] += slack[:-1]
+        v[cols] -= slack
+
+        j = scanned[-1]
+        while True:
+            i = int(path[j])
+            row_of[j] = i
+            col_of_row[i], j = j, int(col_of_row[i])
+            if i == start:
+                break
+    return col_of_row, u, v
 
 
 def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray, tol=ADMISSIBLE_TOL):

@@ -74,9 +74,6 @@ class SemanticAlignment:
     def link_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((l.src, l.tgt) for l in self.links)
 
-    def targets_of(self, src_unit: int) -> tuple[int, ...]:
-        return tuple(l.tgt for l in self.links if l.src == src_unit)
-
 
 def build_graph(m: SimilarityMatrix, big: float, for_class: str) -> AlignmentGraph:
     if for_class not in CLASSES:

@@ -164,14 +164,6 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union
 
 
-def overlap(c_s: Constituent, c_t: Constituent, ctx: UnitSimilarity) -> float:
-    return ctx.overlap_src(c_s.id, c_t.id)
-
-
-def constituent_sim(c_s: Constituent, c_t: Constituent, ctx: UnitSimilarity) -> float:
-    return ctx.sim(c_s.id, c_t.id)
-
-
 def word_sim(i: int, j: int, al: WordAlignment) -> float:
     return 1.0 if (i, j) in al.links else 0.0
 

@@ -235,3 +235,23 @@ def test_projection_output_parses_back(fixture_dir, tmp_path):
     records = [json.loads(line) for line in (tmp_path / "prov.jsonl").read_text().splitlines()]
     assert [r["sentence"] for r in records] == [0, 1, 2, 3, 4]
     assert all("roles" in r for r in records)
+
+
+def test_project_on_a_5000_deep_tree_exits_cleanly(tmp_path, capsys):
+    depth = 5000
+    (tmp_path / "src.trees").write_text("(S " * depth + "(NN a)" + ")" * depth + "\n")
+    (tmp_path / "tgt.trees").write_text("(S (NN b))\n")
+    (tmp_path / "align").write_text("0-0\n")
+    (tmp_path / "src.roles").write_text("#0 f 0\nA0\t0-0\n")
+    out = tmp_path / "out.roles"
+    args = [
+        "project", "--model", "total", "--filter", "none",
+        "--src-trees", str(tmp_path / "src.trees"),
+        "--tgt-trees", str(tmp_path / "tgt.trees"),
+        "--align", str(tmp_path / "align"),
+        "--src-roles", str(tmp_path / "src.roles"),
+        "--out", str(out),
+    ]
+    assert main(args) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_text() == "#0 f 0\nA0\t0-0\n"

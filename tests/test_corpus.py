@@ -101,6 +101,16 @@ def test_tree_serialization_round_trip(text):
     assert again == tree
 
 
+def test_deep_unary_chain_parses_and_round_trips():
+    depth = 5000
+    text = "(S " * depth + "(NN a)" + ")" * depth
+    tree = parse_tree(text, expected_tokens=1)
+    assert len(tree.nodes) == depth + 1
+    assert tree.nodes[depth].is_terminal and tree.parent(depth) == depth - 1
+    assert all(node.span == (0, 0) for node in tree.nodes)
+    assert tree_to_line(tree) == text
+
+
 # --- alignments -------------------------------------------------------
 
 def test_parse_alignment_basic():

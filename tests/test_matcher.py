@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sim, sim_matrix
+from roleproj import lap
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     build_graph,
@@ -13,6 +14,7 @@ from roleproj.matcher import (
     solve_total,
 )
 from roleproj.oracle import (
+    MAX_CELLS,
     brute_force_optimum,
     enumerate_optimal_covers,
     enumerate_optimal_perfect,
@@ -265,6 +267,52 @@ def test_link_sets_are_optimal_on_tie_heavy_instances():
         assert solve(g, "edgecover").link_pairs() == cover
         g = build_graph(sim, BIG, "total")
         assert solve(g, "total").link_pairs() == brute_force_optimum(g, "total").link_pairs()
+
+
+def lexmin_optimal_assignment(W, linear_sum_assignment, atol=1e-6):
+    """Lexicographically smallest optimal assignment, found without duals.
+
+    Rows are fixed in order, each to the smallest free column that still
+    completes to the optimal cost of the remaining rows and columns.
+    """
+    def optimal_cost(sub):
+        rows, cols = linear_sum_assignment(sub)
+        return sub[rows, cols].sum()
+
+    n = len(W)
+    free = list(range(n))
+    remaining = optimal_cost(W)
+    out = []
+    for i in range(n):
+        for j in free:
+            rest_cost = optimal_cost(W[np.ix_(range(i + 1, n), [c for c in free if c != j])])
+            if abs(W[i, j] + rest_cost - remaining) <= atol:
+                break
+        out.append(j)
+        free.remove(j)
+        remaining = rest_cost
+    return np.array(out)
+
+
+def test_perfect_tie_break_does_not_depend_on_the_dual():
+    # The lexmin tie-break runs on the tight cells of whichever optimal dual
+    # solve_lap returns; on tie-heavy graphs with padding it must still pick
+    # the reference found from optimal costs alone.
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(61)
+    shapes = [(1, 1), (2, 5), (4, 4), (5, 6), (6, 3), (9, 116), (116, 9), (50, 7), (150, 150)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(16)]
+    for n, m in shapes:
+        d = rng.integers(1, 7, size=(n, m))
+        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG, "perfect")
+        W = g.weights
+        col_of_row, u, v = lap.solve_lap(W)
+        match = lap.lexmin_perfect_matching(lap.admissible_cells(W, u, v), col_of_row)
+        if n * m <= MAX_CELLS:
+            links = frozenset((i, int(j)) for i, j in enumerate(match) if i < n and j < m)
+            assert links in enumerate_optimal_perfect(g, 1e-6)
+        else:
+            assert (match == lexmin_optimal_assignment(W, linear_sum_assignment)).all()
 
 
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
