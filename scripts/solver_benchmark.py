@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Timing and correctness sweep for the three alignment solvers.
 
-Small instances are cross-checked against brute-force enumeration: costs
-for every class, and for ``edgecover`` also membership of the link set in
-the enumerated optimal minimal covers; the exit code is 1 if any check
-fails.  Larger ones report wall-clock time only, on dense random
-similarities and on tie-heavy ones rounded to k/d with d <= 6, as real
-Jaccard values are.  A size is N (square) or NxM, such as the
+Small instances, with sides up to MAX_CELLS and at most MAX_CELLS cells,
+are cross-checked against brute-force enumeration: costs for every class,
+and for ``edgecover`` also membership of the link set in the enumerated
+optimal minimal covers; the exit code is 1 if any check fails.  Larger
+ones report wall-clock time only, on dense random similarities and on
+tie-heavy ones rounded to k/d with d <= 6, as real Jaccard values are.  A size is N (square) or NxM, such as the
 argument-filtered 116x9.
 """
 
@@ -53,12 +53,12 @@ def main():
     print(f"cross-checking {args.oracle_instances} small instances against brute force")
     mismatches = not_optimal_covers = 0
     for _ in range(args.oracle_instances):
-        n, m = (int(x) for x in rng.integers(1, 6, size=2))
-        if n * m > MAX_CELLS:
-            continue
-        sim = random_matrix(rng, n, m)
+        n = int(rng.integers(1, MAX_CELLS + 1))
+        m = int(rng.integers(1, MAX_CELLS // n + 1))
+        if rng.random() < 0.5:
+            n, m = m, n
+        g = build_graph(random_matrix(rng, n, m), 1e6)
         for cls in ("perfect", "edgecover", "total"):
-            g = build_graph(sim, 1e6, cls)
             solved = solve(g, cls)
             if abs(solved.cost - brute_force_optimum(g, cls).cost) > 1e-9:
                 mismatches += 1
@@ -69,10 +69,9 @@ def main():
 
     for n, m in args.sizes:
         for kind, make in (("dense", random_matrix), ("ties", tie_heavy_matrix)):
-            sim = make(rng, n, m)
+            g = build_graph(make(rng, n, m), 1e6)
             row = [f"{n:4d}x{m:<4d} {kind:5s}"]
             for cls in ("perfect", "edgecover", "total"):
-                g = build_graph(sim, 1e6, cls)
                 start = time.perf_counter()
                 solved = solve(g, cls)
                 elapsed = time.perf_counter() - start

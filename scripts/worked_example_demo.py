@@ -5,9 +5,8 @@ weight table for the perfect-matching model."""
 
 from roleproj import fixtures
 from roleproj.corpus import serialize_roles
-from roleproj.matcher import build_graph, dump_weight_table, solve_perfect_matching
-from roleproj.pipeline import PipelineConfig, run_pipeline
-from roleproj.similarity import UnitSimilarity, full_view
+from roleproj.matcher import dump_weight_table, solve
+from roleproj.pipeline import PipelineConfig, build_instance, run_pipeline
 
 
 def main():
@@ -35,10 +34,8 @@ def main():
               serialize_roles(out.annotation).replace("\n", "  "))
 
     print("\nweight table (perfect matching, no filter); chosen cells marked *:")
-    ctx = UnitSimilarity(full_view(b), b.src_tree, b.tgt_tree)
-    m = ctx.matrix(list(b.src_tree.node_ids()), list(b.tgt_tree.node_ids()))
-    g = build_graph(m, 1e6, "perfect")
-    print(dump_weight_table(g, solve_perfect_matching(g)))
+    g = build_instance(b, PipelineConfig(model="perfect")).graph
+    print(dump_weight_table(g, solve(g, "perfect")))
 
 
 if __name__ == "__main__":

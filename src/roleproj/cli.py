@@ -19,16 +19,10 @@ from . import __version__, fixtures
 from .corpus import load_corpus, read_roles_file, roles_file_text
 from .errors import OracleSizeError, ToolkitError
 from .evaluation import correspondence_stats, score, stratified_shuffling
-from .matcher import COST_ATOL, build_graph, solve
+from .matcher import COST_ATOL, solve
 from .oracle import brute_force_optimum
-from .pipeline import (
-    DEFAULT_FILTER_FOR_MODEL,
-    PipelineConfig,
-    run_corpus,
-    select_target_units,
-    target_predicate,
-)
-from .similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
+from .pipeline import DEFAULT_FILTER_FOR_MODEL, PipelineConfig, build_instance, run_corpus
+from .similarity import DEFAULT_CONTENT_PREFIXES
 
 CONFIG_KEYS = {
     "model",
@@ -120,13 +114,9 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
     for k, b in enumerate(bisentences):
         if cfg.model == "word" or b.src_tree is None or b.tgt_tree is None:
             continue
-        tgt_units, _ = select_target_units(b, cfg, target_predicate(b))
-        if not tgt_units:
+        graph = build_instance(b, cfg).graph
+        if graph is None:
             continue
-        view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
-        ctx = UnitSimilarity(view, b.src_tree, b.tgt_tree)
-        m = ctx.matrix(list(b.src_tree.node_ids()), tgt_units)
-        graph = build_graph(m, cfg.big, cfg.model)
         try:
             reference = brute_force_optimum(graph, cfg.model)
         except OracleSizeError:

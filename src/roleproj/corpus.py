@@ -65,14 +65,13 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Constituent:
-    """One tree node. ``span`` is an inclusive token interval, None for empty nodes."""
+    """One tree node. ``span`` is an inclusive token interval."""
 
     id: int
     label: str
-    span: Span | None
+    span: Span
     children: tuple[int, ...]
     is_terminal: bool
-    is_empty: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,9 @@ class ParseTree:
 
 
 def yield_of(tree: ParseTree, node: Constituent | int) -> frozenset[int]:
-    """Token indices dominated by a node; the empty set for an empty node."""
+    """Token indices dominated by a node."""
     if isinstance(node, int):
         node = tree.node(node)
-    if node.span is None:
-        return frozenset()
     lo, hi = node.span
     return frozenset(range(lo, hi + 1))
 
@@ -147,18 +144,6 @@ class WordAlignment:
 
     def aligned_tgt(self) -> frozenset[int]:
         return frozenset(t for _, t in self.links)
-
-
-def intersect_alignments(fwd: WordAlignment, bwd: WordAlignment) -> WordAlignment:
-    """Intersection heuristic: keep only links present in both directions.
-
-    ``bwd`` must already be in source-target index orientation.
-    """
-    if (fwd.n_src, fwd.n_tgt) != (bwd.n_src, bwd.n_tgt):
-        raise ValidationError(
-            f"length mismatch: {fwd.n_src}/{fwd.n_tgt} vs {bwd.n_src}/{bwd.n_tgt}"
-        )
-    return WordAlignment(fwd.links & bwd.links, fwd.n_src, fwd.n_tgt)
 
 
 @dataclass(frozen=True, eq=True)

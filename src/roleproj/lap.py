@@ -13,16 +13,18 @@
 * Exact-tie free-column preference.  When the closest unscanned column is
   already assigned, the first free column at exactly the same distance is
   taken instead, which ends the phase.  Jaccard weights are rationals with
-  small denominators and padding rows are constant, so such ties are
-  common; equality is exact, so optimality is not traded for speed.
+  small denominators and every zero similarity weighs the same cap, so
+  such ties are common; equality is exact, so optimality is not traded
+  for speed.
 
 The worst case is O(k^2 m).  The potentials returned satisfy
 u[i] + v[j] <= cost[i, j] with equality on matched cells; v is
-non-positive and zero on unmatched columns.  That lets callers recover the
-full set of optimal assignments as the perfect matchings of the tight-cell
-("admissible") graph, after padding a rectangular instance with zero-cost
-rows.  Any optimal dual yields the same set, which is how deterministic
-lexicographic tie-breaking is implemented here without giving up exactness.
+non-positive and zero on unmatched columns.  That lets the caller recover
+the full set of optimal assignments as the perfect matchings of the
+tight-cell ("admissible") graph of the square padded with zero-cost rows;
+``matcher._lexmin_matching`` is that caller.  Any optimal dual yields the
+same set, which is how deterministic lexicographic tie-breaking is
+implemented here without giving up exactness.
 """
 
 from __future__ import annotations

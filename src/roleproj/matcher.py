@@ -4,9 +4,10 @@ Constraint classes over the complete bipartite graph of source and target
 units:
 
 ``perfect``
-    Every node has degree exactly one.  The smaller partition is padded
-    with empty nodes (weight = big everywhere) to square the matrix; links
-    to padding are stripped from the output, which lets the model abstain.
+    Every unit of the smaller side links to its own unit of the larger
+    side; the |n - m| units of the larger side left over stay unlinked,
+    which lets the model abstain.  Solved as a rectangular min(n, m)-row
+    assignment.
 
 ``edgecover``
     Every node has degree at least one.  Solved exactly by Gallai's
@@ -25,16 +26,18 @@ units:
 
 All solvers are deterministic.  ``perfect`` and ``total`` return the
 lexicographically smallest optimal link set under (source index, target
-index) ordering; for ``perfect`` it is computed on the tight-cell graph of
-the assignment duals.  ``edgecover`` applies the same canonicalization to
-the reduced-cost matching before decoding, which yields an optimal minimal
-cover that is not always the lexicographically smallest one.
+index) ordering; for ``perfect`` it is computed by ``_lexmin_matching`` on
+the tight-cell graph of the assignment duals.  ``edgecover`` applies the
+same canonicalization to the reduced-cost matching before decoding, which
+yields an optimal minimal cover that is not always the lexicographically
+smallest one.
 Zero-similarity links forced by degree constraints are retained with
 sim = 0.0; projection drops them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,19 +46,21 @@ from . import lap
 from .errors import DegenerateGraphError, ValidationError
 from .similarity import SimilarityMatrix, to_weights
 
-CLASSES = ("perfect", "edgecover", "total")
-
 COST_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AlignmentGraph:
     sim: SimilarityMatrix
-    weights: np.ndarray = field(compare=False)  # padded for perfect matching
-    big: float
-    n_src_real: int
-    n_tgt_real: int
-    padding_side: str  # "none" | "src" | "tgt"
+    weights: np.ndarray = field(compare=False)  # n_src × n_tgt, never padded
+
+    @property
+    def n_src_real(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_tgt_real(self) -> int:
+        return self.weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,30 +72,18 @@ class Link:
 
 @dataclass(frozen=True)
 class SemanticAlignment:
-    links: tuple[Link, ...]  # sorted by (src, tgt); padding links already stripped
+    links: tuple[Link, ...]  # sorted by (src, tgt)
     constraint_class: str
-    cost: float  # objective value (perfect: over the padded square instance)
+    cost: float  # sum of the weights of the links, zero-similarity ones included
 
     def link_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((l.src, l.tgt) for l in self.links)
 
 
-def build_graph(m: SimilarityMatrix, big: float, for_class: str) -> AlignmentGraph:
-    if for_class not in CLASSES:
-        raise ValueError(f"unknown constraint class {for_class!r}")
-    n, mt = m.sim.shape
-    if n == 0 or mt == 0:
+def build_graph(m: SimilarityMatrix, big: float) -> AlignmentGraph:
+    if m.sim.size == 0:
         raise DegenerateGraphError("alignment graph needs units on both sides")
-    wm = to_weights(m, big)
-    weights = wm.weight
-    padding_side = "none"
-    if for_class == "perfect" and n != mt:
-        size = max(n, mt)
-        padded = np.full((size, size), float(big))
-        padded[:n, :mt] = weights
-        weights = padded
-        padding_side = "src" if n < mt else "tgt"
-    return AlignmentGraph(m, weights, float(big), n, mt, padding_side)
+    return AlignmentGraph(m, to_weights(m, big))
 
 
 def links_from_pairs(g: AlignmentGraph, pairs) -> tuple[Link, ...]:
@@ -101,31 +94,31 @@ def links_from_pairs(g: AlignmentGraph, pairs) -> tuple[Link, ...]:
     return tuple(out)
 
 
+def links_cost(W: np.ndarray, pairs) -> float:
+    """Exactly rounded sum of the link weights.
+
+    Equal weights give an equal cost in any order, also where sums of
+    zero-similarity weights (1e6 each) leave a float spacing above 1e-9.
+    """
+    return math.fsum(W[i, j] for i, j in pairs)
+
+
 def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
-    """Minimum-weight perfect matching; padding links stripped from the result."""
+    """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
-    if W.shape[0] != W.shape[1]:
-        raise ValidationError("perfect matching needs a square (padded) matrix")
-    col_of_row, u, v = lap.solve_lap(W)
-    adm = lap.admissible_cells(W, u, v)
-    col_of_row = lap.lexmin_perfect_matching(adm, col_of_row)
-    cost = float(W[np.arange(len(col_of_row)), col_of_row].sum())
-    pairs = [
-        (i, j)
-        for i, j in enumerate(col_of_row)
-        if i < g.n_src_real and j < g.n_tgt_real
-    ]
-    return SemanticAlignment(links_from_pairs(g, pairs), "perfect", cost)
+    pairs = _lexmin_matching(W)
+    return SemanticAlignment(links_from_pairs(g, pairs), "perfect", links_cost(W, pairs))
 
 
 def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     """Lexicographically smallest minimum-cost matching of the smaller side.
 
-    ``cost`` is n×m and non-positive.  The assignment runs on the
-    min(n, m)-row orientation; the tie-break runs source-major on the
-    max(n, m) square padded with zero-cost cells.  Padding keeps the duals
-    optimal because they are non-positive and zero on unmatched units, so
-    unmatched units are tight against every padding cell.
+    ``cost`` is n×m.  The assignment runs on the min(n, m)-row orientation;
+    the tie-break runs source-major on the max(n, m) square padded with
+    zero-cost cells.  Padding keeps the duals optimal because they are zero
+    on unmatched units and non-positive on the larger side, so unmatched
+    units are tight against every padding cell.  This is the one place a
+    padded matrix is built.
     """
     n, m = cost.shape
     size = max(n, m)
@@ -156,8 +149,6 @@ def _cheapest(weights: np.ndarray) -> int:
 
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight edge cover via Gallai's reduction to a matching."""
-    if g.padding_side != "none":
-        raise ValidationError("edge cover expects an unpadded matrix")
     W = g.weights
     n, m = W.shape
     reduced = W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :]
@@ -173,8 +164,7 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
 
     pairs = _strip_redundant_links(W, pairs)
     _check_cover(n, m, pairs)
-    cost = float(sum(W[i, j] for i, j in pairs))
-    return SemanticAlignment(links_from_pairs(g, pairs), "edgecover", cost)
+    return SemanticAlignment(links_from_pairs(g, pairs), "edgecover", links_cost(W, pairs))
 
 
 def _strip_redundant_links(W: np.ndarray, pairs: set) -> set:
@@ -211,8 +201,6 @@ def _check_cover(n: int, m: int, pairs) -> None:
 
 def solve_total(g: AlignmentGraph) -> SemanticAlignment:
     """Per-source argmax similarity link; lowest target index wins ties."""
-    if g.padding_side != "none":
-        raise ValidationError("total alignment expects an unpadded matrix")
     sims = g.sim.sim
     cols = np.argmax(sims, axis=1)
     pairs = [(i, int(j)) for i, j in enumerate(cols)]
@@ -242,7 +230,7 @@ def dump_weight_table(g: AlignmentGraph, alignment: SemanticAlignment | None = N
         chosen = {(index_of_src[l.src], index_of_tgt[l.tgt]) for l in alignment.links}
     header = "unit\t" + "\t".join(str(u) for u in g.sim.tgt_units)
     lines = [header]
-    W = g.weights[: g.n_src_real, : g.n_tgt_real]
+    W = g.weights
     for i, src_unit in enumerate(g.sim.src_units):
         cells = []
         for j in range(g.n_tgt_real):

@@ -2,7 +2,10 @@
 
 Used by the test suite and the ``--oracle`` CLI flag to cross-check solver
 costs on small instances, and by the tests to check solver link sets
-against every optimal solution.  Refuses instances above the size guard.
+against every optimal solution.  Refuses instances above the size guard,
+n * m <= MAX_CELLS.  Perfect matchings are enumerated as injections of the
+smaller side into the larger, at most 7 * 6 * 5 * 4 = 840 of them under the
+guard; edge covers as functions from source to target, at most 3**10.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .matcher import (
     COST_ATOL,
     AlignmentGraph,
     SemanticAlignment,
+    links_cost,
     links_from_pairs,
 )
 
@@ -44,47 +48,32 @@ def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAli
     return SemanticAlignment(links_from_pairs(g, pairs), constraint_class, cost)
 
 
-def _all_permutation_costs(W: np.ndarray):
-    n = W.shape[0]
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    costs = W[np.arange(n), perms].sum(axis=1)
-    return perms, costs
+def _optimal_matchings(W: np.ndarray, atol: float):
+    """Sorted link tuples of all optimal matchings of the smaller side.
+
+    Each injection of the smaller side into the larger is one matching.
+    """
+    n, m = W.shape
+    if n <= m:
+        cols = np.array(list(itertools.permutations(range(m), n)), dtype=int)
+        rows = np.broadcast_to(np.arange(n), cols.shape)
+    else:
+        rows = np.array(list(itertools.permutations(range(n), m)), dtype=int)
+        cols = np.broadcast_to(np.arange(m), rows.shape)
+    costs = W[rows, cols].sum(axis=1)
+    optimal = np.flatnonzero(costs <= costs.min() + atol)
+    return [tuple(sorted(zip(rows[k].tolist(), cols[k].tolist()))) for k in optimal]
 
 
 def _best_perfect(g: AlignmentGraph):
-    W = g.weights  # padded square
-    perms, costs = _all_permutation_costs(W)
-    best = costs.min()
-    tied = perms[costs <= best + COST_ATOL]
-    candidates = []
-    for perm in tied:
-        pairs = tuple(
-            sorted(
-                (i, int(j))
-                for i, j in enumerate(perm)
-                if i < g.n_src_real and j < g.n_tgt_real
-            )
-        )
-        candidates.append(pairs)
-    return float(best), set(min(candidates))
+    pairs = min(_optimal_matchings(g.weights, COST_ATOL))
+    return links_cost(g.weights, pairs), set(pairs)
 
 
 def enumerate_optimal_perfect(g: AlignmentGraph, atol: float = COST_ATOL):
-    """All optimal perfect matchings as frozensets of real (stripped) links."""
+    """All optimal perfect matchings as frozensets of links."""
     _guard(g)
-    W = g.weights
-    perms, costs = _all_permutation_costs(W)
-    best = costs.min()
-    out = set()
-    for perm in perms[costs <= best + atol]:
-        out.add(
-            frozenset(
-                (i, int(j))
-                for i, j in enumerate(perm)
-                if i < g.n_src_real and j < g.n_tgt_real
-            )
-        )
-    return out
+    return {frozenset(pairs) for pairs in _optimal_matchings(g.weights, atol)}
 
 
 def _optimal_cover_functions(W: np.ndarray, atol: float):
@@ -120,7 +109,7 @@ def _tied_repairs(W: np.ndarray, t: int, atol: float) -> np.ndarray:
 
 def _best_edge_cover(g: AlignmentGraph):
     W = g.weights
-    best, functions, covered = _optimal_cover_functions(W, COST_ATOL)
+    _, functions, covered = _optimal_cover_functions(W, COST_ATOL)
     candidates = []
     for f, covered_row in zip(functions, covered):
         pairs = {(i, int(t)) for i, t in enumerate(f)}
@@ -132,7 +121,8 @@ def _best_edge_cover(g: AlignmentGraph):
         # minimal covers (no link with both endpoints of degree >= 2) count
         if not _has_many_to_many(pairs):
             candidates.append(tuple(sorted(pairs)))
-    return best, set(min(candidates))
+    pairs = min(candidates)
+    return links_cost(W, pairs), set(pairs)
 
 
 def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):

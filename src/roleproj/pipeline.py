@@ -2,8 +2,8 @@
 
 The model matrix: ``word`` projects over raw word links (optionally with
 gap filling); ``perfect``, ``edgecover`` and ``total`` build a constituent
-alignment graph from the filtered bi-sentence view and solve the
-corresponding optimal-subgraph problem.  Word filters (``na``, ``nc``)
+alignment instance with ``build_instance`` and solve the corresponding
+optimal-subgraph problem on its graph.  Word filters (``na``, ``nc``)
 mask tokens before similarity computation; the ``arg`` filter restricts
 the target unit set to likely argument constituents of the predicate.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import BiSentence, RoleAnnotation, yield_of
 from .errors import ConfigError
-from .matcher import build_graph, solve
+from .matcher import AlignmentGraph, build_graph, solve
 from .projection import (
     ProjectedAnnotation,
     RoleProvenance,
@@ -104,32 +104,48 @@ def select_target_units(
     return argument_filter(b.tgt_tree, tgt_pred, cfg.clause_boundary_labels), []
 
 
+@dataclass(frozen=True)
+class AlignmentInstance:
+    """The constituent alignment problem of one bi-sentence."""
+
+    src_units: tuple[int, ...]
+    tgt_units: tuple[int, ...]
+    tgt_pred: int
+    warnings: tuple[str, ...]
+    graph: AlignmentGraph | None  # None when no target unit is left
+
+
+def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
+    """Filtered view, unit sets, similarity matrix and graph of a bi-sentence.
+
+    The one place an alignment graph is built: ``run_pipeline`` solves it
+    and ``--oracle`` checks it.
+    """
+    for attr in ("src_tree", "tgt_tree"):
+        if getattr(b, attr) is None:
+            raise ConfigError(f"model {cfg.model!r} requires {attr.replace('_', ' ')}")
+    view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
+    tgt_pred = target_predicate(b)
+    src_units = tuple(b.src_tree.node_ids())
+    tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
+    if not tgt_units:
+        warnings.append("no target units after filtering; nothing projected")
+        return AlignmentInstance(src_units, (), tgt_pred, tuple(warnings), None)
+    sim_matrix = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
+    graph = build_graph(sim_matrix, cfg.big)
+    return AlignmentInstance(src_units, tuple(tgt_units), tgt_pred, tuple(warnings), graph)
+
+
 def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
     if b.src_roles is None:
         raise ConfigError("bi-sentence has no source role annotation to project")
-    required = {
-        "word": (),
-        "perfect": ("src_tree", "tgt_tree"),
-        "edgecover": ("src_tree", "tgt_tree"),
-        "total": ("src_tree", "tgt_tree"),
-    }[cfg.model]
-    for attr in required:
-        if getattr(b, attr) is None:
-            raise ConfigError(f"model {cfg.model!r} requires {attr.replace('_', ' ')}")
-    if "arg" in cfg.filters and cfg.model != "word" and b.tgt_tree is None:
-        raise ConfigError("arg filter requires a target tree")
-
-    view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
-    tgt_pred = target_predicate(b)
-
     if cfg.model == "word":
+        view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
         return project_word_based(
-            view, b.src_roles, cfg.fill_gaps, predicate=tgt_pred
+            view, b.src_roles, cfg.fill_gaps, predicate=target_predicate(b)
         )
 
-    src_units = list(b.src_tree.node_ids())
-    tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
-
+    inst = build_instance(b, cfg)
     role_units: dict[str, tuple[int, ...]] = {}
     inexact = set()
     for label, spans in b.src_roles.roles:
@@ -138,29 +154,25 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         if not exact:
             inexact.add(label)
 
-    if not tgt_units:
-        warnings.append("no target units after filtering; nothing projected")
-        ann = RoleAnnotation.make(b.src_roles.frame, {}, tgt_pred)
+    if inst.graph is None:
+        ann = RoleAnnotation.make(b.src_roles.frame, {}, inst.tgt_pred)
         provenance = {
             label: RoleProvenance(unprojected=True, inexact_tiling=label in inexact)
             for label, _ in b.src_roles.roles
         }
-        return ProjectedAnnotation(ann, provenance, tuple(warnings))
+        return ProjectedAnnotation(ann, provenance, inst.warnings)
 
-    ctx = UnitSimilarity(view, b.src_tree, b.tgt_tree)
-    sim_matrix = ctx.matrix(src_units, tgt_units)
-    graph = build_graph(sim_matrix, cfg.big, cfg.model)
-    alignment = strip_zero_links(solve(graph, cfg.model))
-    tgt_yields = {u: yield_of(b.tgt_tree, u) for u in tgt_units}
+    alignment = strip_zero_links(solve(inst.graph, cfg.model))
+    tgt_yields = {u: yield_of(b.tgt_tree, u) for u in inst.tgt_units}
     return project(
         alignment,
         b.src_roles,
         role_units,
-        src_units,
+        inst.src_units,
         tgt_yields,
-        predicate=tgt_pred,
+        predicate=inst.tgt_pred,
         inexact=frozenset(inexact),
-        warnings=tuple(warnings),
+        warnings=inst.warnings,
     )
 
 

@@ -172,7 +172,7 @@ def resolve_role_units(tree: ParseTree, spans, node_ids=None):
     """
     if node_ids is None:
         node_ids = range(len(tree.nodes))
-    nodes = [tree.node(i) for i in node_ids if tree.node(i).span is not None]
+    nodes = [tree.node(i) for i in node_ids]
     # group by start position; deeper nodes come later in preorder for equal
     # spans, so sorting by (length, id) makes the last best hit the deepest
     by_start: dict[int, list] = {}

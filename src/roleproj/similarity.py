@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BiSentence, Constituent, ParseTree, WordAlignment, yield_of
+from .corpus import BiSentence, ParseTree, yield_of
 from .errors import ConfigError, ValidationError
 
 # POS prefixes counted as content words: nouns, verbs, adjectives, adverbs,
@@ -97,18 +97,6 @@ def apply_word_filters(b: BiSentence, active, cfg: FilterConfig) -> BiSentenceVi
     return view
 
 
-def aligned_words(
-    c: Constituent, tree: ParseTree, al: WordAlignment, direction: str = "src2tgt"
-) -> frozenset[int]:
-    """Opposite-side tokens aligned to the yield of a constituent."""
-    toks = yield_of(tree, c)
-    if direction == "src2tgt":
-        return al.image(toks)
-    if direction == "tgt2src":
-        return al.preimage(toks)
-    raise ValueError(f"bad direction {direction!r}")
-
-
 class UnitSimilarity:
     """Pairwise constituent similarity for one bi-sentence view.
 
@@ -117,9 +105,6 @@ class UnitSimilarity:
     """
 
     def __init__(self, view: BiSentenceView, src_tree: ParseTree, tgt_tree: ParseTree):
-        self.view = view
-        self.src_tree = src_tree
-        self.tgt_tree = tgt_tree
         links = view.links
         self._src_yield = {}
         self._src_al = {}
@@ -141,10 +126,6 @@ class UnitSimilarity:
         return _jaccard(self._tgt_al[tgt_id], self._src_yield[src_id])
 
     def sim(self, src_id: int, tgt_id: int) -> float:
-        src_node = self.src_tree.node(src_id)
-        tgt_node = self.tgt_tree.node(tgt_id)
-        if src_node.is_empty or tgt_node.is_empty:
-            return 0.0
         return (self.overlap_src(src_id, tgt_id) + self.overlap_tgt(tgt_id, src_id)) / 2.0
 
     def matrix(self, src_units, tgt_units) -> "SimilarityMatrix":
@@ -164,10 +145,6 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union
 
 
-def word_sim(i: int, j: int, al: WordAlignment) -> float:
-    return 1.0 if (i, j) in al.links else 0.0
-
-
 @dataclass(frozen=True)
 class SimilarityMatrix:
     src_units: tuple[int, ...]
@@ -181,18 +158,9 @@ class SimilarityMatrix:
             raise ValidationError("similarity values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    src_units: tuple[int, ...]
-    tgt_units: tuple[int, ...]
-    weight: np.ndarray = field(compare=False)
-    big: float
-
-
-def to_weights(m: SimilarityMatrix, big: float) -> WeightMatrix:
+def to_weights(m: SimilarityMatrix, big: float) -> np.ndarray:
     """Entrywise min(-log sim, big); zero similarity maps to the finite cap."""
     if big <= 0:
         raise ConfigError(f"big must be positive, got {big}")
     with np.errstate(divide="ignore"):
-        w = np.minimum(-np.log(m.sim), big) + 0.0  # +0.0 normalizes -0.0
-    return WeightMatrix(m.src_units, m.tgt_units, w, big)
+        return np.minimum(-np.log(m.sim), big) + 0.0  # +0.0 normalizes -0.0

@@ -32,15 +32,15 @@ def solved_instances():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        sim = random_sim(rng, n, m, zero_frac=0.3)
+        g = build_graph(random_sim(rng, n, m, zero_frac=0.3), BIG)
         record_entry = {
             "dims": (n, m),
-            "perfect": solve_perfect_matching(build_graph(sim, BIG, "perfect")),
-            "perfect_oracle": brute_force_optimum(build_graph(sim, BIG, "perfect"), "perfect"),
-            "cover": solve_edge_cover(build_graph(sim, BIG, "edgecover")),
-            "cover_oracle": brute_force_optimum(build_graph(sim, BIG, "edgecover"), "edgecover"),
-            "total": solve_total(build_graph(sim, BIG, "total")),
-            "row_min_sum": build_graph(sim, BIG, "total").weights.min(axis=1).sum(),
+            "perfect": solve_perfect_matching(g),
+            "perfect_oracle": brute_force_optimum(g, "perfect"),
+            "cover": solve_edge_cover(g),
+            "cover_oracle": brute_force_optimum(g, "edgecover"),
+            "total": solve_total(g),
+            "row_min_sum": g.weights.min(axis=1).sum(),
         }
         out.append(record_entry)
     return out, time.perf_counter() - start
@@ -174,7 +174,7 @@ def test_criterion_7_significance_sanity():
 def test_criterion_8_scale_smoke():
     rng = np.random.default_rng(99)
     sim = random_sim(rng, 100, 100, zero_frac=0.3)
-    graph = build_graph(sim, BIG, "perfect")
+    graph = build_graph(sim, BIG)
     start = time.perf_counter()
     solved = solve_perfect_matching(graph)
     elapsed = time.perf_counter() - start

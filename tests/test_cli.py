@@ -103,19 +103,19 @@ def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
     import roleproj.cli as cli
     import roleproj.pipeline as pipeline
 
-    def recording(build_graph, shapes):
-        def wrapped(m, big, for_class):
-            shapes.append((m.src_units, m.tgt_units))
-            return build_graph(m, big, for_class)
-        return wrapped
+    build_graph, units = pipeline.build_graph, []
 
-    oracle_units, pipeline_units = [], []
-    monkeypatch.setattr(cli, "build_graph", recording(cli.build_graph, oracle_units))
-    monkeypatch.setattr(pipeline, "build_graph", recording(pipeline.build_graph, pipeline_units))
+    def recording(m, big):
+        units.append((m.src_units, m.tgt_units))
+        return build_graph(m, big)
+
+    monkeypatch.setattr(pipeline, "build_graph", recording)
     cfg = pipeline.PipelineConfig(model="edgecover", filters=frozenset({"arg"}))
     cli._oracle_check(toy_corpus, cfg)
+    oracle_units = units.copy()
+    units.clear()
     pipeline.run_corpus(toy_corpus, cfg)
-    assert pipeline_units and oracle_units == pipeline_units
+    assert units and oracle_units == units
 
 
 def test_default_filter_pairing(fixture_dir, tmp_path):

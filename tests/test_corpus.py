@@ -5,7 +5,6 @@ from roleproj.corpus import (
     RoleAnnotation,
     WordAlignment,
     alignment_to_line,
-    intersect_alignments,
     parse_alignment,
     parse_roles,
     parse_tok_line,
@@ -136,35 +135,9 @@ def test_parse_alignment_collapses_duplicates():
     assert len(parse_alignment("0-0 0-0", 1, 1).links) == 1
 
 
-def test_intersection_examples():
-    a = WordAlignment(frozenset({(0, 0), (1, 1)}), 3, 3)
-    b = WordAlignment(frozenset({(1, 1), (2, 2)}), 3, 3)
-    assert intersect_alignments(a, b).links == {(1, 1)}
-    assert intersect_alignments(a, a).links == a.links
-    c = WordAlignment(frozenset({(0, 1)}), 2, 2)
-    d = WordAlignment(frozenset({(1, 0)}), 2, 2)
-    assert intersect_alignments(c, d).links == frozenset()
-
-
-def test_intersection_length_mismatch():
-    a = WordAlignment(frozenset(), 2, 2)
-    b = WordAlignment(frozenset(), 2, 3)
-    with pytest.raises(ValidationError):
-        intersect_alignments(a, b)
-
-
 links_strategy = st.frozensets(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10
 )
-
-
-@given(links_strategy, links_strategy)
-def test_intersection_is_commutative_and_shrinking(l1, l2):
-    a = WordAlignment(l1, 6, 6)
-    b = WordAlignment(l2, 6, 6)
-    inter = intersect_alignments(a, b)
-    assert inter.links <= a.links and inter.links <= b.links
-    assert inter.links == intersect_alignments(b, a).links
 
 
 @given(links_strategy)

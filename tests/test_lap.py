@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from roleproj.lap import ADMISSIBLE_TOL, lexmin_perfect_matching, solve_lap
-from roleproj.matcher import build_graph
-from roleproj.similarity import SimilarityMatrix
+from roleproj.similarity import SimilarityMatrix, to_weights
 
 
 def check_duals(cost, col_of_row, u, v):
@@ -36,15 +35,15 @@ def test_rectangular_assignment_matches_scipy():
 
 
 def test_all_equal_and_padded_costs_match_scipy():
-    # Every cell ties in the all-equal matrices; the padded instance is the
-    # perfect-matching graph of 9 source and 116 target units, whose 107
-    # padding rows are all-big and tie with each other everywhere.
+    # Every cell ties in the all-equal matrices; the padded instance is a
+    # graph of 9 source and 116 target units under 107 all-big rows, which
+    # tie with each other everywhere.
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = np.random.default_rng(47)
     d = rng.integers(1, 7, size=(9, 116))
     sim = SimilarityMatrix(tuple(range(9)), tuple(range(116)), rng.integers(0, d + 1) / d)
-    padded = build_graph(sim, 1e6, "perfect").weights
-    assert padded.shape == (116, 116) and (padded[9:] == 1e6).all()
+    padded = np.full((116, 116), 1e6)
+    padded[:9] = to_weights(sim, 1e6)
     costs = [np.zeros((n, n)) for n in (1, 5, 60)]
     costs += [np.full((k, m), 1e6) for k, m in ((1, 1), (7, 50), (116, 116))]
     costs.append(padded)

@@ -1,10 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sim, sim_matrix
-from roleproj import lap
-from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
+from roleproj.errors import DegenerateGraphError, OracleSizeError
 from roleproj.matcher import (
     build_graph,
     dump_weight_table,
@@ -19,6 +20,7 @@ from roleproj.oracle import (
     enumerate_optimal_covers,
     enumerate_optimal_perfect,
 )
+from roleproj.similarity import to_weights
 
 BIG = 1e6
 
@@ -34,26 +36,27 @@ def degrees(alignment):
 # --- graph construction -------------------------------------------------
 
 def test_build_square_no_padding():
-    g = build_graph(random_sim(np.random.default_rng(0), 4, 4), BIG, "perfect")
+    g = build_graph(random_sim(np.random.default_rng(0), 4, 4), BIG)
     assert g.weights.shape == (4, 4)
-    assert g.padding_side == "none"
 
 
-def test_build_pads_smaller_partition():
-    g = build_graph(random_sim(np.random.default_rng(0), 6, 4), BIG, "perfect")
-    assert g.weights.shape == (6, 6)
-    assert g.padding_side == "tgt"
-    assert (g.weights[:, 4:] == BIG).all()
+def test_build_graph_never_pads():
+    for n, m in ((6, 4), (4, 6), (1, 30)):
+        sim = random_sim(np.random.default_rng(0), n, m)
+        g = build_graph(sim, BIG)
+        assert g.weights.shape == (n, m)
+        assert (g.n_src_real, g.n_tgt_real) == (n, m)
+        assert (g.weights == to_weights(sim, BIG)).all()
 
 
 def test_build_no_padding_for_edge_cover():
-    g = build_graph(random_sim(np.random.default_rng(0), 3, 5), BIG, "edgecover")
+    g = build_graph(random_sim(np.random.default_rng(0), 3, 5), BIG)
     assert g.weights.shape == (3, 5)
 
 
 def test_build_rejects_empty_partition():
     with pytest.raises(DegenerateGraphError):
-        build_graph(sim_matrix(np.zeros((0, 3))), BIG, "perfect")
+        build_graph(sim_matrix(np.zeros((0, 3))), BIG)
 
 
 # --- perfect matching ----------------------------------------------------
@@ -64,14 +67,14 @@ def weights_to_sim(w):
 
 
 def test_perfect_diagonal_forced():
-    g = build_graph(sim_matrix(weights_to_sim([[0, 5], [5, 0]])), BIG, "perfect")
+    g = build_graph(sim_matrix(weights_to_sim([[0, 5], [5, 0]])), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
 
 
 def test_perfect_antidiagonal_forced():
-    g = build_graph(sim_matrix(weights_to_sim([[1, 0], [0, 1]])), BIG, "perfect")
+    g = build_graph(sim_matrix(weights_to_sim([[1, 0], [0, 1]])), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 1), (1, 0))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
@@ -81,7 +84,7 @@ def test_perfect_matches_oracle_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = random_sim(rng, 5, 5)
-        g = build_graph(m, BIG, "perfect")
+        g = build_graph(m, BIG)
         got = solve_perfect_matching(g)
         ref = brute_force_optimum(g, "perfect")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
@@ -90,14 +93,31 @@ def test_perfect_matches_oracle_on_random_instances():
 
 def test_perfect_strips_padding_links():
     rng = np.random.default_rng(1)
-    g = build_graph(random_sim(rng, 2, 5), BIG, "perfect")
+    g = build_graph(random_sim(rng, 2, 5), BIG)
     a = solve_perfect_matching(g)
     assert all(l.src < 2 and l.tgt < 5 for l in a.links)
     assert len(a.links) == 2
+    assert a.cost == pytest.approx(sum(g.weights[l.src, l.tgt] for l in a.links), abs=1e-9)
+
+
+def test_oracle_perfect_on_skewed_graphs_within_the_size_guard():
+    # The enumeration must stay within the injections of the smaller side
+    # (at most 840 under the guard); max(n, m)! is 1.3e12 for 2x15.
+    rng = np.random.default_rng(67)
+    for n, m in ((1, 30), (30, 1), (2, 15), (15, 2), (3, 10)):
+        d = rng.integers(1, 7, size=(n, m))
+        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG)
+        start = time.perf_counter()
+        ref = brute_force_optimum(g, "perfect")
+        assert time.perf_counter() - start < 1.0
+        got = solve(g, "perfect")
+        assert got.cost == pytest.approx(ref.cost, abs=1e-9)
+        assert got.link_pairs() == ref.link_pairs()
+        assert len(got.links) == min(n, m)
 
 
 def test_perfect_lexicographic_tie_break():
-    g = build_graph(sim_matrix(np.full((3, 3), 0.5)), BIG, "perfect")
+    g = build_graph(sim_matrix(np.full((3, 3), 0.5)), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -106,7 +126,7 @@ def test_perfect_lexicographic_tie_break():
 
 def test_edge_cover_three_by_two_example():
     w = [[1, 10], [10, 1], [1, 10]]
-    g = build_graph(sim_matrix(weights_to_sim(w)), BIG, "edgecover")
+    g = build_graph(sim_matrix(weights_to_sim(w)), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 0))
     assert a.cost == pytest.approx(3.0, abs=1e-9)
@@ -114,7 +134,7 @@ def test_edge_cover_three_by_two_example():
 
 def test_edge_cover_single_source_covers_all_targets():
     w = np.array([[2.0, 3.0, 4.0]])
-    g = build_graph(sim_matrix(weights_to_sim(w)), BIG, "edgecover")
+    g = build_graph(sim_matrix(weights_to_sim(w)), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (0, 1), (0, 2))
     assert a.cost == pytest.approx(w.sum(), abs=1e-9)
@@ -124,7 +144,7 @@ def test_edge_cover_equals_strictly_better_perfect_matching():
     # diagonal strongly dominant: the unique optimal matching is also the cover
     sim = np.full((3, 3), 0.01)
     np.fill_diagonal(sim, 0.99)
-    g_cov = build_graph(sim_matrix(sim), BIG, "edgecover")
+    g_cov = build_graph(sim_matrix(sim), BIG)
     a = solve_edge_cover(g_cov)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -133,20 +153,20 @@ def test_edge_cover_cost_never_exceeds_perfect_on_square():
     rng = np.random.default_rng(11)
     for _ in range(50):
         m = random_sim(rng, 4, 4)
-        cover = solve_edge_cover(build_graph(m, BIG, "edgecover"))
-        matching = solve_perfect_matching(build_graph(m, BIG, "perfect"))
+        cover = solve_edge_cover(build_graph(m, BIG))
+        matching = solve_perfect_matching(build_graph(m, BIG))
         assert cover.cost <= matching.cost + 1e-9
 
 
 def test_edge_cover_lexicographic_on_uniform_ties():
-    g = build_graph(sim_matrix(np.full((2, 2), 1.0)), BIG, "edgecover")
+    g = build_graph(sim_matrix(np.full((2, 2), 1.0)), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
 
 
 def test_edge_cover_tie_that_crashed_the_mirrored_reduction():
     sim = [[0, 0, 0, .25, .25], [.25, 0, 0, 0, .75], [.25, .5, 0, .75, 0], [0, 1, .75, .25, 0]]
-    g = build_graph(sim_matrix(sim), BIG, "edgecover")
+    g = build_graph(sim_matrix(sim), BIG)
     a = solve_edge_cover(g)
     assert a.cost == pytest.approx(brute_force_optimum(g, "edgecover").cost, abs=1e-9)
     assert a.cost == pytest.approx(3.348, abs=1e-3)
@@ -159,7 +179,7 @@ def test_edge_cover_cost_matches_gallai_reference():
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(8)]
     for n, m in shapes:
         sim = random_sim(rng, n, m, zero_frac=0.6)
-        g = build_graph(sim, BIG, "edgecover")
+        g = build_graph(sim, BIG)
         W = g.weights
         mu_s, mu_t = W.min(axis=1), W.min(axis=0)
         reduced = np.minimum(0.0, W - mu_s[:, None] - mu_t[None, :])
@@ -171,13 +191,13 @@ def test_edge_cover_cost_matches_gallai_reference():
 # --- total ---------------------------------------------------------------
 
 def test_total_row_argmax():
-    g = build_graph(sim_matrix([[0.9, 0.1], [0.8, 0.2]]), BIG, "total")
+    g = build_graph(sim_matrix([[0.9, 0.1], [0.8, 0.2]]), BIG)
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 0))
 
 
 def test_total_zero_row_links_lowest_index_with_zero_sim():
-    g = build_graph(sim_matrix([[0.0, 0.0], [0.3, 0.9]]), BIG, "total")
+    g = build_graph(sim_matrix([[0.0, 0.0], [0.3, 0.9]]), BIG)
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
     assert a.links[0].sim == 0.0
@@ -187,13 +207,13 @@ def test_total_cost_is_row_min_sum():
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = random_sim(rng, 4, 6)
-        g = build_graph(m, BIG, "total")
+        g = build_graph(m, BIG)
         assert solve_total(g).cost == g.weights.min(axis=1).sum()
 
 
 def test_total_many_sources_one_target():
     # all rows peak on column 0; targets 1..2 stay unaligned
-    g = build_graph(sim_matrix([[0.9, 0.2, 0.1]] * 4), BIG, "total")
+    g = build_graph(sim_matrix([[0.9, 0.2, 0.1]] * 4), BIG)
     a = solve_total(g)
     assert a.link_pairs() == tuple((i, 0) for i in range(4))
 
@@ -208,19 +228,19 @@ dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 def test_degree_constraints_hold(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
-    per = solve_perfect_matching(build_graph(sim, BIG, "perfect"))
+    per = solve_perfect_matching(build_graph(sim, BIG))
     ds, dt = degrees(per)
     assert all(v == 1 for v in ds.values()) and all(v == 1 for v in dt.values())
     assert len(ds) <= min(n, m)
 
-    cov = solve_edge_cover(build_graph(sim, BIG, "edgecover"))
+    cov = solve_edge_cover(build_graph(sim, BIG))
     ds, dt = degrees(cov)
     assert set(ds) == set(range(n)) and set(dt) == set(range(m))
     assert not any(
         ds[l.src] >= 2 and dt[l.tgt] >= 2 for l in cov.links
     ), "optimal edge cover must not contain many-to-many links"
 
-    tot = solve_total(build_graph(sim, BIG, "total"))
+    tot = solve_total(build_graph(sim, BIG))
     ds, _ = degrees(tot)
     assert all(ds.get(i) == 1 for i in range(n))
 
@@ -231,8 +251,8 @@ def test_solvers_are_deterministic(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
     for cls in ("perfect", "edgecover", "total"):
-        a = solve(build_graph(sim, BIG, cls), cls)
-        b = solve(build_graph(sim, BIG, cls), cls)
+        a = solve(build_graph(sim, BIG), cls)
+        b = solve(build_graph(sim, BIG), cls)
         assert a.link_pairs() == b.link_pairs()
         assert a.cost == b.cost
 
@@ -243,9 +263,9 @@ def test_similarity_scaling_leaves_optimal_matchings_invariant():
         sim = rng.random((3, 4))
         sim[rng.random((3, 4)) < 0.2] = 0.0
         for alpha in (0.5, 0.125):
-            base = enumerate_optimal_perfect(build_graph(sim_matrix(sim), BIG, "perfect"))
+            base = enumerate_optimal_perfect(build_graph(sim_matrix(sim), BIG))
             scaled = enumerate_optimal_perfect(
-                build_graph(sim_matrix(sim * alpha), BIG, "perfect")
+                build_graph(sim_matrix(sim * alpha), BIG)
             )
             assert base == scaled
 
@@ -259,13 +279,13 @@ def test_link_sets_are_optimal_on_tie_heavy_instances():
         n, m = (int(x) for x in rng.integers(1, 5, size=2))
         d = rng.integers(1, 7, size=(n, m))
         sim = sim_matrix(rng.integers(0, d + 1) / d)
-        g = build_graph(sim, BIG, "perfect")
+        g = build_graph(sim, BIG)
         assert frozenset(solve(g, "perfect").link_pairs()) in enumerate_optimal_perfect(g, 1e-6)
-        g = build_graph(sim, BIG, "edgecover")
+        g = build_graph(sim, BIG)
         cover = solve(g, "edgecover").link_pairs()
         assert frozenset(cover) in enumerate_optimal_covers(g, 1e-6)
         assert solve(g, "edgecover").link_pairs() == cover
-        g = build_graph(sim, BIG, "total")
+        g = build_graph(sim, BIG)
         assert solve(g, "total").link_pairs() == brute_force_optimum(g, "total").link_pairs()
 
 
@@ -296,29 +316,30 @@ def lexmin_optimal_assignment(W, linear_sum_assignment, atol=1e-6):
 
 def test_perfect_tie_break_does_not_depend_on_the_dual():
     # The lexmin tie-break runs on the tight cells of whichever optimal dual
-    # solve_lap returns; on tie-heavy graphs with padding it must still pick
-    # the reference found from optimal costs alone.
+    # solve_lap returns; on tie-heavy rectangular graphs it must still pick
+    # the reference found from optimal costs alone, on the square padded
+    # with constant cells (every assignment pays the same padding).
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = np.random.default_rng(61)
     shapes = [(1, 1), (2, 5), (4, 4), (5, 6), (6, 3), (9, 116), (116, 9), (50, 7), (150, 150)]
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(16)]
     for n, m in shapes:
         d = rng.integers(1, 7, size=(n, m))
-        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG, "perfect")
-        W = g.weights
-        col_of_row, u, v = lap.solve_lap(W)
-        match = lap.lexmin_perfect_matching(lap.admissible_cells(W, u, v), col_of_row)
+        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG)
+        links = frozenset(solve_perfect_matching(g).link_pairs())
         if n * m <= MAX_CELLS:
-            links = frozenset((i, int(j)) for i, j in enumerate(match) if i < n and j < m)
             assert links in enumerate_optimal_perfect(g, 1e-6)
         else:
-            assert (match == lexmin_optimal_assignment(W, linear_sum_assignment)).all()
+            padded = np.full((max(n, m), max(n, m)), BIG)
+            padded[:n, :m] = g.weights
+            ref = lexmin_optimal_assignment(padded, linear_sum_assignment)
+            assert links == {(i, int(j)) for i, j in enumerate(ref) if i < n and j < m}
 
 
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
     # The tie-broken matching keeps the zero-weight link (0, 0); covering
     # source 1 and target 1 by their cheapest links then makes it redundant.
-    g = build_graph(sim_matrix([[1.0, 1.0], [1.0, 0.5]]), BIG, "edgecover")
+    g = build_graph(sim_matrix([[1.0, 1.0], [1.0, 0.5]]), BIG)
     assert enumerate_optimal_covers(g) == {frozenset({(0, 1), (1, 0)})}
     assert solve_edge_cover(g).link_pairs() == ((0, 1), (1, 0))
 
@@ -330,23 +351,22 @@ def test_oracle_all_classes_on_tiny_instances():
     for _ in range(50):
         sim = random_sim(rng, 2, 2)
         for cls in ("perfect", "edgecover", "total"):
-            g = build_graph(sim, BIG, cls)
+            g = build_graph(sim, BIG)
             assert solve(g, cls).cost == pytest.approx(
                 brute_force_optimum(g, cls).cost, abs=1e-9
             )
 
 
 def test_oracle_one_by_one():
-    g = build_graph(sim_matrix([[0.7]]), BIG, "perfect")
+    g = build_graph(sim_matrix([[0.7]]), BIG)
     for cls in ("perfect", "edgecover", "total"):
-        gg = build_graph(sim_matrix([[0.7]]), BIG, cls)
-        a = brute_force_optimum(gg, cls)
+        a = brute_force_optimum(g, cls)
         assert a.link_pairs() == ((0, 0),)
 
 
 def test_oracle_refuses_large_instances():
     sim = random_sim(np.random.default_rng(0), 6, 6)
-    g = build_graph(sim, BIG, "perfect")
+    g = build_graph(sim, BIG)
     with pytest.raises(OracleSizeError):
         brute_force_optimum(g, "perfect")
 
@@ -356,7 +376,7 @@ def test_edge_cover_matches_oracle_on_rectangular_instances():
     for _ in range(200):
         n, m = rng.integers(1, 5, size=2)
         sim = random_sim(rng, int(n), int(m))
-        g = build_graph(sim, BIG, "edgecover")
+        g = build_graph(sim, BIG)
         got = solve_edge_cover(g)
         ref = brute_force_optimum(g, "edgecover")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
@@ -364,17 +384,9 @@ def test_edge_cover_matches_oracle_on_rectangular_instances():
 
 # --- misc ---------------------------------------------------------------
 
-def test_solvers_validate_shape():
-    g = build_graph(random_sim(np.random.default_rng(0), 2, 3), BIG, "perfect")
-    with pytest.raises(ValidationError):
-        solve_edge_cover(g)
-    with pytest.raises(ValidationError):
-        solve_total(g)
-
-
 def test_dump_weight_table_marks_links():
     sim = sim_matrix([[0.9, 0.1], [0.2, 0.8]])
-    g = build_graph(sim, BIG, "perfect")
+    g = build_graph(sim, BIG)
     a = solve_perfect_matching(g)
     table = dump_weight_table(g, a)
     assert table.count("*") == 2

@@ -10,13 +10,11 @@ from roleproj.errors import ConfigError
 from roleproj.similarity import (
     FilterConfig,
     UnitSimilarity,
-    aligned_words,
     apply_word_filters,
     full_view,
     na_filter,
     nc_filter,
     to_weights,
-    word_sim,
 )
 
 
@@ -26,27 +24,29 @@ def clause(tree, span):
     return hits[-1]
 
 
+# The aligned words of a constituent: the alignment image of its yield.
+
 def test_aligned_words_figure1(figure1):
     c = clause(figure1.src_tree, (2, 5))  # "to be on time"
-    got = aligned_words(c, figure1.src_tree, figure1.alignment)
+    got = figure1.alignment.image(yield_of(figure1.src_tree, c))
     assert got == {3, 4}  # pünktlich, zu
 
 
 def test_aligned_words_reverse_direction(figure1):
     c = clause(figure1.tgt_tree, (3, 5))  # "pünktlich zu kommen"
-    got = aligned_words(c, figure1.tgt_tree, figure1.alignment, "tgt2src")
+    got = figure1.alignment.preimage(yield_of(figure1.tgt_tree, c))
     assert got == {2, 5}  # to, time
 
 
 def test_aligned_words_whole_sentence(figure1):
-    got = aligned_words(figure1.src_tree.root, figure1.src_tree, figure1.alignment)
+    got = figure1.alignment.image(yield_of(figure1.src_tree, figure1.src_tree.root))
     assert got == figure1.alignment.aligned_tgt()
 
 
 def test_aligned_words_empty():
     tree = parse_tree("(S (NN a))")
     al = parse_alignment("", 1, 1)
-    assert aligned_words(tree.root, tree, al) == frozenset()
+    assert al.image(yield_of(tree, tree.root)) == frozenset()
 
 
 def test_figure1_overlap_and_sim(figure1):
@@ -102,20 +102,12 @@ def test_sim_is_symmetric_under_side_swap(figure1):
             assert fwd.sim(s, t) == pytest.approx(bwd.sim(t, s), abs=1e-15)
 
 
-def test_word_sim(figure1):
-    al = figure1.alignment
-    assert word_sim(2, 4, al) == 1.0
-    assert word_sim(2, 3, al) == 0.0
-    empty = parse_alignment("", 6, 6)
-    assert word_sim(0, 0, empty) == 0.0
-
-
 def test_to_weights_examples():
     m = sim_matrix([[1.0, 0.0, 0.5]])
     w = to_weights(m, 1e6)
-    assert w.weight[0, 0] == 0.0
-    assert w.weight[0, 1] == 1e6
-    assert w.weight[0, 2] == pytest.approx(math.log(2), abs=1e-12)
+    assert w[0, 0] == 0.0
+    assert w[0, 1] == 1e6
+    assert w[0, 2] == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_to_weights_rejects_bad_big():
@@ -127,7 +119,7 @@ def test_to_weights_rejects_bad_big():
 def test_to_weights_strictly_antitone(grid):
     sims = sorted(k / 10**6 for k in grid)
     m = sim_matrix([sims])
-    w = to_weights(m, 1e6).weight[0]
+    w = to_weights(m, 1e6)[0]
     assert all(w[k] > w[k + 1] for k in range(len(sims) - 1))
 
 
