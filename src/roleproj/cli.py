@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, fixtures
-from .corpus import load_corpus, read_roles_file, roles_file_text
-from .errors import OracleSizeError, ToolkitError
+from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
+from .errors import ConfigError, OracleSizeError, ToolkitError
 from .evaluation import correspondence_stats, score, stratified_shuffling
 from .matcher import COST_ATOL, solve
 from .oracle import brute_force_optimum
@@ -63,16 +63,15 @@ def _sha256(path) -> str:
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in CONFIG_KEYS:
-                raise ToolkitError(f"{path}:{lineno + 1}: unknown config entry {line!r}")
-            values[key] = value
+    for lineno, raw in enumerate(read_lines(path)):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in CONFIG_KEYS:
+            raise ToolkitError(f"{path}:{lineno + 1}: unknown config entry {line!r}")
+        values[key] = value
     return values
 
 
@@ -82,14 +81,18 @@ def _build_pipeline_config(args) -> PipelineConfig:
     model = args.model or file_values.get("model") or "perfect"
     filter_choice = args.filter or file_values.get("filter")
     if filter_choice is None:
-        filters = DEFAULT_FILTER_FOR_MODEL[model]
+        # an unknown model has no default; PipelineConfig rejects it below
+        filters = DEFAULT_FILTER_FOR_MODEL.get(model, frozenset())
     elif filter_choice == "none":
         filters = frozenset()
     else:
         filters = frozenset(f for f in filter_choice.split(",") if f)
 
     fill = args.fill_gaps or file_values.get("fill_gaps", "").lower() in ("1", "true", "yes")
-    big = float(file_values.get("big", 1e6))
+    try:
+        big = float(file_values.get("big", 1e6))
+    except ValueError:
+        raise ConfigError(f"big must be a number, got {file_values['big']!r}") from None
     prefixes = DEFAULT_CONTENT_PREFIXES
     if "content_pos_prefixes" in file_values:
         prefixes = frozenset(

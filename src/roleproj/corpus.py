@@ -28,6 +28,7 @@ it reproduces the input byte for byte.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 
@@ -444,40 +445,45 @@ def spans_from_tokens(tokens) -> frozenset[Span]:
 # Whole-file readers/writers
 
 
+def read_text(path) -> str:
+    """A whole UTF-8 text file; every input file is read through here."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a text file, without their newlines."""
+    return [line.rstrip("\n") for line in io.StringIO(read_text(path))]
+
+
 def read_trees_file(path) -> list[ParseTree | None]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if line == "-":
-                out.append(None)
-            else:
-                try:
-                    out.append(parse_tree(line))
-                except FormatError as exc:
-                    raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
-    return out
-
-
-def read_tok_file(path) -> list[Sentence]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+    for lineno, line in enumerate(read_lines(path)):
+        if line == "-":
+            out.append(None)
+        else:
             try:
-                out.append(parse_tok_line(line.rstrip("\n")))
+                out.append(parse_tree(line))
             except FormatError as exc:
                 raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
     return out
 
 
-def read_align_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+def read_tok_file(path) -> list[Sentence]:
+    out = []
+    for lineno, line in enumerate(read_lines(path)):
+        try:
+            out.append(parse_tok_line(line))
+        except FormatError as exc:
+            raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
+    return out
 
 
 def read_roles_file(path) -> list[RoleAnnotation]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     anns = []
     for k, block in enumerate(blocks):
@@ -486,11 +492,6 @@ def read_roles_file(path) -> list[RoleAnnotation]:
             raise FormatError(f"{path}: block {k} carries sentence number {sent_no}")
         anns.append(ann)
     return anns
-
-
-def write_roles_file(path, annotations) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(roles_file_text(annotations))
 
 
 def roles_file_text(annotations) -> str:
@@ -547,7 +548,7 @@ def load_corpus(
         raise ValidationError("source and target files are not parallel")
     n = len(src_sents)
 
-    align_lines = read_align_lines(align_path)
+    align_lines = read_lines(align_path)
     if len(align_lines) != n:
         raise ValidationError("alignment file is not parallel with the sentences")
 

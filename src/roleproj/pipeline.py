@@ -10,6 +10,7 @@ the target unit set to likely argument constituents of the predicate.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,12 +26,7 @@ from .projection import (
     resolve_role_units,
     strip_zero_links,
 )
-from .similarity import (
-    DEFAULT_CONTENT_PREFIXES,
-    FilterConfig,
-    UnitSimilarity,
-    apply_word_filters,
-)
+from .similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
 
 MODELS = ("word", "perfect", "edgecover", "total")
 FILTERS = ("na", "nc", "arg")
@@ -61,13 +57,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown filters: {sorted(unknown)}")
         if self.fill_gaps and self.model != "word":
             raise ConfigError("fill_gaps is only meaningful for the word model")
-        if self.big <= 0:
-            raise ConfigError("big must be positive")
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            self.content_pos_prefixes, self.filters & {"na", "nc"}
-        )
+        if "nc" in self.filters and not self.content_pos_prefixes:
+            raise ConfigError("nc filter requires a non-empty content POS prefix set")
+        if not (math.isfinite(self.big) and self.big > 0):
+            raise ConfigError(f"big must be positive and finite, got {self.big}")
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +117,7 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
     for attr in ("src_tree", "tgt_tree"):
         if getattr(b, attr) is None:
             raise ConfigError(f"model {cfg.model!r} requires {attr.replace('_', ' ')}")
-    view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
+    view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
     tgt_pred = target_predicate(b)
     src_units = tuple(b.src_tree.node_ids())
     tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
@@ -140,7 +133,7 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
     if b.src_roles is None:
         raise ConfigError("bi-sentence has no source role annotation to project")
     if cfg.model == "word":
-        view = apply_word_filters(b, cfg.filters & {"na", "nc"}, cfg.filter_config())
+        view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
         return project_word_based(
             view, b.src_roles, cfg.fill_gaps, predicate=target_predicate(b)
         )

@@ -1,9 +1,16 @@
-"""Cross-lingual similarity over words and constituents, plus word-level filters.
+"""Cross-lingual similarity over constituents, plus word-level filters.
 
 Word filters are views (exclusion masks over token indices), never edits:
 token indices in any downstream output always refer to the original
 sentence.  Similarity is computed from the filtered view; projected spans
 are read off the original constituent yields.
+
+Similarity is incidence-matrix algebra over 0/1 float64 masks: node x token
+yield masks ``Y_s`` and ``Y_t`` (zero on excluded tokens) and the view's
+source x target link matrix ``A``.  The aligned words of the units are
+``Y_s·A > 0`` and ``Y_t·Aᵀ > 0``, intersections are matrix products, and
+``|a ∪ b| = |a| + |b| − |a ∩ b|``.  Every count is a small integer, exact
+in float64, so each cell is the correctly rounded quotient of two integers.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BiSentence, ParseTree, yield_of
+from .corpus import BiSentence, ParseTree
 from .errors import ConfigError, ValidationError
 
 # POS prefixes counted as content words: nouns, verbs, adjectives, adverbs,
@@ -20,21 +27,6 @@ from .errors import ConfigError, ValidationError
 DEFAULT_CONTENT_PREFIXES = frozenset(
     {"NN", "JJ", "RB", "VB", "NE", "VV", "VA", "VM", "ADJ", "ADV"}
 )
-
-WORD_FILTERS = ("na", "nc")
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    content_pos_prefixes: frozenset[str] = DEFAULT_CONTENT_PREFIXES
-    active: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        unknown = self.active - set(WORD_FILTERS)
-        if unknown:
-            raise ConfigError(f"unknown word filters: {sorted(unknown)}")
-        if "nc" in self.active and not self.content_pos_prefixes:
-            raise ConfigError("nc filter requires a non-empty content POS prefix set")
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,9 @@ def na_filter(view: BiSentenceView) -> BiSentenceView:
     )
 
 
-def nc_filter(view: BiSentenceView, cfg: FilterConfig) -> BiSentenceView:
+def nc_filter(view: BiSentenceView, content_pos_prefixes) -> BiSentenceView:
     """Exclude non-content tokens on both sides along with their links."""
-    prefixes = tuple(cfg.content_pos_prefixes)
-    if not prefixes:
-        raise ConfigError("nc filter requires content POS prefixes")
+    prefixes = tuple(content_pos_prefixes)
 
     def content(tokens):
         kept = set()
@@ -88,61 +78,65 @@ def nc_filter(view: BiSentenceView, cfg: FilterConfig) -> BiSentenceView:
     return BiSentenceView(view.bisentence, inc_src, inc_tgt, links)
 
 
-def apply_word_filters(b: BiSentence, active, cfg: FilterConfig) -> BiSentenceView:
+def apply_word_filters(b: BiSentence, filters, content_pos_prefixes) -> BiSentenceView:
+    """The view of ``b`` under the word filters (``na``, ``nc``) in ``filters``."""
     view = full_view(b)
-    if "na" in active:
+    if "na" in filters:
         view = na_filter(view)
-    if "nc" in active:
-        view = nc_filter(view, cfg)
+    if "nc" in filters:
+        view = nc_filter(view, content_pos_prefixes)
     return view
 
 
 class UnitSimilarity:
-    """Pairwise constituent similarity for one bi-sentence view.
-
-    Precomputes per-node filtered yields and alignment images so that a full
-    |U_s| x |U_t| matrix costs one set operation per cell.
-    """
+    """Pairwise constituent similarity for one bi-sentence view."""
 
     def __init__(self, view: BiSentenceView, src_tree: ParseTree, tgt_tree: ParseTree):
-        links = view.links
-        self._src_yield = {}
-        self._src_al = {}
-        for node in src_tree.nodes:
-            toks = yield_of(src_tree, node) & view.included_src
-            self._src_yield[node.id] = toks
-            self._src_al[node.id] = frozenset(t for s, t in links if s in toks)
-        self._tgt_yield = {}
-        self._tgt_al = {}
-        for node in tgt_tree.nodes:
-            toks = yield_of(tgt_tree, node) & view.included_tgt
-            self._tgt_yield[node.id] = toks
-            self._tgt_al[node.id] = frozenset(s for s, t in links if t in toks)
+        self._y_src = _yield_masks(src_tree, view.included_src)
+        self._y_tgt = _yield_masks(tgt_tree, view.included_tgt)
+        self._links = np.zeros((len(src_tree.sentence), len(tgt_tree.sentence)))
+        s, t = np.array(list(view.links), dtype=int).reshape(-1, 2).T
+        self._links[s, t] = 1.0
 
-    def overlap_src(self, src_id: int, tgt_id: int) -> float:
-        return _jaccard(self._src_al[src_id], self._tgt_yield[tgt_id])
+    def overlaps(self, src_units, tgt_units) -> tuple[np.ndarray, np.ndarray]:
+        """The two directional Jaccard overlaps, both indexed [source, target].
 
-    def overlap_tgt(self, tgt_id: int, src_id: int) -> float:
-        return _jaccard(self._tgt_al[tgt_id], self._src_yield[src_id])
-
-    def sim(self, src_id: int, tgt_id: int) -> float:
-        return (self.overlap_src(src_id, tgt_id) + self.overlap_tgt(tgt_id, src_id)) / 2.0
+        The first compares each source unit's aligned words with each target
+        unit's yield; the second each target unit's aligned words with each
+        source unit's yield.
+        """
+        y_src = self._y_src[list(src_units)]
+        y_tgt = self._y_tgt[list(tgt_units)]
+        src_aligned = (y_src @ self._links > 0).astype(float)
+        tgt_aligned = (y_tgt @ self._links.T > 0).astype(float)
+        return _jaccard(src_aligned, y_tgt), _jaccard(y_src, tgt_aligned)
 
     def matrix(self, src_units, tgt_units) -> "SimilarityMatrix":
-        sim = np.zeros((len(src_units), len(tgt_units)))
-        for i, s in enumerate(src_units):
-            for j, t in enumerate(tgt_units):
-                sim[i, j] = self.sim(s, t)
-        return SimilarityMatrix(tuple(src_units), tuple(tgt_units), sim)
+        fwd, bwd = self.overlaps(src_units, tgt_units)
+        fwd += bwd
+        fwd /= 2.0
+        return SimilarityMatrix(tuple(src_units), tuple(tgt_units), fwd)
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
+def _yield_masks(tree: ParseTree, included: frozenset[int]) -> np.ndarray:
+    """Node x token 0/1 matrix of the included tokens each node dominates."""
+    lo, hi = np.array([node.span for node in tree.nodes]).T[:, :, None]
+    tokens = np.arange(len(tree.sentence))
+    kept = np.zeros(len(tokens), dtype=bool)
+    kept[list(included)] = True
+    return ((lo <= tokens) & (tokens <= hi) & kept).astype(float)
+
+
+def _jaccard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a ∩ b| / |a ∪ b| between every row of ``a`` and every row of ``b``."""
+    inter = a @ b.T
+    union = a.sum(axis=1)[:, None] + b.sum(axis=1) - inter
     # An unaligned constituent gives no evidence of equivalence, so the
-    # empty-union case counts as zero similarity rather than one.
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return len(a & b) / union
+    # empty-union case counts as zero similarity rather than one: the
+    # intersection is 0 there, and dividing it by 1 keeps it 0.
+    np.maximum(union, 1.0, out=union)
+    inter /= union
+    return inter
 
 
 @dataclass(frozen=True)

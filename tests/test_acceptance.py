@@ -126,9 +126,10 @@ def test_criterion_5_similarity_arithmetic(figure1):
     c_t = next(
         n for n in figure1.tgt_tree.nodes if n.span == (3, 5) and not n.is_terminal
     )
-    assert ctx.overlap_src(c_s.id, c_t.id) == pytest.approx(2 / 3, abs=1e-12)
-    assert ctx.overlap_tgt(c_t.id, c_s.id) == pytest.approx(1 / 2, abs=1e-12)
-    assert ctx.sim(c_s.id, c_t.id) == pytest.approx(7 / 12, abs=1e-12)
+    overlap_src, overlap_tgt = ctx.overlaps([c_s.id], [c_t.id])
+    assert overlap_src[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+    assert overlap_tgt[0, 0] == pytest.approx(1 / 2, abs=1e-12)
+    assert ctx.matrix([c_s.id], [c_t.id]).sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
     record(
         "PASS criterion 5: example constituent pair gives overlaps 2/3 and 1/2 "
         "and symmetrized similarity 7/12 (+-1e-12)"

@@ -4,6 +4,8 @@ import pytest
 
 from roleproj.cli import main
 from roleproj.corpus import read_roles_file
+from roleproj.errors import ConfigError
+from roleproj.pipeline import PipelineConfig
 
 
 def fx(fixture_dir, name):
@@ -153,6 +155,40 @@ def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path):
     assert main(args) == 1
 
 
+def without_flag(args, flag):
+    k = args.index(flag)
+    return args[:k] + args[k + 2:]
+
+
+@pytest.mark.parametrize("entry", ["big=abc", "big=nan", "big=inf", "big=1e400", "model=bogus"])
+def test_bad_config_value_is_an_error_line(fixture_dir, tmp_path, capsys, entry):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    args = project_args(fixture_dir, tmp_path / "out.roles", extra=["--config", str(cfg)])
+    args = without_flag(without_flag(args, "--model"), "--filter")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("big", [float("nan"), float("inf"), 0.0, -1.0])
+def test_pipeline_config_rejects_unusable_big(big):
+    with pytest.raises(ConfigError):
+        PipelineConfig(big=big)
+
+
+@pytest.mark.parametrize("flag", ["--align", "--src-trees"])
+def test_undecodable_input_is_an_error_line_naming_the_file(fixture_dir, tmp_path, capsys, flag):
+    args = project_args(fixture_dir, tmp_path / "out.roles")
+    k = args.index(flag) + 1
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(open(args[k], "rb").read().replace(b"\n", b"\xff\n", 1))
+    args[k] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+
 def test_evaluate_identical_files(fixture_dir, capsys):
     args = [
         "evaluate",
@@ -208,6 +244,29 @@ def test_stats_proportions_sum_to_one(fixture_dir, tmp_path):
     for side in ("source", "target"):
         total = sum(float(r[2]) for r in rows if r[0] == side and r[1] in ("none", "one", "many"))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stats_output_is_pinned_on_the_toy_fixture(fixture_dir, tmp_path):
+    out = tmp_path / "stats.tsv"
+    args = [
+        "stats",
+        "--src-trees", toy(fixture_dir, "src.trees"),
+        "--tgt-trees", toy(fixture_dir, "tgt.trees"),
+        "--align", toy(fixture_dir, "align"),
+        "--out", str(out),
+    ]
+    assert main(args) == 0
+    assert out.read_bytes() == (
+        b"threshold\t0.5\n"
+        b"source\tnone\t0.088889\n"
+        b"source\tone\t0.422222\n"
+        b"source\tmany\t0.488889\n"
+        b"source\tconstituents\t45\n"
+        b"target\tnone\t0.078947\n"
+        b"target\tone\t0.289474\n"
+        b"target\tmany\t0.631579\n"
+        b"target\tconstituents\t38\n"
+    )
 
 
 def test_fixtures_subcommand_writes_files(tmp_path, capsys):

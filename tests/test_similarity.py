@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import sim_matrix
-from roleproj.corpus import parse_alignment, parse_tree, yield_of
+from roleproj.corpus import BiSentence, WordAlignment, parse_alignment, parse_tree, yield_of
 from roleproj.errors import ConfigError
+from roleproj.pipeline import PipelineConfig
+from roleproj.projection import argument_filter
 from roleproj.similarity import (
-    FilterConfig,
+    DEFAULT_CONTENT_PREFIXES,
     UnitSimilarity,
     apply_word_filters,
     full_view,
@@ -53,15 +55,17 @@ def test_figure1_overlap_and_sim(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
     c_s = clause(figure1.src_tree, (2, 5))
     c_t = clause(figure1.tgt_tree, (3, 5))
-    assert ctx.overlap_src(c_s.id, c_t.id) == pytest.approx(2 / 3, abs=1e-12)
-    assert ctx.overlap_tgt(c_t.id, c_s.id) == pytest.approx(1 / 2, abs=1e-12)
-    assert ctx.sim(c_s.id, c_t.id) == pytest.approx(7 / 12, abs=1e-12)
+    fwd, bwd = ctx.overlaps([c_s.id], [c_t.id])
+    assert fwd.shape == bwd.shape == (1, 1)
+    assert fwd[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+    assert bwd[0, 0] == pytest.approx(1 / 2, abs=1e-12)
+    m = ctx.matrix([c_s.id], [c_t.id])
+    assert m.sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
 
 
 def test_overlap_identical_and_disjoint():
     src = parse_tree("(S (A a) (B b))")
     tgt = parse_tree("(S (A x) (B y))")
-    from roleproj.corpus import BiSentence
 
     perfect = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
@@ -69,7 +73,7 @@ def test_overlap_identical_and_disjoint():
         src_tree=src, tgt_tree=tgt,
     )
     ctx = UnitSimilarity(full_view(perfect), src, tgt)
-    assert ctx.sim(0, 0) == 1.0  # roots perfectly mutually aligned
+    assert ctx.matrix([0], [0]).sim[0, 0] == 1.0  # roots perfectly mutually aligned
 
     none = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
@@ -78,12 +82,10 @@ def test_overlap_identical_and_disjoint():
     )
     ctx0 = UnitSimilarity(full_view(none), src, tgt)
     # empty alignment: empty-union overlap is defined as zero
-    assert ctx0.sim(0, 0) == 0.0
+    assert ctx0.matrix([0], [0]).sim[0, 0] == 0.0
 
 
 def test_sim_is_symmetric_under_side_swap(figure1):
-    from roleproj.corpus import BiSentence, WordAlignment
-
     fwd = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
     flipped = BiSentence(
         src=figure1.tgt,
@@ -97,9 +99,13 @@ def test_sim_is_symmetric_under_side_swap(figure1):
         tgt_tree=figure1.src_tree,
     )
     bwd = UnitSimilarity(full_view(flipped), figure1.tgt_tree, figure1.src_tree)
-    for s in figure1.src_tree.node_ids():
-        for t in figure1.tgt_tree.node_ids():
-            assert fwd.sim(s, t) == pytest.approx(bwd.sim(t, s), abs=1e-15)
+    src_ids = list(figure1.src_tree.node_ids())
+    tgt_ids = list(figure1.tgt_tree.node_ids())
+    # swapping the sides swaps the two overlaps, and their mean is exact
+    f_src, f_tgt = fwd.overlaps(src_ids, tgt_ids)
+    b_src, b_tgt = bwd.overlaps(tgt_ids, src_ids)
+    assert (f_src == b_tgt.T).all() and (f_tgt == b_src.T).all()
+    assert (fwd.matrix(src_ids, tgt_ids).sim == bwd.matrix(tgt_ids, src_ids).sim.T).all()
 
 
 def test_to_weights_examples():
@@ -138,8 +144,6 @@ def test_na_filter_figure1(figure1):
 def test_na_filter_noop_when_fully_aligned():
     src = parse_tree("(S (A a) (B b))")
     tgt = parse_tree("(S (A x) (B y))")
-    from roleproj.corpus import BiSentence
-
     b = BiSentence(src=src.sentence, tgt=tgt.sentence,
                    alignment=parse_alignment("0-0 1-1", 2, 2),
                    src_tree=src, tgt_tree=tgt)
@@ -148,8 +152,6 @@ def test_na_filter_noop_when_fully_aligned():
 
 
 def test_na_filter_empty_alignment_excludes_everything(figure1):
-    from roleproj.corpus import BiSentence
-
     b = BiSentence(src=figure1.src, tgt=figure1.tgt,
                    alignment=parse_alignment("", 6, 6))
     view = na_filter(full_view(b))
@@ -157,7 +159,7 @@ def test_na_filter_empty_alignment_excludes_everything(figure1):
 
 
 def test_nc_filter_drops_function_words(figure1):
-    view = nc_filter(full_view(figure1), FilterConfig())
+    view = nc_filter(full_view(figure1), DEFAULT_CONTENT_PREFIXES)
     src_pos = {t.index: t.pos for t in figure1.src.tokens}
     assert all(src_pos[i] not in ("TO", "IN") for i in view.included_src)
     assert 1 in view.included_src  # promised, VBD
@@ -170,21 +172,18 @@ def test_nc_filter_drops_function_words(figure1):
 def test_nc_filter_all_function_words_zeroes_similarity():
     src = parse_tree("(S (DT the) (IN of))")
     tgt = parse_tree("(S (ART der) (APPR von))")
-    from roleproj.corpus import BiSentence
-
     b = BiSentence(src=src.sentence, tgt=tgt.sentence,
                    alignment=parse_alignment("0-0 1-1", 2, 2),
                    src_tree=src, tgt_tree=tgt)
-    view = nc_filter(full_view(b), FilterConfig())
+    view = nc_filter(full_view(b), DEFAULT_CONTENT_PREFIXES)
     ctx = UnitSimilarity(view, src, tgt)
     m = ctx.matrix(list(src.node_ids()), list(tgt.node_ids()))
     assert (m.sim == 0.0).all()
 
 
 def test_filters_only_exclude_and_are_idempotent(figure1):
-    cfg = FilterConfig()
     base = full_view(figure1)
-    for filt in (na_filter, lambda v: nc_filter(v, cfg)):
+    for filt in (na_filter, lambda v: nc_filter(v, DEFAULT_CONTENT_PREFIXES)):
         once = filt(base)
         assert once.included_src <= base.included_src
         assert once.included_tgt <= base.included_tgt
@@ -194,44 +193,126 @@ def test_filters_only_exclude_and_are_idempotent(figure1):
 
 
 def test_apply_word_filters_composes(figure1):
-    both = apply_word_filters(figure1, {"na", "nc"}, FilterConfig())
-    na_only = apply_word_filters(figure1, {"na"}, FilterConfig())
-    nc_only = apply_word_filters(figure1, {"nc"}, FilterConfig())
+    both = apply_word_filters(figure1, {"na", "nc"}, DEFAULT_CONTENT_PREFIXES)
+    na_only = apply_word_filters(figure1, {"na"}, DEFAULT_CONTENT_PREFIXES)
+    nc_only = apply_word_filters(figure1, {"nc"}, DEFAULT_CONTENT_PREFIXES)
     assert both.included_src == na_only.included_src & nc_only.included_src
     assert both.included_tgt == na_only.included_tgt & nc_only.included_tgt
 
 
 def test_filter_config_validates():
     with pytest.raises(ConfigError):
-        FilterConfig(active=frozenset({"bogus"}))
+        PipelineConfig(filters=frozenset({"bogus"}))
     with pytest.raises(ConfigError):
-        FilterConfig(content_pos_prefixes=frozenset(), active=frozenset({"nc"}))
+        PipelineConfig(content_pos_prefixes=frozenset(), filters=frozenset({"nc"}))
 
 
 @given(
     st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8),
 )
 def test_full_overlap_implies_equal_sets(links):
-    from roleproj.corpus import BiSentence, Sentence, Token, WordAlignment
-
     src = parse_tree("(S (A a) (B b) (C c) (D d))")
     tgt = parse_tree("(S (A w) (B x) (C y) (D z))")
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
         alignment=WordAlignment(links, 4, 4), src_tree=src, tgt_tree=tgt,
     )
-    ctx = UnitSimilarity(full_view(b), src, tgt)
-    al = b.alignment
-    from roleproj.corpus import yield_of as yld
-
+    fwd, _ = UnitSimilarity(full_view(b), src, tgt).overlaps(src.node_ids(), tgt.node_ids())
     for s in src.node_ids():
         for t in tgt.node_ids():
-            if ctx.overlap_src(s, t) == 1.0:
-                image = al.image(yld(src, s))
-                assert image == yld(tgt, t) and image
+            if fwd[s, t] == 1.0:
+                image = b.alignment.image(yield_of(src, s))
+                assert image == yield_of(tgt, t) and image
 
 
 def test_matrix_values_in_unit_interval(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
     m = ctx.matrix(list(figure1.src_tree.node_ids()), list(figure1.tgt_tree.node_ids()))
     assert m.sim.min() >= 0.0 and m.sim.max() <= 1.0
+
+
+# The per-cell frozenset Jaccard that UnitSimilarity computed before it became
+# matrix algebra, kept as the reference the array code must equal exactly.
+
+def _set_jaccard(a: frozenset, b: frozenset) -> float:
+    union = len(a | b)
+    if union == 0:
+        return 0.0
+    return len(a & b) / union
+
+
+def reference_matrix(view, src_tree, tgt_tree, src_units, tgt_units) -> np.ndarray:
+    src_yield = {n.id: yield_of(src_tree, n) & view.included_src for n in src_tree.nodes}
+    tgt_yield = {n.id: yield_of(tgt_tree, n) & view.included_tgt for n in tgt_tree.nodes}
+    src_al = {k: frozenset(t for s, t in view.links if s in toks) for k, toks in src_yield.items()}
+    tgt_al = {k: frozenset(s for s, t in view.links if t in toks) for k, toks in tgt_yield.items()}
+    sim = np.zeros((len(src_units), len(tgt_units)))
+    for i, s in enumerate(src_units):
+        for j, t in enumerate(tgt_units):
+            sim[i, j] = (
+                _set_jaccard(src_al[s], tgt_yield[t]) + _set_jaccard(tgt_al[t], src_yield[s])
+            ) / 2.0
+    return sim
+
+
+WORD_FILTER_SETS = [frozenset(), frozenset({"na"}), frozenset({"nc"}), frozenset({"na", "nc"})]
+TAGS = ("NN", "VBD", "JJ", "RB", "DT", "IN", "TO", ",")
+
+
+@st.composite
+def bracketings(draw, max_tokens=7):
+    """A random bracketed tree over fresh tokens with content and function tags."""
+    n = draw(st.integers(1, max_tokens))
+    tags = draw(st.lists(st.sampled_from(TAGS), min_size=n, max_size=n))
+
+    def node(lo, hi):
+        if lo == hi:
+            leaf = f"({tags[lo]} w{lo})"
+            return f"(NP {leaf})" if draw(st.booleans()) else leaf
+        label = draw(st.sampled_from(("S", "NP", "VP", "PP")))
+        cuts = sorted(draw(st.sets(st.integers(lo + 1, hi), min_size=1)))
+        bounds = [lo, *cuts, hi + 1]
+        children = " ".join(node(a, b - 1) for a, b in zip(bounds, bounds[1:]))
+        return f"({label} {children})"
+
+    return parse_tree(f"(S {node(0, n - 1)})")
+
+
+@st.composite
+def bisentences(draw):
+    src, tgt = draw(bracketings()), draw(bracketings())
+    n, m = len(src.sentence), len(tgt.sentence)
+    links = draw(st.one_of(
+        st.just(frozenset()),
+        st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=n * m),
+    ))
+    return BiSentence(src=src.sentence, tgt=tgt.sentence,
+                      alignment=WordAlignment(links, n, m), src_tree=src, tgt_tree=tgt)
+
+
+def assert_matches_reference(b, filters, tgt_units):
+    view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
+    src_units = list(b.src_tree.node_ids())
+    got = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
+    want = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
+    assert got.sim.shape == want.shape
+    assert (got.sim == want).all()
+
+
+@given(bisentences(), st.sampled_from(WORD_FILTER_SETS), st.data())
+def test_matrix_equals_per_cell_reference(b, filters, data):
+    all_units = list(b.tgt_tree.node_ids())
+    pred = data.draw(st.integers(0, len(b.tgt) - 1))
+    args = argument_filter(b.tgt_tree, pred)
+    for tgt_units in (all_units, args):
+        assert_matches_reference(b, filters, tgt_units)
+
+
+@pytest.mark.parametrize("filters", WORD_FILTER_SETS, ids=lambda f: ",".join(sorted(f)) or "none")
+def test_matrix_equals_reference_on_figure1_and_its_empty_alignment(figure1, filters):
+    empty = BiSentence(src=figure1.src, tgt=figure1.tgt,
+                       alignment=parse_alignment("", len(figure1.src), len(figure1.tgt)),
+                       src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree)
+    for b in (figure1, empty):
+        assert_matches_reference(b, filters, list(b.tgt_tree.node_ids()))
+        assert_matches_reference(b, filters, argument_filter(b.tgt_tree, 1))
