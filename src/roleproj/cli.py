@@ -32,6 +32,7 @@ CONFIG_KEYS = {
     "content_pos_prefixes",
     "clause_boundary_labels",
 }
+CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,10 @@ def _build_pipeline_config(args) -> PipelineConfig:
     else:
         filters = frozenset(f for f in filter_choice.split(",") if f)
 
-    fill = args.fill_gaps or file_values.get("fill_gaps", "").lower() in ("1", "true", "yes")
+    fill_text = file_values.get("fill_gaps", "no")
+    if fill_text.lower() not in CONFIG_BOOLEANS:
+        raise ConfigError(f"fill_gaps must be 1/true/yes or 0/false/no, got {fill_text!r}")
+    fill = args.fill_gaps or CONFIG_BOOLEANS[fill_text.lower()]
     try:
         big = float(file_values.get("big", 1e6))
     except ValueError:

@@ -6,6 +6,9 @@ against every optimal solution.  Refuses instances above the size guard,
 n * m <= MAX_CELLS.  Perfect matchings are enumerated as injections of the
 smaller side into the larger, at most 7 * 6 * 5 * 4 = 840 of them under the
 guard; edge covers as functions from source to target, at most 3**10.
+The one edge cover ``brute_force_optimum`` returns is an optimal minimal
+cover but not always the lexicographically smallest one;
+``enumerate_optimal_covers`` lists them all.
 """
 
 from __future__ import annotations
@@ -35,7 +38,17 @@ def _guard(g: AlignmentGraph) -> None:
 
 
 def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAlignment:
-    """Minimum-cost member of the class, lexicographically smallest among optima."""
+    """A minimum-cost member of the class, chosen deterministically.
+
+    ``perfect``: the lexicographically smallest optimal matching.
+    ``total``: each source's first most-similar target.  ``edgecover``:
+    each optimal source->target function is completed with the
+    smallest-index cheapest source for every target it leaves uncovered,
+    non-minimal completions are dropped, and the smallest remaining link
+    set is returned.  That need not be the smallest of
+    ``enumerate_optimal_covers``: a completion that uses a larger-index
+    tied source can be minimal where the smallest-index one is not.
+    """
     _guard(g)
     if constraint_class == "perfect":
         cost, pairs = _best_perfect(g)

@@ -14,12 +14,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import BiSentence, RoleAnnotation, yield_of
+from .corpus import BiSentence, yield_of
 from .errors import ConfigError
-from .matcher import AlignmentGraph, build_graph, solve
+from .matcher import AlignmentGraph, SemanticAlignment, build_graph, solve
 from .projection import (
     ProjectedAnnotation,
-    RoleProvenance,
     argument_filter,
     project,
     project_word_based,
@@ -139,23 +138,13 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         )
 
     inst = build_instance(b, cfg)
-    role_units: dict[str, tuple[int, ...]] = {}
-    inexact = set()
-    for label, spans in b.src_roles.roles:
-        units, exact = resolve_role_units(b.src_tree, spans)
-        role_units[label] = units
-        if not exact:
-            inexact.add(label)
-
     if inst.graph is None:
-        ann = RoleAnnotation.make(b.src_roles.frame, {}, inst.tgt_pred)
-        provenance = {
-            label: RoleProvenance(unprojected=True, inexact_tiling=label in inexact)
-            for label, _ in b.src_roles.roles
-        }
-        return ProjectedAnnotation(ann, provenance, inst.warnings)
-
-    alignment = strip_zero_links(solve(inst.graph, cfg.model))
+        alignment = SemanticAlignment((), cfg.model, 0.0)
+    else:
+        alignment = strip_zero_links(solve(inst.graph, cfg.model))
+    role_units = {
+        label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
+    }
     tgt_yields = {u: yield_of(b.tgt_tree, u) for u in inst.tgt_units}
     return project(
         alignment,
@@ -164,7 +153,6 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         inst.src_units,
         tgt_yields,
         predicate=inst.tgt_pred,
-        inexact=frozenset(inexact),
         warnings=inst.warnings,
     )
 

@@ -20,6 +20,8 @@ from .similarity import BiSentenceView
 class RoleProvenance:
     links: tuple[tuple[int, int, float], ...] = ()
     unprojected: bool = False
+    # Always False: every role span tiles exactly onto constituents.  Kept
+    # so the provenance sidecar keeps its record layout.
     inexact_tiling: bool = False
 
 
@@ -62,7 +64,6 @@ def project(
     tgt_yields,
     *,
     predicate: int,
-    inexact: frozenset[str] = frozenset(),
     warnings: tuple[str, ...] = (),
 ) -> ProjectedAnnotation:
     """Transfer each role onto the union of target units aligned to its units.
@@ -70,8 +71,9 @@ def project(
     ``role_units`` maps each role label to its resolved source unit ids;
     every such unit must belong to ``src_units`` (the graph's source
     partition).  Zero-similarity links must already be stripped from
-    ``alignment``.  Roles with an empty image are omitted from the output
-    annotation and recorded as unprojected in the provenance.
+    ``alignment``; an empty alignment (no graph was built) leaves every
+    role unprojected.  Roles with an empty image are omitted from the
+    output annotation and recorded as unprojected in the provenance.
     """
     src_unit_set = set(src_units)
     out_roles: dict[str, set] = {}
@@ -92,13 +94,9 @@ def project(
             tokens |= tgt_yields[tgt_unit]
         if tokens:
             out_roles[label] = set(spans_from_tokens(tokens))
-            provenance[label] = RoleProvenance(
-                links=hit_links, inexact_tiling=label in inexact
-            )
+            provenance[label] = RoleProvenance(links=hit_links)
         else:
-            provenance[label] = RoleProvenance(
-                unprojected=True, inexact_tiling=label in inexact
-            )
+            provenance[label] = RoleProvenance(unprojected=True)
     ann = RoleAnnotation.make(roles.frame, out_roles, predicate)
     return ProjectedAnnotation(ann, provenance, warnings)
 
@@ -109,7 +107,6 @@ def project_word_based(
     fill: bool,
     *,
     predicate: int,
-    warnings: tuple[str, ...] = (),
 ) -> ProjectedAnnotation:
     """Word-level projection: the image of each role's tokens under the links."""
     out_roles: dict[str, set] = {}
@@ -128,7 +125,7 @@ def project_word_based(
         else:
             provenance[label] = RoleProvenance(unprojected=True)
     ann = RoleAnnotation.make(roles.frame, out_roles, predicate)
-    return ProjectedAnnotation(ann, provenance, warnings)
+    return ProjectedAnnotation(ann, provenance)
 
 
 def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()):
@@ -161,30 +158,25 @@ def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()
     return sorted(kept)
 
 
-def resolve_role_units(tree: ParseTree, spans, node_ids=None):
+def resolve_role_units(tree: ParseTree, spans) -> tuple[int, ...]:
     """Deepest constituents whose yields exactly tile the given spans.
 
     Greedy left-to-right: at each uncovered position take the constituent
     with the longest yield that fits inside the remaining span (on equal
-    yields the deeper node wins).  If no constituent starts at the position
-    the whole span falls back to the smallest constituent containing it,
-    and the role is flagged as inexactly tiled.  Returns (unit ids, exact).
+    yields the deeper node wins).  The tiling cannot fail on a validated
+    span: every position in it has a preterminal starting there, and that
+    preterminal always fits.  A span reaching past the sentence raises
+    ValidationError.
     """
-    if node_ids is None:
-        node_ids = range(len(tree.nodes))
-    nodes = [tree.node(i) for i in node_ids]
     # group by start position; deeper nodes come later in preorder for equal
     # spans, so sorting by (length, id) makes the last best hit the deepest
     by_start: dict[int, list] = {}
-    for node in nodes:
+    for node in tree.nodes:
         by_start.setdefault(node.span[0], []).append(node)
 
     units: list[int] = []
-    exact = True
     for lo, hi in sorted(spans):
         pos = lo
-        span_units: list[int] = []
-        ok = True
         while pos <= hi:
             best = None
             for node in by_start.get(pos, ()):
@@ -195,29 +187,10 @@ def resolve_role_units(tree: ParseTree, spans, node_ids=None):
                 if best is None or key > (best.span[1] - best.span[0], best.id):
                     best = node
             if best is None:
-                ok = False
-                break
-            span_units.append(best.id)
+                raise ValidationError(f"span {lo}-{hi} reaches past the sentence")
+            units.append(best.id)
             pos = best.span[1] + 1
-        if ok:
-            units.extend(span_units)
-        else:
-            exact = False
-            units.append(_smallest_containing(nodes, lo, hi))
-    return tuple(units), exact
-
-
-def _smallest_containing(nodes, lo, hi):
-    best = None
-    for node in nodes:
-        nlo, nhi = node.span
-        if nlo <= lo and hi <= nhi:
-            size = nhi - nlo
-            if best is None or (size, -node.id) < (best.span[1] - best.span[0], -best.id):
-                best = node
-    if best is None:
-        raise ValidationError(f"no constituent contains span {lo}-{hi}")
-    return best.id
+    return tuple(units)
 
 
 def strip_zero_links(alignment: SemanticAlignment) -> SemanticAlignment:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from roleproj import fixtures
 from roleproj.similarity import SimilarityMatrix
@@ -40,3 +41,19 @@ def random_sim(rng, n, m, zero_frac=0.3) -> SimilarityMatrix:
     sim = rng.random((n, m))
     sim[rng.random((n, m)) < zero_frac] = 0.0
     return sim_matrix(sim)
+
+
+@st.composite
+def trees(draw, max_depth=4):
+    labels = st.sampled_from(["S", "NP", "VP", "PP", "X"])
+    tags = st.sampled_from(["NN", "DT", "VBZ", "JJ"])
+    words = st.sampled_from(["cat", "dog", "runs", "the", "green"])
+
+    def node(depth):
+        if depth >= max_depth or draw(st.booleans()):
+            return f"({draw(tags)} {draw(words)})"
+        k = draw(st.integers(1, 3))
+        inner = " ".join(node(depth + 1) for _ in range(k))
+        return f"({draw(labels)} {inner})"
+
+    return node(0)

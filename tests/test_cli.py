@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,31 @@ def test_bad_config_value_is_an_error_line(fixture_dir, tmp_path, capsys, entry)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_misspelt_fill_gaps_config_value_is_an_error_line(fixture_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=word\nfill_gaps=ture\n")
+    out = tmp_path / "out.roles"
+    args = project_args(fixture_dir, out, extra=["--config", str(cfg)])
+    args = without_flag(without_flag(args, "--model"), "--filter")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'ture'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_fill_gaps_config_values(fixture_dir, tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"fill_gaps={value}\n")
+    out = tmp_path / "out.roles"
+    assert main(project_args(fixture_dir, out, model="word", extra=["--config", str(cfg)])) == 0
+    manifest = json.loads((tmp_path / "out.roles.manifest.json").read_text())
+    assert manifest["config"]["fill_gaps"] is expected
+
+
 @pytest.mark.parametrize("big", [float("nan"), float("inf"), 0.0, -1.0])
 def test_pipeline_config_rejects_unusable_big(big):
     with pytest.raises(ConfigError):
@@ -294,6 +320,25 @@ def test_projection_output_parses_back(fixture_dir, tmp_path):
     records = [json.loads(line) for line in (tmp_path / "prov.jsonl").read_text().splitlines()]
     assert [r["sentence"] for r in records] == [0, 1, 2, 3, 4]
     assert all("roles" in r for r in records)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("model", ["word", "perfect", "edgecover", "total"])
+def test_provenance_sidecar_bytes_are_pinned_on_the_toy_fixture(fixture_dir, tmp_path, model):
+    prov = tmp_path / "prov.jsonl"
+    args = [
+        "project", "--model", model,
+        "--src-trees", toy(fixture_dir, "src.trees"),
+        "--tgt-trees", toy(fixture_dir, "tgt.trees"),
+        "--align", toy(fixture_dir, "align"),
+        "--src-roles", toy(fixture_dir, "src.roles"),
+        "--out", str(tmp_path / "out.roles"),
+        "--provenance", str(prov),
+    ]
+    assert main(args) == 0
+    assert prov.read_bytes() == (GOLDEN / f"toy_{model}.prov.jsonl").read_bytes()
 
 
 def test_project_on_a_5000_deep_tree_exits_cleanly(tmp_path, capsys):

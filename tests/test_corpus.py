@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import trees
+
 from roleproj.corpus import (
     RoleAnnotation,
     WordAlignment,
@@ -74,22 +76,6 @@ def test_yields_tile_the_sentence(figure1):
                     i for c in node.children for i in yield_of(tree, c)
                 )
                 assert yield_of(tree, node) == child_union
-
-
-@st.composite
-def trees(draw, max_depth=4):
-    labels = st.sampled_from(["S", "NP", "VP", "PP", "X"])
-    tags = st.sampled_from(["NN", "DT", "VBZ", "JJ"])
-    words = st.sampled_from(["cat", "dog", "runs", "the", "green"])
-
-    def node(depth):
-        if depth >= max_depth or draw(st.booleans()):
-            return f"({draw(tags)} {draw(words)})"
-        k = draw(st.integers(1, 3))
-        inner = " ".join(node(depth + 1) for _ in range(k))
-        return f"({draw(labels)} {inner})"
-
-    return node(0)
 
 
 @given(trees())

@@ -364,6 +364,18 @@ def test_oracle_one_by_one():
         assert a.link_pairs() == ((0, 0),)
 
 
+def test_oracle_edge_cover_is_optimal_but_not_the_smallest_optimum():
+    # Completing f = (0, 1, 0) with source 0 for target 2 is not minimal;
+    # with source 1 it is, and that cover sorts before the one returned.
+    g = build_graph(sim_matrix([[1, 0, 0], [0, 0, 0], [1, 0, 0]]), BIG)
+    covers = enumerate_optimal_covers(g)
+    ref = brute_force_optimum(g, "edgecover").link_pairs()
+    assert ref == ((0, 0), (1, 1), (2, 2))
+    assert frozenset(ref) in covers
+    assert solve(g, "edgecover").link_pairs() == ref
+    assert min(tuple(sorted(c)) for c in covers) == ((0, 0), (1, 1), (1, 2), (2, 0))
+
+
 def test_oracle_refuses_large_instances():
     sim = random_sim(np.random.default_rng(0), 6, 6)
     g = build_graph(sim, BIG)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import trees
 from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
@@ -8,11 +9,13 @@ from roleproj.corpus import (
     parse_roles,
     parse_tree,
     serialize_roles,
+    yield_of,
 )
 from roleproj.errors import ConfigError, IntegrityError, ValidationError
 from roleproj.matcher import Link, SemanticAlignment
 from roleproj.pipeline import PipelineConfig, run_pipeline, target_predicate
 from roleproj.projection import (
+    RoleProvenance,
     argument_filter,
     fill_gaps,
     project,
@@ -222,41 +225,61 @@ def test_argument_filter_range_check(figure1):
 # --- source unit resolution ---------------------------------------------------
 
 def test_resolve_exact_single_constituent(figure1):
-    units, exact = resolve_role_units(
+    units = resolve_role_units(
         figure1.src_tree, figure1.src_roles.spans_of("MESSAGE")
     )
-    assert exact
     assert [figure1.src_tree.node(u).span for u in units] == [(2, 5)]
 
 
 def test_resolve_prefers_deepest_on_equal_yield():
     tree = parse_tree("(S (NP (NNP Kim)) (VBD ran))")
-    units, exact = resolve_role_units(tree, {(0, 0)})
-    assert exact
+    units = resolve_role_units(tree, {(0, 0)})
     # NP and NNP share the yield; the preterminal is deeper
     assert [tree.node(u).label for u in units] == ["NNP"]
 
 
 def test_resolve_tiles_with_largest_pieces():
     tree = parse_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat) (RB down)))")
-    units, exact = resolve_role_units(tree, {(0, 2)})
-    assert exact
+    units = resolve_role_units(tree, {(0, 2)})
     assert [tree.node(u).span for u in units] == [(0, 1), (2, 2)]
 
 
 def test_resolve_multi_span_role():
     tree = parse_tree("(S (A a) (B b) (C c) (D d))")
-    units, exact = resolve_role_units(tree, {(0, 0), (2, 3)})
-    assert exact
+    units = resolve_role_units(tree, {(0, 0), (2, 3)})
     assert [tree.node(u).span for u in units] == [(0, 0), (2, 2), (3, 3)]
 
 
-def test_resolve_falls_back_to_smallest_container():
+def test_resolve_rejects_a_span_past_the_sentence():
     tree = parse_tree("(S (NP (DT the) (NN cat)) (VBD sat))")
-    internal = [n.id for n in tree.nodes if not n.is_terminal]
-    units, exact = resolve_role_units(tree, {(1, 2)}, node_ids=internal)
-    assert not exact
-    assert [tree.node(u).span for u in units] == [(0, 2)]
+    with pytest.raises(ValidationError, match="1-3"):
+        resolve_role_units(tree, {(1, 3)})
+
+
+@st.composite
+def tree_and_role(draw):
+    """A random bracketing and a valid role on it: disjoint spans, any split."""
+    tree = parse_tree(draw(trees()))
+    spans, start = set(), None
+    for i in range(len(tree.sentence)):
+        inside, split = draw(st.booleans()), draw(st.booleans())
+        if start is not None and (not inside or split):
+            spans.add((start, i - 1))
+            start = None
+        if inside and start is None:
+            start = i
+    if start is not None:
+        spans.add((start, len(tree.sentence) - 1))
+    return tree, RoleAnnotation.make("F", {"R": spans}, 0)
+
+
+@given(tree_and_role())
+def test_resolved_units_tile_the_role_exactly(case):
+    tree, role = case
+    units = resolve_role_units(tree, role.spans_of("R"))
+    yields = [yield_of(tree, u) for u in units]
+    assert sum(len(y) for y in yields) == len(frozenset().union(*yields))
+    assert frozenset().union(*yields) == role.tokens_of("R")
 
 
 # --- pipeline ------------------------------------------------------------------
@@ -329,6 +352,8 @@ def test_pipeline_empty_argument_set_warns_and_projects_nothing():
     )
     out = run_pipeline(b, PipelineConfig(model="perfect", filters=frozenset({"arg"})))
     assert out.annotation.roles == ()
+    assert out.annotation.frame == "MOTION" and out.annotation.predicate == 0
+    assert out.provenance == {"AGENT": RoleProvenance(unprojected=True)}
     assert any("no target units" in w for w in out.warnings)
 
 
