@@ -16,21 +16,6 @@ import os
 
 from .corpus import BiSentence, parse_alignment, parse_roles, parse_tree
 
-FIGURE1 = {
-    "src.tok": "Kim_NNP promised_VBD to_TO be_VB on_IN time_NN\n",
-    "tgt.tok": "Kim_NE versprach_VVFIN ,_$, pünktlich_ADJD zu_PTKZU kommen_VVINF\n",
-    "src.trees": "(S (NP (NNP Kim)) (VP (VBD promised) "
-    "(S (TO to) (VP (VB be) (PP (IN on) (NN time))))))\n",
-    "tgt.trees": "(S (NP (NE Kim)) (VP (VVFIN versprach) ($, ,) "
-    "(S (ADJD pünktlich) (PTKZU zu) (VVINF kommen))))\n",
-    "align": "0-0 1-1 2-4 5-3\n",
-    "src.roles": "#0 COMMITMENT 1\nMESSAGE\t2-5\nSPEAKER\t0-0\n",
-    "tgt.roles": "#0 COMMITMENT 1\nMESSAGE\t3-5\nSPEAKER\t0-0\n",
-    # expected pipeline outputs
-    "expected_perfect.roles": "#0 COMMITMENT 1\nMESSAGE\t3-5\nSPEAKER\t0-0\n",
-    "expected_word_fill.roles": "#0 COMMITMENT 1\nMESSAGE\t3-4\nSPEAKER\t0-0\n",
-}
-
 _TOY_SRC_TREES = [
     "(S (NP (NNP Kim)) (VP (VBD promised) (S (TO to) (VP (VB be) (PP (IN on) (NN time))))))",
     "(S (NP (DT The) (NN cat)) (VP (VBZ sleeps)))",
@@ -81,6 +66,19 @@ _TOY_PRED_ROLES = [
     "#4 GESTURE 1",
 ]
 
+FIGURE1 = {
+    "src.tok": "Kim_NNP promised_VBD to_TO be_VB on_IN time_NN\n",
+    "tgt.tok": "Kim_NE versprach_VVFIN ,_$, pünktlich_ADJD zu_PTKZU kommen_VVINF\n",
+    "src.trees": _TOY_SRC_TREES[0] + "\n",
+    "tgt.trees": _TOY_TGT_TREES[0] + "\n",
+    "align": _TOY_ALIGN[0] + "\n",
+    "src.roles": _TOY_SRC_ROLES[0] + "\n",
+    "tgt.roles": _TOY_TGT_ROLES[0] + "\n",
+    # expected pipeline outputs
+    "expected_perfect.roles": "#0 COMMITMENT 1\nMESSAGE\t3-5\nSPEAKER\t0-0\n",
+    "expected_word_fill.roles": "#0 COMMITMENT 1\nMESSAGE\t3-4\nSPEAKER\t0-0\n",
+}
+
 TOY = {
     "src.trees": "\n".join(_TOY_SRC_TREES) + "\n",
     "tgt.trees": "\n".join(_TOY_TGT_TREES) + "\n",
@@ -92,20 +90,8 @@ TOY = {
 
 
 def figure1_bisentence():
-    src_tree = parse_tree(FIGURE1["src.trees"].strip())
-    tgt_tree = parse_tree(FIGURE1["tgt.trees"].strip())
-    alignment = parse_alignment(
-        FIGURE1["align"].strip(), len(src_tree.sentence), len(tgt_tree.sentence)
-    )
-    return BiSentence(
-        src=src_tree.sentence,
-        tgt=tgt_tree.sentence,
-        alignment=alignment,
-        src_tree=src_tree,
-        tgt_tree=tgt_tree,
-        src_roles=parse_roles(FIGURE1["src.roles"]),
-        tgt_roles=parse_roles(FIGURE1["tgt.roles"]),
-    )
+    """The worked example, which is toy sentence 0."""
+    return toy_bisentences()[0]
 
 
 def toy_bisentences():

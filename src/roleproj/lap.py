@@ -25,6 +25,10 @@ tight-cell ("admissible") graph of the square padded with zero-cost rows;
 ``matcher._lexmin_matching`` is that caller.  Any optimal dual yields the
 same set, which is how deterministic lexicographic tie-breaking is
 implemented here without giving up exactness.
+
+``lexmin_perfect_matching`` is that tie-break: one depth-first search per
+row, whose visited marks persist across the row's candidate columns
+because the matching changes only when the search succeeds.
 """
 
 from __future__ import annotations
@@ -129,6 +133,16 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
     each row the smallest admissible column that still admits a completion
     is kept, so the resulting link set is the lexicographic minimum among
     all optimal matchings under (row, column) ordering.
+
+    Row i moves off its current column ``home`` by one depth-first search,
+    run only when some admissible column below ``home`` is not locked by an
+    earlier row.  The first level tries those columns in increasing order;
+    from a column the search continues at the row holding it, over every
+    admissible column not locked.  Reaching ``home`` closes an alternating
+    cycle, and each row on it takes the next column.  The matching does not
+    change while the search runs, so a column from which ``home`` was
+    unreachable for one candidate stays so for the next, and the visited
+    marks persist across all of i's candidates.
     """
     n = len(col_of_row)
     match = [int(j) for j in col_of_row]
@@ -138,50 +152,30 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
     locked = [False] * n
     adm_cols = [np.flatnonzero(adm[i]).tolist() for i in range(n)]
 
-    def try_rematch(start_row, banned_col):
-        """Kuhn augmentation for start_row avoiding locked and banned columns.
-
-        Iterative depth-first search: ``rows[k]`` was reached through column
-        ``path[k - 1]``, and ``todo[k]`` holds the columns of ``rows[k]`` not
-        tried yet.
-        """
-        blocked = locked.copy()
-        blocked[banned_col] = True
-        rows, todo, path = [start_row], [iter(adm_cols[start_row])], []
-        while rows:
-            j = next((c for c in todo[-1] if not blocked[c]), -1)
-            if j < 0:
-                rows.pop()
-                todo.pop()
-                if path:
-                    path.pop()
-                continue
-            blocked[j] = True
-            path.append(j)
-            if row_of[j] == -1:
-                for r, c in zip(rows, path):
-                    row_of[c] = r
-                    match[r] = c
-                return True
-            rows.append(row_of[j])
-            todo.append(iter(adm_cols[row_of[j]]))
-        return False
-
     for i in range(n):
-        for j in adm_cols[i]:
-            if j >= match[i]:
-                break
-            if locked[j]:
-                continue
-            displaced = row_of[j]
-            old = match[i]
-            row_of[old] = -1
-            row_of[j] = i
-            match[i] = j
-            if try_rematch(displaced, j):
-                break
-            row_of[j] = displaced
-            row_of[old] = i
-            match[i] = old
+        home = match[i]
+        below = [c for c in adm_cols[i][: adm_cols[i].index(home)] if not locked[c]]
+        if below:
+            # rows[k] was reached through column path[k - 1], and todo[k]
+            # holds the columns of rows[k] not tried yet.
+            seen = locked.copy()
+            rows, todo, path = [i], [iter(below)], []
+            while rows:
+                j = next((c for c in todo[-1] if not seen[c]), -1)
+                if j < 0:
+                    rows.pop()
+                    todo.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(j)
+                if j == home:
+                    for r, c in zip(rows, path):
+                        match[r] = c
+                        row_of[c] = r
+                    break
+                seen[j] = True
+                rows.append(row_of[j])
+                todo.append(iter(adm_cols[row_of[j]]))
         locked[match[i]] = True
     return np.array(match, dtype=int)

@@ -142,16 +142,13 @@ def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     return [(i, int(j)) for i, j in enumerate(match[:n]) if j < m]
 
 
-def _cheapest(weights: np.ndarray) -> int:
-    """Index of the cheapest weight; the smallest index among ties."""
-    return int(np.flatnonzero(weights <= weights.min() + COST_ATOL)[0])
-
-
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight edge cover via Gallai's reduction to a matching."""
     W = g.weights
     n, m = W.shape
-    reduced = W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :]
+    mu_s = W.min(axis=1)
+    mu_t = W.min(axis=0)
+    reduced = W - mu_s[:, None] - mu_t[None, :]
     pairs = {
         (i, j)
         for i, j in _lexmin_matching(np.minimum(reduced, 0.0))
@@ -159,8 +156,11 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     }
     covered_s = {i for i, _ in pairs}
     covered_t = {j for _, j in pairs}
-    pairs.update((i, _cheapest(W[i])) for i in range(n) if i not in covered_s)
-    pairs.update((_cheapest(W[:, j]), j) for j in range(m) if j not in covered_t)
+    # Each unit's cheapest edge: the smallest index within COST_ATOL of mu.
+    cheapest_t = np.argmax(W <= mu_s[:, None] + COST_ATOL, axis=1).tolist()
+    cheapest_s = np.argmax(W <= mu_t[None, :] + COST_ATOL, axis=0).tolist()
+    pairs.update((i, cheapest_t[i]) for i in range(n) if i not in covered_s)
+    pairs.update((cheapest_s[j], j) for j in range(m) if j not in covered_t)
 
     pairs = _strip_redundant_links(W, pairs)
     _check_cover(n, m, pairs)

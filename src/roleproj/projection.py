@@ -161,35 +161,30 @@ def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()
 def resolve_role_units(tree: ParseTree, spans) -> tuple[int, ...]:
     """Deepest constituents whose yields exactly tile the given spans.
 
-    Greedy left-to-right: at each uncovered position take the constituent
-    with the longest yield that fits inside the remaining span (on equal
-    yields the deeper node wins).  The tiling cannot fail on a validated
-    span: every position in it has a preterminal starting there, and that
-    preterminal always fits.  A span reaching past the sentence raises
-    ValidationError.
+    For each span in sorted order, a depth-first walk from the root, left
+    to right: a node disjoint from the span is skipped, a node inside it is
+    a unit, and any other node is entered.  A unit is taken at the bottom
+    of its unary chain, the deepest node with the same yield.  The units
+    are thus the maximal constituents inside the span, and they tile it on
+    a validated span because every token has a preterminal.  A span
+    reaching past the sentence raises ValidationError.
     """
-    # group by start position; deeper nodes come later in preorder for equal
-    # spans, so sorting by (length, id) makes the last best hit the deepest
-    by_start: dict[int, list] = {}
-    for node in tree.nodes:
-        by_start.setdefault(node.span[0], []).append(node)
-
     units: list[int] = []
     for lo, hi in sorted(spans):
-        pos = lo
-        while pos <= hi:
-            best = None
-            for node in by_start.get(pos, ()):
-                if node.span[1] > hi:
-                    continue
-                length = node.span[1] - node.span[0]
-                key = (length, node.id)
-                if best is None or key > (best.span[1] - best.span[0], best.id):
-                    best = node
-            if best is None:
-                raise ValidationError(f"span {lo}-{hi} reaches past the sentence")
-            units.append(best.id)
-            pos = best.span[1] + 1
+        if lo < 0 or hi >= len(tree.sentence):
+            raise ValidationError(f"span {lo}-{hi} reaches past the sentence")
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            node_lo, node_hi = node.span
+            if node_hi < lo or node_lo > hi:
+                continue
+            if lo <= node_lo and node_hi <= hi:
+                while len(node.children) == 1:
+                    node = tree.node(node.children[0])
+                units.append(node.id)
+            else:
+                stack.extend(tree.node(c) for c in reversed(node.children))
     return tuple(units)
 
 

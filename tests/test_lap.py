@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,18 @@ def test_lexmin_on_long_cycle_needs_no_recursion():
     start = (np.arange(n) + 1) % n
     assert (lexmin_perfect_matching(adm, start) == np.arange(n)).all()
 
+
+def test_lexmin_equals_the_smallest_admissible_permutation():
+    # Random graphs from sparse to full around a forced perfect matching,
+    # started from that matching: a row's first candidate column often
+    # fails, so later candidates run on the marks it left.
+    rng = np.random.default_rng(53)
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        adm = rng.random((n, n)) < rng.uniform(0.0, 1.0)
+        start = rng.permutation(n)
+        adm[np.arange(n), start] = True
+        best = next(
+            p for p in itertools.permutations(range(n)) if adm[np.arange(n), p].all()
+        )
+        assert lexmin_perfect_matching(adm, start).tolist() == list(best)

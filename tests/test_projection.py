@@ -280,6 +280,16 @@ def test_resolved_units_tile_the_role_exactly(case):
     yields = [yield_of(tree, u) for u in units]
     assert sum(len(y) for y in yields) == len(frozenset().union(*yields))
     assert frozenset().union(*yields) == role.tokens_of("R")
+    # Each unit is the bottom of its unary chain, and the lowest ancestor
+    # with a larger yield reaches outside the span holding the unit.
+    for u in units:
+        lo, hi = tree.node(u).span
+        ((a, b),) = [(a, b) for a, b in role.spans_of("R") if a <= lo and hi <= b]
+        assert len(tree.node(u).children) != 1
+        larger = [p for p in tree.ancestors(u) if tree.node(p).span != (lo, hi)]
+        if larger:
+            p_lo, p_hi = tree.node(larger[0]).span
+            assert p_lo < a or p_hi > b
 
 
 # --- pipeline ------------------------------------------------------------------
