@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__, fixtures
 from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
-from .errors import ConfigError, OracleSizeError, ToolkitError
+from .errors import ConfigError, OracleSizeError, ToolkitError, located
 from .evaluation import correspondence_stats, score, stratified_shuffling
 from .matcher import COST_ATOL, solve
 from .oracle import brute_force_optimum
@@ -121,7 +121,8 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
     for k, b in enumerate(bisentences):
         if cfg.model == "word" or b.src_tree is None or b.tgt_tree is None:
             continue
-        graph = build_instance(b, cfg).graph
+        with located(f"sentence {k} ({cfg.model})"):
+            graph = build_instance(b, cfg).graph
         if graph is None:
             continue
         try:

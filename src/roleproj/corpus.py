@@ -24,15 +24,21 @@ Token indexing is 0-based everywhere and spans are inclusive intervals.
 Serializers emit a canonical form (sorted links, alphabetically sorted role
 labels, spans sorted by start); parsing a canonical file and re-serializing
 it reproduces the input byte for byte.
+
+Tree lines are split by one regular expression into brackets and atoms and
+parsed in a single pass over those tokens.  The whole-file readers and
+``load_corpus`` prefix every error with where it happened: ``path:line:``
+for tree, token and alignment lines, ``path: block k:`` for role blocks
+and ``sentence k:`` for a record whose parts disagree.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError, located
 
 Span = tuple[int, int]
 
@@ -222,76 +228,48 @@ class BiSentence:
 # Bracketed trees
 
 
-def _tokenize_brackets(line: str):
-    out = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c in "()":
-            out.append((c, c, i))
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and line[j] not in "()" and not line[j].isspace():
-                j += 1
-            out.append(("atom", line[i:j], i))
-            i = j
-    return out
+# A bracket, or a run of non-bracket non-whitespace.  In a str pattern \s
+# matches exactly the characters for which str.isspace() is true.
+_TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
 def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     """Parse one Penn-style bracketed tree line into a ParseTree.
 
+    One pass over the tokens: ``(`` opens a constituent labelled by the next
+    token, a word goes into the open constituent, and ``)`` closes it.
     Raises FormatError with a character offset for unbalanced or malformed
     bracketings, and when the token count disagrees with ``expected_tokens``.
     The parse keeps its own stack of open constituents, so tree depth is
     bounded by memory, not by the interpreter's recursion limit.
     """
-    toks = _tokenize_brackets(line)
-    if not toks:
-        raise FormatError("empty tree line")
     nodes: list[Constituent | None] = []  # preorder; filled when a node closes
     parents: list[int | None] = []
     tokens: list[Token] = []
     # One [node_id, label, word, child_ids] frame per open constituent.
     stack: list[list] = []
-
-    def open_node(pos: int) -> int:
-        """Open the constituent whose '(' is toks[pos]; return the next position."""
-        pos += 1
-        if pos >= len(toks) or toks[pos][0] != "atom":
-            raise FormatError(f"expected node label at offset {toks[pos - 1][2] + 1}")
-        node_id = len(nodes)
-        nodes.append(None)
-        parents.append(stack[-1][0] if stack else None)
-        if stack:
-            stack[-1][3].append(node_id)
-        stack.append([node_id, toks[pos][1], None, []])
-        return pos + 1
-
-    if toks[0][0] != "(":
-        raise FormatError(f"expected '(' at offset {toks[0][2]}")
-    pos = open_node(0)
-    while stack:
-        if pos >= len(toks):
-            raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
-        kind, text, off = toks[pos]
-        node_id, label, word, child_ids = stack[-1]
-        if kind == "atom":
-            if child_ids:
-                raise FormatError(f"word after child constituent at offset {off}")
-            if word is not None:
-                raise FormatError(f"second word under one preterminal at offset {off}")
-            stack[-1][2] = text
-            pos += 1
-        elif kind == "(":
-            if word is not None:
+    toks = _TREE_TOKEN_RE.finditer(line)
+    for m in toks:
+        text, off = m.group(), m.start()
+        if not stack:
+            if nodes:
+                raise FormatError(f"trailing material at offset {off}")
+            if text != "(":
+                raise FormatError(f"expected '(' at offset {off}")
+        if text == "(":
+            if stack and stack[-1][2] is not None:
                 raise FormatError(f"child constituent after word at offset {off}")
-            pos = open_node(pos)
-        else:
-            pos += 1
+            label = next(toks, None)
+            if label is None or label.group() in ("(", ")"):
+                raise FormatError(f"expected node label at offset {off + 1}")
+            node_id = len(nodes)
+            nodes.append(None)
+            parents.append(stack[-1][0] if stack else None)
+            if stack:
+                stack[-1][3].append(node_id)
+            stack.append([node_id, label.group(), None, []])
+        elif text == ")":
+            node_id, label, word, child_ids = stack.pop()
             if word is not None:
                 k = len(tokens)
                 tokens.append(Token(k, word, label))
@@ -302,9 +280,17 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
                 nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
             else:
                 raise FormatError(f"empty constituent '{label}'")
-            stack.pop()
-    if pos != len(toks):
-        raise FormatError(f"trailing material at offset {toks[pos][2]}")
+        else:
+            frame = stack[-1]
+            if frame[3]:
+                raise FormatError(f"word after child constituent at offset {off}")
+            if frame[2] is not None:
+                raise FormatError(f"second word under one preterminal at offset {off}")
+            frame[2] = text
+    if not nodes:
+        raise FormatError("empty tree line")
+    if stack:
+        raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
 
     if expected_tokens is not None and len(tokens) != expected_tokens:
         raise FormatError(
@@ -459,27 +445,21 @@ def read_lines(path) -> list[str]:
     return [line.rstrip("\n") for line in io.StringIO(read_text(path))]
 
 
-def read_trees_file(path) -> list[ParseTree | None]:
+def _parse_lines(path, parse) -> list:
+    """``parse`` of each line of a file; an error names the file and line."""
     out = []
-    for lineno, line in enumerate(read_lines(path)):
-        if line == "-":
-            out.append(None)
-        else:
-            try:
-                out.append(parse_tree(line))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), 1):
+        with located(f"{path}:{lineno}"):
+            out.append(parse(line))
     return out
+
+
+def read_trees_file(path) -> list[ParseTree | None]:
+    return _parse_lines(path, lambda line: None if line == "-" else parse_tree(line))
 
 
 def read_tok_file(path) -> list[Sentence]:
-    out = []
-    for lineno, line in enumerate(read_lines(path)):
-        try:
-            out.append(parse_tok_line(line))
-        except FormatError as exc:
-            raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
-    return out
+    return _parse_lines(path, parse_tok_line)
 
 
 def read_roles_file(path) -> list[RoleAnnotation]:
@@ -487,7 +467,8 @@ def read_roles_file(path) -> list[RoleAnnotation]:
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     anns = []
     for k, block in enumerate(blocks):
-        sent_no, ann = parse_roles_block(block)
+        with located(f"{path}: block {k}"):
+            sent_no, ann = parse_roles_block(block)
         if sent_no != k:
             raise FormatError(f"{path}: block {k} carries sentence number {sent_no}")
         anns.append(ann)
@@ -500,6 +481,28 @@ def roles_file_text(annotations) -> str:
     ) + "\n"
 
 
+def _side(trees_path, tok_path, name) -> tuple[list[Sentence], list[ParseTree | None]]:
+    """The sentences and trees of one side, from a .trees file, a .tok file or both."""
+    trees = read_trees_file(trees_path) if trees_path else None
+    toks = read_tok_file(tok_path) if tok_path else None
+    if trees is None:
+        if toks is None:
+            raise ConfigError(f"no {name}-side sentences: need a .trees or .tok file")
+        return toks, [None] * len(toks)
+    if toks is None:
+        toks = [None] * len(trees)
+    elif len(trees) != len(toks):
+        raise ValidationError(f"{name} trees/tok files are not parallel")
+    sentences = []
+    for k, (tree, sent) in enumerate(zip(trees, toks)):
+        if tree is None and sent is None:
+            raise ValidationError(f"{name} sentence {k} has neither tree nor tokens")
+        if tree is not None and sent is not None and tree.sentence != sent:
+            raise ValidationError(f"{name} tree and tok disagree for sentence {k}")
+        sentences.append(sent if tree is None else tree.sentence)
+    return sentences, trees
+
+
 def load_corpus(
     *,
     align_path,
@@ -508,42 +511,17 @@ def load_corpus(
     tgt_trees_path=None,
     tgt_tok_path=None,
     src_roles_path=None,
-    tgt_roles_path=None,
 ) -> list[BiSentence]:
     """Assemble parallel files into BiSentence records.
 
     Each side needs a .trees or a .tok file (or both, in which case they
     must agree).  All provided files must be parallel; mismatched record
-    counts raise ValidationError.
+    counts raise ValidationError.  An error in one line or block names its
+    file and line (``path:line:``) or block (``path: block k:``); an error
+    in assembling a record names its sentence (``sentence k:``).
     """
-
-    def side(trees_path, tok_path, name):
-        trees = read_trees_file(trees_path) if trees_path else None
-        toks = read_tok_file(tok_path) if tok_path else None
-        if trees is None and toks is None:
-            raise ConfigError(f"no {name}-side sentences: need a .trees or .tok file")
-        if trees is not None and toks is not None:
-            if len(trees) != len(toks):
-                raise ValidationError(f"{name} trees/tok files are not parallel")
-            for k, (tree, sent) in enumerate(zip(trees, toks)):
-                if tree is not None and tree.sentence != sent:
-                    raise ValidationError(
-                        f"{name} tree and tok disagree for sentence {k}"
-                    )
-        n = len(trees) if trees is not None else len(toks)
-        sentences = []
-        for k in range(n):
-            tree = trees[k] if trees is not None else None
-            if tree is not None:
-                sentences.append(tree.sentence)
-            elif toks is not None:
-                sentences.append(toks[k])
-            else:
-                raise ValidationError(f"{name} sentence {k} has neither tree nor tokens")
-        return sentences, (trees if trees is not None else [None] * n)
-
-    src_sents, src_trees = side(src_trees_path, src_tok_path, "source")
-    tgt_sents, tgt_trees = side(tgt_trees_path, tgt_tok_path, "target")
+    src_sents, src_trees = _side(src_trees_path, src_tok_path, "source")
+    tgt_sents, tgt_trees = _side(tgt_trees_path, tgt_tok_path, "target")
     if len(src_sents) != len(tgt_sents):
         raise ValidationError("source and target files are not parallel")
     n = len(src_sents)
@@ -553,22 +531,13 @@ def load_corpus(
         raise ValidationError("alignment file is not parallel with the sentences")
 
     src_roles = read_roles_file(src_roles_path) if src_roles_path else [None] * n
-    tgt_roles = read_roles_file(tgt_roles_path) if tgt_roles_path else [None] * n
-    if len(src_roles) != n or len(tgt_roles) != n:
+    if len(src_roles) != n:
         raise ValidationError("roles file is not parallel with the sentences")
 
     out = []
-    for k in range(n):
-        al = parse_alignment(align_lines[k], len(src_sents[k]), len(tgt_sents[k]))
-        out.append(
-            BiSentence(
-                src=src_sents[k],
-                tgt=tgt_sents[k],
-                alignment=al,
-                src_tree=src_trees[k],
-                tgt_tree=tgt_trees[k],
-                src_roles=src_roles[k],
-                tgt_roles=tgt_roles[k],
-            )
-        )
+    for k, (src, tgt, line) in enumerate(zip(src_sents, tgt_sents, align_lines)):
+        with located(f"{align_path}:{k + 1}"):
+            alignment = parse_alignment(line, len(src), len(tgt))
+        with located(f"sentence {k}"):
+            out.append(BiSentence(src, tgt, alignment, src_trees[k], tgt_trees[k], src_roles[k]))
     return out

@@ -50,10 +50,16 @@ class ScoreReport:
         )
 
 
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
+def pooled_prf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F1 of pooled ``[tp, fp, fn]`` counts on the last axis.
+
+    Each ratio is 0 where its denominator is 0.
+    """
+    tp, fp, fn = counts[..., 0], counts[..., 1], counts[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
+        r = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
+        f1 = np.where(p + r > 0, 2 * p * r / np.maximum(p + r, 1e-300), 0.0)
     return p, r, f1
 
 
@@ -77,7 +83,7 @@ def score(gold, pred) -> ScoreReport:
     tp = sum(c.tp for c in per)
     fp = sum(c.fp for c in per)
     fn = sum(c.fn for c in per)
-    p, r, f1 = _prf(tp, fp, fn)
+    p, r, f1 = (float(x) for x in pooled_prf(np.array([tp, fp, fn])))
     return ScoreReport(tp, fp, fn, p, r, f1, per)
 
 
@@ -119,22 +125,14 @@ def stratified_shuffling(
         [[c.tp, c.fp, c.fn] for c in (sentence_counts(g, p) for g, p in zip(gold, pred_b))]
     )
 
-    def pooled_f1(counts: np.ndarray) -> np.ndarray:
-        tp, fp, fn = counts[..., 0], counts[..., 1], counts[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-            r = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-            f1 = np.where(p + r > 0, 2 * p * r / np.maximum(p + r, 1e-300), 0.0)
-        return f1
-
-    observed = float(pooled_f1(counts_a.sum(0)) - pooled_f1(counts_b.sum(0)))
+    observed = float(pooled_prf(counts_a.sum(0))[2] - pooled_prf(counts_b.sum(0))[2])
 
     rng = np.random.default_rng(seed)
     flips = rng.random((iterations, len(gold))) < 0.5
     keep = ~flips
     sum_a = keep.astype(int) @ counts_a + flips.astype(int) @ counts_b
     sum_b = flips.astype(int) @ counts_a + keep.astype(int) @ counts_b
-    deltas = pooled_f1(sum_a) - pooled_f1(sum_b)
+    deltas = pooled_prf(sum_a)[2] - pooled_prf(sum_b)[2]
     hits = int(np.count_nonzero(np.abs(deltas) >= abs(observed)))
     p_value = (hits + 1) / (iterations + 1)
     return SigTestResult(observed, p_value, iterations, seed)

@@ -11,11 +11,12 @@ the target unit set to likely argument constituents of the predicate.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import BiSentence, yield_of
-from .errors import ConfigError
+from .errors import ConfigError, located
 from .matcher import AlignmentGraph, SemanticAlignment, build_graph, solve
 from .projection import (
     ProjectedAnnotation,
@@ -157,14 +158,21 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
     )
 
 
-def _run_one(args) -> ProjectedAnnotation:
-    b, cfg = args
-    return run_pipeline(b, cfg)
+def _run_one(task) -> ProjectedAnnotation:
+    k, b, cfg = task
+    with located(f"sentence {k} ({cfg.model})"):
+        return run_pipeline(b, cfg)
 
 
 def run_corpus(bisentences, cfg: PipelineConfig, jobs: int = 1):
-    """Project a whole corpus; results come back in input order."""
-    if jobs <= 1 or len(bisentences) <= 1:
-        return [run_pipeline(b, cfg) for b in bisentences]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one, [(b, cfg) for b in bisentences]))
+    """Project a whole corpus; results come back in input order.
+
+    Starts at most one worker per sentence and per CPU; runs in-process
+    when that allows only one.
+    """
+    tasks = [(k, b, cfg) for k, b in enumerate(bisentences)]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_run_one(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, tasks))

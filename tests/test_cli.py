@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -359,3 +360,96 @@ def test_project_on_a_5000_deep_tree_exits_cleanly(tmp_path, capsys):
     assert main(args) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert out.read_text() == "#0 f 0\nA0\t0-0\n"
+
+
+def two_sentence_inputs(tmp_path, *, src_trees="(S (NN a))\n(S (NN b))\n",
+                        align="0-0\n0-0\n", roles="#0 f 0\nA0\t0-0\n\n#1 f 0\nA0\t0-0\n"):
+    """A two-sentence corpus with the tok files given too; returns project args."""
+    files = {
+        "src.trees": src_trees,
+        "src.tok": "a_NN\nb_NN\n",
+        "tgt.trees": "(S (NN x))\n(S (NN y))\n",
+        "align": align,
+        "src.roles": roles,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [
+        "project", "--model", "perfect",
+        "--src-trees", str(tmp_path / "src.trees"),
+        "--src-tok", str(tmp_path / "src.tok"),
+        "--tgt-trees", str(tmp_path / "tgt.trees"),
+        "--align", str(tmp_path / "align"),
+        "--src-roles", str(tmp_path / "src.roles"),
+        "--out", str(tmp_path / "out.roles"),
+    ]
+
+
+def test_malformed_alignment_line_names_file_and_line(tmp_path, capsys):
+    args = two_sentence_inputs(tmp_path, align="0-0\n1:1\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'align'}:2: malformed alignment pair '1:1'\n"
+
+
+def test_bad_roles_block_names_file_and_block(tmp_path, capsys):
+    args = two_sentence_inputs(tmp_path, roles="#0 f 0\nA0\t0-0\n\n#1 f 0\nA0\t0-x\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {tmp_path / 'src.roles'}: block 1: "
+        "bad span '0-x' in role line 'A0\\t0-x'\n"
+    )
+
+
+def test_role_past_the_sentence_names_the_sentence(tmp_path, capsys):
+    args = two_sentence_inputs(tmp_path, roles="#0 f 0\nA0\t0-0\n\n#1 f 0\nA0\t0-3\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sentence 1: source role annotation index out of range\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pipeline_error_names_sentence_and_model(tmp_path, capsys, jobs):
+    args = two_sentence_inputs(tmp_path, src_trees="(S (NN a))\n-\n")
+    assert main(args + ["--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sentence 1 (perfect): model 'perfect' requires src tree\n"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, sentences, cpus, workers",
+    [(5000, 2, 8, 2), (5000, 5, 3, 3), (3, 5, 8, 3), (5000, 5, None, None),
+     (2, 1, 8, None), (1, 5, 8, None), (0, 5, 8, None)],
+)
+def test_worker_pool_is_capped_by_sentences_and_cpus(
+    toy_corpus, monkeypatch, jobs, sentences, cpus, workers
+):
+    import roleproj.pipeline as pipeline
+
+    RecordingPool.started = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = pipeline.PipelineConfig(model="total")
+    corpus = toy_corpus[:sentences]
+    got = pipeline.run_corpus(corpus, cfg, jobs=jobs)
+    assert RecordingPool.started == ([] if workers is None else [workers])
+    assert got == [pipeline.run_pipeline(b, cfg) for b in corpus]

@@ -9,6 +9,7 @@ from roleproj.corpus import (
     alignment_to_line,
     parse_alignment,
     parse_roles,
+    parse_roles_block,
     parse_tok_line,
     parse_tree,
     sentence_to_tok_line,
@@ -84,6 +85,74 @@ def test_tree_serialization_round_trip(text):
     assert tree_to_line(tree) == text
     again = parse_tree(tree_to_line(tree))
     assert again == tree
+
+
+@pytest.mark.parametrize(
+    "line, expected, message",
+    [
+        ("", None, "empty tree line"),
+        (" \t\xa0", None, "empty tree line"),
+        ("  S (NN a)", None, "expected '(' at offset 2"),
+        (")", None, "expected '(' at offset 0"),
+        ("(", None, "expected node label at offset 1"),
+        ("( (NN a))", None, "expected node label at offset 1"),
+        ("(S (NN a) ( ))", None, "expected node label at offset 11"),
+        ("(S (NN a)", None, "unbalanced brackets: missing ')' at offset 9"),
+        ("(S (NN a)\u3000", None, "unbalanced brackets: missing ')' at offset 10"),
+        ("(S (NN a) b)", None, "word after child constituent at offset 10"),
+        ("(NN a\xa0b)", None, "second word under one preterminal at offset 6"),
+        ("(NN a (X b))", None, "child constituent after word at offset 6"),
+        ("(S (NN a) (VP ))", None, "empty constituent 'VP'"),
+        ("(S (NN a)) x", None, "trailing material at offset 11"),
+        ("(S (NN a)))", None, "trailing material at offset 10"),
+        ("(S (NN a))\x1c(T (NN b))", None, "trailing material at offset 11"),
+        ("(S (NN a))", 2, "tree has 1 tokens, expected 2"),
+    ],
+)
+def test_every_tree_format_error_pins_its_message_and_offset(line, expected, message):
+    with pytest.raises(FormatError) as info:
+        parse_tree(line, expected_tokens=expected)
+    assert str(info.value) == message
+
+
+# Brackets, atoms and the whitespace the tokenizer must split on, including
+# Unicode spaces that str.split(" ") does not treat as separators.
+FUZZ_ALPHABET = st.sampled_from(
+    list("()()()abcXYZ019-_#") + [" ", "\t", "\xa0", "\u2003", "\u3000", "\x1c", "\n"]
+)
+fuzz_text = st.text(FUZZ_ALPHABET, max_size=40)
+
+
+@given(fuzz_text)
+def test_parse_tree_returns_a_round_tripping_tree_or_a_format_error(text):
+    try:
+        tree = parse_tree(text)
+    except FormatError:
+        return
+    assert parse_tree(tree_to_line(tree)) == tree
+
+
+@given(fuzz_text, st.integers(0, 12), st.integers(0, 12))
+def test_line_parsers_raise_only_toolkit_input_errors(text, n_src, n_tgt):
+    for parse in (
+        parse_tok_line,
+        lambda t: parse_alignment(t, n_src, n_tgt),
+        parse_roles_block,
+    ):
+        try:
+            parse(text)
+        except (FormatError, ValidationError):
+            pass
+
+
+@given(st.lists(st.sampled_from(["#0 F 0", "#1 G -1", "A\t0-2", "B\t3-4,0-1",
+                                  "A\t2-1", "C\t1-1\tx", "\t", ""]), max_size=5),
+       fuzz_text)
+def test_roles_block_parser_raises_only_toolkit_input_errors(lines, noise):
+    try:
+        parse_roles_block("\n".join(lines) + noise)
+    except (FormatError, ValidationError):
+        pass
 
 
 def test_deep_unary_chain_parses_and_round_trips():
