@@ -25,26 +25,34 @@ Serializers emit a canonical form (sorted links, alphabetically sorted role
 labels, spans sorted by start); parsing a canonical file and re-serializing
 it reproduces the input byte for byte.
 
-Tree lines are split by one regular expression into brackets and atoms and
-parsed in a single pass over those tokens.  The whole-file readers and
-``load_corpus`` prefix every error with where it happened: ``path:line:``
-for tree, token and alignment lines, ``path: block k:`` for role blocks
-and ``sentence k:`` for a record whose parts disagree.
+Tree lines are split by one regular expression into tokens and parsed in a
+single pass over them.  A whole preterminal ``(POS word)`` is one token, so
+about half the nodes of a tree cost one loop step; other tokens are a
+bracket or an atom.  The character offsets in tree errors are computed only
+when an error is raised.  Tree nodes and tokens are named tuples:
+immutable, and cheaper to build than frozen dataclasses.
+
+The whole-file readers and ``load_corpus`` prefix every error with where it
+happened: ``path:line:`` for tree, token and alignment lines,
+``path: block k:`` for role blocks and ``sentence k:`` for a record whose
+parts disagree.  A number of more than 4,300 digits, past the interpreter's
+integer conversion limit, is a FormatError of its line or block.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, FormatError, ValidationError, located
 
 Span = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     index: int
     surface: str
     pos: str
@@ -70,8 +78,7 @@ class Sentence:
         return tuple(t.surface for t in self.tokens)
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(NamedTuple):
     """One tree node. ``span`` is an inclusive token interval."""
 
     id: int
@@ -214,9 +221,11 @@ class BiSentence:
                 "alignment lengths do not match sentence lengths: "
                 f"{self.alignment.n_src}/{self.alignment.n_tgt} vs {len(self.src)}/{len(self.tgt)}"
             )
+        # load_corpus passes each tree's own Sentence, which needs no check.
         for tree, sent, side in ((self.src_tree, self.src, "source"),
                                  (self.tgt_tree, self.tgt, "target")):
-            if tree is not None and tree.sentence.surfaces() != sent.surfaces():
+            if (tree is not None and tree.sentence is not sent
+                    and tree.sentence.surfaces() != sent.surfaces()):
                 raise ValidationError(f"{side} tree tokens do not match the sentence")
         for ann, sent, side in ((self.src_roles, self.src, "source"),
                                 (self.tgt_roles, self.tgt, "target")):
@@ -228,65 +237,87 @@ class BiSentence:
 # Bracketed trees
 
 
-# A bracket, or a run of non-bracket non-whitespace.  In a str pattern \s
+# One lexer token: a whole well-formed preterminal "(POS word)" (groups 1
+# and 2), else a bracket or a run of non-bracket non-whitespace (group 3).
+# The first alternative matches exactly where the bracket/atom lexing would
+# give the four tokens "(", POS, word, ")" in a row.  In a str pattern \s
 # matches exactly the characters for which str.isspace() is true.
-_TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+_TREE_TOKEN_RE = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|([()]|[^\s()]+)")
+
+
+def _token_offset(line: str, k: int) -> int:
+    """Character offset of the k-th lexer token of a tree line."""
+    return next(itertools.islice(_TREE_TOKEN_RE.finditer(line), k, None)).start()
 
 
 def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     """Parse one Penn-style bracketed tree line into a ParseTree.
 
-    One pass over the tokens: ``(`` opens a constituent labelled by the next
-    token, a word goes into the open constituent, and ``)`` closes it.
+    One pass over the lexer tokens: a whole preterminal ``(POS word)`` is
+    one token and becomes a node at once, ``(`` opens a constituent
+    labelled by the next token, and ``)`` closes it.  A preterminal token
+    runs the same checks as a ``(`` at its position, so every error fires
+    on the same input as with one token per bracket and atom.
     Raises FormatError with a character offset for unbalanced or malformed
     bracketings, and when the token count disagrees with ``expected_tokens``.
-    The parse keeps its own stack of open constituents, so tree depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    Offsets appear only in errors, so they are found by lexing the line
+    again when one is raised.  The parse keeps its own stack of open
+    constituents, so tree depth is bounded by memory, not by the
+    interpreter's recursion limit.
     """
     nodes: list[Constituent | None] = []  # preorder; filled when a node closes
     parents: list[int | None] = []
     tokens: list[Token] = []
-    # One [node_id, label, word, child_ids] frame per open constituent.
+    # One [node_id, label, has_word, child_ids] frame per open constituent.
+    # A frame gets a word only in a malformed preterminal, which the next
+    # token rejects: a well-formed one is a single lexer token.
     stack: list[list] = []
-    toks = _TREE_TOKEN_RE.finditer(line)
-    for m in toks:
-        text, off = m.group(), m.start()
-        if not stack:
-            if nodes:
-                raise FormatError(f"trailing material at offset {off}")
-            if text != "(":
-                raise FormatError(f"expected '(' at offset {off}")
-        if text == "(":
-            if stack and stack[-1][2] is not None:
-                raise FormatError(f"child constituent after word at offset {off}")
-            label = next(toks, None)
-            if label is None or label.group() in ("(", ")"):
-                raise FormatError(f"expected node label at offset {off + 1}")
+    lexed = enumerate(_TREE_TOKEN_RE.findall(line))
+    for k, (pos, word, text) in lexed:
+        if not stack and nodes:
+            raise FormatError(f"trailing material at offset {_token_offset(line, k)}")
+        if pos or text == "(":
             node_id = len(nodes)
-            nodes.append(None)
-            parents.append(stack[-1][0] if stack else None)
             if stack:
-                stack[-1][3].append(node_id)
-            stack.append([node_id, label.group(), None, []])
-        elif text == ")":
-            node_id, label, word, child_ids = stack.pop()
-            if word is not None:
-                k = len(tokens)
-                tokens.append(Token(k, word, label))
-                nodes[node_id] = Constituent(node_id, label, (k, k), (), True)
-            elif child_ids:
-                lo = nodes[child_ids[0]].span[0]
-                hi = nodes[child_ids[-1]].span[1]
-                nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
+                frame = stack[-1]
+                if frame[2]:
+                    raise FormatError(
+                        f"child constituent after word at offset {_token_offset(line, k)}"
+                    )
+                frame[3].append(node_id)
+                parents.append(frame[0])
             else:
+                parents.append(None)
+            if pos:
+                i = len(tokens)
+                tokens.append(Token(i, word, pos))
+                nodes.append(Constituent(node_id, pos, (i, i), (), True))
+            else:
+                _, (_, _, label) = next(lexed, (k, ("", "", "")))
+                if label in ("", "(", ")"):  # "" is a preterminal token or the end
+                    raise FormatError(
+                        f"expected node label at offset {_token_offset(line, k) + 1}"
+                    )
+                nodes.append(None)
+                stack.append([node_id, label, False, []])
+        elif not stack:
+            raise FormatError(f"expected '(' at offset {_token_offset(line, k)}")
+        elif text == ")":
+            node_id, label, _, child_ids = stack.pop()
+            if not child_ids:
                 raise FormatError(f"empty constituent '{label}'")
+            lo = nodes[child_ids[0]].span[0]
+            hi = nodes[child_ids[-1]].span[1]
+            nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
         else:
             frame = stack[-1]
             if frame[3]:
-                raise FormatError(f"word after child constituent at offset {off}")
-            if frame[2] is not None:
-                raise FormatError(f"second word under one preterminal at offset {off}")
-            frame[2] = text
+                raise FormatError(f"word after child constituent at offset {_token_offset(line, k)}")
+            if frame[2]:
+                raise FormatError(
+                    f"second word under one preterminal at offset {_token_offset(line, k)}"
+                )
+            frame[2] = True
     if not nodes:
         raise FormatError("empty tree line")
     if stack:
@@ -334,7 +365,10 @@ def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
         m = _LINK_RE.match(part)
         if not m:
             raise FormatError(f"malformed alignment pair {part!r}")
-        s, t = int(m.group(1)), int(m.group(2))
+        try:
+            s, t = int(m.group(1)), int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"malformed alignment pair {part!r}") from None
         if s >= n_src or t >= n_tgt:
             raise FormatError(
                 f"alignment link {s}-{t} out of range for lengths {n_src}/{n_tgt}"
@@ -387,7 +421,10 @@ def parse_roles_block(block: str) -> tuple[int, RoleAnnotation]:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise FormatError(f"bad roles header {lines[0]!r}")
-    sent_no, frame, predicate = int(m.group(1)), m.group(2), int(m.group(3))
+    try:
+        sent_no, frame, predicate = int(m.group(1)), m.group(2), int(m.group(3))
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"bad roles header {lines[0]!r}") from None
     roles: dict[str, set[Span]] = {}
     for line in lines[1:]:
         fields = line.split("\t")
@@ -401,7 +438,10 @@ def parse_roles_block(block: str) -> tuple[int, RoleAnnotation]:
             sm = _SPAN_RE.match(piece)
             if not sm:
                 raise FormatError(f"bad span {piece!r} in role line {line!r}")
-            spans.add((int(sm.group(1)), int(sm.group(2))))
+            try:
+                spans.add((int(sm.group(1)), int(sm.group(2))))
+            except ValueError:  # more digits than int() converts
+                raise FormatError(f"bad span {piece!r} in role line {line!r}") from None
         roles[label] = spans
     return sent_no, RoleAnnotation.make(frame, roles, predicate)
 

@@ -209,7 +209,7 @@ def test_undecodable_input_is_an_error_line_naming_the_file(fixture_dir, tmp_pat
     args = project_args(fixture_dir, tmp_path / "out.roles")
     k = args.index(flag) + 1
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(open(args[k], "rb").read().replace(b"\n", b"\xff\n", 1))
+    bad.write_bytes(Path(args[k]).read_bytes().replace(b"\n", b"\xff\n", 1))
     args[k] = str(bad)
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -390,6 +390,14 @@ def test_malformed_alignment_line_names_file_and_line(tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'align'}:2: malformed alignment pair '1:1'\n"
+
+
+def test_alignment_number_past_the_int_digit_limit_is_an_error_line(tmp_path, capsys):
+    pair = "0-" + "0" * 5000
+    args = two_sentence_inputs(tmp_path, align=f"0-0\n{pair}\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'align'}:2: malformed alignment pair {pair!r}\n"
 
 
 def test_bad_roles_block_names_file_and_block(tmp_path, capsys):

@@ -1,10 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import trees
 
 from roleproj.corpus import (
+    BiSentence,
+    Constituent,
+    ParseTree,
     RoleAnnotation,
+    Sentence,
+    Token,
     WordAlignment,
     alignment_to_line,
     parse_alignment,
@@ -155,6 +162,99 @@ def test_roles_block_parser_raises_only_toolkit_input_errors(lines, noise):
         pass
 
 
+def reference_parse_tree(line: str) -> ParseTree:
+    """The parser with one lexer token per bracket and atom, kept as the reference.
+
+    ``parse_tree`` lexes a whole preterminal ``(POS word)`` as one token and
+    computes offsets only when it raises; it must give the same trees and
+    the same error texts as this parser.
+    """
+    nodes, parents, tokens, stack = [], [], [], []
+    toks = re.compile(r"[()]|[^\s()]+").finditer(line)
+    for m in toks:
+        text, off = m.group(), m.start()
+        if not stack:
+            if nodes:
+                raise FormatError(f"trailing material at offset {off}")
+            if text != "(":
+                raise FormatError(f"expected '(' at offset {off}")
+        if text == "(":
+            if stack and stack[-1][2] is not None:
+                raise FormatError(f"child constituent after word at offset {off}")
+            label = next(toks, None)
+            if label is None or label.group() in ("(", ")"):
+                raise FormatError(f"expected node label at offset {off + 1}")
+            node_id = len(nodes)
+            nodes.append(None)
+            parents.append(stack[-1][0] if stack else None)
+            if stack:
+                stack[-1][3].append(node_id)
+            stack.append([node_id, label.group(), None, []])
+        elif text == ")":
+            node_id, label, word, child_ids = stack.pop()
+            if word is not None:
+                k = len(tokens)
+                tokens.append(Token(k, word, label))
+                nodes[node_id] = Constituent(node_id, label, (k, k), (), True)
+            elif child_ids:
+                lo = nodes[child_ids[0]].span[0]
+                hi = nodes[child_ids[-1]].span[1]
+                nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
+            else:
+                raise FormatError(f"empty constituent '{label}'")
+        else:
+            frame = stack[-1]
+            if frame[3]:
+                raise FormatError(f"word after child constituent at offset {off}")
+            if frame[2] is not None:
+                raise FormatError(f"second word under one preterminal at offset {off}")
+            frame[2] = text
+    if not nodes:
+        raise FormatError("empty tree line")
+    if stack:
+        raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
+    return ParseTree(Sentence(tuple(tokens)), tuple(nodes), tuple(parents))
+
+
+def parsed_or_error(parse, line):
+    try:
+        return parse(line)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def damaged_trees(draw):
+    """A well-formed tree line with a few characters of the fuzz alphabet inserted."""
+    text = draw(trees())
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(FUZZ_ALPHABET) + text[k:]
+    return text
+
+
+@given(st.one_of(fuzz_text, damaged_trees()))
+def test_parse_tree_equals_the_one_token_per_bracket_reference(text):
+    assert parsed_or_error(parse_tree, text) == parsed_or_error(reference_parse_tree, text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["( NN w )", "(NN\tw)", "((NN w))", "(NP w (NN x))", "(NN w)(NN x)", "(NN w x)",
+     "(NN (w))", "(NN w\xa0)", "(S (NN w) x)", "(S\u3000(NN w)\x1c(VB x) )"],
+)
+def test_preterminal_token_edge_cases_match_the_reference(line):
+    assert parsed_or_error(parse_tree, line) == parsed_or_error(reference_parse_tree, line)
+
+
+def test_tree_nodes_and_tokens_are_immutable():
+    tree = parse_tree("(NP (DT the) (NN butter))")
+    with pytest.raises(AttributeError):
+        tree.root.label = "VP"
+    with pytest.raises(AttributeError):
+        tree.sentence.tokens[0].surface = "a"
+
+
 def test_deep_unary_chain_parses_and_round_trips():
     depth = 5000
     text = "(S " * depth + "(NN a)" + ")" * depth
@@ -188,6 +288,31 @@ def test_parse_alignment_malformed():
 
 def test_parse_alignment_collapses_duplicates():
     assert len(parse_alignment("0-0 0-0", 1, 1).links) == 1
+
+
+HUGE = "1" + "0" * 5000  # past CPython's 4,300-digit int() conversion limit
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (lambda t: parse_alignment(t, 2, 2), f"0-{HUGE}", "malformed alignment pair '0-1000"),
+        (parse_roles_block, f"#0 F {HUGE}", "bad roles header '#0 F 1000"),
+        (parse_roles_block, f"#{HUGE} F 0", "bad roles header '#1000"),
+        (parse_roles_block, f"#0 F 0\nA\t0-{HUGE}", "bad span '0-1000"),
+    ],
+    ids=["alignment", "predicate", "sentence-number", "span"],
+)
+def test_numbers_with_too_many_digits_are_format_errors(parse, text, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+
+
+def test_numbers_with_leading_zeros_are_accepted():
+    assert parse_alignment("00-01", 2, 2).links == {(0, 1)}
+    sent_no, ann = parse_roles_block("#007 F 01\nA\t002-0003")
+    assert (sent_no, ann.predicate, ann.spans_of("A")) == (7, 1, {(2, 3)})
 
 
 links_strategy = st.frozensets(
@@ -338,3 +463,15 @@ def test_load_corpus_cross_checks_trees_against_tok(tmp_path):
             src_tok_path=tmp_path / "s.tok",
             tgt_tok_path=tmp_path / "t.tok",
         )
+
+
+def test_bisentence_rejects_a_tree_whose_words_differ_from_its_sentence():
+    tree = parse_tree("(S (NN a) (VB b))")
+    al = parse_alignment("0-0", 2, 2)
+    other = parse_tok_line("a_NN c_VB")
+    with pytest.raises(ValidationError, match="source tree tokens do not match the sentence"):
+        BiSentence(other, tree.sentence, al, src_tree=tree)
+    with pytest.raises(ValidationError, match="target tree tokens do not match the sentence"):
+        BiSentence(tree.sentence, other, al, tgt_tree=tree)
+    same_words = parse_tok_line("a_DT b_NN")
+    assert BiSentence(same_words, same_words, al, tree, tree).src is same_words
