@@ -6,8 +6,10 @@ are cross-checked against brute-force enumeration: costs for every class,
 and for ``edgecover`` also membership of the link set in the enumerated
 optimal minimal covers; the exit code is 1 if any check fails.  Larger
 ones report wall-clock time only, on dense random similarities and on
-tie-heavy ones rounded to k/d with d <= 6, as real Jaccard values are.  A size is N (square) or NxM, such as the
-argument-filtered 116x9.
+tie-heavy ones rounded to k/d with d <= 6, as real Jaccard values are.
+A size is N (square) or NxM, such as the argument-filtered 116x9 or the
+skewed 5001x2, whose cost must grow with the graph's n*m cells, not with
+the square of its larger side.
 """
 
 import argparse
@@ -44,7 +46,7 @@ def main():
     parser.add_argument("--oracle-instances", type=int, default=200)
     parser.add_argument(
         "--sizes", type=shape, nargs="+",
-        default=[(10, 10), (50, 50), (100, 100), (200, 200), (116, 9)],
+        default=[(10, 10), (50, 50), (100, 100), (200, 200), (116, 9), (5001, 2), (2, 5001)],
     )
     args = parser.parse_args()
 

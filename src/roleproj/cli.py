@@ -20,7 +20,7 @@ from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
 from .errors import ConfigError, OracleSizeError, ToolkitError, located
 from .evaluation import correspondence_stats, score, stratified_shuffling
 from .matcher import COST_ATOL, solve
-from .oracle import brute_force_optimum
+from .oracle import brute_force_optimum, enumerate_optimal_covers
 from .pipeline import DEFAULT_FILTER_FOR_MODEL, PipelineConfig, build_instance, run_corpus
 from .similarity import DEFAULT_CONTENT_PREFIXES
 
@@ -116,25 +116,46 @@ def _build_pipeline_config(args) -> PipelineConfig:
 
 
 def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
-    """Re-solve each small graph by brute force; cost gaps are hard failures."""
+    """Re-solve each small graph by brute force; a cost or link-set gap fails.
+
+    ``perfect`` and ``total`` must return exactly the oracle's link set;
+    an ``edgecover`` link set must be one of the optimal minimal covers.
+    """
     checked = 0
     for k, b in enumerate(bisentences):
         if cfg.model == "word" or b.src_tree is None or b.tgt_tree is None:
             continue
         with located(f"sentence {k} ({cfg.model})"):
             graph = build_instance(b, cfg).graph
-        if graph is None:
-            continue
-        try:
-            reference = brute_force_optimum(graph, cfg.model)
-        except OracleSizeError:
-            continue
-        got = solve(graph, cfg.model)
-        if abs(got.cost - reference.cost) > COST_ATOL:
-            raise ToolkitError(
-                f"sentence {k}: solver cost {got.cost!r} != oracle cost "
-                f"{reference.cost!r}"
-            )
+            if graph is None:
+                continue
+            try:
+                reference = brute_force_optimum(graph, cfg.model)
+            except OracleSizeError:
+                continue
+            got = solve(graph, cfg.model)
+            if abs(got.cost - reference.cost) > COST_ATOL:
+                raise ToolkitError(
+                    f"solver cost {got.cost!r} != oracle cost {reference.cost!r}"
+                )
+            if cfg.model == "edgecover":
+                # Optimal covers are gathered at the tests' tolerance: sums of
+                # 1e6-capped weights round at about 1e-10 per link, far below
+                # any gap between distinct sums of k/d similarity weights.
+                src, tgt = graph.sim.src_units, graph.sim.tgt_units
+                optimal = [
+                    {(src[i], tgt[j]) for i, j in cover}
+                    for cover in enumerate_optimal_covers(graph, 1e-6)
+                ]
+                if set(got.link_pairs()) not in optimal:
+                    raise ToolkitError(
+                        f"solver links {got.link_pairs()} are not an optimal minimal cover"
+                    )
+            elif got.link_pairs() != reference.link_pairs():
+                raise ToolkitError(
+                    f"solver links {got.link_pairs()} != oracle links "
+                    f"{reference.link_pairs()}"
+                )
         checked += 1
     return checked
 

@@ -28,10 +28,17 @@ implemented here without giving up exactness.
 
 ``lexmin_perfect_matching`` is that tie-break: one depth-first search per
 row, whose visited marks persist across the row's candidate columns
-because the matching changes only when the search succeeds.
+because the matching changes only when the search succeeds.  It runs on
+the k×m tight cells alone.  The padding nodes all cost 0 and have dual 0,
+so they are interchangeable: the padding side is kept implicit, as one
+virtual row or as one shared cursor over the rows that hold padding, and
+the work follows the k×m cells, not the square of the larger side.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 
@@ -125,14 +132,20 @@ def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray, tol=ADMISSI
     return (cost - u[:, None] - v[None, :]) <= tol
 
 
-def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarray:
+def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -> np.ndarray:
     """Lexicographically smallest perfect matching within the admissible graph.
 
-    ``col_of_row`` must be a perfect matching contained in ``adm`` (the LAP
-    solution is, by complementary slackness).  Rows are fixed in order; for
-    each row the smallest admissible column that still admits a completion
-    is kept, so the resulting link set is the lexicographic minimum among
-    all optimal matchings under (row, column) ordering.
+    ``adm`` is the n×m tight-cell matrix, standing for the max(n, m) square
+    whose |n - m| missing nodes ("padding") have cost 0 and dual 0.  A
+    padding node is tight against the larger-side nodes marked in ``pad``,
+    a boolean mask over that side; None marks none.  ``col_of_row`` is a
+    perfect matching of the square inside the admissible graph (the LAP
+    solution is, by complementary slackness), with -1 for a row that holds
+    a padding column.  Rows are fixed in order; for each the smallest
+    admissible column that still admits a completion is kept, padding
+    columns ranking after every real one.  The result, with -1 for rows
+    left on padding, is the lexicographic minimum among all optimal
+    matchings under (row, column) ordering.
 
     Row i moves off its current column ``home`` by one depth-first search,
     run only when some admissible column below ``home`` is not locked by an
@@ -143,26 +156,56 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
     change while the search runs, so a column from which ``home`` was
     unreachable for one candidate stays so for the next, and the visited
     marks persist across all of i's candidates.
+
+    Padding nodes are interchangeable, so the square is never built:
+
+    * n < m: one virtual row, index n, holds every column no real row
+      holds, and is adjacent to the ``pad`` columns.  A search goes on from
+      it only to ``pad`` columns that real rows hold; the others lead back
+      to it.  All its visits in a search share one iterator over them,
+      which a fresh iterator over the square's next padding row would only
+      repeat.
+    * n > m: the padding column a row r holds is numbered m + r.  Rows in
+      ``pad`` reach, after their real columns, one cursor per search over
+      the unlocked rows that hold padding; a row homed on padding yields
+      its own first, so reaching it closes the cycle.
     """
-    n = len(col_of_row)
-    match = [int(j) for j in col_of_row]
-    row_of = [-1] * n
-    for i, j in enumerate(match):
-        row_of[j] = i
-    locked = [False] * n
-    adm_cols = [np.flatnonzero(adm[i]).tolist() for i in range(n)]
+    n, m = adm.shape
+    pad = [False] * max(n, m) if pad is None else np.asarray(pad, dtype=bool).tolist()
+    pad_row = pad if n > m else [False] * n
+    tight_rows, tight_cols = np.nonzero(adm)
+    ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
+    flat = tight_cols.tolist()
+    adm_cols = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    # match[n] is the virtual row's slot; row_of[m + r] is r's padding column.
+    match = [int(j) for j in col_of_row] + [-1]
+    row_of = [n] * m + list(range(n))
+    for i, j in enumerate(match[:n]):
+        if j >= 0:
+            row_of[j] = i
+    # Locked columns stay marked; a search unmarks what it visited.
+    seen = [False] * (m + n)
 
     for i in range(n):
-        home = match[i]
-        below = [c for c in adm_cols[i][: adm_cols[i].index(home)] if not locked[c]]
+        home = match[i] if match[i] >= 0 else m + i
+        below = [c for c in adm_cols[i][: bisect_left(adm_cols[i], home)] if not seen[c]]
         if below:
+            if n <= m:
+                # The virtual row's columns that lead on to a real row.
+                shared = (match[r] for r in range(i, n) if pad[match[r]])
+            else:
+                shared = chain(
+                    (home,) if home >= m else (),
+                    (m + r for r in range(i + 1, n) if match[r] < 0),
+                )
             # rows[k] was reached through column path[k - 1], and todo[k]
             # holds the columns of rows[k] not tried yet.
-            seen = locked.copy()
-            rows, todo, path = [i], [iter(below)], []
+            rows, todo, path, visited = [i], [iter(below)], [], []
             while rows:
-                j = next((c for c in todo[-1] if not seen[c]), -1)
-                if j < 0:
+                for j in todo[-1]:
+                    if not seen[j]:
+                        break
+                else:
                     rows.pop()
                     todo.pop()
                     if path:
@@ -171,11 +214,24 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray) -> np.ndarr
                 path.append(j)
                 if j == home:
                     for r, c in zip(rows, path):
-                        match[r] = c
-                        row_of[c] = r
+                        if c < m:
+                            match[r] = c
+                            row_of[c] = r
+                        else:
+                            match[r] = -1
                     break
                 seen[j] = True
-                rows.append(row_of[j])
-                todo.append(iter(adm_cols[row_of[j]]))
-        locked[match[i]] = True
-    return np.array(match, dtype=int)
+                visited.append(j)
+                r = row_of[j]
+                rows.append(r)
+                if r == n:
+                    todo.append(shared)
+                elif pad_row[r]:
+                    todo.append(chain(adm_cols[r], shared))
+                else:
+                    todo.append(iter(adm_cols[r]))
+            for c in visited:
+                seen[c] = False
+        if match[i] >= 0:
+            seen[match[i]] = True
+    return np.array(match[:n], dtype=int)

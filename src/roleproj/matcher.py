@@ -27,7 +27,8 @@ units:
 All solvers are deterministic.  ``perfect`` and ``total`` return the
 lexicographically smallest optimal link set under (source index, target
 index) ordering; for ``perfect`` it is computed by ``_lexmin_matching`` on
-the tight-cell graph of the assignment duals.  ``edgecover`` applies the
+the n×m tight-cell graph of the assignment duals, with the padding that
+squares it left implicit.  ``edgecover`` applies the
 same canonicalization to the reduced-cost matching before decoding, which
 yields an optimal minimal cover that is not always the lexicographically
 smallest one.
@@ -38,6 +39,7 @@ sim = 0.0; projection drops them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,32 +116,27 @@ def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     """Lexicographically smallest minimum-cost matching of the smaller side.
 
     ``cost`` is n×m.  The assignment runs on the min(n, m)-row orientation;
-    the tie-break runs source-major on the max(n, m) square padded with
-    zero-cost cells.  Padding keeps the duals optimal because they are zero
-    on unmatched units and non-positive on the larger side, so unmatched
-    units are tight against every padding cell.  This is the one place a
-    padded matrix is built.
+    the tie-break runs source-major on the n×m tight-cell graph, standing
+    for the max(n, m) square padded with zero-cost cells.  Padding keeps
+    the duals optimal because they are zero on unmatched units and
+    non-positive on the larger side, so unmatched units are tight against
+    every padding cell.  A padding cell is tight against a larger-side unit
+    of dual d when 0 - d <= ADMISSIBLE_TOL, the test the square would apply
+    to it; ``lap.lexmin_perfect_matching`` takes those units as a mask and
+    never builds the square.
     """
     n, m = cost.shape
-    size = max(n, m)
     if n <= m:
-        col_of_row, row_dual, col_dual = lap.solve_lap(cost)
+        col_of_row, u, v = lap.solve_lap(cost)
+        pad = -v <= lap.ADMISSIBLE_TOL
     else:
-        row_of_col, col_dual, row_dual = lap.solve_lap(cost.T)
+        row_of_col, v, u = lap.solve_lap(cost.T)
         col_of_row = np.full(n, -1, dtype=int)
         col_of_row[row_of_col] = np.arange(m)
-    square = np.zeros((size, size))
-    square[:n, :m] = cost
-    u = np.zeros(size)
-    u[:n] = row_dual
-    v = np.zeros(size)
-    v[:m] = col_dual
-    match = np.full(size, -1, dtype=int)
-    match[:n] = col_of_row
-    match[match == -1] = np.setdiff1d(np.arange(size), match)
-    adm = lap.admissible_cells(square, u, v)
-    match = lap.lexmin_perfect_matching(adm, match)
-    return [(i, int(j)) for i, j in enumerate(match[:n]) if j < m]
+        pad = -u <= lap.ADMISSIBLE_TOL
+    adm = lap.admissible_cells(cost, u, v)
+    match = lap.lexmin_perfect_matching(adm, col_of_row, pad)
+    return [(i, int(j)) for i, j in enumerate(match) if j >= 0]
 
 
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
@@ -173,23 +170,25 @@ def _strip_redundant_links(W: np.ndarray, pairs: set) -> set:
     An optimal cover can contain such a link only when it has (near-)zero
     weight; dropping it preserves cost and restores the property that no
     link is many-to-many.  Largest links are dropped first so the surviving
-    set stays lexicographically small.
+    set stays lexicographically small: one scan in descending order drops
+    each zero-weight link whose endpoints both still have degree >= 2.
+    Degrees only fall, so a link kept by the scan never becomes removable
+    later, and the scan removes what dropping the largest removable link,
+    again and again, would.
     """
-    pairs = set(pairs)
-    while True:
-        deg_s, deg_t = {}, {}
-        for i, j in pairs:
-            deg_s[i] = deg_s.get(i, 0) + 1
-            deg_t[j] = deg_t.get(j, 0) + 1
-        redundant = [(i, j) for i, j in pairs if deg_s[i] >= 2 and deg_t[j] >= 2]
-        if not redundant:
-            return pairs
-        removable = [p for p in redundant if W[p] <= COST_ATOL]
-        if not removable:
-            raise ValidationError(
-                "edge cover decode produced a positive-weight many-to-many link"
-            )
-        pairs.remove(max(removable))
+    deg_s = Counter(i for i, _ in pairs)
+    deg_t = Counter(j for _, j in pairs)
+    kept = set(pairs)
+    for i, j in sorted(pairs, reverse=True):
+        if deg_s[i] >= 2 and deg_t[j] >= 2 and W[i, j] <= COST_ATOL:
+            kept.remove((i, j))
+            deg_s[i] -= 1
+            deg_t[j] -= 1
+    if any(deg_s[i] >= 2 and deg_t[j] >= 2 for i, j in kept):
+        raise ValidationError(
+            "edge cover decode produced a positive-weight many-to-many link"
+        )
+    return kept
 
 
 def _check_cover(n: int, m: int, pairs) -> None:

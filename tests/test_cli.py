@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -89,18 +90,47 @@ def test_project_emits_manifest_with_digests(fixture_dir, tmp_path):
         assert len(record["sha256"]) == 64
 
 
-def test_project_oracle_flag_passes_on_toy_corpus(fixture_dir, tmp_path, capsys):
-    out = tmp_path / "out.roles"
-    args = [
-        "project", "--model", "edgecover", "--filter", "arg", "--oracle",
+def toy_oracle_args(fixture_dir, out, model):
+    return [
+        "project", "--model", model, "--filter", "arg", "--oracle",
         "--src-trees", toy(fixture_dir, "src.trees"),
         "--tgt-trees", toy(fixture_dir, "tgt.trees"),
         "--align", toy(fixture_dir, "align"),
         "--src-roles", toy(fixture_dir, "src.roles"),
         "--out", str(out),
     ]
-    assert main(args) == 0
+
+
+def test_project_oracle_flag_passes_on_toy_corpus(fixture_dir, tmp_path, capsys):
+    assert main(toy_oracle_args(fixture_dir, tmp_path / "out.roles", "edgecover")) == 0
     assert "oracle check passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", ["perfect", "total"])
+def test_oracle_flag_passes_the_other_models_on_toy_corpus(fixture_dir, tmp_path, capsys, model):
+    # Sentence 3's 11x3 graph is above the oracle's size guard.
+    assert main(toy_oracle_args(fixture_dir, tmp_path / "out.roles", model)) == 0
+    assert "oracle check passed on 4 sentence(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", ["perfect", "edgecover", "total"])
+def test_oracle_flag_fails_on_links_other_than_the_oracles(
+    fixture_dir, tmp_path, capsys, monkeypatch, model
+):
+    # The cost is the optimum's, so only the link-set check can catch it.
+    import roleproj.cli as cli
+
+    solve = cli.solve
+
+    def one_link_short(graph, constraint_class):
+        got = solve(graph, constraint_class)
+        return dataclasses.replace(got, links=got.links[1:])
+
+    monkeypatch.setattr(cli, "solve", one_link_short)
+    assert main(toy_oracle_args(fixture_dir, tmp_path / "out.roles", model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sentence 0 ({model}): solver links ")
+    assert "Traceback" not in err
 
 
 def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):

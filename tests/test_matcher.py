@@ -1,12 +1,17 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_sim, sim_matrix
-from roleproj.errors import DegenerateGraphError, OracleSizeError
+from roleproj import lap
+from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
+    COST_ATOL,
+    _lexmin_matching,
+    _strip_redundant_links,
     build_graph,
     dump_weight_table,
     solve,
@@ -334,6 +339,99 @@ def test_perfect_tie_break_does_not_depend_on_the_dual():
             padded[:n, :m] = g.weights
             ref = lexmin_optimal_assignment(padded, linear_sum_assignment)
             assert links == {(i, int(j)) for i, j in enumerate(ref) if i < n and j < m}
+
+
+def square_lexmin_matching(cost):
+    """The tie-break on the max(n, m) square padded with zero-cost cells."""
+    n, m = cost.shape
+    size = max(n, m)
+    if n <= m:
+        col_of_row, row_dual, col_dual = lap.solve_lap(cost)
+    else:
+        row_of_col, col_dual, row_dual = lap.solve_lap(cost.T)
+        col_of_row = np.full(n, -1, dtype=int)
+        col_of_row[row_of_col] = np.arange(m)
+    square = np.zeros((size, size))
+    square[:n, :m] = cost
+    u = np.zeros(size)
+    u[:n] = row_dual
+    v = np.zeros(size)
+    v[:m] = col_dual
+    match = np.full(size, -1, dtype=int)
+    match[:n] = col_of_row
+    match[match == -1] = np.setdiff1d(np.arange(size), match)
+    adm = lap.admissible_cells(square, u, v)
+    match = lap.lexmin_perfect_matching(adm, match)
+    return [(i, int(j)) for i, j in enumerate(match[:n]) if j < m]
+
+
+def test_tie_break_without_padding_equals_the_padded_square():
+    # Tie-heavy k/d similarities, d <= 6, many of them zero; on the raw
+    # weights as `perfect` solves them and on the Gallai matrices of
+    # `edgecover`, whose zero cells tie everywhere.
+    rng = np.random.default_rng(71)
+    shapes = [(n, m) for n in range(1, 13) for m in range(1, 13) for _ in range(3)]
+    shapes += [(116, 9), (9, 116), (50, 7), (7, 50), (120, 118)]
+    for n, m in shapes:
+        d = rng.integers(1, 7, size=(n, m))
+        sim = rng.integers(0, d + 1) / d
+        sim[rng.random((n, m)) < rng.uniform(0.0, 0.9)] = 0.0
+        W = to_weights(sim_matrix(sim), BIG)
+        gallai = np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
+        for cost in (W, gallai):
+            assert _lexmin_matching(cost) == square_lexmin_matching(cost), (n, m)
+
+
+@pytest.mark.parametrize("shape", [(5001, 2), (2, 5001)])
+@pytest.mark.parametrize("model", ["perfect", "edgecover"])
+def test_skewed_graphs_solve_without_a_square(shape, model):
+    # A max(n, m)^2 square of floats alone is 200 MB here.
+    g = build_graph(random_sim(np.random.default_rng(73), *shape), BIG)
+    tracemalloc.start()
+    try:
+        solve(g, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def strip_redundant_links_by_loop(W, pairs):
+    """Drop the largest removable link and recount degrees, until none is left."""
+    pairs = set(pairs)
+    while True:
+        deg_s, deg_t = {}, {}
+        for i, j in pairs:
+            deg_s[i] = deg_s.get(i, 0) + 1
+            deg_t[j] = deg_t.get(j, 0) + 1
+        redundant = [(i, j) for i, j in pairs if deg_s[i] >= 2 and deg_t[j] >= 2]
+        if not redundant:
+            return pairs
+        removable = [p for p in redundant if W[p] <= COST_ATOL]
+        if not removable:
+            raise ValidationError(
+                "edge cover decode produced a positive-weight many-to-many link"
+            )
+        pairs.remove(max(removable))
+
+
+def test_strip_redundant_links_equals_the_removal_loop():
+    rng = np.random.default_rng(79)
+    raised = 0
+    for _ in range(3000):
+        n, m = (int(x) for x in rng.integers(1, 7, size=2))
+        W = rng.choice([0.0, 1e-10, 0.5, 1.0], size=(n, m), p=[0.4, 0.2, 0.2, 0.2])
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        pairs = {cells[k] for k in np.flatnonzero(rng.random(len(cells)) < rng.uniform(0.2, 0.9))}
+        try:
+            expected = strip_redundant_links_by_loop(W, pairs)
+        except ValidationError as exc:
+            raised += 1
+            with pytest.raises(ValidationError, match=str(exc)):
+                _strip_redundant_links(W, pairs)
+        else:
+            assert _strip_redundant_links(W, pairs) == expected
+    assert 0 < raised < 3000
 
 
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
