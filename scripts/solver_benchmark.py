@@ -3,13 +3,15 @@
 
 Small instances, with sides up to MAX_CELLS and at most MAX_CELLS cells,
 are cross-checked against brute-force enumeration: costs for every class,
-and for ``edgecover`` also membership of the link set in the enumerated
-optimal minimal covers; the exit code is 1 if any check fails.  Larger
-ones report wall-clock time only, on dense random similarities and on
-tie-heavy ones rounded to k/d with d <= 6, as real Jaccard values are.
-A size is N (square) or NxM, such as the argument-filtered 116x9 or the
-skewed 5001x2, whose cost must grow with the graph's n*m cells, not with
-the square of its larger side.
+for ``perfect`` and ``total`` the exact link set of the oracle, as
+``roleproj project --oracle`` requires, and for ``edgecover`` membership
+of the link set in the enumerated optimal minimal covers; the exit code is
+1 if any check fails.  Larger ones report wall-clock time only, on dense
+random similarities and on tie-heavy ones rounded to k/d with d <= 6, as
+real Jaccard values are.  A size is N (square) or NxM, such as the
+argument-filtered 116x9, the median ``perfect`` graph of a 50-70 token
+sentence pair (114x120), or the skewed 5001x2, whose cost must grow with
+the graph's n*m cells, not with the square of its larger side.
 """
 
 import argparse
@@ -46,14 +48,17 @@ def main():
     parser.add_argument("--oracle-instances", type=int, default=200)
     parser.add_argument(
         "--sizes", type=shape, nargs="+",
-        default=[(10, 10), (50, 50), (100, 100), (200, 200), (116, 9), (5001, 2), (2, 5001)],
+        default=[
+            (10, 10), (50, 50), (100, 100), (114, 120), (200, 200), (1000, 1000),
+            (116, 9), (5001, 2), (2, 5001),
+        ],
     )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
 
     print(f"cross-checking {args.oracle_instances} small instances against brute force")
-    mismatches = not_optimal_covers = 0
+    mismatches = link_mismatches = not_optimal_covers = 0
     for _ in range(args.oracle_instances):
         n = int(rng.integers(1, MAX_CELLS + 1))
         m = int(rng.integers(1, MAX_CELLS // n + 1))
@@ -62,11 +67,16 @@ def main():
         g = build_graph(random_matrix(rng, n, m), 1e6)
         for cls in ("perfect", "edgecover", "total"):
             solved = solve(g, cls)
-            if abs(solved.cost - brute_force_optimum(g, cls).cost) > 1e-9:
+            reference = brute_force_optimum(g, cls)
+            if abs(solved.cost - reference.cost) > 1e-9:
                 mismatches += 1
-            if cls == "edgecover" and frozenset(solved.link_pairs()) not in enumerate_optimal_covers(g):
-                not_optimal_covers += 1
+            if cls == "edgecover":
+                if frozenset(solved.link_pairs()) not in enumerate_optimal_covers(g):
+                    not_optimal_covers += 1
+            elif solved.link_pairs() != reference.link_pairs():
+                link_mismatches += 1
     print(f"  cost mismatches: {mismatches}")
+    print(f"  perfect/total link sets other than the oracle's: {link_mismatches}")
     print(f"  edge covers outside the optimal minimal set: {not_optimal_covers}")
 
     for n, m in args.sizes:
@@ -79,7 +89,7 @@ def main():
                 elapsed = time.perf_counter() - start
                 row.append(f"{cls}: {elapsed * 1000:8.1f}ms (cost {solved.cost:10.3f})")
             print("  ".join(row))
-    return 1 if mismatches or not_optimal_covers else 0
+    return 1 if mismatches or link_mismatches or not_optimal_covers else 0
 
 
 if __name__ == "__main__":

@@ -4,19 +4,27 @@
 
 * Warm start.  Each row potential starts at its row minimum and every
   column potential at zero; in row order, each row takes the
-  smallest-index free column that attains its minimum.
+  smallest-index free column that attains its minimum.  A row whose first
+  minimum is still free takes it in plain Python; only a row whose first
+  minimum is taken searches its other minima.
 * Lazy-dual augmenting paths (Crouse 2016, "On implementing 2D
   rectangular assignment algorithms", the algorithm behind scipy's
   ``linear_sum_assignment``).  Each row still free runs one Dijkstra
   phase over reduced costs; the potentials of the rows and columns it
-  scanned are updated once, when the phase ends.
+  scanned are updated once, when the phase ends.  A step keeps only the
+  distances; each step's reduced-cost row goes into a scratch matrix, and
+  when the phase ends the augmenting path is read back from it: a column
+  was reached from the first step that attained its final distance.
 * Exact-tie free-column preference.  When the closest unscanned column is
   already assigned, the first free column at exactly the same distance is
-  taken instead, which ends the phase.  Jaccard weights are rationals with
-  small denominators and every zero similarity weighs the same cap, so
-  such ties are common; equality is exact, so optimality is not traded
-  for speed.
+  taken instead, which ends the phase.  It is the argmin of the distances
+  plus a penalty that is 0 on free columns and +inf on assigned ones.
+  Jaccard weights are rationals with small denominators and every zero
+  similarity weighs the same cap, so such ties are common; equality is
+  exact, so optimality is not traded for speed.
 
+Each Dijkstra step costs a handful of numpy calls on one row, so on graphs
+of about a hundred units the time goes to call overhead, not vector width.
 The worst case is O(k^2 m).  The potentials returned satisfy
 u[i] + v[j] <= cost[i, j] with equality on matched cells; v is
 non-positive and zero on unmatched columns.  That lets the caller recover
@@ -66,46 +74,58 @@ def solve_lap(cost: np.ndarray):
         raise ValueError("cost matrix entries must be finite")
 
     # Warm start: each row at its minimum, taking the first free column there.
+    # A row whose first minimum is free takes it with no vector operation;
+    # only one whose first minimum is taken searches its minima for a free one.
     u = cost.min(axis=1)
     v = np.zeros(m)
-    col_of_row = np.full(n, -1, dtype=int)
-    row_of = np.full(m, -1, dtype=int)
+    col_of_row = [-1] * n
+    row_of = [-1] * m
     free = np.ones(m, dtype=bool)
     at_min = cost == u[:, None]
-    for i in range(n):
-        j = int(np.argmax(at_min[i] & free))
-        if at_min[i, j] and free[j]:
-            col_of_row[i] = j
-            row_of[j] = i
-            free[j] = False
+    first = at_min.argmax(axis=1).tolist()
+    for i, j in enumerate(first):
+        if row_of[j] >= 0:
+            j = int(np.argmax(at_min[i] & free))
+            if not at_min[i, j] or row_of[j] >= 0:
+                continue
+        col_of_row[i] = j
+        row_of[j] = i
+        free[j] = False
+    # 0 on free columns and +inf on assigned ones: argmin(shortest + taken)
+    # is the first free column at the least distance.
+    taken = np.where(free, 0.0, np.inf)
 
     # One Dijkstra phase per row left free; `shortest` holds distances over
-    # the phase-start reduced costs, `path` the row each column is reached from.
+    # the phase-start reduced costs.  Step k of a phase writes its row's
+    # reduced costs into reach[k], from which the path is rebuilt when the
+    # phase ends; a phase scans each row at most once, so n rows suffice.
     shortest = np.empty(m)
-    path = np.empty(m, dtype=int)
-    for start in np.flatnonzero(col_of_row < 0).tolist():
+    reach = np.empty((n, m))
+    for start in [i for i, j in enumerate(col_of_row) if j < 0]:
         shortest.fill(np.inf)
         # Scanned columns get v = -inf here, so their reduced cost is +inf
-        # and later rows can no longer lower their distance or path.
+        # and later rows can no longer lower their distance.
         open_v = v.copy()
-        scanned, dists = [], []
+        rows, scanned, dists = [start], [], []
         i, min_val = start, 0.0
         while True:
-            r = cost[i] - open_v
+            r = reach[len(scanned)]
+            np.subtract(cost[i], open_v, out=r)
             r += min_val - u[i]
-            np.copyto(path, i, where=r < shortest)
             np.minimum(shortest, r, out=shortest)
             j = int(shortest.argmin())
             min_val = float(shortest[j])
             if row_of[j] >= 0:
-                ties = np.flatnonzero((shortest == min_val) & (row_of < 0))
-                if ties.size:
-                    j = int(ties[0])
+                # Prefer the first free column at exactly the same distance.
+                f = int((shortest + taken).argmin())
+                if shortest[f] == min_val:
+                    j = f
             scanned.append(j)
             dists.append(min_val)
-            if row_of[j] < 0:
+            i = row_of[j]
+            if i < 0:
                 break
-            i = int(row_of[j])
+            rows.append(i)
             shortest[j] = np.inf
             open_v[j] = -np.inf
 
@@ -114,17 +134,28 @@ def solve_lap(cost: np.ndarray):
         cols = np.array(scanned)
         slack = np.maximum(min_val - np.array(dists), 0.0)
         u[start] += min_val
-        u[row_of[cols[:-1]]] += slack[:-1]
+        u[rows[1:]] += slack[:-1]
         v[cols] -= slack
 
-        j = scanned[-1]
+        # Augment.  A column was reached from the first step that attained
+        # its final distance, the row a strict `<` update on every step would
+        # have kept; after a column is scanned its entries read +inf.  Step
+        # k's row was reached through scanned[k - 1], so the path walks back
+        # along step indices, from the free column to the start row.  Each
+        # path column takes its own argmin: one over axis 0 of the whole
+        # block would copy it transposed, up to another k×m floats.
+        s = len(scanned) - 1
+        taken[scanned[s]] = np.inf
         while True:
-            i = int(path[j])
+            j = scanned[s]
+            k = int(reach[: s + 1, j].argmin())
+            i = rows[k]
             row_of[j] = i
-            col_of_row[i], j = j, int(col_of_row[i])
-            if i == start:
+            col_of_row[i] = j
+            if k == 0:
                 break
-    return col_of_row, u, v
+            s = k - 1
+    return np.array(col_of_row, dtype=int), u, v
 
 
 def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray, tol=ADMISSIBLE_TOL):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,128 @@ def test_solve_lap_shapes():
         solve_lap(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         solve_lap(np.array([[np.inf, 0.0]]))
+
+
+# The solver before the per-phase path rebuild, verbatim: it updates the
+# path on every step and tests free columns with a mask.
+def reference_solve_lap(cost: np.ndarray):
+    """Return (col_of_row, u, v) for a minimum-cost assignment of every row.
+
+    ``cost`` is k×m with k <= m and finite entries; each row gets its own
+    column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(
+            f"cost matrix must have no more rows than columns, got {cost.shape}"
+        )
+    n, m = cost.shape
+    if n == 0:
+        return np.empty(0, dtype=int), np.empty(0), np.zeros(m)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix entries must be finite")
+
+    # Warm start: each row at its minimum, taking the first free column there.
+    u = cost.min(axis=1)
+    v = np.zeros(m)
+    col_of_row = np.full(n, -1, dtype=int)
+    row_of = np.full(m, -1, dtype=int)
+    free = np.ones(m, dtype=bool)
+    at_min = cost == u[:, None]
+    for i in range(n):
+        j = int(np.argmax(at_min[i] & free))
+        if at_min[i, j] and free[j]:
+            col_of_row[i] = j
+            row_of[j] = i
+            free[j] = False
+
+    # One Dijkstra phase per row left free; `shortest` holds distances over
+    # the phase-start reduced costs, `path` the row each column is reached from.
+    shortest = np.empty(m)
+    path = np.empty(m, dtype=int)
+    for start in np.flatnonzero(col_of_row < 0).tolist():
+        shortest.fill(np.inf)
+        # Scanned columns get v = -inf here, so their reduced cost is +inf
+        # and later rows can no longer lower their distance or path.
+        open_v = v.copy()
+        scanned, dists = [], []
+        i, min_val = start, 0.0
+        while True:
+            r = cost[i] - open_v
+            r += min_val - u[i]
+            np.copyto(path, i, where=r < shortest)
+            np.minimum(shortest, r, out=shortest)
+            j = int(shortest.argmin())
+            min_val = float(shortest[j])
+            if row_of[j] >= 0:
+                ties = np.flatnonzero((shortest == min_val) & (row_of < 0))
+                if ties.size:
+                    j = int(ties[0])
+            scanned.append(j)
+            dists.append(min_val)
+            if row_of[j] < 0:
+                break
+            i = int(row_of[j])
+            shortest[j] = np.inf
+            open_v[j] = -np.inf
+
+        # Distances grow along a phase; the clamp keeps float rounding
+        # from pushing a column potential above zero.
+        cols = np.array(scanned)
+        slack = np.maximum(min_val - np.array(dists), 0.0)
+        u[start] += min_val
+        u[row_of[cols[:-1]]] += slack[:-1]
+        v[cols] -= slack
+
+        j = scanned[-1]
+        while True:
+            i = int(path[j])
+            row_of[j] = i
+            col_of_row[i], j = j, int(col_of_row[i])
+            if i == start:
+                break
+    return col_of_row, u, v
+
+
+def tie_heavy_costs(rng, k, m):
+    """Raw weights and their Gallai matrix, k/d similarities with d <= 6.
+
+    About 15% of the rows and of the columns have no positive similarity,
+    so they weigh the cap against every unit of the other side.
+    """
+    d = rng.integers(1, 7, size=(k, m))
+    sim = rng.integers(0, d + 1) / d
+    sim[rng.random(k) < 0.15] = 0.0
+    sim[:, rng.random(m) < 0.15] = 0.0
+    W = to_weights(SimilarityMatrix(tuple(range(k)), tuple(range(m)), sim), 1e6)
+    return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
+
+
+def test_solve_lap_equals_the_reference_bit_for_bit():
+    # Same assignment and the same duals to the last bit, so the tight
+    # graph, the tie-break and every output byte downstream are unchanged.
+    rng = np.random.default_rng(59)
+    shapes = [(k, m) for m in range(1, 13) for k in range(1, m + 1) for _ in range(10)]
+    shapes += [(114, 120), (47, 51), (8, 116), (1, 150), (150, 150)] * 3
+    for k, m in shapes:
+        for cost in tie_heavy_costs(rng, k, m):
+            got, want = solve_lap(cost), reference_solve_lap(cost)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (k, m)
+
+
+def test_solve_lap_memory_stays_below_twice_the_cost_matrix():
+    # Every permutation of the outer sum is optimal, and its phases scan up
+    # to every matched row: the worst case for a per-step or per-phase buffer.
+    a = np.arange(600.0)
+    for cost in (np.random.default_rng(61).random((600, 600)), np.add.outer(a, a)):
+        tracemalloc.start()
+        try:
+            solve_lap(cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cost.nbytes
 
 
 def test_lexmin_on_long_cycle_needs_no_recursion():
