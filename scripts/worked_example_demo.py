@@ -11,8 +11,8 @@ from roleproj.pipeline import PipelineConfig, build_instance, run_pipeline
 
 def main():
     b = fixtures.figure1_bisentence()
-    print("source:", " ".join(t.surface for t in b.src.tokens))
-    print("target:", " ".join(t.surface for t in b.tgt.tokens))
+    print("source:", " ".join(b.src.surfaces))
+    print("target:", " ".join(b.tgt.surfaces))
     print("links: ", " ".join(f"{s}-{t}" for s, t in sorted(b.alignment.links)))
     print("gold:  ", serialize_roles(b.tgt_roles).replace("\n", "  "))
     print()

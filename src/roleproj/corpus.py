@@ -29,8 +29,15 @@ Tree lines are split by one regular expression into tokens and parsed in a
 single pass over them.  A whole preterminal ``(POS word)`` is one token, so
 about half the nodes of a tree cost one loop step; other tokens are a
 bracket or an atom.  The character offsets in tree errors are computed only
-when an error is raised.  Tree nodes and tokens are named tuples:
-immutable, and cheaper to build than frozen dataclasses.
+when an error is raised.
+
+Sentences and trees hold no Python object per token or node.  A
+``Sentence`` is two parallel tuples, surfaces and tags, indexed by token
+position; a ``ParseTree`` is one tuple per node attribute (label, span,
+parent, children), indexed by preorder node id, plus each token's
+preterminal.  A collection stops tracking a tuple that holds only strings,
+ints and untracked tuples, so a loaded corpus keeps a few tracked objects
+per sentence whatever the sentence length.
 
 The whole-file readers and ``load_corpus`` prefix every error with where it
 happened: ``path:line:`` for tree, token and alignment lines,
@@ -45,90 +52,48 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ConfigError, FormatError, ValidationError, located
 
 Span = tuple[int, int]
 
 
-class Token(NamedTuple):
-    index: int
-    surface: str
-    pos: str
-
-
 @dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    """The tokens of a sentence as two parallel tuples, indexed by position."""
+
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.tokens:
+        if not self.surfaces:
             raise ValidationError("sentence must contain at least one token")
-        for k, tok in enumerate(self.tokens):
-            if tok.index != k:
-                raise ValidationError(
-                    f"token index {tok.index} at position {k}: indices must be 0..n-1"
-                )
+        if len(self.surfaces) != len(self.tags):
+            raise ValidationError(
+                f"{len(self.surfaces)} surfaces but {len(self.tags)} tags: "
+                "a sentence needs one tag per token"
+            )
 
     def __len__(self):
-        return len(self.tokens)
-
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-
-class Constituent(NamedTuple):
-    """One tree node. ``span`` is an inclusive token interval."""
-
-    id: int
-    label: str
-    span: Span
-    children: tuple[int, ...]
-    is_terminal: bool
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
 class ParseTree:
+    """A constituency tree as parallel tuples indexed by preorder node id.
+
+    Node 0 is the root.  ``spans[n]`` is node n's inclusive token interval,
+    ``parents[n]`` its parent (``None`` at the root) and ``children[n]`` its
+    child ids, left to right; ``children[n] == ()`` marks a preterminal,
+    whose label is the token's tag.  ``preterminals[i]`` is token i's node.
+    """
+
     sentence: Sentence
-    nodes: tuple[Constituent, ...]  # preorder, nodes[i].id == i, root is nodes[0]
+    labels: tuple[str, ...]
+    spans: tuple[Span, ...]
     parents: tuple[int | None, ...]
-
-    @property
-    def root(self) -> Constituent:
-        return self.nodes[0]
-
-    def node(self, node_id: int) -> Constituent:
-        return self.nodes[node_id]
-
-    def node_ids(self) -> range:
-        return range(len(self.nodes))
-
-    def parent(self, node_id: int) -> int | None:
-        return self.parents[node_id]
-
-    def ancestors(self, node_id: int) -> list[int]:
-        """Parent chain from immediate parent up to the root."""
-        chain = []
-        p = self.parents[node_id]
-        while p is not None:
-            chain.append(p)
-            p = self.parents[p]
-        return chain
-
-    def preterminal_at(self, token_index: int) -> int:
-        for node in self.nodes:
-            if node.is_terminal and node.span == (token_index, token_index):
-                return node.id
-        raise ValidationError(f"no preterminal covers token {token_index}")
-
-
-def yield_of(tree: ParseTree, node: Constituent | int) -> frozenset[int]:
-    """Token indices dominated by a node."""
-    if isinstance(node, int):
-        node = tree.node(node)
-    lo, hi = node.span
-    return frozenset(range(lo, hi + 1))
+    children: tuple[tuple[int, ...], ...]
+    preterminals: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -225,7 +190,7 @@ class BiSentence:
         for tree, sent, side in ((self.src_tree, self.src, "source"),
                                  (self.tgt_tree, self.tgt, "target")):
             if (tree is not None and tree.sentence is not sent
-                    and tree.sentence.surfaces() != sent.surfaces()):
+                    and tree.sentence.surfaces != sent.surfaces):
                 raise ValidationError(f"{side} tree tokens do not match the sentence")
         for ann, sent, side in ((self.src_roles, self.src, "source"),
                                 (self.tgt_roles, self.tgt, "target")):
@@ -265,69 +230,85 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     constituents, so tree depth is bounded by memory, not by the
     interpreter's recursion limit.
     """
-    nodes: list[Constituent | None] = []  # preorder; filled when a node closes
+    labels: list[str] = []  # preorder, like the other per-node lists
+    spans: list[Span | None] = []  # a constituent's span is set when it closes
     parents: list[int | None] = []
-    tokens: list[Token] = []
-    # One [node_id, label, has_word, child_ids] frame per open constituent.
+    children: list[tuple[int, ...] | None] = []
+    surfaces: list[str] = []
+    tags: list[str] = []
+    preterminals: list[int] = []
+    # One [node_id, has_word, child_ids] frame per open constituent.
     # A frame gets a word only in a malformed preterminal, which the next
     # token rejects: a well-formed one is a single lexer token.
     stack: list[list] = []
     lexed = enumerate(_TREE_TOKEN_RE.findall(line))
     for k, (pos, word, text) in lexed:
-        if not stack and nodes:
+        if not stack and labels:
             raise FormatError(f"trailing material at offset {_token_offset(line, k)}")
         if pos or text == "(":
-            node_id = len(nodes)
+            node_id = len(labels)
             if stack:
                 frame = stack[-1]
-                if frame[2]:
+                if frame[1]:
                     raise FormatError(
                         f"child constituent after word at offset {_token_offset(line, k)}"
                     )
-                frame[3].append(node_id)
+                frame[2].append(node_id)
                 parents.append(frame[0])
             else:
                 parents.append(None)
             if pos:
-                i = len(tokens)
-                tokens.append(Token(i, word, pos))
-                nodes.append(Constituent(node_id, pos, (i, i), (), True))
+                i = len(surfaces)
+                surfaces.append(word)
+                tags.append(pos)
+                preterminals.append(node_id)
+                labels.append(pos)
+                spans.append((i, i))
+                children.append(())
             else:
                 _, (_, _, label) = next(lexed, (k, ("", "", "")))
                 if label in ("", "(", ")"):  # "" is a preterminal token or the end
                     raise FormatError(
                         f"expected node label at offset {_token_offset(line, k) + 1}"
                     )
-                nodes.append(None)
-                stack.append([node_id, label, False, []])
+                labels.append(label)
+                spans.append(None)
+                children.append(None)
+                stack.append([node_id, False, []])
         elif not stack:
             raise FormatError(f"expected '(' at offset {_token_offset(line, k)}")
         elif text == ")":
-            node_id, label, _, child_ids = stack.pop()
+            node_id, _, child_ids = stack.pop()
             if not child_ids:
-                raise FormatError(f"empty constituent '{label}'")
-            lo = nodes[child_ids[0]].span[0]
-            hi = nodes[child_ids[-1]].span[1]
-            nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
+                raise FormatError(f"empty constituent '{labels[node_id]}'")
+            spans[node_id] = (spans[child_ids[0]][0], spans[child_ids[-1]][1])
+            children[node_id] = tuple(child_ids)
         else:
             frame = stack[-1]
-            if frame[3]:
-                raise FormatError(f"word after child constituent at offset {_token_offset(line, k)}")
             if frame[2]:
+                raise FormatError(f"word after child constituent at offset {_token_offset(line, k)}")
+            if frame[1]:
                 raise FormatError(
                     f"second word under one preterminal at offset {_token_offset(line, k)}"
                 )
-            frame[2] = True
-    if not nodes:
+            frame[1] = True
+    if not labels:
         raise FormatError("empty tree line")
     if stack:
         raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
 
-    if expected_tokens is not None and len(tokens) != expected_tokens:
+    if expected_tokens is not None and len(surfaces) != expected_tokens:
         raise FormatError(
-            f"tree has {len(tokens)} tokens, expected {expected_tokens}"
+            f"tree has {len(surfaces)} tokens, expected {expected_tokens}"
         )
-    return ParseTree(Sentence(tuple(tokens)), tuple(nodes), tuple(parents))
+    return ParseTree(
+        Sentence(tuple(surfaces), tuple(tags)),
+        tuple(labels),
+        tuple(spans),
+        tuple(parents),
+        tuple(children),
+        tuple(preterminals),
+    )
 
 
 def tree_to_line(tree: ParseTree) -> str:
@@ -339,23 +320,23 @@ def tree_to_line(tree: ParseTree) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        node = tree.node(item)
-        if node.is_terminal:
-            word = tree.sentence.tokens[node.span[0]].surface
-            out.append(f"({node.label} {word})")
+        label, kids = tree.labels[item], tree.children[item]
+        if not kids:
+            word = tree.sentence.surfaces[tree.spans[item][0]]
+            out.append(f"({label} {word})")
             continue
-        out.append(f"({node.label} ")
+        out.append(f"({label} ")
         todo.append(")")
-        for child in reversed(node.children[1:]):
+        for child in reversed(kids[1:]):
             todo += [child, " "]
-        todo.append(node.children[0])
+        todo.append(kids[0])
     return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Word alignments
 
-_LINK_RE = re.compile(r"^(\d+)-(\d+)$")
+_LINK_RE = re.compile(r"^([0-9]+)-([0-9]+)$")
 
 
 def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
@@ -386,26 +367,27 @@ def alignment_to_line(al: WordAlignment) -> str:
 
 
 def parse_tok_line(line: str) -> Sentence:
-    tokens = []
-    for k, item in enumerate(line.split(" ")):
+    surfaces, tags = [], []
+    for item in line.split(" "):
         if not item:
             raise FormatError("empty token (double space?) in .tok line")
         surface, sep, pos = item.rpartition("_")
         if not sep or not surface or not pos:
             raise FormatError(f"token {item!r} is not of the form surface_POS")
-        tokens.append(Token(k, surface, pos))
-    return Sentence(tuple(tokens))
+        surfaces.append(surface)
+        tags.append(pos)
+    return Sentence(tuple(surfaces), tuple(tags))
 
 
 def sentence_to_tok_line(sentence: Sentence) -> str:
-    return " ".join(f"{t.surface}_{t.pos}" for t in sentence.tokens)
+    return " ".join(f"{s}_{t}" for s, t in zip(sentence.surfaces, sentence.tags))
 
 
 # ---------------------------------------------------------------------------
 # Role annotations
 
-_HEADER_RE = re.compile(r"^#(\d+) (\S+) (-?\d+)$")
-_SPAN_RE = re.compile(r"^(\d+)-(\d+)$")
+_HEADER_RE = re.compile(r"^#([0-9]+) (\S+) (-?[0-9]+)$")
+_SPAN_RE = re.compile(r"^([0-9]+)-([0-9]+)$")
 
 
 def parse_roles(block: str) -> RoleAnnotation:

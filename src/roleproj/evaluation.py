@@ -117,6 +117,8 @@ def stratified_shuffling(
         raise ValidationError("gold and system corpora are not parallel")
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     counts_a = np.array(
         [[c.tp, c.fp, c.fn] for c in (sentence_counts(g, p) for g, p in zip(gold, pred_a))]
@@ -181,7 +183,7 @@ def correspondence_stats(corpus, threshold: float = 0.5) -> CorrespondenceStats:
         if b.src_tree is None or b.tgt_tree is None:
             raise ValidationError("correspondence statistics need trees on both sides")
         ctx = UnitSimilarity(full_view(b), b.src_tree, b.tgt_tree)
-        m = ctx.matrix(list(b.src_tree.node_ids()), list(b.tgt_tree.node_ids()))
+        m = ctx.matrix(list(range(len(b.src_tree.labels))), list(range(len(b.tgt_tree.labels))))
         hits = m.sim >= threshold
         for count in hits.sum(axis=1):
             src_counts[_bucket(count)] += 1

@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import BiSentence, yield_of
+from .corpus import BiSentence
 from .errors import ConfigError, located
 from .matcher import AlignmentGraph, SemanticAlignment, build_graph, solve
 from .projection import (
@@ -91,9 +91,10 @@ def select_target_units(
     the filter.
     """
     if "arg" not in cfg.filters:
-        return list(b.tgt_tree.node_ids()), []
+        return list(range(len(b.tgt_tree.labels))), []
     if tgt_pred < 0:
-        return list(b.tgt_tree.node_ids()), ["predicate unaligned; argument filter skipped"]
+        warning = "predicate unaligned; argument filter skipped"
+        return list(range(len(b.tgt_tree.labels))), [warning]
     return argument_filter(b.tgt_tree, tgt_pred, cfg.clause_boundary_labels), []
 
 
@@ -119,7 +120,7 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
             raise ConfigError(f"model {cfg.model!r} requires {attr.replace('_', ' ')}")
     view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
     tgt_pred = target_predicate(b)
-    src_units = tuple(b.src_tree.node_ids())
+    src_units = tuple(range(len(b.src_tree.labels)))
     tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
     if not tgt_units:
         warnings.append("no target units after filtering; nothing projected")
@@ -146,13 +147,12 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
     role_units = {
         label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
     }
-    tgt_yields = {u: yield_of(b.tgt_tree, u) for u in inst.tgt_units}
     return project(
         alignment,
         b.src_roles,
         role_units,
         inst.src_units,
-        tgt_yields,
+        b.tgt_tree,
         predicate=inst.tgt_pred,
         warnings=inst.warnings,
     )

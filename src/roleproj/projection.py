@@ -5,12 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import (
-    ParseTree,
-    RoleAnnotation,
-    spans_from_tokens,
-    yield_of,
-)
+from .corpus import ParseTree, RoleAnnotation, spans_from_tokens
 from .errors import IntegrityError, ValidationError
 from .matcher import SemanticAlignment
 from .similarity import BiSentenceView
@@ -61,7 +56,7 @@ def project(
     roles: RoleAnnotation,
     role_units: dict[str, tuple[int, ...]],
     src_units,
-    tgt_yields,
+    tgt_tree: ParseTree,
     *,
     predicate: int,
     warnings: tuple[str, ...] = (),
@@ -70,12 +65,14 @@ def project(
 
     ``role_units`` maps each role label to its resolved source unit ids;
     every such unit must belong to ``src_units`` (the graph's source
-    partition).  Zero-similarity links must already be stripped from
-    ``alignment``; an empty alignment (no graph was built) leaves every
-    role unprojected.  Roles with an empty image are omitted from the
-    output annotation and recorded as unprojected in the provenance.
+    partition).  A target unit's tokens are its span in ``tgt_tree``.
+    Zero-similarity links must already be stripped from ``alignment``; an
+    empty alignment (no graph was built) leaves every role unprojected.
+    Roles with an empty image are omitted from the output annotation and
+    recorded as unprojected in the provenance.
     """
     src_unit_set = set(src_units)
+    tgt_spans = tgt_tree.spans
     out_roles: dict[str, set] = {}
     provenance: dict[str, RoleProvenance] = {}
     for label, _ in roles.roles:
@@ -91,7 +88,8 @@ def project(
         )
         tokens: set[int] = set()
         for _, tgt_unit, _ in hit_links:
-            tokens |= tgt_yields[tgt_unit]
+            lo, hi = tgt_spans[tgt_unit]
+            tokens.update(range(lo, hi + 1))
         if tokens:
             out_roles[label] = set(spans_from_tokens(tokens))
             provenance[label] = RoleProvenance(links=hit_links)
@@ -139,22 +137,23 @@ def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()
     """
     if not (0 <= predicate < len(tree.sentence)):
         raise ValidationError(f"predicate index {predicate} out of range")
-    pre = tree.preterminal_at(predicate)
+    labels, spans, children = tree.labels, tree.spans, tree.children
     kept: set[int] = set()
     clauses_seen = 0
-    for anc in tree.ancestors(pre):
-        for child_id in tree.node(anc).children:
-            child = tree.node(child_id)
-            lo, hi = child.span
+    anc = tree.parents[tree.preterminals[predicate]]
+    while anc is not None:
+        for child in children[anc]:
+            lo, hi = spans[child]
             if lo <= predicate <= hi:
                 continue  # dominates the predicate
-            if child.is_terminal and not any(ch.isalpha() for ch in child.label):
+            if not children[child] and not any(ch.isalpha() for ch in labels[child]):
                 continue  # punctuation
-            kept.add(child_id)
-        if boundary_labels and tree.node(anc).label in boundary_labels:
+            kept.add(child)
+        if boundary_labels and labels[anc] in boundary_labels:
             clauses_seen += 1
             if clauses_seen >= 2:
                 break
+        anc = tree.parents[anc]
     return sorted(kept)
 
 
@@ -169,22 +168,23 @@ def resolve_role_units(tree: ParseTree, spans) -> tuple[int, ...]:
     a validated span because every token has a preterminal.  A span
     reaching past the sentence raises ValidationError.
     """
+    node_spans, children = tree.spans, tree.children
     units: list[int] = []
     for lo, hi in sorted(spans):
         if lo < 0 or hi >= len(tree.sentence):
             raise ValidationError(f"span {lo}-{hi} reaches past the sentence")
-        stack = [tree.root]
+        stack = [0]
         while stack:
             node = stack.pop()
-            node_lo, node_hi = node.span
+            node_lo, node_hi = node_spans[node]
             if node_hi < lo or node_lo > hi:
                 continue
             if lo <= node_lo and node_hi <= hi:
-                while len(node.children) == 1:
-                    node = tree.node(node.children[0])
-                units.append(node.id)
+                while len(children[node]) == 1:
+                    node = children[node][0]
+                units.append(node)
             else:
-                stack.extend(tree.node(c) for c in reversed(node.children))
+                stack.extend(reversed(children[node]))
     return tuple(units)
 
 

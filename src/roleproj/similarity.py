@@ -63,17 +63,17 @@ def nc_filter(view: BiSentenceView, content_pos_prefixes) -> BiSentenceView:
     """Exclude non-content tokens on both sides along with their links."""
     prefixes = tuple(content_pos_prefixes)
 
-    def content(tokens):
+    def content(sentence):
         kept = set()
-        for tok in tokens:
-            if not tok.pos:
-                raise ValidationError(f"token {tok.surface!r} has no POS tag")
-            if tok.pos.startswith(prefixes):
-                kept.add(tok.index)
+        for i, (surface, tag) in enumerate(zip(sentence.surfaces, sentence.tags)):
+            if not tag:
+                raise ValidationError(f"token {surface!r} has no POS tag")
+            if tag.startswith(prefixes):
+                kept.add(i)
         return kept
 
-    inc_src = view.included_src & content(view.bisentence.src.tokens)
-    inc_tgt = view.included_tgt & content(view.bisentence.tgt.tokens)
+    inc_src = view.included_src & content(view.bisentence.src)
+    inc_tgt = view.included_tgt & content(view.bisentence.tgt)
     links = frozenset((s, t) for s, t in view.links if s in inc_src and t in inc_tgt)
     return BiSentenceView(view.bisentence, inc_src, inc_tgt, links)
 
@@ -120,7 +120,7 @@ class UnitSimilarity:
 
 def _yield_masks(tree: ParseTree, included: frozenset[int]) -> np.ndarray:
     """Node x token 0/1 matrix of the included tokens each node dominates."""
-    lo, hi = np.array([node.span for node in tree.nodes]).T[:, :, None]
+    lo, hi = np.array(tree.spans).T[:, :, None]
     tokens = np.arange(len(tree.sentence))
     kept = np.zeros(len(tokens), dtype=bool)
     kept[list(included)] = True

@@ -1,11 +1,18 @@
+import os
+
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from roleproj import fixtures
 from roleproj.similarity import SimilarityMatrix
 
 ACCEPTANCE_LINES: list[str] = []
+
+# CI sets HYPOTHESIS_PROFILE=ci: more examples per property test, and a
+# reproducer blob printed with every failure.
+settings.register_profile("ci", max_examples=500, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -29,6 +36,22 @@ def toy_corpus():
 def fixture_dir(tmp_path):
     fixtures.emit(tmp_path)
     return tmp_path
+
+
+def node_yield(tree, node: int) -> frozenset[int]:
+    """The tokens a tree node dominates."""
+    lo, hi = tree.spans[node]
+    return frozenset(range(lo, hi + 1))
+
+
+def ancestors(tree, node: int) -> list[int]:
+    """A tree node's parent chain, from its parent up to the root."""
+    chain = []
+    parent = tree.parents[node]
+    while parent is not None:
+        chain.append(parent)
+        parent = tree.parents[parent]
+    return chain
 
 
 def sim_matrix(sim) -> SimilarityMatrix:

@@ -110,7 +110,7 @@ def test_criterion_3_worked_example_end_to_end(fixture_dir, tmp_path):
 def test_criterion_4_argument_filter_fixture(figure1):
     tree = figure1.tgt_tree
     ids = argument_filter(tree, 1)
-    got = {(tree.node(i).label, tree.node(i).span) for i in ids}
+    got = {(tree.labels[i], tree.spans[i]) for i in ids}
     assert got == {("NP", (0, 0)), ("S", (3, 5))}
     record(
         "PASS criterion 4: argument filter keeps exactly the subject NP and the "
@@ -120,16 +120,13 @@ def test_criterion_4_argument_filter_fixture(figure1):
 
 def test_criterion_5_similarity_arithmetic(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
-    c_s = next(
-        n for n in figure1.src_tree.nodes if n.span == (2, 5) and not n.is_terminal
-    )
-    c_t = next(
-        n for n in figure1.tgt_tree.nodes if n.span == (3, 5) and not n.is_terminal
-    )
-    overlap_src, overlap_tgt = ctx.overlaps([c_s.id], [c_t.id])
+    src, tgt = figure1.src_tree, figure1.tgt_tree
+    c_s = next(n for n, span in enumerate(src.spans) if span == (2, 5) and src.children[n])
+    c_t = next(n for n, span in enumerate(tgt.spans) if span == (3, 5) and tgt.children[n])
+    overlap_src, overlap_tgt = ctx.overlaps([c_s], [c_t])
     assert overlap_src[0, 0] == pytest.approx(2 / 3, abs=1e-12)
     assert overlap_tgt[0, 0] == pytest.approx(1 / 2, abs=1e-12)
-    assert ctx.matrix([c_s.id], [c_t.id]).sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
+    assert ctx.matrix([c_s], [c_t]).sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
     record(
         "PASS criterion 5: example constituent pair gives overlaps 2/3 and 1/2 "
         "and symmetrized similarity 7/12 (+-1e-12)"

@@ -287,6 +287,19 @@ def test_sigtest_self_comparison(fixture_dir, capsys):
     assert "p = 1.000000" in capsys.readouterr().out
 
 
+def test_sigtest_negative_seed_is_an_error_line(fixture_dir, capsys):
+    args = [
+        "sigtest",
+        "--gold", toy(fixture_dir, "tgt.roles"),
+        "--pred-a", toy(fixture_dir, "pred.roles"),
+        "--pred-b", toy(fixture_dir, "pred.roles"),
+        "--iterations", "10", "--seed", "-1",
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_stats_proportions_sum_to_one(fixture_dir, tmp_path):
     out = tmp_path / "stats.tsv"
     args = [

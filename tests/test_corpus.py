@@ -1,4 +1,6 @@
+import gc
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,11 +9,9 @@ from conftest import trees
 
 from roleproj.corpus import (
     BiSentence,
-    Constituent,
     ParseTree,
     RoleAnnotation,
     Sentence,
-    Token,
     WordAlignment,
     alignment_to_line,
     parse_alignment,
@@ -23,7 +23,6 @@ from roleproj.corpus import (
     serialize_roles,
     spans_from_tokens,
     tree_to_line,
-    yield_of,
 )
 from roleproj.errors import FormatError, ValidationError
 
@@ -33,16 +32,16 @@ from roleproj.errors import FormatError, ValidationError
 def test_parse_two_token_tree():
     tree = parse_tree("(S (NP (NNP Kim)) (VP (VBD promised)))")
     assert len(tree.sentence) == 2
-    assert tree.root.span == (0, 1)
-    assert tree.sentence.tokens[0].surface == "Kim"
-    assert tree.sentence.tokens[1].pos == "VBD"
+    assert tree.spans[0] == (0, 1)
+    assert tree.sentence.surfaces[0] == "Kim"
+    assert tree.sentence.tags[1] == "VBD"
 
 
 def test_parse_flat_np():
     tree = parse_tree("(NP (DT the) (NN butter))")
-    assert tree.root.label == "NP"
-    assert tree.root.span == (0, 1)
-    assert sum(1 for n in tree.nodes if n.is_terminal) == 2
+    assert tree.labels[0] == "NP"
+    assert tree.spans[0] == (0, 1)
+    assert sum(1 for kids in tree.children if not kids) == 2
 
 
 def test_unbalanced_tree_is_a_parse_error():
@@ -60,30 +59,46 @@ def test_expected_token_count_mismatch():
         parse_tree("(NP (DT the) (NN butter))", expected_tokens=3)
 
 
+def dominated_tokens(tree, node):
+    """The tokens of the preterminals below ``node``, found by walking its children."""
+    found, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        todo.extend(tree.children[n])
+        if not tree.children[n]:
+            found.add(tree.preterminals.index(n))
+    return found
+
+
 def test_yield_of_root_and_preterminal():
     tree = parse_tree("(S (A a) (B b) (C c) (D d) (E e))")
-    assert yield_of(tree, tree.root) == frozenset(range(5))
-    pre = tree.preterminal_at(3)
-    assert yield_of(tree, pre) == {3}
+    assert tree.spans[0] == (0, 4) and dominated_tokens(tree, 0) == set(range(5))
+    pre = tree.preterminals[3]
+    assert tree.labels[pre] == "D" and tree.children[pre] == ()
+    assert tree.spans[pre] == (3, 3) and dominated_tokens(tree, pre) == {3}
 
 
 def test_yield_of_figure1_clause(figure1):
-    clause = [n for n in figure1.src_tree.nodes if n.span == (2, 5) and not n.is_terminal]
+    tree = figure1.src_tree
+    clause = [n for n, span in enumerate(tree.spans) if span == (2, 5) and tree.children[n]]
     assert len(clause) == 1
-    assert yield_of(figure1.src_tree, clause[0]) == {2, 3, 4, 5}
+    assert dominated_tokens(tree, clause[0]) == {2, 3, 4, 5}
 
 
 def test_yields_tile_the_sentence(figure1):
     for tree in (figure1.src_tree, figure1.tgt_tree):
-        pre = [n for n in tree.nodes if n.is_terminal]
-        covered = sorted(i for n in pre for i in yield_of(tree, n))
-        assert covered == list(range(len(tree.sentence)))
-        for node in tree.nodes:
-            if not node.is_terminal:
-                child_union = frozenset(
-                    i for c in node.children for i in yield_of(tree, c)
-                )
-                assert yield_of(tree, node) == child_union
+        pre = [n for n, kids in enumerate(tree.children) if not kids]
+        assert list(tree.preterminals) == pre
+        assert [tree.spans[n] for n in pre] == [(i, i) for i in range(len(tree.sentence))]
+        for node, kids in enumerate(tree.children):
+            for child in kids:
+                assert tree.parents[child] == node
+            if kids:
+                lo, hi = tree.spans[node]
+                child_union = {
+                    i for c in kids for i in range(tree.spans[c][0], tree.spans[c][1] + 1)
+                }
+                assert set(range(lo, hi + 1)) == child_union
 
 
 @given(trees())
@@ -162,6 +177,20 @@ def test_roles_block_parser_raises_only_toolkit_input_errors(lines, noise):
         pass
 
 
+class Token(NamedTuple):
+    index: int
+    surface: str
+    pos: str
+
+
+class Constituent(NamedTuple):
+    id: int
+    label: str
+    span: tuple[int, int]
+    children: tuple[int, ...]
+    is_terminal: bool
+
+
 def reference_parse_tree(line: str) -> ParseTree:
     """The parser with one lexer token per bracket and atom, kept as the reference.
 
@@ -213,7 +242,14 @@ def reference_parse_tree(line: str) -> ParseTree:
         raise FormatError("empty tree line")
     if stack:
         raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
-    return ParseTree(Sentence(tuple(tokens)), tuple(nodes), tuple(parents))
+    return ParseTree(
+        Sentence(tuple(t.surface for t in tokens), tuple(t.pos for t in tokens)),
+        tuple(n.label for n in nodes),
+        tuple(n.span for n in nodes),
+        tuple(parents),
+        tuple(n.children for n in nodes),
+        tuple(n.id for n in nodes if n.is_terminal),
+    )
 
 
 def parsed_or_error(parse, line):
@@ -250,18 +286,22 @@ def test_preterminal_token_edge_cases_match_the_reference(line):
 def test_tree_nodes_and_tokens_are_immutable():
     tree = parse_tree("(NP (DT the) (NN butter))")
     with pytest.raises(AttributeError):
-        tree.root.label = "VP"
+        tree.labels = ("VP",)
+    with pytest.raises(TypeError):
+        tree.labels[0] = "VP"
     with pytest.raises(AttributeError):
-        tree.sentence.tokens[0].surface = "a"
+        tree.sentence.surfaces = ("a", "b")
+    with pytest.raises(TypeError):
+        tree.sentence.surfaces[0] = "a"
 
 
 def test_deep_unary_chain_parses_and_round_trips():
     depth = 5000
     text = "(S " * depth + "(NN a)" + ")" * depth
     tree = parse_tree(text, expected_tokens=1)
-    assert len(tree.nodes) == depth + 1
-    assert tree.nodes[depth].is_terminal and tree.parent(depth) == depth - 1
-    assert all(node.span == (0, 0) for node in tree.nodes)
+    assert len(tree.labels) == depth + 1
+    assert tree.children[depth] == () and tree.parents[depth] == depth - 1
+    assert all(span == (0, 0) for span in tree.spans)
     assert tree_to_line(tree) == text
 
 
@@ -309,6 +349,31 @@ def test_numbers_with_too_many_digits_are_format_errors(parse, text, message):
     assert str(info.value).startswith(message)
 
 
+# Arabic-Indic digits: \d would match them and int() would convert them, but
+# the canonical files write ASCII digits only.
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("al", "\u0661-\u0662 0-0\n", "al:1: malformed alignment pair '\u0661-\u0662'"),
+        ("r.roles", "#\u0660 F \u0661\n", "r.roles: block 0: bad roles header '#\u0660 F \u0661'"),
+        ("r.roles", "#0 F 0\nA\t\u0661-\u0662\n", "r.roles: block 0: bad span '\u0661-\u0662'"),
+    ],
+    ids=["link", "header", "span"],
+)
+def test_numbers_in_other_scripts_are_format_errors(tmp_path, name, text, message):
+    from roleproj.corpus import load_corpus, read_roles_file
+
+    (tmp_path / "s.tok").write_text("a_NN b_NN c_NN\n", encoding="utf-8")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        if name == "al":
+            load_corpus(align_path=tmp_path / "al", src_tok_path=tmp_path / "s.tok",
+                        tgt_tok_path=tmp_path / "s.tok")
+        else:
+            read_roles_file(tmp_path / name)
+    assert str(info.value).startswith(f"{tmp_path / name}{message[len(name):]}")
+
+
 def test_numbers_with_leading_zeros_are_accepted():
     assert parse_alignment("00-01", 2, 2).links == {(0, 1)}
     sent_no, ann = parse_roles_block("#007 F 01\nA\t002-0003")
@@ -333,14 +398,27 @@ def test_alignment_line_round_trip(links):
 def test_tok_round_trip():
     line = "Kim_NNP promised_VBD ,_$, pünktlich_ADJD"
     sent = parse_tok_line(line)
-    assert sent.tokens[2].surface == ","
-    assert sent.tokens[2].pos == "$,"
+    assert sent.surfaces[2] == ","
+    assert sent.tags[2] == "$,"
     assert sentence_to_tok_line(sent) == line
 
 
 def test_tok_requires_pos():
     with pytest.raises(FormatError):
         parse_tok_line("word")
+
+
+@pytest.mark.parametrize(
+    "surfaces, tags, message",
+    [
+        ((), (), "at least one token"),
+        (("a", "b"), ("NN",), "2 surfaces but 1 tags"),
+        (("a",), ("NN", "VB"), "1 surfaces but 2 tags"),
+    ],
+)
+def test_sentence_needs_tokens_and_one_tag_per_token(surfaces, tags, message):
+    with pytest.raises(ValidationError, match=message):
+        Sentence(surfaces, tags)
 
 
 # --- roles ------------------------------------------------------------
@@ -405,7 +483,7 @@ def test_read_trees_file_handles_missing_trees(tmp_path):
     path.write_text("(S (NN a))\n-\n(S (NN b))\n")
     trees = read_trees_file(path)
     assert trees[1] is None
-    assert trees[0].sentence.tokens[0].surface == "a"
+    assert trees[0].sentence.surfaces[0] == "a"
 
 
 def test_read_roles_file_validates_block_numbering(tmp_path):
@@ -475,3 +553,55 @@ def test_bisentence_rejects_a_tree_whose_words_differ_from_its_sentence():
         BiSentence(tree.sentence, other, al, tgt_tree=tree)
     same_words = parse_tok_line("a_DT b_NN")
     assert BiSentence(same_words, same_words, al, tree, tree).src is same_words
+
+
+# --- memory ------------------------------------------------------------------
+
+def write_corpus(directory, n_pairs, n_tokens):
+    """A corpus of identical pairs: flat trees, a diagonal alignment, two roles."""
+    words = " ".join(f"(NN w{i})" for i in range(n_tokens))
+    files = {
+        "src.trees": f"(S {words})\n" * n_pairs,
+        "tgt.trees": f"(S {words})\n" * n_pairs,
+        "align": (" ".join(f"{i}-{i}" for i in range(n_tokens)) + "\n") * n_pairs,
+        "src.roles": "\n\n".join(
+            f"#{k} F 0\nA\t1-2,4-4\nB\t5-{n_tokens - 1}" for k in range(n_pairs)
+        ) + "\n",
+    }
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return dict(
+        align_path=directory / "align",
+        src_trees_path=directory / "src.trees",
+        tgt_trees_path=directory / "tgt.trees",
+        src_roles_path=directory / "src.roles",
+    )
+
+
+def tracked_objects_kept(paths) -> int:
+    """GC-tracked objects that a loaded corpus keeps alive after full collections.
+
+    A collection untracks a tuple only if its items are untracked by then,
+    and it may visit a tuple of spans before the spans, so it runs twice.
+    """
+    from roleproj.corpus import load_corpus
+
+    load_corpus(**paths)  # warm any cache a first load fills
+    gc.collect()
+    before = gc.get_objects()
+    seen = {id(obj) for obj in before}
+    corpus = load_corpus(**paths)
+    gc.collect()
+    gc.collect()
+    kept = sum(1 for obj in gc.get_objects() if id(obj) not in seen)
+    del corpus
+    return kept
+
+
+def test_a_loaded_corpus_keeps_no_tracked_object_per_token_or_node(tmp_path):
+    n_pairs = 20
+    short = tracked_objects_kept(write_corpus(tmp_path / "short", n_pairs, 8))
+    long = tracked_objects_kept(write_corpus(tmp_path / "long", n_pairs, 60))
+    assert short == long
+    assert short < 20 * n_pairs

@@ -1,0 +1,214 @@
+"""End-to-end fuzzing over generated corpora.
+
+A small generator writes the four file formats in canonical form: random
+bracketings over random words and tags, alignments, and role blocks.  The
+tests check that canonical files round-trip byte for byte, that
+``roleproj project`` keeps its exit-code contract on intact and damaged
+corpora, and that ``run_corpus`` gives the same output at one and two jobs.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from roleproj.cli import main
+from roleproj.corpus import (
+    alignment_to_line,
+    load_corpus,
+    read_roles_file,
+    read_tok_file,
+    read_trees_file,
+    roles_file_text,
+    sentence_to_tok_line,
+    tree_to_line,
+)
+from roleproj.pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, run_corpus
+
+WORDS = ("Kim", "promised", "to", "pünktlich", "a_b", "_", ",", "Ü", "x")
+TAGS = ("NN", "VBD", "TO", "ADJD", "$,", "-NONE-", "JJ", "DT")
+LABELS = ("S", "NP", "VP", "PP", "SBAR", "X-1")
+FRAMES = ("COMMITMENT", "MOTION", "F")
+ROLE_LABELS = ("A0", "A1", "AM-TMP", "MESSAGE")
+FILTERS = ("none", "na", "nc", "arg", "na,nc")
+# Characters that damage a file: brackets, separators, digits in two
+# scripts, whitespace str.split(" ") does not split on, and line breaks.
+DAMAGE = "()-_#,\t 0179١\xa0\nx"
+
+
+def bracketing(rng, words, tags, lo, hi, label):
+    """Canonical bracketed text of a random tree over tokens lo..hi."""
+    if lo == hi and rng.random() < 0.7:
+        return f"({tags[lo]} {words[lo]})"
+    if lo == hi:  # a unary chain above the token
+        return f"({label} {bracketing(rng, words, tags, lo, hi, rng.choice(LABELS))})"
+    cuts = sorted(rng.sample(range(lo + 1, hi + 1), rng.randint(1, min(3, hi - lo))))
+    bounds = [lo, *cuts, hi + 1]
+    kids = " ".join(
+        bracketing(rng, words, tags, a, b - 1, rng.choice(LABELS))
+        for a, b in zip(bounds, bounds[1:])
+    )
+    return f"({label} {kids})"
+
+
+def sentence(rng, max_tokens):
+    """Tree line and tok line of a random sentence, and its length."""
+    n = rng.randint(1, max_tokens)
+    words = [rng.choice(WORDS) for _ in range(n)]
+    tags = [rng.choice(TAGS) for _ in range(n)]
+    tree = bracketing(rng, words, tags, 0, n - 1, "S")
+    tok = " ".join(f"{w}_{t}" for w, t in zip(words, tags))
+    return tree, tok, n
+
+
+def roles_block(rng, k, n):
+    """A canonical roles block: labels sorted, each role's spans sorted and disjoint."""
+    lines = [f"#{k} {rng.choice(FRAMES)} {rng.randint(-1, n - 1)}"]
+    for label in sorted(rng.sample(ROLE_LABELS, rng.randint(0, 3))):
+        tokens = sorted(rng.sample(range(n), rng.randint(1, n)))
+        spans = []
+        for i in tokens:
+            if spans and i == spans[-1][1] + 1:
+                spans[-1][1] = i
+            else:
+                spans.append([i, i])
+        lines.append(label + "\t" + ",".join(f"{lo}-{hi}" for lo, hi in spans))
+    return "\n".join(lines)
+
+
+def corpus_texts(rng, sentences=(1, 4), max_tokens=7) -> dict[str, str]:
+    """The text of each file of a random corpus, in canonical form."""
+    records = {name: [] for name in ("src.trees", "src.tok", "tgt.trees", "tgt.tok", "align")}
+    blocks = []
+    for k in range(rng.randint(*sentences)):
+        src_tree, src_tok, n = sentence(rng, max_tokens)
+        tgt_tree, tgt_tok, m = sentence(rng, max_tokens)
+        links = {(rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, n + m))}
+        records["src.trees"].append(src_tree)
+        records["src.tok"].append(src_tok)
+        records["tgt.trees"].append(tgt_tree)
+        records["tgt.tok"].append(tgt_tok)
+        records["align"].append(" ".join(f"{s}-{t}" for s, t in sorted(links)))
+        blocks.append(roles_block(rng, k, n))
+    texts = {name: "\n".join(lines) + "\n" for name, lines in records.items()}
+    texts["src.roles"] = "\n\n".join(blocks) + "\n"
+    return texts
+
+
+def damage(rng, texts: dict[str, str]) -> None:
+    """Insert, delete, replace or duplicate a little text in one file."""
+    name = rng.choice(sorted(texts))
+    text = texts[name]
+    k = rng.randint(0, len(text))
+    op = rng.randrange(4)
+    if op == 0:
+        text = text[:k] + rng.choice(DAMAGE) + text[k:]
+    elif op == 1:
+        text = text[:k] + text[k + rng.randint(1, 4):]
+    elif op == 2:  # replace one separator or bracket
+        marks = [j for j, ch in enumerate(text) if ch in "()-_#,\t \n"]
+        j = rng.choice(marks)
+        text = text[:j] + rng.choice(DAMAGE) + text[j + 1:]
+    else:
+        lines = text.split("\n")
+        j = rng.randrange(len(lines))
+        lines.insert(j, lines[j])
+        text = "\n".join(lines)
+    texts[name] = text
+
+
+def write(directory, texts: dict[str, str]) -> dict[str, str]:
+    paths = {}
+    for name, text in texts.items():
+        path = Path(directory) / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def load(paths):
+    return load_corpus(
+        align_path=paths["align"],
+        src_trees_path=paths["src.trees"],
+        src_tok_path=paths["src.tok"],
+        tgt_trees_path=paths["tgt.trees"],
+        tgt_tok_path=paths["tgt.tok"],
+        src_roles_path=paths["src.roles"],
+    )
+
+
+randoms = st.randoms(use_true_random=False)
+
+
+@settings(deadline=None)  # file I/O in every example
+@given(randoms)
+def test_canonical_files_round_trip_byte_for_byte(rng):
+    texts = corpus_texts(rng)
+    with tempfile.TemporaryDirectory() as d:
+        paths = write(d, texts)
+        corpus = load(paths)
+        trees = {side: read_trees_file(paths[f"{side}.trees"]) for side in ("src", "tgt")}
+        toks = {side: read_tok_file(paths[f"{side}.tok"]) for side in ("src", "tgt")}
+        roles = read_roles_file(paths["src.roles"])
+    for side in ("src", "tgt"):
+        assert "".join(tree_to_line(t) + "\n" for t in trees[side]) == texts[f"{side}.trees"]
+        assert "".join(sentence_to_tok_line(s) + "\n" for s in toks[side]) == texts[f"{side}.tok"]
+    assert "".join(alignment_to_line(b.alignment) + "\n" for b in corpus) == texts["align"]
+    assert roles_file_text(roles) == texts["src.roles"]
+
+
+def run_main(args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(MODELS), st.sampled_from(FILTERS), st.booleans(),
+       st.booleans(), st.booleans())
+def test_cli_project_exits_0_1_or_2_without_a_traceback(
+    rng, model, filt, damaged, oracle, fill_gaps
+):
+    texts = corpus_texts(rng)
+    if damaged:
+        damage(rng, texts)
+    with tempfile.TemporaryDirectory() as d:
+        paths = write(d, texts)
+        args = [
+            "project", "--model", model, "--filter", filt,
+            "--src-trees", paths["src.trees"], "--tgt-trees", paths["tgt.trees"],
+            "--src-tok", paths["src.tok"], "--tgt-tok", paths["tgt.tok"],
+            "--align", paths["align"], "--src-roles", paths["src.roles"],
+            "--out", str(Path(d) / "out.roles"), "--provenance", str(Path(d) / "out.prov"),
+        ]
+        if oracle:
+            args.append("--oracle")
+        if fill_gaps and model == "word":
+            args.append("--fill-gaps")
+        code, err = run_main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1, err
+    if not damaged:
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("seed, model", list(enumerate(MODELS, 1)))
+def test_run_corpus_output_is_the_same_at_one_and_two_jobs(tmp_path, seed, model):
+    # at least two sentences, so that two jobs start a pool of two workers
+    corpus = load(write(tmp_path, corpus_texts(random.Random(seed), (4, 8), 12)))
+    cfg = PipelineConfig(model=model, filters=DEFAULT_FILTER_FOR_MODEL[model])
+
+    def output(jobs):
+        projected = run_corpus(corpus, cfg, jobs=jobs)
+        records = [json.dumps(p.to_record(k), sort_keys=True) for k, p in enumerate(projected)]
+        return roles_file_text([p.annotation for p in projected]), records
+
+    assert output(2) == output(1)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import trees
+from conftest import ancestors, node_yield, trees
 from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
@@ -9,7 +9,6 @@ from roleproj.corpus import (
     parse_roles,
     parse_tree,
     serialize_roles,
-    yield_of,
 )
 from roleproj.errors import ConfigError, IntegrityError, ValidationError
 from roleproj.matcher import Link, SemanticAlignment
@@ -53,15 +52,16 @@ def make_alignment(pairs, cls="perfect"):
 def test_project_is_the_image_of_the_role_units():
     roles = RoleAnnotation.make("F", {"r": {(0, 1)}}, 0)
     alignment = make_alignment([(1, 2, 0.9), (3, 4, 0.8)])
+    tgt_tree = parse_tree("(S " + " ".join(f"(X x{i})" for i in range(8)) + ")")
     out = project(
         alignment,
         roles,
         {"r": (1, 3)},
         src_units=[0, 1, 2, 3],
-        tgt_yields={2: frozenset({5}), 4: frozenset({7})},
+        tgt_tree=tgt_tree,  # node k + 1 is token k
         predicate=0,
     )
-    assert out.annotation.spans_of("r") == {(5, 5), (7, 7)}
+    assert out.annotation.spans_of("r") == {(1, 1), (3, 3)}
     assert out.provenance["r"].links == ((1, 2, 0.9), (3, 4, 0.8))
 
 
@@ -72,7 +72,7 @@ def test_project_empty_alignment_preserves_frame():
         roles,
         {"r": (0,)},
         src_units=[0],
-        tgt_yields={},
+        tgt_tree=parse_tree("(S (X a))"),
         predicate=3,
     )
     assert out.annotation.frame == "FRAME"
@@ -88,7 +88,7 @@ def test_project_checks_units_against_graph():
             roles,
             {"r": (9,)},
             src_units=[0, 1],
-            tgt_yields={},
+            tgt_tree=parse_tree("(S (X a))"),
             predicate=0,
         )
 
@@ -96,11 +96,11 @@ def test_project_checks_units_against_graph():
 def test_projected_spans_are_normalized_intervals():
     roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
     out = project(
-        make_alignment([(0, 1, 0.5), (0, 2, 0.5)]),
+        make_alignment([(0, 1, 0.5), (0, 4, 0.5), (0, 8, 0.5)]),
         roles,
         {"r": (0,)},
         src_units=[0],
-        tgt_yields={1: frozenset({0, 1}), 2: frozenset({2, 5})},
+        tgt_tree=parse_tree("(S (A (X a) (X b)) (X c) (C (X d) (X e)) (X f))"),
         predicate=0,
     )
     assert out.annotation.spans_of("r") == {(0, 2), (5, 5)}
@@ -143,9 +143,9 @@ def test_word_based_bijective_single_token():
     st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
 )
 def test_word_based_projection_is_monotone_in_links(links, extra):
-    from roleproj.corpus import Sentence, Token, WordAlignment
+    from roleproj.corpus import Sentence, WordAlignment
 
-    sent = Sentence(tuple(Token(i, f"w{i}", "NN") for i in range(6)))
+    sent = Sentence(tuple(f"w{i}" for i in range(6)), ("NN",) * 6)
     roles = RoleAnnotation.make("F", {"r": {(0, 2)}}, 0)
 
     def run(link_set):
@@ -165,14 +165,14 @@ def test_word_based_projection_is_monotone_in_links(links, extra):
 
 def test_argument_filter_figure4(figure1):
     ids = argument_filter(figure1.tgt_tree, 1)
-    got = {(figure1.tgt_tree.node(i).label, figure1.tgt_tree.node(i).span) for i in ids}
+    got = {(figure1.tgt_tree.labels[i], figure1.tgt_tree.spans[i]) for i in ids}
     assert got == {("NP", (0, 0)), ("S", (3, 5))}
 
 
 def test_argument_filter_flat_tree_keeps_other_preterminals():
     tree = parse_tree("(S (A a) (B b) (C c) (D d))")
     ids = argument_filter(tree, 2)
-    assert {tree.node(i).label for i in ids} == {"A", "B", "D"}
+    assert {tree.labels[i] for i in ids} == {"A", "B", "D"}
 
 
 def test_argument_filter_lone_predicate_yields_nothing():
@@ -183,21 +183,18 @@ def test_argument_filter_lone_predicate_yields_nothing():
 def test_argument_filter_skips_punctuation():
     tree = parse_tree("(S (NN dog) ($, ,) (VBD ran) (. .))")
     ids = argument_filter(tree, 2)
-    assert {tree.node(i).label for i in ids} == {"NN"}
+    assert {tree.labels[i] for i in ids} == {"NN"}
 
 
 def test_argument_filter_soundness(figure1, toy_corpus):
-    from roleproj.corpus import yield_of
-
     for b in [figure1, *toy_corpus]:
         tree = b.tgt_tree
         pred = target_predicate(b)
         ids = argument_filter(tree, pred)
-        ancestors = set(tree.ancestors(tree.preterminal_at(pred)))
+        pred_ancestors = set(ancestors(tree, tree.preterminals[pred]))
         for i in ids:
-            node = tree.node(i)
-            assert pred not in yield_of(tree, node), "must not dominate the predicate"
-            assert tree.parent(i) in ancestors, "must be the child of an ancestor"
+            assert pred not in node_yield(tree, i), "must not dominate the predicate"
+            assert tree.parents[i] in pred_ancestors, "must be the child of an ancestor"
 
 
 def test_argument_filter_boundary_labels_stop_the_walk():
@@ -209,10 +206,10 @@ def test_argument_filter_boundary_labels_stop_the_walk():
     )
     tree = parse_tree(line)
     unrestricted = argument_filter(tree, 5)  # predicate "ran"
-    spans = {tree.node(i).span for i in unrestricted}
+    spans = {tree.spans[i] for i in unrestricted}
     assert (0, 0) in spans  # reaches "anna" at the root without boundaries
     restricted = argument_filter(tree, 5, boundary_labels=frozenset({"S"}))
-    spans = {tree.node(i).span for i in restricted}
+    spans = {tree.spans[i] for i in restricted}
     assert (0, 0) not in spans
     assert spans == {(2, 2), (3, 3), (4, 4), (6, 6)}
 
@@ -228,26 +225,26 @@ def test_resolve_exact_single_constituent(figure1):
     units = resolve_role_units(
         figure1.src_tree, figure1.src_roles.spans_of("MESSAGE")
     )
-    assert [figure1.src_tree.node(u).span for u in units] == [(2, 5)]
+    assert [figure1.src_tree.spans[u] for u in units] == [(2, 5)]
 
 
 def test_resolve_prefers_deepest_on_equal_yield():
     tree = parse_tree("(S (NP (NNP Kim)) (VBD ran))")
     units = resolve_role_units(tree, {(0, 0)})
     # NP and NNP share the yield; the preterminal is deeper
-    assert [tree.node(u).label for u in units] == ["NNP"]
+    assert [tree.labels[u] for u in units] == ["NNP"]
 
 
 def test_resolve_tiles_with_largest_pieces():
     tree = parse_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat) (RB down)))")
     units = resolve_role_units(tree, {(0, 2)})
-    assert [tree.node(u).span for u in units] == [(0, 1), (2, 2)]
+    assert [tree.spans[u] for u in units] == [(0, 1), (2, 2)]
 
 
 def test_resolve_multi_span_role():
     tree = parse_tree("(S (A a) (B b) (C c) (D d))")
     units = resolve_role_units(tree, {(0, 0), (2, 3)})
-    assert [tree.node(u).span for u in units] == [(0, 0), (2, 2), (3, 3)]
+    assert [tree.spans[u] for u in units] == [(0, 0), (2, 2), (3, 3)]
 
 
 def test_resolve_rejects_a_span_past_the_sentence():
@@ -277,18 +274,18 @@ def tree_and_role(draw):
 def test_resolved_units_tile_the_role_exactly(case):
     tree, role = case
     units = resolve_role_units(tree, role.spans_of("R"))
-    yields = [yield_of(tree, u) for u in units]
+    yields = [node_yield(tree, u) for u in units]
     assert sum(len(y) for y in yields) == len(frozenset().union(*yields))
     assert frozenset().union(*yields) == role.tokens_of("R")
     # Each unit is the bottom of its unary chain, and the lowest ancestor
     # with a larger yield reaches outside the span holding the unit.
     for u in units:
-        lo, hi = tree.node(u).span
+        lo, hi = tree.spans[u]
         ((a, b),) = [(a, b) for a, b in role.spans_of("R") if a <= lo and hi <= b]
-        assert len(tree.node(u).children) != 1
-        larger = [p for p in tree.ancestors(u) if tree.node(p).span != (lo, hi)]
+        assert len(tree.children[u]) != 1
+        larger = [p for p in ancestors(tree, u) if tree.spans[p] != (lo, hi)]
         if larger:
-            p_lo, p_hi = tree.node(larger[0]).span
+            p_lo, p_hi = tree.spans[larger[0]]
             assert p_lo < a or p_hi > b
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import sim_matrix
-from roleproj.corpus import BiSentence, WordAlignment, parse_alignment, parse_tree, yield_of
+from conftest import node_yield, sim_matrix
+from roleproj.corpus import BiSentence, WordAlignment, parse_alignment, parse_tree
 from roleproj.errors import ConfigError
 from roleproj.pipeline import PipelineConfig
 from roleproj.projection import argument_filter
@@ -21,7 +21,7 @@ from roleproj.similarity import (
 
 
 def clause(tree, span):
-    hits = [n for n in tree.nodes if n.span == span and not n.is_terminal]
+    hits = [n for n, s in enumerate(tree.spans) if s == span and tree.children[n]]
     assert hits
     return hits[-1]
 
@@ -30,36 +30,36 @@ def clause(tree, span):
 
 def test_aligned_words_figure1(figure1):
     c = clause(figure1.src_tree, (2, 5))  # "to be on time"
-    got = figure1.alignment.image(yield_of(figure1.src_tree, c))
+    got = figure1.alignment.image(node_yield(figure1.src_tree, c))
     assert got == {3, 4}  # pünktlich, zu
 
 
 def test_aligned_words_reverse_direction(figure1):
     c = clause(figure1.tgt_tree, (3, 5))  # "pünktlich zu kommen"
-    got = figure1.alignment.preimage(yield_of(figure1.tgt_tree, c))
+    got = figure1.alignment.preimage(node_yield(figure1.tgt_tree, c))
     assert got == {2, 5}  # to, time
 
 
 def test_aligned_words_whole_sentence(figure1):
-    got = figure1.alignment.image(yield_of(figure1.src_tree, figure1.src_tree.root))
+    got = figure1.alignment.image(node_yield(figure1.src_tree, 0))
     assert got == figure1.alignment.aligned_tgt()
 
 
 def test_aligned_words_empty():
     tree = parse_tree("(S (NN a))")
     al = parse_alignment("", 1, 1)
-    assert al.image(yield_of(tree, tree.root)) == frozenset()
+    assert al.image(node_yield(tree, 0)) == frozenset()
 
 
 def test_figure1_overlap_and_sim(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
     c_s = clause(figure1.src_tree, (2, 5))
     c_t = clause(figure1.tgt_tree, (3, 5))
-    fwd, bwd = ctx.overlaps([c_s.id], [c_t.id])
+    fwd, bwd = ctx.overlaps([c_s], [c_t])
     assert fwd.shape == bwd.shape == (1, 1)
     assert fwd[0, 0] == pytest.approx(2 / 3, abs=1e-12)
     assert bwd[0, 0] == pytest.approx(1 / 2, abs=1e-12)
-    m = ctx.matrix([c_s.id], [c_t.id])
+    m = ctx.matrix([c_s], [c_t])
     assert m.sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
 
 
@@ -99,8 +99,8 @@ def test_sim_is_symmetric_under_side_swap(figure1):
         tgt_tree=figure1.src_tree,
     )
     bwd = UnitSimilarity(full_view(flipped), figure1.tgt_tree, figure1.src_tree)
-    src_ids = list(figure1.src_tree.node_ids())
-    tgt_ids = list(figure1.tgt_tree.node_ids())
+    src_ids = list(range(len(figure1.src_tree.labels)))
+    tgt_ids = list(range(len(figure1.tgt_tree.labels)))
     # swapping the sides swaps the two overlaps, and their mean is exact
     f_src, f_tgt = fwd.overlaps(src_ids, tgt_ids)
     b_src, b_tgt = bwd.overlaps(tgt_ids, src_ids)
@@ -160,7 +160,7 @@ def test_na_filter_empty_alignment_excludes_everything(figure1):
 
 def test_nc_filter_drops_function_words(figure1):
     view = nc_filter(full_view(figure1), DEFAULT_CONTENT_PREFIXES)
-    src_pos = {t.index: t.pos for t in figure1.src.tokens}
+    src_pos = dict(enumerate(figure1.src.tags))
     assert all(src_pos[i] not in ("TO", "IN") for i in view.included_src)
     assert 1 in view.included_src  # promised, VBD
     assert 3 in view.included_src  # be, VB
@@ -177,7 +177,7 @@ def test_nc_filter_all_function_words_zeroes_similarity():
                    src_tree=src, tgt_tree=tgt)
     view = nc_filter(full_view(b), DEFAULT_CONTENT_PREFIXES)
     ctx = UnitSimilarity(view, src, tgt)
-    m = ctx.matrix(list(src.node_ids()), list(tgt.node_ids()))
+    m = ctx.matrix(list(range(len(src.labels))), list(range(len(tgt.labels))))
     assert (m.sim == 0.0).all()
 
 
@@ -217,17 +217,19 @@ def test_full_overlap_implies_equal_sets(links):
         src=src.sentence, tgt=tgt.sentence,
         alignment=WordAlignment(links, 4, 4), src_tree=src, tgt_tree=tgt,
     )
-    fwd, _ = UnitSimilarity(full_view(b), src, tgt).overlaps(src.node_ids(), tgt.node_ids())
-    for s in src.node_ids():
-        for t in tgt.node_ids():
+    src_ids, tgt_ids = range(len(src.labels)), range(len(tgt.labels))
+    fwd, _ = UnitSimilarity(full_view(b), src, tgt).overlaps(src_ids, tgt_ids)
+    for s in src_ids:
+        for t in tgt_ids:
             if fwd[s, t] == 1.0:
-                image = b.alignment.image(yield_of(src, s))
-                assert image == yield_of(tgt, t) and image
+                image = b.alignment.image(node_yield(src, s))
+                assert image == node_yield(tgt, t) and image
 
 
 def test_matrix_values_in_unit_interval(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
-    m = ctx.matrix(list(figure1.src_tree.node_ids()), list(figure1.tgt_tree.node_ids()))
+    src_ids = list(range(len(figure1.src_tree.labels)))
+    m = ctx.matrix(src_ids, list(range(len(figure1.tgt_tree.labels))))
     assert m.sim.min() >= 0.0 and m.sim.max() <= 1.0
 
 
@@ -242,8 +244,10 @@ def _set_jaccard(a: frozenset, b: frozenset) -> float:
 
 
 def reference_matrix(view, src_tree, tgt_tree, src_units, tgt_units) -> np.ndarray:
-    src_yield = {n.id: yield_of(src_tree, n) & view.included_src for n in src_tree.nodes}
-    tgt_yield = {n.id: yield_of(tgt_tree, n) & view.included_tgt for n in tgt_tree.nodes}
+    src_yield = {n: node_yield(src_tree, n) & view.included_src
+                 for n in range(len(src_tree.labels))}
+    tgt_yield = {n: node_yield(tgt_tree, n) & view.included_tgt
+                 for n in range(len(tgt_tree.labels))}
     src_al = {k: frozenset(t for s, t in view.links if s in toks) for k, toks in src_yield.items()}
     tgt_al = {k: frozenset(s for s, t in view.links if t in toks) for k, toks in tgt_yield.items()}
     sim = np.zeros((len(src_units), len(tgt_units)))
@@ -292,7 +296,7 @@ def bisentences(draw):
 
 def assert_matches_reference(b, filters, tgt_units):
     view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
-    src_units = list(b.src_tree.node_ids())
+    src_units = list(range(len(b.src_tree.labels)))
     got = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     want = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
     assert got.sim.shape == want.shape
@@ -301,7 +305,7 @@ def assert_matches_reference(b, filters, tgt_units):
 
 @given(bisentences(), st.sampled_from(WORD_FILTER_SETS), st.data())
 def test_matrix_equals_per_cell_reference(b, filters, data):
-    all_units = list(b.tgt_tree.node_ids())
+    all_units = list(range(len(b.tgt_tree.labels)))
     pred = data.draw(st.integers(0, len(b.tgt) - 1))
     args = argument_filter(b.tgt_tree, pred)
     for tgt_units in (all_units, args):
@@ -314,5 +318,5 @@ def test_matrix_equals_reference_on_figure1_and_its_empty_alignment(figure1, fil
                        alignment=parse_alignment("", len(figure1.src), len(figure1.tgt)),
                        src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree)
     for b in (figure1, empty):
-        assert_matches_reference(b, filters, list(b.tgt_tree.node_ids()))
+        assert_matches_reference(b, filters, list(range(len(b.tgt_tree.labels))))
         assert_matches_reference(b, filters, argument_filter(b.tgt_tree, 1))
