@@ -22,19 +22,23 @@ import numpy as np
 
 from roleproj.matcher import build_graph, solve
 from roleproj.oracle import MAX_CELLS, brute_force_optimum, enumerate_optimal_covers
-from roleproj.similarity import SimilarityMatrix
 
 
 def random_matrix(rng, n, m, zero_frac=0.3):
     sim = rng.random((n, m))
     sim[rng.random((n, m)) < zero_frac] = 0.0
-    return SimilarityMatrix(tuple(range(n)), tuple(range(m)), sim)
+    return sim
 
 
 def tie_heavy_matrix(rng, n, m):
     dense = random_matrix(rng, n, m)
     d = rng.integers(1, 7, size=(n, m))
-    return SimilarityMatrix(dense.src_units, dense.tgt_units, np.round(dense.sim * d) / d)
+    return np.round(dense * d) / d
+
+
+def graph_of(sim):
+    """The graph whose unit ids are the row and column indices."""
+    return build_graph(range(sim.shape[0]), range(sim.shape[1]), sim, 1e6)
 
 
 def shape(text):
@@ -64,7 +68,7 @@ def main():
         m = int(rng.integers(1, MAX_CELLS // n + 1))
         if rng.random() < 0.5:
             n, m = m, n
-        g = build_graph(random_matrix(rng, n, m), 1e6)
+        g = graph_of(random_matrix(rng, n, m))
         for cls in ("perfect", "edgecover", "total"):
             solved = solve(g, cls)
             reference = brute_force_optimum(g, cls)
@@ -81,7 +85,7 @@ def main():
 
     for n, m in args.sizes:
         for kind, make in (("dense", random_matrix), ("ties", tie_heavy_matrix)):
-            g = build_graph(make(rng, n, m), 1e6)
+            g = graph_of(make(rng, n, m))
             row = [f"{n:4d}x{m:<4d} {kind:5s}"]
             for cls in ("perfect", "edgecover", "total"):
                 start = time.perf_counter()

@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__, fixtures
 from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
@@ -21,7 +20,7 @@ from .errors import ConfigError, OracleSizeError, ToolkitError, located
 from .evaluation import correspondence_stats, score, stratified_shuffling
 from .matcher import COST_ATOL, solve
 from .oracle import brute_force_optimum, enumerate_optimal_covers
-from .pipeline import DEFAULT_FILTER_FOR_MODEL, PipelineConfig, build_instance, run_corpus
+from .pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, build_instance, run_corpus
 from .similarity import DEFAULT_CONTENT_PREFIXES
 
 CONFIG_KEYS = {
@@ -33,25 +32,6 @@ CONFIG_KEYS = {
     "clause_boundary_labels",
 }
 CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    tool: str
-    version: str
-    config: dict
-    inputs: dict
-    warnings: list
-
-    def to_json(self) -> str:
-        payload = {
-            "tool": self.tool,
-            "version": self.version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "warnings": self.warnings,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _sha256(path) -> str:
@@ -142,7 +122,7 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
                 # Optimal covers are gathered at the tests' tolerance: sums of
                 # 1e6-capped weights round at about 1e-10 per link, far below
                 # any gap between distinct sums of k/d similarity weights.
-                src, tgt = graph.sim.src_units, graph.sim.tgt_units
+                src, tgt = graph.src_units, graph.tgt_units
                 optimal = [
                     {(src[i], tgt[j]) for i, j in cover}
                     for cover in enumerate_optimal_covers(graph, 1e-6)
@@ -210,19 +190,19 @@ def cmd_project(args) -> int:
         for k, p in enumerate(projected)
         if p.warnings
     ]
-    manifest = RunManifest(
-        tool="roleproj",
-        version=__version__,
-        config=cfg.to_dict(),
-        inputs={
+    manifest = {
+        "tool": "roleproj",
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "inputs": {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in input_paths.items()
             if path is not None
         },
-        warnings=warnings,
-    )
+        "warnings": warnings,
+    }
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -284,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("project", help="project source roles onto the target side")
-    p.add_argument("--model", choices=["word", "perfect", "edgecover", "total"])
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
     p.add_argument("--fill-gaps", action="store_true", dest="fill_gaps")
     p.add_argument("--src-trees", dest="src_trees")

@@ -34,6 +34,12 @@ yields an optimal minimal cover that is not always the lexicographically
 smallest one.
 Zero-similarity links forced by degree constraints are retained with
 sim = 0.0; projection drops them.
+
+An ``AlignmentGraph`` holds the unit ids of both sides, the similarity
+matrix and the weights, both indexed [source index, target index].  The
+solvers work on indices; ``links_from_pairs`` turns the chosen index pairs
+into ``(src_unit, tgt_unit, sim)`` triples of plain ints and floats, the
+triples the provenance sidecar records.
 """
 
 from __future__ import annotations
@@ -46,14 +52,16 @@ import numpy as np
 
 from . import lap
 from .errors import DegenerateGraphError, ValidationError
-from .similarity import SimilarityMatrix, to_weights
+from .similarity import to_weights
 
 COST_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AlignmentGraph:
-    sim: SimilarityMatrix
+    src_units: tuple[int, ...]
+    tgt_units: tuple[int, ...]
+    sim: np.ndarray = field(compare=False)  # n_src × n_tgt, in [0, 1]
     weights: np.ndarray = field(compare=False)  # n_src × n_tgt, never padded
 
     @property
@@ -66,34 +74,33 @@ class AlignmentGraph:
 
 
 @dataclass(frozen=True)
-class Link:
-    src: int  # unit id on the source side
-    tgt: int
-    sim: float
-
-
-@dataclass(frozen=True)
 class SemanticAlignment:
-    links: tuple[Link, ...]  # sorted by (src, tgt)
-    constraint_class: str
+    links: tuple[tuple[int, int, float], ...]  # (src_unit, tgt_unit, sim), sorted
     cost: float  # sum of the weights of the links, zero-similarity ones included
 
     def link_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l.src, l.tgt) for l in self.links)
+        return tuple((s, t) for s, t, _ in self.links)
 
 
-def build_graph(m: SimilarityMatrix, big: float) -> AlignmentGraph:
-    if m.sim.size == 0:
+def build_graph(src_units, tgt_units, sim: np.ndarray, big: float) -> AlignmentGraph:
+    """The graph over the given units; ``sim`` is indexed [source, target]."""
+    if sim.shape != (len(src_units), len(tgt_units)):
+        raise ValidationError("similarity matrix shape does not match unit counts")
+    if sim.size == 0:
         raise DegenerateGraphError("alignment graph needs units on both sides")
-    return AlignmentGraph(m, to_weights(m, big))
+    if sim.min() < 0.0 or sim.max() > 1.0:
+        raise ValidationError("similarity values must lie in [0, 1]")
+    return AlignmentGraph(tuple(src_units), tuple(tgt_units), sim, to_weights(sim, big))
 
 
-def links_from_pairs(g: AlignmentGraph, pairs) -> tuple[Link, ...]:
-    sims = g.sim.sim
-    out = []
-    for i, j in sorted(pairs):
-        out.append(Link(g.sim.src_units[i], g.sim.tgt_units[j], float(sims[i, j])))
-    return tuple(out)
+def links_from_pairs(g: AlignmentGraph, pairs) -> tuple[tuple[int, int, float], ...]:
+    """``(src_unit, tgt_unit, sim)`` triples of index pairs, in index order."""
+    pairs = sorted(pairs)
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    src, tgt = g.src_units, g.tgt_units
+    sims = g.sim[rows, cols].tolist()
+    return tuple(zip([src[i] for i in rows], [tgt[j] for j in cols], sims))
 
 
 def links_cost(W: np.ndarray, pairs) -> float:
@@ -109,7 +116,7 @@ def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
     pairs = _lexmin_matching(W)
-    return SemanticAlignment(links_from_pairs(g, pairs), "perfect", links_cost(W, pairs))
+    return SemanticAlignment(links_from_pairs(g, pairs), links_cost(W, pairs))
 
 
 def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -161,7 +168,7 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
 
     pairs = _strip_redundant_links(W, pairs)
     _check_cover(n, m, pairs)
-    return SemanticAlignment(links_from_pairs(g, pairs), "edgecover", links_cost(W, pairs))
+    return SemanticAlignment(links_from_pairs(g, pairs), links_cost(W, pairs))
 
 
 def _strip_redundant_links(W: np.ndarray, pairs: set) -> set:
@@ -200,11 +207,10 @@ def _check_cover(n: int, m: int, pairs) -> None:
 
 def solve_total(g: AlignmentGraph) -> SemanticAlignment:
     """Per-source argmax similarity link; lowest target index wins ties."""
-    sims = g.sim.sim
-    cols = np.argmax(sims, axis=1)
+    cols = np.argmax(g.sim, axis=1)
     pairs = [(i, int(j)) for i, j in enumerate(cols)]
     cost = float(g.weights[np.arange(len(pairs)), cols].sum())
-    return SemanticAlignment(links_from_pairs(g, pairs), "total", cost)
+    return SemanticAlignment(links_from_pairs(g, pairs), cost)
 
 
 def solve(g: AlignmentGraph, constraint_class: str) -> SemanticAlignment:
@@ -224,13 +230,13 @@ def dump_weight_table(g: AlignmentGraph, alignment: SemanticAlignment | None = N
     """
     chosen = set()
     if alignment is not None:
-        index_of_src = {u: i for i, u in enumerate(g.sim.src_units)}
-        index_of_tgt = {u: j for j, u in enumerate(g.sim.tgt_units)}
-        chosen = {(index_of_src[l.src], index_of_tgt[l.tgt]) for l in alignment.links}
-    header = "unit\t" + "\t".join(str(u) for u in g.sim.tgt_units)
+        index_of_src = {u: i for i, u in enumerate(g.src_units)}
+        index_of_tgt = {u: j for j, u in enumerate(g.tgt_units)}
+        chosen = {(index_of_src[s], index_of_tgt[t]) for s, t in alignment.link_pairs()}
+    header = "unit\t" + "\t".join(str(u) for u in g.tgt_units)
     lines = [header]
     W = g.weights
-    for i, src_unit in enumerate(g.sim.src_units):
+    for i, src_unit in enumerate(g.src_units):
         cells = []
         for j in range(g.n_tgt_real):
             mark = "*" if (i, j) in chosen else ""

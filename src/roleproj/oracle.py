@@ -58,7 +58,7 @@ def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAli
         cost, pairs = _best_total(g)
     else:
         raise ValueError(f"unknown constraint class {constraint_class!r}")
-    return SemanticAlignment(links_from_pairs(g, pairs), constraint_class, cost)
+    return SemanticAlignment(links_from_pairs(g, pairs), cost)
 
 
 def _optimal_matchings(W: np.ndarray, atol: float):
@@ -172,9 +172,7 @@ def _has_many_to_many(pairs) -> bool:
 
 
 def _best_total(g: AlignmentGraph):
-    sims = g.sim.sim
-    W = g.weights
-    cols = np.argmax(sims, axis=1)
+    cols = np.argmax(g.sim, axis=1)
     pairs = {(i, int(j)) for i, j in enumerate(cols)}
-    cost = float(W[np.arange(g.n_src_real), cols].sum())
+    cost = float(g.weights[np.arange(g.n_src_real), cols].sum())
     return cost, pairs

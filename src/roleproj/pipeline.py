@@ -103,7 +103,6 @@ class AlignmentInstance:
     """The constituent alignment problem of one bi-sentence."""
 
     src_units: tuple[int, ...]
-    tgt_units: tuple[int, ...]
     tgt_pred: int
     warnings: tuple[str, ...]
     graph: AlignmentGraph | None  # None when no target unit is left
@@ -112,8 +111,8 @@ class AlignmentInstance:
 def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
     """Filtered view, unit sets, similarity matrix and graph of a bi-sentence.
 
-    The one place an alignment graph is built: ``run_pipeline`` solves it
-    and ``--oracle`` checks it.
+    The one place an alignment graph is built: ``run_pipeline`` solves it,
+    ``--oracle`` checks it and ``stats`` counts its similarities.
     """
     for attr in ("src_tree", "tgt_tree"):
         if getattr(b, attr) is None:
@@ -124,10 +123,10 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
     tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
     if not tgt_units:
         warnings.append("no target units after filtering; nothing projected")
-        return AlignmentInstance(src_units, (), tgt_pred, tuple(warnings), None)
-    sim_matrix = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
-    graph = build_graph(sim_matrix, cfg.big)
-    return AlignmentInstance(src_units, tuple(tgt_units), tgt_pred, tuple(warnings), graph)
+        return AlignmentInstance(src_units, tgt_pred, tuple(warnings), None)
+    sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
+    graph = build_graph(src_units, tgt_units, sim, cfg.big)
+    return AlignmentInstance(src_units, tgt_pred, tuple(warnings), graph)
 
 
 def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
@@ -141,7 +140,7 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
 
     inst = build_instance(b, cfg)
     if inst.graph is None:
-        alignment = SemanticAlignment((), cfg.model, 0.0)
+        alignment = SemanticAlignment((), 0.0)
     else:
         alignment = strip_zero_links(solve(inst.graph, cfg.model))
     role_units = {

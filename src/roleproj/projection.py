@@ -83,9 +83,7 @@ def project(
                 f"role {label} sits on units {missing} absent from the graph"
             )
         unit_set = set(units)
-        hit_links = tuple(
-            (l.src, l.tgt, l.sim) for l in alignment.links if l.src in unit_set
-        )
+        hit_links = tuple(l for l in alignment.links if l[0] in unit_set)
         tokens: set[int] = set()
         for _, tgt_unit, _ in hit_links:
             lo, hi = tgt_spans[tgt_unit]
@@ -190,5 +188,5 @@ def resolve_role_units(tree: ParseTree, spans) -> tuple[int, ...]:
 
 def strip_zero_links(alignment: SemanticAlignment) -> SemanticAlignment:
     """Drop links whose similarity is zero; degree constraints forced them."""
-    kept = tuple(l for l in alignment.links if l.sim > 0.0)
-    return SemanticAlignment(kept, alignment.constraint_class, alignment.cost)
+    kept = tuple(l for l in alignment.links if l[2] > 0.0)
+    return SemanticAlignment(kept, alignment.cost)

@@ -11,11 +11,14 @@ source x target link matrix ``A``.  The aligned words of the units are
 ``Y_s·A > 0`` and ``Y_t·Aᵀ > 0``, intersections are matrix products, and
 ``|a ∪ b| = |a| + |b| − |a ∩ b|``.  Every count is a small integer, exact
 in float64, so each cell is the correctly rounded quotient of two integers.
+``UnitSimilarity.matrix`` returns the plain float64 ndarray, indexed
+[source unit, target unit] in the order the units were given;
+``to_weights`` maps it to the alignment weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +114,12 @@ class UnitSimilarity:
         tgt_aligned = (y_tgt @ self._links.T > 0).astype(float)
         return _jaccard(src_aligned, y_tgt), _jaccard(y_src, tgt_aligned)
 
-    def matrix(self, src_units, tgt_units) -> "SimilarityMatrix":
+    def matrix(self, src_units, tgt_units) -> np.ndarray:
+        """Mean of the two directional overlaps, indexed [source, target]."""
         fwd, bwd = self.overlaps(src_units, tgt_units)
         fwd += bwd
         fwd /= 2.0
-        return SimilarityMatrix(tuple(src_units), tuple(tgt_units), fwd)
+        return fwd
 
 
 def _yield_masks(tree: ParseTree, included: frozenset[int]) -> np.ndarray:
@@ -139,22 +143,9 @@ def _jaccard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    src_units: tuple[int, ...]
-    tgt_units: tuple[int, ...]
-    sim: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        if self.sim.shape != (len(self.src_units), len(self.tgt_units)):
-            raise ValidationError("similarity matrix shape does not match unit counts")
-        if self.sim.size and (self.sim.min() < 0.0 or self.sim.max() > 1.0):
-            raise ValidationError("similarity values must lie in [0, 1]")
-
-
-def to_weights(m: SimilarityMatrix, big: float) -> np.ndarray:
+def to_weights(sim: np.ndarray, big: float) -> np.ndarray:
     """Entrywise min(-log sim, big); zero similarity maps to the finite cap."""
     if big <= 0:
         raise ConfigError(f"big must be positive, got {big}")
     with np.errstate(divide="ignore"):
-        return np.minimum(-np.log(m.sim), big) + 0.0  # +0.0 normalizes -0.0
+        return np.minimum(-np.log(sim), big) + 0.0  # +0.0 normalizes -0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from roleproj import fixtures
-from roleproj.similarity import SimilarityMatrix
+from roleproj.matcher import AlignmentGraph, build_graph
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -54,16 +54,17 @@ def ancestors(tree, node: int) -> list[int]:
     return chain
 
 
-def sim_matrix(sim) -> SimilarityMatrix:
+def graph_of(sim, big) -> AlignmentGraph:
+    """The graph of a similarity matrix whose unit ids are its indices."""
     sim = np.asarray(sim, dtype=float)
     n, m = sim.shape
-    return SimilarityMatrix(tuple(range(n)), tuple(range(m)), sim)
+    return build_graph(range(n), range(m), sim, big)
 
 
-def random_sim(rng, n, m, zero_frac=0.3) -> SimilarityMatrix:
+def random_sim(rng, n, m, zero_frac=0.3) -> np.ndarray:
     sim = rng.random((n, m))
     sim[rng.random((n, m)) < zero_frac] = 0.0
-    return sim_matrix(sim)
+    return sim
 
 
 @st.composite

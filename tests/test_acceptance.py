@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_sim
+from conftest import graph_of, random_sim
 from roleproj.cli import main
 from roleproj.corpus import read_roles_file, RoleAnnotation
 from roleproj.evaluation import score, stratified_shuffling
-from roleproj.matcher import build_graph, solve_edge_cover, solve_perfect_matching, solve_total
+from roleproj.matcher import solve_edge_cover, solve_perfect_matching, solve_total
 from roleproj.oracle import brute_force_optimum
 from roleproj.projection import argument_filter
 from roleproj.similarity import UnitSimilarity, full_view
@@ -32,7 +32,7 @@ def solved_instances():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        g = build_graph(random_sim(rng, n, m, zero_frac=0.3), BIG)
+        g = graph_of(random_sim(rng, n, m, zero_frac=0.3), BIG)
         record_entry = {
             "dims": (n, m),
             "perfect": solve_perfect_matching(g),
@@ -126,7 +126,7 @@ def test_criterion_5_similarity_arithmetic(figure1):
     overlap_src, overlap_tgt = ctx.overlaps([c_s], [c_t])
     assert overlap_src[0, 0] == pytest.approx(2 / 3, abs=1e-12)
     assert overlap_tgt[0, 0] == pytest.approx(1 / 2, abs=1e-12)
-    assert ctx.matrix([c_s], [c_t]).sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
+    assert ctx.matrix([c_s], [c_t])[0, 0] == pytest.approx(7 / 12, abs=1e-12)
     record(
         "PASS criterion 5: example constituent pair gives overlaps 2/3 and 1/2 "
         "and symmetrized similarity 7/12 (+-1e-12)"
@@ -172,7 +172,7 @@ def test_criterion_7_significance_sanity():
 def test_criterion_8_scale_smoke():
     rng = np.random.default_rng(99)
     sim = random_sim(rng, 100, 100, zero_frac=0.3)
-    graph = build_graph(sim, BIG)
+    graph = graph_of(sim, BIG)
     start = time.perf_counter()
     solved = solve_perfect_matching(graph)
     elapsed = time.perf_counter() - start

@@ -139,9 +139,9 @@ def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
 
     build_graph, units = pipeline.build_graph, []
 
-    def recording(m, big):
-        units.append((m.src_units, m.tgt_units))
-        return build_graph(m, big)
+    def recording(src_units, tgt_units, sim, big):
+        units.append((tuple(src_units), tuple(tgt_units)))
+        return build_graph(src_units, tgt_units, sim, big)
 
     monkeypatch.setattr(pipeline, "build_graph", recording)
     cfg = pipeline.PipelineConfig(model="edgecover", filters=frozenset({"arg"}))
@@ -314,6 +314,20 @@ def test_stats_proportions_sum_to_one(fixture_dir, tmp_path):
     for side in ("source", "target"):
         total = sum(float(r[2]) for r in rows if r[0] == side and r[1] in ("none", "one", "many"))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stats_threshold_nan_is_an_error_line(fixture_dir, capsys):
+    args = [
+        "stats",
+        "--src-trees", toy(fixture_dir, "src.trees"),
+        "--tgt-trees", toy(fixture_dir, "tgt.trees"),
+        "--align", toy(fixture_dir, "align"),
+        "--threshold", "nan",
+    ]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: threshold must be a number, got nan\n"
+    assert captured.out == ""
 
 
 def test_stats_output_is_pinned_on_the_toy_fixture(fixture_dir, tmp_path):

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from roleproj import evaluation
 from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
@@ -8,7 +13,13 @@ from roleproj.corpus import (
     read_roles_file,
 )
 from roleproj.errors import ValidationError
-from roleproj.evaluation import correspondence_stats, score, stratified_shuffling
+from roleproj.evaluation import (
+    correspondence_stats,
+    pooled_prf,
+    score,
+    sentence_counts,
+    stratified_shuffling,
+)
 
 
 def ann(roles, frame="F", predicate=0):
@@ -156,6 +167,52 @@ def test_sigtest_rejects_empty_and_unparallel():
         stratified_shuffling(gold, right[:3], wrong, iterations=10, seed=0)
 
 
+def toy_systems(fixture_dir):
+    """Gold, predicted and gold-as-system roles of the toy corpus."""
+    gold = read_roles_file(fixture_dir / "toy" / "tgt.roles")
+    return gold, read_roles_file(fixture_dir / "toy" / "pred.roles"), gold
+
+
+def single_draw_p_value(gold, pred_a, pred_b, iterations, seed):
+    """The p-value from one draw of every flip, summed in integers."""
+    counts_a, counts_b = (
+        np.array([[c.tp, c.fp, c.fn] for c in map(sentence_counts, gold, pred)])
+        for pred in (pred_a, pred_b)
+    )
+    observed = pooled_prf(counts_a.sum(0))[2] - pooled_prf(counts_b.sum(0))[2]
+    flips = np.random.default_rng(seed).random((iterations, len(gold))) < 0.5
+    keep = ~flips
+    sum_a = keep.astype(int) @ counts_a + flips.astype(int) @ counts_b
+    sum_b = flips.astype(int) @ counts_a + keep.astype(int) @ counts_b
+    deltas = pooled_prf(sum_a)[2] - pooled_prf(sum_b)[2]
+    return (int(np.count_nonzero(np.abs(deltas) >= abs(observed))) + 1) / (iterations + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 123, 2**40])
+def test_sigtest_blockwise_draws_equal_a_single_draw(fixture_dir, monkeypatch, seed):
+    iterations = (1, 7, 100, 1000)
+    systems = toy_systems(fixture_dir)
+    whole = [stratified_shuffling(*systems, iterations=k, seed=seed) for k in iterations]
+    monkeypatch.setattr(evaluation, "FLIP_BLOCK_CELLS", 7 * len(systems[0]))
+    blocks = [stratified_shuffling(*systems, iterations=k, seed=seed) for k in iterations]
+    for k, a, b in zip(iterations, whole, blocks):
+        assert a.observed_delta_f1 == b.observed_delta_f1
+        assert a.p_value == b.p_value == single_draw_p_value(*systems, k, seed)
+    assert 0.01 < whole[-1].p_value < 1.0  # resampled deltas both reach and miss it
+
+
+def test_sigtest_memory_stays_flat_in_the_iterations(fixture_dir):
+    # One draw of all flips peaked at 123 MB here.
+    systems = toy_systems(fixture_dir)
+    tracemalloc.start()
+    try:
+        stratified_shuffling(*systems, iterations=1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # --- correspondence statistics -------------------------------------------------
 
 def test_isomorphic_trees_with_bijective_alignment_are_all_one():
@@ -192,8 +249,26 @@ def test_proportions_sum_to_one(toy_corpus):
 
 def test_stats_require_trees(figure1):
     naked = BiSentence(src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment)
-    with pytest.raises(ValidationError):
+    message = "^correspondence statistics need trees on both sides$"
+    with pytest.raises(ValidationError, match=message):
         correspondence_stats([naked])
+
+
+def test_stats_threshold_nan_is_rejected(toy_corpus):
+    with pytest.raises(ValidationError, match="^threshold must be a number, got nan$"):
+        correspondence_stats(toy_corpus, threshold=math.nan)
+
+
+@pytest.mark.parametrize("threshold", [1.5, math.inf])
+def test_stats_threshold_above_one_finds_no_correspondence(toy_corpus, threshold):
+    stats = correspondence_stats(toy_corpus, threshold)
+    assert stats.src_proportions["none"] == stats.tgt_proportions["none"] == 1.0
+
+
+def test_stats_threshold_zero_corresponds_every_pair(toy_corpus):
+    # Every constituent reaches every constituent of a multi-node tree.
+    stats = correspondence_stats(toy_corpus, 0.0)
+    assert stats.src_proportions["many"] == stats.tgt_proportions["many"] == 1.0
 
 
 def test_report_formats(toy_corpus, fixture_dir):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roleproj.lap import ADMISSIBLE_TOL, lexmin_perfect_matching, solve_lap
-from roleproj.similarity import SimilarityMatrix, to_weights
+from roleproj.similarity import to_weights
 
 
 def check_duals(cost, col_of_row, u, v):
@@ -44,7 +44,7 @@ def test_all_equal_and_padded_costs_match_scipy():
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = np.random.default_rng(47)
     d = rng.integers(1, 7, size=(9, 116))
-    sim = SimilarityMatrix(tuple(range(9)), tuple(range(116)), rng.integers(0, d + 1) / d)
+    sim = rng.integers(0, d + 1) / d
     padded = np.full((116, 116), 1e6)
     padded[:9] = to_weights(sim, 1e6)
     costs = [np.zeros((n, n)) for n in (1, 5, 60)]
@@ -159,7 +159,7 @@ def tie_heavy_costs(rng, k, m):
     sim = rng.integers(0, d + 1) / d
     sim[rng.random(k) < 0.15] = 0.0
     sim[:, rng.random(m) < 0.15] = 0.0
-    W = to_weights(SimilarityMatrix(tuple(range(k)), tuple(range(m)), sim), 1e6)
+    W = to_weights(sim, 1e6)
     return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
 
 

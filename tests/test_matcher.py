@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sim, sim_matrix
+from conftest import graph_of, random_sim
 from roleproj import lap
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
@@ -32,36 +32,60 @@ BIG = 1e6
 
 def degrees(alignment):
     ds, dt = {}, {}
-    for l in alignment.links:
-        ds[l.src] = ds.get(l.src, 0) + 1
-        dt[l.tgt] = dt.get(l.tgt, 0) + 1
+    for s, t, _ in alignment.links:
+        ds[s] = ds.get(s, 0) + 1
+        dt[t] = dt.get(t, 0) + 1
     return ds, dt
 
 
 # --- graph construction -------------------------------------------------
 
 def test_build_square_no_padding():
-    g = build_graph(random_sim(np.random.default_rng(0), 4, 4), BIG)
+    g = graph_of(random_sim(np.random.default_rng(0), 4, 4), BIG)
     assert g.weights.shape == (4, 4)
 
 
 def test_build_graph_never_pads():
     for n, m in ((6, 4), (4, 6), (1, 30)):
         sim = random_sim(np.random.default_rng(0), n, m)
-        g = build_graph(sim, BIG)
+        g = graph_of(sim, BIG)
         assert g.weights.shape == (n, m)
         assert (g.n_src_real, g.n_tgt_real) == (n, m)
         assert (g.weights == to_weights(sim, BIG)).all()
 
 
 def test_build_no_padding_for_edge_cover():
-    g = build_graph(random_sim(np.random.default_rng(0), 3, 5), BIG)
+    g = graph_of(random_sim(np.random.default_rng(0), 3, 5), BIG)
     assert g.weights.shape == (3, 5)
 
 
 def test_build_rejects_empty_partition():
     with pytest.raises(DegenerateGraphError):
-        build_graph(sim_matrix(np.zeros((0, 3))), BIG)
+        graph_of(np.zeros((0, 3)), BIG)
+
+
+@pytest.mark.parametrize(
+    "src_units, tgt_units, shape",
+    [((0,), (0, 1, 2), (2, 3)), ((0, 1), (0, 1), (2, 3)), ((0,), (), (0, 3)), ((), (), (1, 1))],
+)
+def test_build_rejects_a_shape_other_than_the_unit_counts(src_units, tgt_units, shape):
+    message = "^similarity matrix shape does not match unit counts$"
+    with pytest.raises(ValidationError, match=message):
+        build_graph(src_units, tgt_units, np.full(shape, 0.5), BIG)
+
+
+@pytest.mark.parametrize("value", [-0.25, -1e-300, 1.0 + 2**-52, 1.5, np.inf])
+def test_build_rejects_similarities_outside_the_unit_interval(value):
+    sim = np.full((2, 3), 0.5)
+    sim[1, 2] = value
+    with pytest.raises(ValidationError, match=r"^similarity values must lie in \[0, 1\]$"):
+        build_graph((0, 1), (0, 1, 2), sim, BIG)
+
+
+def test_build_accepts_the_ends_of_the_unit_interval():
+    g = build_graph((3, 8), (1, 4), np.array([[0.0, 1.0], [1.0, 0.0]]), BIG)
+    assert (g.src_units, g.tgt_units) == ((3, 8), (1, 4))
+    assert g.weights.tolist() == [[BIG, 0.0], [0.0, BIG]]
 
 
 # --- perfect matching ----------------------------------------------------
@@ -72,14 +96,14 @@ def weights_to_sim(w):
 
 
 def test_perfect_diagonal_forced():
-    g = build_graph(sim_matrix(weights_to_sim([[0, 5], [5, 0]])), BIG)
+    g = graph_of(weights_to_sim([[0, 5], [5, 0]]), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
 
 
 def test_perfect_antidiagonal_forced():
-    g = build_graph(sim_matrix(weights_to_sim([[1, 0], [0, 1]])), BIG)
+    g = graph_of(weights_to_sim([[1, 0], [0, 1]]), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 1), (1, 0))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
@@ -89,7 +113,7 @@ def test_perfect_matches_oracle_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = random_sim(rng, 5, 5)
-        g = build_graph(m, BIG)
+        g = graph_of(m, BIG)
         got = solve_perfect_matching(g)
         ref = brute_force_optimum(g, "perfect")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
@@ -98,11 +122,11 @@ def test_perfect_matches_oracle_on_random_instances():
 
 def test_perfect_strips_padding_links():
     rng = np.random.default_rng(1)
-    g = build_graph(random_sim(rng, 2, 5), BIG)
+    g = graph_of(random_sim(rng, 2, 5), BIG)
     a = solve_perfect_matching(g)
-    assert all(l.src < 2 and l.tgt < 5 for l in a.links)
+    assert all(s < 2 and t < 5 for s, t in a.link_pairs())
     assert len(a.links) == 2
-    assert a.cost == pytest.approx(sum(g.weights[l.src, l.tgt] for l in a.links), abs=1e-9)
+    assert a.cost == pytest.approx(sum(g.weights[p] for p in a.link_pairs()), abs=1e-9)
 
 
 def test_oracle_perfect_on_skewed_graphs_within_the_size_guard():
@@ -111,7 +135,7 @@ def test_oracle_perfect_on_skewed_graphs_within_the_size_guard():
     rng = np.random.default_rng(67)
     for n, m in ((1, 30), (30, 1), (2, 15), (15, 2), (3, 10)):
         d = rng.integers(1, 7, size=(n, m))
-        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG)
+        g = graph_of(rng.integers(0, d + 1) / d, BIG)
         start = time.perf_counter()
         ref = brute_force_optimum(g, "perfect")
         assert time.perf_counter() - start < 1.0
@@ -122,7 +146,7 @@ def test_oracle_perfect_on_skewed_graphs_within_the_size_guard():
 
 
 def test_perfect_lexicographic_tie_break():
-    g = build_graph(sim_matrix(np.full((3, 3), 0.5)), BIG)
+    g = graph_of(np.full((3, 3), 0.5), BIG)
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -131,7 +155,7 @@ def test_perfect_lexicographic_tie_break():
 
 def test_edge_cover_three_by_two_example():
     w = [[1, 10], [10, 1], [1, 10]]
-    g = build_graph(sim_matrix(weights_to_sim(w)), BIG)
+    g = graph_of(weights_to_sim(w), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 0))
     assert a.cost == pytest.approx(3.0, abs=1e-9)
@@ -139,7 +163,7 @@ def test_edge_cover_three_by_two_example():
 
 def test_edge_cover_single_source_covers_all_targets():
     w = np.array([[2.0, 3.0, 4.0]])
-    g = build_graph(sim_matrix(weights_to_sim(w)), BIG)
+    g = graph_of(weights_to_sim(w), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (0, 1), (0, 2))
     assert a.cost == pytest.approx(w.sum(), abs=1e-9)
@@ -149,7 +173,7 @@ def test_edge_cover_equals_strictly_better_perfect_matching():
     # diagonal strongly dominant: the unique optimal matching is also the cover
     sim = np.full((3, 3), 0.01)
     np.fill_diagonal(sim, 0.99)
-    g_cov = build_graph(sim_matrix(sim), BIG)
+    g_cov = graph_of(sim, BIG)
     a = solve_edge_cover(g_cov)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -158,20 +182,20 @@ def test_edge_cover_cost_never_exceeds_perfect_on_square():
     rng = np.random.default_rng(11)
     for _ in range(50):
         m = random_sim(rng, 4, 4)
-        cover = solve_edge_cover(build_graph(m, BIG))
-        matching = solve_perfect_matching(build_graph(m, BIG))
+        cover = solve_edge_cover(graph_of(m, BIG))
+        matching = solve_perfect_matching(graph_of(m, BIG))
         assert cover.cost <= matching.cost + 1e-9
 
 
 def test_edge_cover_lexicographic_on_uniform_ties():
-    g = build_graph(sim_matrix(np.full((2, 2), 1.0)), BIG)
+    g = graph_of(np.full((2, 2), 1.0), BIG)
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
 
 
 def test_edge_cover_tie_that_crashed_the_mirrored_reduction():
     sim = [[0, 0, 0, .25, .25], [.25, 0, 0, 0, .75], [.25, .5, 0, .75, 0], [0, 1, .75, .25, 0]]
-    g = build_graph(sim_matrix(sim), BIG)
+    g = graph_of(sim, BIG)
     a = solve_edge_cover(g)
     assert a.cost == pytest.approx(brute_force_optimum(g, "edgecover").cost, abs=1e-9)
     assert a.cost == pytest.approx(3.348, abs=1e-3)
@@ -184,7 +208,7 @@ def test_edge_cover_cost_matches_gallai_reference():
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(8)]
     for n, m in shapes:
         sim = random_sim(rng, n, m, zero_frac=0.6)
-        g = build_graph(sim, BIG)
+        g = graph_of(sim, BIG)
         W = g.weights
         mu_s, mu_t = W.min(axis=1), W.min(axis=0)
         reduced = np.minimum(0.0, W - mu_s[:, None] - mu_t[None, :])
@@ -196,29 +220,29 @@ def test_edge_cover_cost_matches_gallai_reference():
 # --- total ---------------------------------------------------------------
 
 def test_total_row_argmax():
-    g = build_graph(sim_matrix([[0.9, 0.1], [0.8, 0.2]]), BIG)
+    g = graph_of([[0.9, 0.1], [0.8, 0.2]], BIG)
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 0))
 
 
 def test_total_zero_row_links_lowest_index_with_zero_sim():
-    g = build_graph(sim_matrix([[0.0, 0.0], [0.3, 0.9]]), BIG)
+    g = graph_of([[0.0, 0.0], [0.3, 0.9]], BIG)
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
-    assert a.links[0].sim == 0.0
+    assert a.links[0][2] == 0.0
 
 
 def test_total_cost_is_row_min_sum():
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = random_sim(rng, 4, 6)
-        g = build_graph(m, BIG)
+        g = graph_of(m, BIG)
         assert solve_total(g).cost == g.weights.min(axis=1).sum()
 
 
 def test_total_many_sources_one_target():
     # all rows peak on column 0; targets 1..2 stay unaligned
-    g = build_graph(sim_matrix([[0.9, 0.2, 0.1]] * 4), BIG)
+    g = graph_of([[0.9, 0.2, 0.1]] * 4, BIG)
     a = solve_total(g)
     assert a.link_pairs() == tuple((i, 0) for i in range(4))
 
@@ -233,19 +257,19 @@ dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 def test_degree_constraints_hold(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
-    per = solve_perfect_matching(build_graph(sim, BIG))
+    per = solve_perfect_matching(graph_of(sim, BIG))
     ds, dt = degrees(per)
     assert all(v == 1 for v in ds.values()) and all(v == 1 for v in dt.values())
     assert len(ds) <= min(n, m)
 
-    cov = solve_edge_cover(build_graph(sim, BIG))
+    cov = solve_edge_cover(graph_of(sim, BIG))
     ds, dt = degrees(cov)
     assert set(ds) == set(range(n)) and set(dt) == set(range(m))
     assert not any(
-        ds[l.src] >= 2 and dt[l.tgt] >= 2 for l in cov.links
+        ds[s] >= 2 and dt[t] >= 2 for s, t in cov.link_pairs()
     ), "optimal edge cover must not contain many-to-many links"
 
-    tot = solve_total(build_graph(sim, BIG))
+    tot = solve_total(graph_of(sim, BIG))
     ds, _ = degrees(tot)
     assert all(ds.get(i) == 1 for i in range(n))
 
@@ -256,8 +280,8 @@ def test_solvers_are_deterministic(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
     for cls in ("perfect", "edgecover", "total"):
-        a = solve(build_graph(sim, BIG), cls)
-        b = solve(build_graph(sim, BIG), cls)
+        a = solve(graph_of(sim, BIG), cls)
+        b = solve(graph_of(sim, BIG), cls)
         assert a.link_pairs() == b.link_pairs()
         assert a.cost == b.cost
 
@@ -268,9 +292,9 @@ def test_similarity_scaling_leaves_optimal_matchings_invariant():
         sim = rng.random((3, 4))
         sim[rng.random((3, 4)) < 0.2] = 0.0
         for alpha in (0.5, 0.125):
-            base = enumerate_optimal_perfect(build_graph(sim_matrix(sim), BIG))
+            base = enumerate_optimal_perfect(graph_of(sim, BIG))
             scaled = enumerate_optimal_perfect(
-                build_graph(sim_matrix(sim * alpha), BIG)
+                graph_of(sim * alpha, BIG)
             )
             assert base == scaled
 
@@ -283,14 +307,14 @@ def test_link_sets_are_optimal_on_tie_heavy_instances():
     for _ in range(1000):
         n, m = (int(x) for x in rng.integers(1, 5, size=2))
         d = rng.integers(1, 7, size=(n, m))
-        sim = sim_matrix(rng.integers(0, d + 1) / d)
-        g = build_graph(sim, BIG)
+        sim = rng.integers(0, d + 1) / d
+        g = graph_of(sim, BIG)
         assert frozenset(solve(g, "perfect").link_pairs()) in enumerate_optimal_perfect(g, 1e-6)
-        g = build_graph(sim, BIG)
+        g = graph_of(sim, BIG)
         cover = solve(g, "edgecover").link_pairs()
         assert frozenset(cover) in enumerate_optimal_covers(g, 1e-6)
         assert solve(g, "edgecover").link_pairs() == cover
-        g = build_graph(sim, BIG)
+        g = graph_of(sim, BIG)
         assert solve(g, "total").link_pairs() == brute_force_optimum(g, "total").link_pairs()
 
 
@@ -330,7 +354,7 @@ def test_perfect_tie_break_does_not_depend_on_the_dual():
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(16)]
     for n, m in shapes:
         d = rng.integers(1, 7, size=(n, m))
-        g = build_graph(sim_matrix(rng.integers(0, d + 1) / d), BIG)
+        g = graph_of(rng.integers(0, d + 1) / d, BIG)
         links = frozenset(solve_perfect_matching(g).link_pairs())
         if n * m <= MAX_CELLS:
             assert links in enumerate_optimal_perfect(g, 1e-6)
@@ -376,7 +400,7 @@ def test_tie_break_without_padding_equals_the_padded_square():
         d = rng.integers(1, 7, size=(n, m))
         sim = rng.integers(0, d + 1) / d
         sim[rng.random((n, m)) < rng.uniform(0.0, 0.9)] = 0.0
-        W = to_weights(sim_matrix(sim), BIG)
+        W = to_weights(sim, BIG)
         gallai = np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
         for cost in (W, gallai):
             assert _lexmin_matching(cost) == square_lexmin_matching(cost), (n, m)
@@ -386,7 +410,7 @@ def test_tie_break_without_padding_equals_the_padded_square():
 @pytest.mark.parametrize("model", ["perfect", "edgecover"])
 def test_skewed_graphs_solve_without_a_square(shape, model):
     # A max(n, m)^2 square of floats alone is 200 MB here.
-    g = build_graph(random_sim(np.random.default_rng(73), *shape), BIG)
+    g = graph_of(random_sim(np.random.default_rng(73), *shape), BIG)
     tracemalloc.start()
     try:
         solve(g, model)
@@ -437,7 +461,7 @@ def test_strip_redundant_links_equals_the_removal_loop():
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
     # The tie-broken matching keeps the zero-weight link (0, 0); covering
     # source 1 and target 1 by their cheapest links then makes it redundant.
-    g = build_graph(sim_matrix([[1.0, 1.0], [1.0, 0.5]]), BIG)
+    g = graph_of([[1.0, 1.0], [1.0, 0.5]], BIG)
     assert enumerate_optimal_covers(g) == {frozenset({(0, 1), (1, 0)})}
     assert solve_edge_cover(g).link_pairs() == ((0, 1), (1, 0))
 
@@ -449,14 +473,14 @@ def test_oracle_all_classes_on_tiny_instances():
     for _ in range(50):
         sim = random_sim(rng, 2, 2)
         for cls in ("perfect", "edgecover", "total"):
-            g = build_graph(sim, BIG)
+            g = graph_of(sim, BIG)
             assert solve(g, cls).cost == pytest.approx(
                 brute_force_optimum(g, cls).cost, abs=1e-9
             )
 
 
 def test_oracle_one_by_one():
-    g = build_graph(sim_matrix([[0.7]]), BIG)
+    g = graph_of([[0.7]], BIG)
     for cls in ("perfect", "edgecover", "total"):
         a = brute_force_optimum(g, cls)
         assert a.link_pairs() == ((0, 0),)
@@ -465,7 +489,7 @@ def test_oracle_one_by_one():
 def test_oracle_edge_cover_is_optimal_but_not_the_smallest_optimum():
     # Completing f = (0, 1, 0) with source 0 for target 2 is not minimal;
     # with source 1 it is, and that cover sorts before the one returned.
-    g = build_graph(sim_matrix([[1, 0, 0], [0, 0, 0], [1, 0, 0]]), BIG)
+    g = graph_of([[1, 0, 0], [0, 0, 0], [1, 0, 0]], BIG)
     covers = enumerate_optimal_covers(g)
     ref = brute_force_optimum(g, "edgecover").link_pairs()
     assert ref == ((0, 0), (1, 1), (2, 2))
@@ -476,7 +500,7 @@ def test_oracle_edge_cover_is_optimal_but_not_the_smallest_optimum():
 
 def test_oracle_refuses_large_instances():
     sim = random_sim(np.random.default_rng(0), 6, 6)
-    g = build_graph(sim, BIG)
+    g = graph_of(sim, BIG)
     with pytest.raises(OracleSizeError):
         brute_force_optimum(g, "perfect")
 
@@ -486,17 +510,51 @@ def test_edge_cover_matches_oracle_on_rectangular_instances():
     for _ in range(200):
         n, m = rng.integers(1, 5, size=2)
         sim = random_sim(rng, int(n), int(m))
-        g = build_graph(sim, BIG)
+        g = graph_of(sim, BIG)
         got = solve_edge_cover(g)
         ref = brute_force_optimum(g, "edgecover")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
 
 
+# --- unit ids -------------------------------------------------------------
+
+def increasing_ids(rng, k):
+    """k increasing unit ids with gaps, so that ids and indices differ."""
+    return tuple((np.cumsum(rng.integers(1, 4, size=k)) + int(rng.integers(0, 3))).tolist())
+
+
+def test_links_carry_unit_ids_and_similarities_on_tie_heavy_graphs():
+    # Every other test uses unit ids equal to the indices, which an
+    # index/unit mix-up in the link decode would pass.
+    rng = np.random.default_rng(89)
+    for _ in range(300):
+        n, m = (int(x) for x in rng.integers(1, 8, size=2))
+        d = rng.integers(1, 7, size=(n, m))
+        sim = rng.integers(0, d + 1) / d
+        src_units, tgt_units = increasing_ids(rng, n), increasing_ids(rng, m)
+        by_index = graph_of(sim, BIG)
+        g = build_graph(src_units, tgt_units, sim, BIG)
+        solvers = [solve]
+        if n * m <= MAX_CELLS:
+            solvers.append(brute_force_optimum)
+        for cls in ("perfect", "edgecover", "total"):
+            for solver in solvers:
+                ref = solver(by_index, cls)
+                got = solver(g, cls)
+                want = [(src_units[i], tgt_units[j], sim[i, j]) for i, j in ref.link_pairs()]
+                assert got.links == tuple(want)
+                assert list(got.links) == sorted(got.links)
+                assert all(
+                    type(s) is int and type(t) is int and type(x) is float
+                    for s, t, x in got.links
+                )
+                assert got.cost == ref.cost
+
+
 # --- misc ---------------------------------------------------------------
 
 def test_dump_weight_table_marks_links():
-    sim = sim_matrix([[0.9, 0.1], [0.2, 0.8]])
-    g = build_graph(sim, BIG)
+    g = graph_of([[0.9, 0.1], [0.2, 0.8]], BIG)
     a = solve_perfect_matching(g)
     table = dump_weight_table(g, a)
     assert table.count("*") == 2

@@ -11,7 +11,7 @@ from roleproj.corpus import (
     serialize_roles,
 )
 from roleproj.errors import ConfigError, IntegrityError, ValidationError
-from roleproj.matcher import Link, SemanticAlignment
+from roleproj.matcher import SemanticAlignment
 from roleproj.pipeline import PipelineConfig, run_pipeline, target_predicate
 from roleproj.projection import (
     RoleProvenance,
@@ -43,10 +43,8 @@ def test_fill_gaps_is_the_extremal_interval(tokens):
 
 # --- unit-level projection -------------------------------------------------
 
-def make_alignment(pairs, cls="perfect"):
-    return SemanticAlignment(
-        tuple(Link(s, t, sim) for s, t, sim in sorted(pairs)), cls, 0.0
-    )
+def make_alignment(pairs):
+    return SemanticAlignment(tuple(sorted(pairs)), 0.0)
 
 
 def test_project_is_the_image_of_the_role_units():

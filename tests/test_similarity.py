@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import node_yield, sim_matrix
+from conftest import node_yield
 from roleproj.corpus import BiSentence, WordAlignment, parse_alignment, parse_tree
 from roleproj.errors import ConfigError
 from roleproj.pipeline import PipelineConfig
@@ -60,7 +60,7 @@ def test_figure1_overlap_and_sim(figure1):
     assert fwd[0, 0] == pytest.approx(2 / 3, abs=1e-12)
     assert bwd[0, 0] == pytest.approx(1 / 2, abs=1e-12)
     m = ctx.matrix([c_s], [c_t])
-    assert m.sim[0, 0] == pytest.approx(7 / 12, abs=1e-12)
+    assert m[0, 0] == pytest.approx(7 / 12, abs=1e-12)
 
 
 def test_overlap_identical_and_disjoint():
@@ -73,7 +73,7 @@ def test_overlap_identical_and_disjoint():
         src_tree=src, tgt_tree=tgt,
     )
     ctx = UnitSimilarity(full_view(perfect), src, tgt)
-    assert ctx.matrix([0], [0]).sim[0, 0] == 1.0  # roots perfectly mutually aligned
+    assert ctx.matrix([0], [0])[0, 0] == 1.0  # roots perfectly mutually aligned
 
     none = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
@@ -82,7 +82,7 @@ def test_overlap_identical_and_disjoint():
     )
     ctx0 = UnitSimilarity(full_view(none), src, tgt)
     # empty alignment: empty-union overlap is defined as zero
-    assert ctx0.matrix([0], [0]).sim[0, 0] == 0.0
+    assert ctx0.matrix([0], [0])[0, 0] == 0.0
 
 
 def test_sim_is_symmetric_under_side_swap(figure1):
@@ -105,12 +105,11 @@ def test_sim_is_symmetric_under_side_swap(figure1):
     f_src, f_tgt = fwd.overlaps(src_ids, tgt_ids)
     b_src, b_tgt = bwd.overlaps(tgt_ids, src_ids)
     assert (f_src == b_tgt.T).all() and (f_tgt == b_src.T).all()
-    assert (fwd.matrix(src_ids, tgt_ids).sim == bwd.matrix(tgt_ids, src_ids).sim.T).all()
+    assert (fwd.matrix(src_ids, tgt_ids) == bwd.matrix(tgt_ids, src_ids).T).all()
 
 
 def test_to_weights_examples():
-    m = sim_matrix([[1.0, 0.0, 0.5]])
-    w = to_weights(m, 1e6)
+    w = to_weights(np.array([[1.0, 0.0, 0.5]]), 1e6)
     assert w[0, 0] == 0.0
     assert w[0, 1] == 1e6
     assert w[0, 2] == pytest.approx(math.log(2), abs=1e-12)
@@ -118,14 +117,13 @@ def test_to_weights_examples():
 
 def test_to_weights_rejects_bad_big():
     with pytest.raises(ConfigError):
-        to_weights(sim_matrix([[0.5]]), 0.0)
+        to_weights(np.array([[0.5]]), 0.0)
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=20, unique=True))
 def test_to_weights_strictly_antitone(grid):
     sims = sorted(k / 10**6 for k in grid)
-    m = sim_matrix([sims])
-    w = to_weights(m, 1e6)[0]
+    w = to_weights(np.array([sims]), 1e6)[0]
     assert all(w[k] > w[k + 1] for k in range(len(sims) - 1))
 
 
@@ -178,7 +176,7 @@ def test_nc_filter_all_function_words_zeroes_similarity():
     view = nc_filter(full_view(b), DEFAULT_CONTENT_PREFIXES)
     ctx = UnitSimilarity(view, src, tgt)
     m = ctx.matrix(list(range(len(src.labels))), list(range(len(tgt.labels))))
-    assert (m.sim == 0.0).all()
+    assert (m == 0.0).all()
 
 
 def test_filters_only_exclude_and_are_idempotent(figure1):
@@ -230,7 +228,7 @@ def test_matrix_values_in_unit_interval(figure1):
     ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
     src_ids = list(range(len(figure1.src_tree.labels)))
     m = ctx.matrix(src_ids, list(range(len(figure1.tgt_tree.labels))))
-    assert m.sim.min() >= 0.0 and m.sim.max() <= 1.0
+    assert m.min() >= 0.0 and m.max() <= 1.0
 
 
 # The per-cell frozenset Jaccard that UnitSimilarity computed before it became
@@ -299,8 +297,8 @@ def assert_matches_reference(b, filters, tgt_units):
     src_units = list(range(len(b.src_tree.labels)))
     got = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     want = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
-    assert got.sim.shape == want.shape
-    assert (got.sim == want).all()
+    assert got.shape == want.shape
+    assert (got == want).all()
 
 
 @given(bisentences(), st.sampled_from(WORD_FILTER_SETS), st.data())
