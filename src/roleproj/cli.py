@@ -14,12 +14,11 @@ import hashlib
 import json
 import sys
 
-from . import __version__, fixtures
+from . import __version__, fixtures, oracle
 from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
-from .errors import ConfigError, OracleSizeError, ToolkitError, located
+from .errors import ConfigError, ToolkitError, located
 from .evaluation import correspondence_stats, score, stratified_shuffling
-from .matcher import COST_ATOL, solve
-from .oracle import brute_force_optimum, enumerate_optimal_covers
+from .matcher import solve
 from .pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, build_instance, run_corpus
 from .similarity import DEFAULT_CONTENT_PREFIXES
 
@@ -95,13 +94,10 @@ def _build_pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
-    """Re-solve each small graph by brute force; a cost or link-set gap fails.
-
-    ``perfect`` and ``total`` must return exactly the oracle's link set;
-    an ``edgecover`` link set must be one of the optimal minimal covers.
-    """
-    checked = 0
+def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
+    """``oracle.check`` each graph within the size guard; return the number
+    of sentences checked and of graphs skipped, unsolved, above the guard."""
+    checked = skipped = 0
     for k, b in enumerate(bisentences):
         if cfg.model == "word" or b.src_tree is None or b.tgt_tree is None:
             continue
@@ -109,35 +105,12 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> int:
             graph = build_instance(b, cfg).graph
             if graph is None:
                 continue
-            try:
-                reference = brute_force_optimum(graph, cfg.model)
-            except OracleSizeError:
+            if graph.sim.size > oracle.MAX_CELLS:
+                skipped += 1
                 continue
-            got = solve(graph, cfg.model)
-            if abs(got.cost - reference.cost) > COST_ATOL:
-                raise ToolkitError(
-                    f"solver cost {got.cost!r} != oracle cost {reference.cost!r}"
-                )
-            if cfg.model == "edgecover":
-                # Optimal covers are gathered at the tests' tolerance: sums of
-                # 1e6-capped weights round at about 1e-10 per link, far below
-                # any gap between distinct sums of k/d similarity weights.
-                src, tgt = graph.src_units, graph.tgt_units
-                optimal = [
-                    {(src[i], tgt[j]) for i, j in cover}
-                    for cover in enumerate_optimal_covers(graph, 1e-6)
-                ]
-                if set(got.link_pairs()) not in optimal:
-                    raise ToolkitError(
-                        f"solver links {got.link_pairs()} are not an optimal minimal cover"
-                    )
-            elif got.link_pairs() != reference.link_pairs():
-                raise ToolkitError(
-                    f"solver links {got.link_pairs()} != oracle links "
-                    f"{reference.link_pairs()}"
-                )
+            oracle.check(graph, cfg.model, solve(graph, cfg.model))
         checked += 1
-    return checked
+    return checked, skipped
 
 
 def cmd_project(args) -> int:
@@ -172,8 +145,9 @@ def cmd_project(args) -> int:
         src_roles_path=args.src_roles,
     )
     if args.oracle:
-        checked = _oracle_check(corpus, cfg)
-        print(f"oracle check passed on {checked} sentence(s)")
+        checked, skipped = _oracle_check(corpus, cfg)
+        print(f"oracle check passed on {checked} sentence(s); "
+              f"{skipped} graph(s) above {oracle.MAX_CELLS} cells not checked")
 
     projected = run_corpus(corpus, cfg, jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -277,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--provenance")
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check solver costs against brute force on small graphs")
+                   help="check the cost and links of every graph of at most "
+                   f"{oracle.MAX_CELLS} cells against brute force")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_project)
 

@@ -158,9 +158,9 @@ def solve_lap(cost: np.ndarray):
     return np.array(col_of_row, dtype=int), u, v
 
 
-def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray, tol=ADMISSIBLE_TOL):
+def admissible_cells(cost: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Boolean matrix of tight cells; every optimal matching lives inside it."""
-    return (cost - u[:, None] - v[None, :]) <= tol
+    return (cost - u[:, None] - v[None, :]) <= ADMISSIBLE_TOL
 
 
 def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Exhaustive-enumeration oracle for the alignment solvers.
 
-Used by the test suite and the ``--oracle`` CLI flag to cross-check solver
-costs on small instances, and by the tests to check solver link sets
-against every optimal solution.  Refuses instances above the size guard,
-n * m <= MAX_CELLS.  Perfect matchings are enumerated as injections of the
-smaller side into the larger, at most 7 * 6 * 5 * 4 = 840 of them under the
-guard; edge covers as functions from source to target, at most 3**10.
-The one edge cover ``brute_force_optimum`` returns is an optimal minimal
-cover but not always the lexicographically smallest one;
-``enumerate_optimal_covers`` lists them all.
+``check`` is the one statement of what agreeing with the oracle means; the
+``--oracle`` CLI flag and ``scripts/solver_benchmark.py`` both call it.
+Refuses instances above the size guard, n * m <= MAX_CELLS.  Perfect
+matchings are enumerated as injections of the smaller side into the
+larger, at most 7 * 6 * 5 * 4 = 840 of them under the guard; edge covers
+as functions from source to target, at most 3**10.  The one edge cover
+``brute_force_optimum`` returns is an optimal minimal cover but not always
+the lexicographically smallest one; ``enumerate_optimal_covers`` lists
+them all, which the tests use as the reference for ``check``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .errors import OracleSizeError
+from .errors import OracleSizeError, ToolkitError
 from .matcher import (
     COST_ATOL,
     AlignmentGraph,
@@ -27,6 +27,7 @@ from .matcher import (
 )
 
 MAX_CELLS = 30
+COVER_ATOL = 1e-6  # 1e6-capped weight sums round at about 1e-10 per link
 
 
 def _guard(g: AlignmentGraph) -> None:
@@ -59,6 +60,34 @@ def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAli
     else:
         raise ValueError(f"unknown constraint class {constraint_class!r}")
     return SemanticAlignment(links_from_pairs(g, pairs), cost)
+
+
+def check(g: AlignmentGraph, constraint_class: str, got: SemanticAlignment) -> None:
+    """Raise ToolkitError unless ``got`` agrees with the oracle on ``g``.
+
+    The cost must be the optimum's within COST_ATOL, and ``perfect`` and
+    ``total`` links the oracle's.  ``edgecover`` links must be one of
+    ``enumerate_optimal_covers(g, COVER_ATOL)``, each a source->target
+    function plus a cheapest repair per target it leaves uncovered: without
+    enumeration, a cover with no many-to-many link costing at most the
+    optimum + COVER_ATOL.  Above the size guard, raises OracleSizeError.
+    """
+    reference = brute_force_optimum(g, constraint_class)
+    if abs(got.cost - reference.cost) > COST_ATOL:
+        raise ToolkitError(f"solver cost {got.cost!r} != oracle cost {reference.cost!r}")
+    pairs = got.link_pairs()
+    if constraint_class != "edgecover":
+        if pairs != reference.link_pairs():
+            raise ToolkitError(f"solver links {pairs} != oracle links {reference.link_pairs()}")
+        return
+    links = set(pairs)
+    row = {u: i for i, u in enumerate(g.src_units)}
+    col = {u: j for j, u in enumerate(g.tgt_units)}
+    covers = {s for s, _ in links} == row.keys() and {t for _, t in links} == col.keys()
+    if not covers or _has_many_to_many(links) or links_cost(
+        g.weights, [(row[s], col[t]) for s, t in links]
+    ) > reference.cost + COVER_ATOL:
+        raise ToolkitError(f"solver links {pairs} are not an optimal minimal cover")
 
 
 def _optimal_matchings(W: np.ndarray, atol: float):

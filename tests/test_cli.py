@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,49 @@ def test_oracle_flag_fails_on_links_other_than_the_oracles(
     err = capsys.readouterr().err
     assert err.startswith(f"error: sentence 0 ({model}): solver links ")
     assert "Traceback" not in err
+
+
+def test_oracle_edge_cover_check_is_fast_on_an_unaligned_pair(tmp_path, capsys):
+    # A 2x15 graph of zero similarities: every cover ties, so enumerating
+    # the optimal covers took about 18 s.
+    (tmp_path / "src.trees").write_text("(S (NN a))\n")
+    (tmp_path / "tgt.trees").write_text(
+        "(S (NP (DT b) (NN c)) (VP (VB d) (NP (DT e) (NN f))) "
+        "(PP (IN g) (NN h)) (ADVP (RB i)) (RB k))\n"
+    )
+    (tmp_path / "x.align").write_text("\n")
+    (tmp_path / "src.roles").write_text("#0 F 0\nA0\t0-0\n")
+    args = [
+        "project", "--model", "edgecover", "--filter", "none", "--oracle",
+        "--src-trees", str(tmp_path / "src.trees"),
+        "--tgt-trees", str(tmp_path / "tgt.trees"),
+        "--align", str(tmp_path / "x.align"),
+        "--src-roles", str(tmp_path / "src.roles"),
+        "--out", str(tmp_path / "out.roles"),
+    ]
+    start = time.perf_counter()
+    assert main(args) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == (
+        "oracle check passed on 1 sentence(s); 0 graph(s) above 30 cells not checked\n"
+    )
+
+
+@pytest.mark.parametrize("model", ["perfect", "edgecover", "total"])
+def test_oracle_summary_counts_the_graphs_above_the_guard_unsolved(
+    fixture_dir, tmp_path, capsys, monkeypatch, model
+):
+    # Figure 1 under --filter none is one graph above 30 cells.
+    import roleproj.cli as cli
+
+    def never(graph, constraint_class):
+        raise AssertionError("solved a graph the oracle cannot check")
+
+    monkeypatch.setattr(cli, "solve", never)
+    assert main(project_args(fixture_dir, tmp_path / "out.roles", model, ["--oracle"])) == 0
+    assert capsys.readouterr().out == (
+        "oracle check passed on 0 sentence(s); 1 graph(s) above 30 cells not checked\n"
+    )
 
 
 def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
