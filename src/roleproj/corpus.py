@@ -25,11 +25,16 @@ Serializers emit a canonical form (sorted links, alphabetically sorted role
 labels, spans sorted by start); parsing a canonical file and re-serializing
 it reproduces the input byte for byte.
 
-Tree lines are split by one regular expression into tokens and parsed in a
-single pass over them.  A whole preterminal ``(POS word)`` is one token, so
-about half the nodes of a tree cost one loop step; other tokens are a
-bracket or an atom.  The character offsets in tree errors are computed only
-when an error is raised.
+Tree lines are lexed by spacing out the brackets and calling
+``str.split()``, so every token is a bracket or an atom, and parsed in a
+single pass over the tokens.  A well-formed preterminal ``(POS word)``, four
+tokens, costs one loop step, and about half the nodes of a tree are
+preterminals.  The character offsets in tree errors are computed only when
+an error is raised, by lexing the line again with a regular expression
+that splits on the same whitespace as ``str.split()``.  An alignment
+line is accepted by one regular expression match and its numbers are
+converted in bulk; it is walked pair by pair only to name its first bad
+pair.
 
 Sentences and trees hold no Python object per token or node.  A
 ``Sentence`` is two parallel tuples, surfaces and tags, indexed by token
@@ -202,27 +207,28 @@ class BiSentence:
 # Bracketed trees
 
 
-# One lexer token: a whole well-formed preterminal "(POS word)" (groups 1
-# and 2), else a bracket or a run of non-bracket non-whitespace (group 3).
-# The first alternative matches exactly where the bracket/atom lexing would
-# give the four tokens "(", POS, word, ")" in a row.  In a str pattern \s
-# matches exactly the characters for which str.isspace() is true.
-_TREE_TOKEN_RE = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|([()]|[^\s()]+)")
+# Bracket/atom lexing, used only to find the character offset of an error.
+# Its k-th match is the k-th token of parse_tree's str.split() lexing: in a
+# str pattern \s matches exactly the characters for which str.isspace() is
+# true, the set str.split() splits on.
+_LEXEME_RE = re.compile(r"[()]|[^\s()]+")
 
 
-def _token_offset(line: str, k: int) -> int:
-    """Character offset of the k-th lexer token of a tree line."""
-    return next(itertools.islice(_TREE_TOKEN_RE.finditer(line), k, None)).start()
+def _lexeme_offset(line: str, k: int) -> int:
+    """Character offset of the k-th bracket/atom token of a tree line."""
+    return next(itertools.islice(_LEXEME_RE.finditer(line), k, None)).start()
 
 
 def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     """Parse one Penn-style bracketed tree line into a ParseTree.
 
-    One pass over the lexer tokens: a whole preterminal ``(POS word)`` is
-    one token and becomes a node at once, ``(`` opens a constituent
-    labelled by the next token, and ``)`` closes it.  A preterminal token
-    runs the same checks as a ``(`` at its position, so every error fires
-    on the same input as with one token per bracket and atom.
+    The line is lexed into bracket and atom tokens by spacing out the
+    brackets and splitting on whitespace, then parsed in one pass: a
+    well-formed preterminal, the four tokens ``(``, POS, word, ``)``, is
+    consumed in one step and becomes a node at once, ``(`` opens a
+    constituent labelled by the next token, and ``)`` closes it.  A
+    preterminal runs the same checks as a ``(`` at its position, so every
+    error fires on the same input as with one step per token.
     Raises FormatError with a character offset for unbalanced or malformed
     bracketings, and when the token count disagrees with ``expected_tokens``.
     Offsets appear only in errors, so they are found by lexing the line
@@ -239,45 +245,53 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     preterminals: list[int] = []
     # One [node_id, has_word, child_ids] frame per open constituent.
     # A frame gets a word only in a malformed preterminal, which the next
-    # token rejects: a well-formed one is a single lexer token.
+    # token rejects: a well-formed one is consumed in one step.
     stack: list[list] = []
-    lexed = enumerate(_TREE_TOKEN_RE.findall(line))
-    for k, (pos, word, text) in lexed:
+    toks = line.replace("(", " ( ").replace(")", " ) ").split()
+    n = len(toks)
+    k = 0
+    while k < n:
+        text = toks[k]
         if not stack and labels:
-            raise FormatError(f"trailing material at offset {_token_offset(line, k)}")
-        if pos or text == "(":
+            raise FormatError(f"trailing material at offset {_lexeme_offset(line, k)}")
+        if text == "(":
             node_id = len(labels)
             if stack:
                 frame = stack[-1]
                 if frame[1]:
                     raise FormatError(
-                        f"child constituent after word at offset {_token_offset(line, k)}"
+                        f"child constituent after word at offset {_lexeme_offset(line, k)}"
                     )
                 frame[2].append(node_id)
                 parents.append(frame[0])
             else:
                 parents.append(None)
-            if pos:
+            # A token is never empty, so "in" tells a bracket from an atom;
+            # the end of the line stands in as a bracket.
+            label = toks[k + 1] if k + 1 < n else ")"
+            if label in "()":
+                raise FormatError(
+                    f"expected node label at offset {_lexeme_offset(line, k) + 1}"
+                )
+            labels.append(label)
+            if k + 3 < n and toks[k + 3] == ")" and toks[k + 2] not in "()":
+                # A well-formed preterminal: "(", POS, word, ")".
                 i = len(surfaces)
-                surfaces.append(word)
-                tags.append(pos)
+                surfaces.append(toks[k + 2])
+                tags.append(label)
                 preterminals.append(node_id)
-                labels.append(pos)
                 spans.append((i, i))
                 children.append(())
+                k += 4
             else:
-                _, (_, _, label) = next(lexed, (k, ("", "", "")))
-                if label in ("", "(", ")"):  # "" is a preterminal token or the end
-                    raise FormatError(
-                        f"expected node label at offset {_token_offset(line, k) + 1}"
-                    )
-                labels.append(label)
                 spans.append(None)
                 children.append(None)
                 stack.append([node_id, False, []])
-        elif not stack:
-            raise FormatError(f"expected '(' at offset {_token_offset(line, k)}")
-        elif text == ")":
+                k += 2
+            continue
+        if not stack:
+            raise FormatError(f"expected '(' at offset {_lexeme_offset(line, k)}")
+        if text == ")":
             node_id, _, child_ids = stack.pop()
             if not child_ids:
                 raise FormatError(f"empty constituent '{labels[node_id]}'")
@@ -286,12 +300,15 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
         else:
             frame = stack[-1]
             if frame[2]:
-                raise FormatError(f"word after child constituent at offset {_token_offset(line, k)}")
+                raise FormatError(
+                    f"word after child constituent at offset {_lexeme_offset(line, k)}"
+                )
             if frame[1]:
                 raise FormatError(
-                    f"second word under one preterminal at offset {_token_offset(line, k)}"
+                    f"second word under one preterminal at offset {_lexeme_offset(line, k)}"
                 )
             frame[1] = True
+        k += 1
     if not labels:
         raise FormatError("empty tree line")
     if stack:
@@ -336,14 +353,31 @@ def tree_to_line(tree: ParseTree) -> str:
 # ---------------------------------------------------------------------------
 # Word alignments
 
-_LINK_RE = re.compile(r"^([0-9]+)-([0-9]+)$")
+# A whole well-formed line: whitespace-separated "i-j" pairs.  \s matches
+# exactly what str.split() splits on.  The digits must be [0-9], not \d,
+# because int() also converts "1_0", "+1" and the digits of other scripts.
+_ALIGN_LINE_RE = re.compile(r"\s*(?:[0-9]+-[0-9]+(?:\s+[0-9]+-[0-9]+)*)?\s*")
+_LINK_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
-    """Parse a Pharaoh-style line of ``i-j`` pairs; duplicates collapse."""
-    links = set()
+    """Parse a Pharaoh-style line of ``i-j`` pairs; duplicates collapse.
+
+    One match accepts a well-formed line and its numbers are converted in
+    bulk.  A line is walked pair by pair only when it has an error, to name
+    its first bad pair.
+    """
+    if _ALIGN_LINE_RE.fullmatch(line):
+        try:
+            nums = list(map(int, line.replace("-", " ").split()))
+        except ValueError:  # more digits than int() converts: named below
+            pass
+        else:
+            src, tgt = nums[0::2], nums[1::2]
+            if not nums or (max(src) < n_src and max(tgt) < n_tgt):
+                return WordAlignment(frozenset(zip(src, tgt)), n_src, n_tgt)
     for part in line.split():
-        m = _LINK_RE.match(part)
+        m = _LINK_RE.fullmatch(part)
         if not m:
             raise FormatError(f"malformed alignment pair {part!r}")
         try:
@@ -354,8 +388,7 @@ def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
             raise FormatError(
                 f"alignment link {s}-{t} out of range for lengths {n_src}/{n_tgt}"
             )
-        links.add((s, t))
-    return WordAlignment(frozenset(links), n_src, n_tgt)
+    raise AssertionError(f"no bad pair in the rejected alignment line {line!r}")
 
 
 def alignment_to_line(al: WordAlignment) -> str:

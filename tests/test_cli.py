@@ -177,6 +177,15 @@ def test_oracle_summary_counts_the_graphs_above_the_guard_unsolved(
     )
 
 
+def test_oracle_with_the_word_model_says_there_is_nothing_to_check(
+    fixture_dir, tmp_path, capsys
+):
+    assert main(toy_oracle_args(fixture_dir, tmp_path / "out.roles", "word")) == 0
+    assert capsys.readouterr().out == (
+        "oracle check skipped: the word model builds no graph to check\n"
+    )
+
+
 def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
     import roleproj.cli as cli
     import roleproj.pipeline as pipeline

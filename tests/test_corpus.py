@@ -3,7 +3,7 @@ import re
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import trees
 
@@ -24,7 +24,7 @@ from roleproj.corpus import (
     spans_from_tokens,
     tree_to_line,
 )
-from roleproj.errors import FormatError, ValidationError
+from roleproj.errors import FormatError, ToolkitError, ValidationError
 
 
 # --- trees ------------------------------------------------------------
@@ -277,7 +277,9 @@ def test_parse_tree_equals_the_one_token_per_bracket_reference(text):
 @pytest.mark.parametrize(
     "line",
     ["( NN w )", "(NN\tw)", "((NN w))", "(NP w (NN x))", "(NN w)(NN x)", "(NN w x)",
-     "(NN (w))", "(NN w\xa0)", "(S (NN w) x)", "(S\u3000(NN w)\x1c(VB x) )"],
+     "(NN (w))", "(NN w\xa0)", "(S (NN w) x)", "(S\u3000(NN w)\x1c(VB x) )",
+     "(S(NN a)(VB b))", "(NN\x85a)", "(NN a b)", "(S (NN a) (", "(S (NN a) ( ))",
+     "(S (: -) (NN a))"],
 )
 def test_preterminal_token_edge_cases_match_the_reference(line):
     assert parsed_or_error(parse_tree, line) == parsed_or_error(reference_parse_tree, line)
@@ -330,7 +332,76 @@ def test_parse_alignment_collapses_duplicates():
     assert len(parse_alignment("0-0 0-0", 1, 1).links) == 1
 
 
+def reference_parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
+    """The parser that matches and converts one pair at a time, kept as the reference.
+
+    ``parse_alignment`` accepts a whole line with one match and converts its
+    numbers in bulk; it must give the same alignments and the same errors,
+    naming the same first bad pair, as this parser.
+    """
+    links = set()
+    for part in line.split():
+        m = re.match(r"^([0-9]+)-([0-9]+)$", part)
+        if not m:
+            raise FormatError(f"malformed alignment pair {part!r}")
+        try:
+            s, t = int(m.group(1)), int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"malformed alignment pair {part!r}") from None
+        if s >= n_src or t >= n_tgt:
+            raise FormatError(
+                f"alignment link {s}-{t} out of range for lengths {n_src}/{n_tgt}"
+            )
+        links.add((s, t))
+    return WordAlignment(frozenset(links), n_src, n_tgt)
+
+
+def aligned_or_error(parse, line, n_src, n_tgt):
+    try:
+        return parse(line, n_src, n_tgt)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
 HUGE = "1" + "0" * 5000  # past CPython's 4,300-digit int() conversion limit
+
+# int() converts "1_0", "+1" and "\u0661", but a link holds ASCII digits only.
+ALIGNMENT_PARTS = st.sampled_from([
+    "0-0", "0-1", "1-0", "2-3", "3-2", "00-01", "4-0", "0-4", "12-1",
+    "1_0-2", "+1-2", "1-+2", "\u0661-\u0662", "1-2-3", "-", "1-", "-1", "1:2", "a-b",
+    f"0-{HUGE}", f"{HUGE}-0",
+])
+ALIGNMENT_SEPARATORS = st.sampled_from(
+    [" ", "  ", "\t", "\x1c", "\x85", "\u3000", "\xa0", "\u2003", "\n"]
+)
+
+
+@st.composite
+def alignment_lines(draw):
+    """Parts joined by varied whitespace, with or without whitespace at the ends."""
+    parts = draw(st.lists(ALIGNMENT_PARTS, max_size=6))
+    line = "".join(draw(ALIGNMENT_SEPARATORS) + part for part in parts).lstrip()
+    edge = st.one_of(st.just(""), ALIGNMENT_SEPARATORS)
+    return draw(edge) + line + draw(edge)
+
+
+@given(alignment_lines(), st.integers(0, 4), st.integers(0, 4))
+@example("1_0-2", 11, 3)
+@example("+1-2", 2, 3)
+@example("\u0661-\u0662", 2, 3)
+@example(f"0-{HUGE}", 1, 1)
+@example(f"{HUGE}-0 0-0", 1, 1)
+@example("0-0\x1c1-1", 2, 2)
+@example("0-0\x851-1", 2, 2)
+@example("\u3000 0-0\u30001-1\x85", 2, 2)
+@example("0-0 1-1 0-0", 2, 2)
+@example("0-9 x-1", 2, 2)
+@example("x-1 0-9", 2, 2)
+@example("0-0 1-2-3 9-9", 2, 2)
+def test_parse_alignment_equals_the_pair_by_pair_reference(line, n_src, n_tgt):
+    assert aligned_or_error(parse_alignment, line, n_src, n_tgt) == aligned_or_error(
+        reference_parse_alignment, line, n_src, n_tgt
+    )
 
 
 @pytest.mark.parametrize(
