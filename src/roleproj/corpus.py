@@ -119,10 +119,6 @@ class WordAlignment:
         src_tokens = set(src_tokens)
         return frozenset(t for s, t in self.links if s in src_tokens)
 
-    def preimage(self, tgt_tokens) -> frozenset[int]:
-        tgt_tokens = set(tgt_tokens)
-        return frozenset(s for s, t in self.links if t in tgt_tokens)
-
     def aligned_src(self) -> frozenset[int]:
         return frozenset(s for s, _ in self.links)
 

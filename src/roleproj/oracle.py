@@ -112,12 +112,6 @@ def _best_perfect(g: AlignmentGraph):
     return links_cost(g.weights, pairs), set(pairs)
 
 
-def enumerate_optimal_perfect(g: AlignmentGraph, atol: float = COST_ATOL):
-    """All optimal perfect matchings as frozensets of links."""
-    _guard(g)
-    return {frozenset(pairs) for pairs in _optimal_matchings(g.weights, atol)}
-
-
 def _optimal_cover_functions(W: np.ndarray, atol: float):
     """Source->target functions that complete to an optimal cover.
 

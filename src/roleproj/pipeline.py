@@ -105,28 +105,40 @@ class AlignmentInstance:
     src_units: tuple[int, ...]
     tgt_pred: int
     warnings: tuple[str, ...]
-    graph: AlignmentGraph | None  # None when no target unit is left
+    graph: AlignmentGraph | None  # None when no unit is left on a side
+    role_units: dict[str, tuple[int, ...]]  # each source role's units; {} without roles
 
 
 def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
     """Filtered view, unit sets, similarity matrix and graph of a bi-sentence.
 
     The one place an alignment graph is built: ``run_pipeline`` solves it,
-    ``--oracle`` checks it and ``stats`` counts its similarities.
+    ``--oracle`` checks it and ``stats`` counts its similarities.  The
+    source units are every tree node, except under ``total`` with source
+    roles: its rows are independent and projection reads only the rows of
+    role units, so its graph has just those.
     """
     for attr in ("src_tree", "tgt_tree"):
         if getattr(b, attr) is None:
             raise ConfigError(f"model {cfg.model!r} requires {attr.replace('_', ' ')}")
     view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
     tgt_pred = target_predicate(b)
-    src_units = tuple(range(len(b.src_tree.labels)))
     tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
+    role_units = {}
+    src_units = tuple(range(len(b.src_tree.labels)))
+    if b.src_roles is not None:
+        role_units = {
+            label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
+        }
+        if cfg.model == "total":
+            src_units = tuple(sorted(set().union(*role_units.values())))
     if not tgt_units:
         warnings.append("no target units after filtering; nothing projected")
-        return AlignmentInstance(src_units, tgt_pred, tuple(warnings), None)
+    if not (src_units and tgt_units):
+        return AlignmentInstance(src_units, tgt_pred, tuple(warnings), None, role_units)
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     graph = build_graph(src_units, tgt_units, sim, cfg.big)
-    return AlignmentInstance(src_units, tgt_pred, tuple(warnings), graph)
+    return AlignmentInstance(src_units, tgt_pred, tuple(warnings), graph, role_units)
 
 
 def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
@@ -143,13 +155,10 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         alignment = SemanticAlignment((), 0.0)
     else:
         alignment = strip_zero_links(solve(inst.graph, cfg.model))
-    role_units = {
-        label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
-    }
     return project(
         alignment,
         b.src_roles,
-        role_units,
+        inst.role_units,
         inst.src_units,
         b.tgt_tree,
         predicate=inst.tgt_pred,

@@ -5,9 +5,10 @@ token indices in any downstream output always refer to the original
 sentence.  Similarity is computed from the filtered view; projected spans
 are read off the original constituent yields.
 
-Similarity is incidence-matrix algebra over 0/1 float64 masks: node x token
-yield masks ``Y_s`` and ``Y_t`` (zero on excluded tokens) and the view's
-source x target link matrix ``A``.  The aligned words of the units are
+Similarity is incidence-matrix algebra over 0/1 float64 masks: unit x token
+yield masks ``Y_s`` and ``Y_t`` of the units asked for (zero on excluded
+tokens) and the view's source x target link matrix ``A``.  No mask is
+built for a node outside those units.  The aligned words of the units are
 ``Y_s·A > 0`` and ``Y_t·Aᵀ > 0``, intersections are matrix products, and
 ``|a ∪ b| = |a| + |b| − |a ∩ b|``.  Every count is a small integer, exact
 in float64, so each cell is the correctly rounded quotient of two integers.
@@ -19,6 +20,7 @@ in float64, so each cell is the correctly rounded quotient of two integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -95,8 +97,8 @@ class UnitSimilarity:
     """Pairwise constituent similarity for one bi-sentence view."""
 
     def __init__(self, view: BiSentenceView, src_tree: ParseTree, tgt_tree: ParseTree):
-        self._y_src = _yield_masks(src_tree, view.included_src)
-        self._y_tgt = _yield_masks(tgt_tree, view.included_tgt)
+        self._src = src_tree.spans, _kept_tokens(src_tree, view.included_src)
+        self._tgt = tgt_tree.spans, _kept_tokens(tgt_tree, view.included_tgt)
         self._links = np.zeros((len(src_tree.sentence), len(tgt_tree.sentence)))
         s, t = np.array(list(view.links), dtype=int).reshape(-1, 2).T
         self._links[s, t] = 1.0
@@ -106,10 +108,10 @@ class UnitSimilarity:
 
         The first compares each source unit's aligned words with each target
         unit's yield; the second each target unit's aligned words with each
-        source unit's yield.
+        source unit's yield.  Yield masks are built for the given units only.
         """
-        y_src = self._y_src[list(src_units)]
-        y_tgt = self._y_tgt[list(tgt_units)]
+        y_src = _yield_masks(*self._src, src_units)
+        y_tgt = _yield_masks(*self._tgt, tgt_units)
         src_aligned = (y_src @ self._links > 0).astype(float)
         tgt_aligned = (y_tgt @ self._links.T > 0).astype(float)
         return _jaccard(src_aligned, y_tgt), _jaccard(y_src, tgt_aligned)
@@ -122,12 +124,18 @@ class UnitSimilarity:
         return fwd
 
 
-def _yield_masks(tree: ParseTree, included: frozenset[int]) -> np.ndarray:
-    """Node x token 0/1 matrix of the included tokens each node dominates."""
-    lo, hi = np.array(tree.spans).T[:, :, None]
-    tokens = np.arange(len(tree.sentence))
-    kept = np.zeros(len(tokens), dtype=bool)
+def _kept_tokens(tree: ParseTree, included: frozenset[int]) -> np.ndarray:
+    """Boolean mask of the included tokens of the tree's sentence."""
+    kept = np.zeros(len(tree.sentence), dtype=bool)
     kept[list(included)] = True
+    return kept
+
+
+def _yield_masks(spans, kept: np.ndarray, units) -> np.ndarray:
+    """Unit x token 0/1 matrix of the kept tokens each unit dominates."""
+    bounds = np.fromiter(chain.from_iterable(map(spans.__getitem__, units)), dtype=np.intp)
+    lo, hi = bounds.reshape(-1, 2).T[:, :, None]
+    tokens = np.arange(len(kept))
     return ((lo <= tokens) & (tokens <= hi) & kept).astype(float)
 
 

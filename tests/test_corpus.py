@@ -464,6 +464,13 @@ def test_alignment_line_round_trip(links):
     assert alignment_to_line(parse_alignment(line, 6, 6)) == line
 
 
+def test_word_alignment_names_a_link_out_of_range():
+    with pytest.raises(ValidationError, match=r"^link 0-3 out of range for lengths 2/3$"):
+        WordAlignment(frozenset({(0, 0), (1, 2), (0, 3)}), 2, 3)
+    with pytest.raises(ValidationError, match=r"^link -1-0 out of range for lengths 2/3$"):
+        WordAlignment(frozenset({(-1, 0)}), 2, 3)
+
+
 # --- tok lines --------------------------------------------------------
 
 def test_tok_round_trip():

@@ -28,7 +28,18 @@ from roleproj.corpus import (
     sentence_to_tok_line,
     tree_to_line,
 )
-from roleproj.pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, run_corpus
+from roleproj.matcher import SemanticAlignment, build_graph, solve
+from roleproj.pipeline import (
+    DEFAULT_FILTER_FOR_MODEL,
+    MODELS,
+    PipelineConfig,
+    run_corpus,
+    run_pipeline,
+    select_target_units,
+    target_predicate,
+)
+from roleproj.projection import project, resolve_role_units, strip_zero_links
+from roleproj.similarity import UnitSimilarity, apply_word_filters
 
 WORDS = ("Kim", "promised", "to", "pünktlich", "a_b", "_", ",", "Ü", "x")
 TAGS = ("NN", "VBD", "TO", "ADJD", "$,", "-NONE-", "JJ", "DT")
@@ -212,3 +223,40 @@ def test_run_corpus_output_is_the_same_at_one_and_two_jobs(tmp_path, seed, model
         return roles_file_text([p.annotation for p in projected]), records
 
     assert output(2) == output(1)
+
+
+def all_rows_total(b, cfg):
+    """``total`` solved over every source unit, then projected.
+
+    The pipeline keeps only the rows of the role-bearing source units; its
+    output must be this reference's, byte for byte.
+    """
+    view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
+    tgt_pred = target_predicate(b)
+    tgt_units, warnings = select_target_units(b, cfg, tgt_pred)
+    src_units = range(len(b.src_tree.labels))
+    alignment = SemanticAlignment((), 0.0)
+    if tgt_units:
+        sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
+        graph = build_graph(src_units, tgt_units, sim, cfg.big)
+        alignment = strip_zero_links(solve(graph, "total"))
+    else:
+        warnings.append("no target units after filtering; nothing projected")
+    role_units = {
+        label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
+    }
+    return project(alignment, b.src_roles, role_units, src_units, b.tgt_tree,
+                   predicate=tgt_pred, warnings=tuple(warnings))
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(FILTERS))
+def test_total_on_the_role_rows_projects_what_the_all_rows_graph_projects(rng, filt):
+    with tempfile.TemporaryDirectory() as d:
+        corpus = load(write(d, corpus_texts(rng, (1, 4), 12)))
+    filters = frozenset() if filt == "none" else frozenset(filt.split(","))
+    cfg = PipelineConfig(model="total", filters=filters)
+    for k, b in enumerate(corpus):
+        got, want = run_pipeline(b, cfg), all_rows_total(b, cfg)
+        assert roles_file_text([got.annotation]) == roles_file_text([want.annotation])
+        assert got.to_record(k) == want.to_record(k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import graph_of, random_sim
-from roleproj import lap
+from roleproj import lap, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
@@ -19,15 +19,16 @@ from roleproj.matcher import (
     solve_perfect_matching,
     solve_total,
 )
-from roleproj.oracle import (
-    MAX_CELLS,
-    brute_force_optimum,
-    enumerate_optimal_covers,
-    enumerate_optimal_perfect,
-)
+from roleproj.oracle import MAX_CELLS, brute_force_optimum, enumerate_optimal_covers
 from roleproj.similarity import to_weights
 
 BIG = 1e6
+
+
+def enumerate_optimal_perfect(g, atol=COST_ATOL):
+    """All optimal perfect matchings as frozensets of links."""
+    oracle._guard(g)
+    return {frozenset(pairs) for pairs in oracle._optimal_matchings(g.weights, atol)}
 
 
 def degrees(alignment):
