@@ -114,6 +114,8 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
 
 
 def cmd_project(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _build_pipeline_config(args)
     input_paths = {
         "align": args.align,

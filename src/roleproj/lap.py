@@ -41,6 +41,11 @@ the k×m tight cells alone.  The padding nodes all cost 0 and have dual 0,
 so they are interchangeable: the padding side is kept implicit, as one
 virtual row or as one shared cursor over the rows that hold padding, and
 the work follows the k×m cells, not the square of the larger side.
+Before any search, one vectorised test over the tight cells' index arrays
+asks whether every tight column below a row's own is held by an earlier
+row; then no row can move and the matching is returned as it is.  The
+thin Gallai matrices of ``edgecover`` under the ``arg`` filter almost
+always pass it, the square ``perfect`` graphs almost never.
 """
 
 from __future__ import annotations
@@ -202,14 +207,25 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
       its own first, so reaching it closes the cycle.
     """
     n, m = adm.shape
+    tight_rows, tight_cols = np.nonzero(adm)
+    # No row moves when each tight column below a row's home (m for a row
+    # on padding) is held by an earlier row: every row then finds all of
+    # them locked.  holder[c] is n for a column no real row holds, so such
+    # a column fails the test; rows on padding write only to holder[m].
+    col_of_row = np.asarray(col_of_row, dtype=int)
+    homes = np.where(col_of_row < 0, m, col_of_row)
+    holder = np.full(m + 1, n)
+    holder[homes] = np.arange(n)
+    if not ((tight_cols < homes[tight_rows]) & (holder[tight_cols] >= tight_rows)).any():
+        return col_of_row.copy()
+
     pad = [False] * max(n, m) if pad is None else np.asarray(pad, dtype=bool).tolist()
     pad_row = pad if n > m else [False] * n
-    tight_rows, tight_cols = np.nonzero(adm)
     ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
     flat = tight_cols.tolist()
     adm_cols = [flat[a:b] for a, b in zip([0, *ends], ends)]
     # match[n] is the virtual row's slot; row_of[m + r] is r's padding column.
-    match = [int(j) for j in col_of_row] + [-1]
+    match = [*col_of_row.tolist(), -1]
     row_of = [n] * m + list(range(n))
     for i, j in enumerate(match[:n]):
         if j >= 0:

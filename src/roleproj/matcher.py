@@ -15,10 +15,12 @@ units:
     ch. 19): with mu(v) the cheapest weight incident to v, a minimum
     matching on the reduced costs min(0, w(s, t) - mu(s) - mu(t)) is a
     rectangular assignment of the min(n, m) units of the smaller side.
-    Matched pairs with non-positive reduced cost are kept, every other
-    unit takes its cheapest incident edge, and a zero-weight link whose
-    endpoints are both linked elsewhere is dropped.  The cover costs the
-    sum of all mu plus the matching cost.
+    The cover is decoded on an n×m boolean link mask.  Matched pairs with
+    non-positive reduced cost are kept; every unit they leave bare, found
+    from those pairs alone before any repair, takes its cheapest incident
+    edge; and a zero-weight link whose endpoints are both linked elsewhere
+    is dropped, scanning only those links, largest index first.  The cover
+    costs the sum of all mu plus the matching cost.
 
 ``total``
     Every source node links to its maximally similar target node; target
@@ -37,15 +39,15 @@ sim = 0.0; projection drops them.
 
 An ``AlignmentGraph`` holds the unit ids of both sides, the similarity
 matrix and the weights, both indexed [source index, target index].  The
-solvers work on indices; ``links_from_pairs`` turns the chosen index pairs
-into ``(src_unit, tgt_unit, sim)`` triples of plain ints and floats, the
-triples the provenance sidecar records.
+solvers work on index arrays; ``links_from_pairs`` turns the chosen
+(rows, cols) arrays, in row-major order, into ``(src_unit, tgt_unit,
+sim)`` triples of plain ints and floats, the triples the provenance
+sidecar records.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,33 +95,30 @@ def build_graph(src_units, tgt_units, sim: np.ndarray, big: float) -> AlignmentG
     return AlignmentGraph(tuple(src_units), tuple(tgt_units), sim, to_weights(sim, big))
 
 
-def links_from_pairs(g: AlignmentGraph, pairs) -> tuple[tuple[int, int, float], ...]:
-    """``(src_unit, tgt_unit, sim)`` triples of index pairs, in index order."""
-    pairs = sorted(pairs)
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
+def links_from_pairs(g: AlignmentGraph, rows, cols) -> tuple[tuple[int, int, float], ...]:
+    """``(src_unit, tgt_unit, sim)`` triples of index arrays in row-major order."""
     src, tgt = g.src_units, g.tgt_units
     sims = g.sim[rows, cols].tolist()
-    return tuple(zip([src[i] for i in rows], [tgt[j] for j in cols], sims))
+    return tuple(zip([src[i] for i in rows.tolist()], [tgt[j] for j in cols.tolist()], sims))
 
 
-def links_cost(W: np.ndarray, pairs) -> float:
+def links_cost(W: np.ndarray, rows, cols) -> float:
     """Exactly rounded sum of the link weights.
 
     Equal weights give an equal cost in any order, also where sums of
     zero-similarity weights (1e6 each) leave a float spacing above 1e-9.
     """
-    return math.fsum(W[i, j] for i, j in pairs)
+    return math.fsum(W[rows, cols].tolist())
 
 
 def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
-    pairs = _lexmin_matching(W)
-    return SemanticAlignment(links_from_pairs(g, pairs), links_cost(W, pairs))
+    rows, cols = _lexmin_matching(W)
+    return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
 
 
-def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
+def _lexmin_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically smallest minimum-cost matching of the smaller side.
 
     ``cost`` is n×m.  The assignment runs on the min(n, m)-row orientation;
@@ -130,7 +129,8 @@ def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
     every padding cell.  A padding cell is tight against a larger-side unit
     of dual d when 0 - d <= ADMISSIBLE_TOL, the test the square would apply
     to it; ``lap.lexmin_perfect_matching`` takes those units as a mask and
-    never builds the square.
+    never builds the square.  The matched cells come back as (rows, cols)
+    index arrays in row-major order.
     """
     n, m = cost.shape
     if n <= m:
@@ -143,7 +143,8 @@ def _lexmin_matching(cost: np.ndarray) -> list[tuple[int, int]]:
         pad = -u <= lap.ADMISSIBLE_TOL
     adm = lap.admissible_cells(cost, u, v)
     match = lap.lexmin_perfect_matching(adm, col_of_row, pad)
-    return [(i, int(j)) for i, j in enumerate(match) if j >= 0]
+    rows = np.flatnonzero(match >= 0)
+    return rows, match[rows]
 
 
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
@@ -153,26 +154,32 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     mu_s = W.min(axis=1)
     mu_t = W.min(axis=0)
     reduced = W - mu_s[:, None] - mu_t[None, :]
-    pairs = {
-        (i, j)
-        for i, j in _lexmin_matching(np.minimum(reduced, 0.0))
-        if reduced[i, j] <= COST_ATOL
-    }
-    covered_s = {i for i, _ in pairs}
-    covered_t = {j for _, j in pairs}
-    # Each unit's cheapest edge: the smallest index within COST_ATOL of mu.
-    cheapest_t = np.argmax(W <= mu_s[:, None] + COST_ATOL, axis=1).tolist()
-    cheapest_s = np.argmax(W <= mu_t[None, :] + COST_ATOL, axis=0).tolist()
-    pairs.update((i, cheapest_t[i]) for i in range(n) if i not in covered_s)
-    pairs.update((cheapest_s[j], j) for j in range(m) if j not in covered_t)
+    rows, cols = _lexmin_matching(np.minimum(reduced, 0.0))
+    keep = reduced[rows, cols] <= COST_ATOL
+    rows, cols = rows[keep], cols[keep]
+    chosen = np.zeros((n, m), dtype=bool)
+    chosen[rows, cols] = True
+    # The units the kept matching leaves bare, all found before any repair,
+    # each take their cheapest edge: the smallest index within COST_ATOL of mu.
+    bare_s = np.ones(n, dtype=bool)
+    bare_s[rows] = False
+    bare_t = np.ones(m, dtype=bool)
+    bare_t[cols] = False
+    cheapest_t = np.argmax(W <= mu_s[:, None] + COST_ATOL, axis=1)
+    cheapest_s = np.argmax(W <= mu_t[None, :] + COST_ATOL, axis=0)
+    chosen[bare_s, cheapest_t[bare_s]] = True
+    chosen[cheapest_s[bare_t], bare_t] = True
 
-    pairs = _strip_redundant_links(W, pairs)
-    _check_cover(n, m, pairs)
-    return SemanticAlignment(links_from_pairs(g, pairs), links_cost(W, pairs))
+    deg_s, deg_t = _strip_redundant_links(W, chosen)
+    if not (deg_s.all() and deg_t.all()):
+        raise ValidationError("edge cover decode left a unit uncovered")
+    rows, cols = np.nonzero(chosen)
+    return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
 
 
-def _strip_redundant_links(W: np.ndarray, pairs: set) -> set:
-    """Remove links whose endpoints are both covered elsewhere.
+def _strip_redundant_links(W: np.ndarray, chosen: np.ndarray):
+    """Remove links whose endpoints are both covered elsewhere from the
+    boolean link mask ``chosen``; return the source and target degrees left.
 
     An optimal cover can contain such a link only when it has (near-)zero
     weight; dropping it preserves cost and restores the property that no
@@ -181,36 +188,33 @@ def _strip_redundant_links(W: np.ndarray, pairs: set) -> set:
     each zero-weight link whose endpoints both still have degree >= 2.
     Degrees only fall, so a link kept by the scan never becomes removable
     later, and the scan removes what dropping the largest removable link,
-    again and again, would.
+    again and again, would.  For the same reason the scan visits only the
+    zero-weight links that start out many-to-many.
     """
-    deg_s = Counter(i for i, _ in pairs)
-    deg_t = Counter(j for _, j in pairs)
-    kept = set(pairs)
-    for i, j in sorted(pairs, reverse=True):
-        if deg_s[i] >= 2 and deg_t[j] >= 2 and W[i, j] <= COST_ATOL:
-            kept.remove((i, j))
+    deg_s = chosen.sum(axis=1)
+    deg_t = chosen.sum(axis=0)
+    if deg_s.max() < 2 or deg_t.max() < 2:
+        return deg_s, deg_t
+    many = chosen & (deg_s[:, None] >= 2) & (deg_t[None, :] >= 2)
+    rows, cols = np.nonzero(many & (W <= COST_ATOL))
+    for i, j in zip(rows[::-1].tolist(), cols[::-1].tolist()):
+        if deg_s[i] >= 2 and deg_t[j] >= 2:
+            chosen[i, j] = False
             deg_s[i] -= 1
             deg_t[j] -= 1
-    if any(deg_s[i] >= 2 and deg_t[j] >= 2 for i, j in kept):
+    if (many & chosen & (deg_s[:, None] >= 2) & (deg_t[None, :] >= 2)).any():
         raise ValidationError(
             "edge cover decode produced a positive-weight many-to-many link"
         )
-    return kept
-
-
-def _check_cover(n: int, m: int, pairs) -> None:
-    covered_s = {i for i, _ in pairs}
-    covered_t = {j for _, j in pairs}
-    if covered_s != set(range(n)) or covered_t != set(range(m)):
-        raise ValidationError("edge cover decode left a unit uncovered")
+    return deg_s, deg_t
 
 
 def solve_total(g: AlignmentGraph) -> SemanticAlignment:
     """Per-source argmax similarity link; lowest target index wins ties."""
     cols = np.argmax(g.sim, axis=1)
-    pairs = [(i, int(j)) for i, j in enumerate(cols)]
-    cost = float(g.weights[np.arange(len(pairs)), cols].sum())
-    return SemanticAlignment(links_from_pairs(g, pairs), cost)
+    rows = np.arange(len(cols))
+    cost = float(g.weights[rows, cols].sum())
+    return SemanticAlignment(links_from_pairs(g, rows, cols), cost)
 
 
 def solve(g: AlignmentGraph, constraint_class: str) -> SemanticAlignment:

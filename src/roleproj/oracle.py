@@ -59,7 +59,12 @@ def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAli
         cost, pairs = _best_total(g)
     else:
         raise ValueError(f"unknown constraint class {constraint_class!r}")
-    return SemanticAlignment(links_from_pairs(g, pairs), cost)
+    return SemanticAlignment(links_from_pairs(g, *_index_arrays(pairs)), cost)
+
+
+def _index_arrays(pairs):
+    """Row-major (rows, cols) index arrays of (i, j) pairs."""
+    return np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
 
 
 def check(g: AlignmentGraph, constraint_class: str, got: SemanticAlignment) -> None:
@@ -85,7 +90,7 @@ def check(g: AlignmentGraph, constraint_class: str, got: SemanticAlignment) -> N
     col = {u: j for j, u in enumerate(g.tgt_units)}
     covers = {s for s, _ in links} == row.keys() and {t for _, t in links} == col.keys()
     if not covers or _has_many_to_many(links) or links_cost(
-        g.weights, [(row[s], col[t]) for s, t in links]
+        g.weights, *_index_arrays((row[s], col[t]) for s, t in links)
     ) > reference.cost + COVER_ATOL:
         raise ToolkitError(f"solver links {pairs} are not an optimal minimal cover")
 
@@ -109,7 +114,7 @@ def _optimal_matchings(W: np.ndarray, atol: float):
 
 def _best_perfect(g: AlignmentGraph):
     pairs = min(_optimal_matchings(g.weights, COST_ATOL))
-    return links_cost(g.weights, pairs), set(pairs)
+    return links_cost(g.weights, *_index_arrays(pairs)), pairs
 
 
 def _optimal_cover_functions(W: np.ndarray, atol: float):
@@ -158,7 +163,7 @@ def _best_edge_cover(g: AlignmentGraph):
         if not _has_many_to_many(pairs):
             candidates.append(tuple(sorted(pairs)))
     pairs = min(candidates)
-    return links_cost(W, pairs), set(pairs)
+    return links_cost(W, *_index_arrays(pairs)), pairs
 
 
 def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):

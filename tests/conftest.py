@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from roleproj import fixtures
+from roleproj import fixtures, lap
+from roleproj.lap import lexmin_perfect_matching
 from roleproj.matcher import AlignmentGraph, build_graph
 
 ACCEPTANCE_LINES: list[str] = []
@@ -59,6 +60,27 @@ def graph_of(sim, big) -> AlignmentGraph:
     sim = np.asarray(sim, dtype=float)
     n, m = sim.shape
     return build_graph(range(n), range(m), sim, big)
+
+
+class _Searched(Exception):
+    pass
+
+
+def exits_early(adm, col_of_row, pad=None) -> bool:
+    """Whether ``lap.lexmin_perfect_matching`` returns before any row's search.
+
+    Every row the search loop visits calls ``bisect_left`` first.
+    """
+    def search(*args):
+        raise _Searched
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lap, "bisect_left", search)
+        try:
+            lexmin_perfect_matching(adm, col_of_row, pad)
+        except _Searched:
+            return False
+    return True
 
 
 def random_sim(rng, n, m, zero_frac=0.3) -> np.ndarray:

@@ -546,6 +546,16 @@ def test_pipeline_error_names_sentence_and_model(tmp_path, capsys, jobs):
     assert err == "error: sentence 1 (perfect): model 'perfect' requires src tree\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_project_jobs_below_one_is_an_error_line(fixture_dir, tmp_path, capsys, jobs):
+    out = tmp_path / "out.roles"
+    assert main(project_args(fixture_dir, out, extra=["--jobs", jobs])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import exits_early
 from roleproj.lap import ADMISSIBLE_TOL, lexmin_perfect_matching, solve_lap
 from roleproj.similarity import to_weights
 
@@ -216,3 +217,72 @@ def test_lexmin_equals_the_smallest_admissible_permutation():
             p for p in itertools.permutations(range(n)) if adm[np.arange(n), p].all()
         )
         assert lexmin_perfect_matching(adm, start).tolist() == list(best)
+
+
+def padded_square(adm, pad):
+    """The max(n, m) square that ``adm`` stands for, padding made explicit.
+
+    Padding rows (n < m) are tight against the ``pad`` columns, padding
+    columns (n > m) against the ``pad`` rows.
+    """
+    n, m = adm.shape
+    square = np.zeros((max(n, m), max(n, m)), dtype=bool)
+    square[:n, :m] = adm
+    if n < m:
+        square[n:, :] = pad
+    elif n > m:
+        square[:, m:] = pad[:, None]
+    return square
+
+
+def lexmin_by_permutations(adm, pad):
+    square = padded_square(adm, pad)
+    size, m = len(square), adm.shape[1]
+    best = next(
+        p for p in itertools.permutations(range(size)) if square[np.arange(size), p].all()
+    )
+    return [c if c < m else -1 for c in best[: len(adm)]]
+
+
+def test_lexmin_with_padding_equals_the_square_whether_or_not_rows_search():
+    # Random graphs of both orientations, started from a random perfect
+    # matching of the padded square; the early return must give what the
+    # search gives, and both must occur in each orientation.
+    rng = np.random.default_rng(83)
+    paths = set()
+    for _ in range(1500):
+        n, m = (int(x) for x in rng.integers(1, 7, size=2))
+        adm = rng.random((n, m)) < rng.uniform(0.0, 1.0)
+        pad = rng.random(max(n, m)) < rng.uniform(0.0, 1.0)
+        start = rng.permutation(max(n, m))
+        for r, c in enumerate(start.tolist()):
+            if r < n and c < m:
+                adm[r, c] = True
+            else:  # a padding row holds column c, or row r holds padding
+                pad[c if r >= n else r] = True
+        col_of_row = np.where(start[:n] < m, start[:n], -1)
+        got = lexmin_perfect_matching(adm, col_of_row, pad).tolist()
+        assert got == lexmin_by_permutations(adm, pad), (adm, col_of_row, pad)
+        paths.add((np.sign(n - m), exits_early(adm, col_of_row, pad)))
+    assert paths == {(s, e) for s in (-1, 0, 1) for e in (False, True)}
+
+
+def test_lexmin_searches_for_an_unheld_column_below_a_home():
+    # n < m: column 0 is tight against row 0 but held by the padding row,
+    # which can take row 0's column 1 only when that column is in pad.
+    adm = np.array([[True, True]])
+    for pad, want in (([True, True], [0]), ([True, False], [1])):
+        assert not exits_early(adm, np.array([1]), pad)
+        assert lexmin_perfect_matching(adm, np.array([1]), pad).tolist() == want
+
+
+def test_lexmin_on_rows_held_by_padding():
+    # n > m: row 0 sits on padding below row 1, which holds the column
+    # tight against both and may move onto padding; row 1 sitting there
+    # instead finds that column locked by row 0.
+    adm = np.ones((2, 1), dtype=bool)
+    pad = np.array([True, True])
+    assert not exits_early(adm, np.array([-1, 0]), pad)
+    assert lexmin_perfect_matching(adm, np.array([-1, 0]), pad).tolist() == [0, -1]
+    assert exits_early(adm, np.array([0, -1]), pad)
+    assert lexmin_perfect_matching(adm, np.array([0, -1]), pad).tolist() == [0, -1]

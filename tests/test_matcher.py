@@ -1,15 +1,18 @@
+import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graph_of, random_sim
-from roleproj import lap, oracle
+from conftest import exits_early, graph_of, random_sim
+from roleproj import lap, matcher, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
+    SemanticAlignment,
     _lexmin_matching,
     _strip_redundant_links,
     build_graph,
@@ -390,21 +393,56 @@ def square_lexmin_matching(cost):
     return [(i, int(j)) for i, j in enumerate(match[:n]) if j < m]
 
 
-def test_tie_break_without_padding_equals_the_padded_square():
+def record_lexmin_calls(monkeypatch):
+    """The arguments of every ``lap.lexmin_perfect_matching`` call, in order."""
+    calls = []
+    real = lap.lexmin_perfect_matching
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lap, "lexmin_perfect_matching", spy)
+    return calls
+
+
+def tie_heavy_gallai(rng, n, m, zero_frac):
+    """Raw weights of k/d similarities, d <= 6, and their Gallai matrix."""
+    d = rng.integers(1, 7, size=(n, m))
+    sim = rng.integers(0, d + 1) / d
+    sim[rng.random((n, m)) < zero_frac] = 0.0
+    W = to_weights(sim, BIG)
+    return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
+
+
+def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     # Tie-heavy k/d similarities, d <= 6, many of them zero; on the raw
     # weights as `perfect` solves them and on the Gallai matrices of
-    # `edgecover`, whose zero cells tie everywhere.
+    # `edgecover`, whose zero cells tie everywhere.  Each orientation must
+    # meet both a tie-break that returns at once and one that searches.
+    calls = record_lexmin_calls(monkeypatch)
     rng = np.random.default_rng(71)
     shapes = [(n, m) for n in range(1, 13) for m in range(1, 13) for _ in range(3)]
     shapes += [(116, 9), (9, 116), (50, 7), (7, 50), (120, 118)]
+    paths = set()
     for n, m in shapes:
-        d = rng.integers(1, 7, size=(n, m))
-        sim = rng.integers(0, d + 1) / d
-        sim[rng.random((n, m)) < rng.uniform(0.0, 0.9)] = 0.0
-        W = to_weights(sim, BIG)
-        gallai = np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
-        for cost in (W, gallai):
-            assert _lexmin_matching(cost) == square_lexmin_matching(cost), (n, m)
+        for cost in tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9)):
+            rows, cols = _lexmin_matching(cost)
+            paths.add((np.sign(n - m), exits_early(*calls[-1])))
+            assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(cost), (n, m)
+    assert paths == {(s, e) for s in (-1, 0, 1) for e in (False, True)}
+
+
+def test_gallai_matrix_of_an_argument_filtered_graph_takes_the_early_exit(monkeypatch):
+    # The median `edgecover` graph under `arg` on 20-30 token sentences:
+    # 49 source units against 7 target arguments, most similarities zero.
+    calls = record_lexmin_calls(monkeypatch)
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        _, gallai = tie_heavy_gallai(rng, 49, 7, 0.85)
+        rows, cols = _lexmin_matching(gallai)
+        assert exits_early(*calls[-1])
+        assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(gallai)
 
 
 @pytest.mark.parametrize("shape", [(5001, 2), (2, 5001)])
@@ -446,17 +484,103 @@ def test_strip_redundant_links_equals_the_removal_loop():
     for _ in range(3000):
         n, m = (int(x) for x in rng.integers(1, 7, size=2))
         W = rng.choice([0.0, 1e-10, 0.5, 1.0], size=(n, m), p=[0.4, 0.2, 0.2, 0.2])
-        cells = [(i, j) for i in range(n) for j in range(m)]
-        pairs = {cells[k] for k in np.flatnonzero(rng.random(len(cells)) < rng.uniform(0.2, 0.9))}
+        chosen = rng.random((n, m)) < rng.uniform(0.2, 0.9)
+        pairs = set(zip(*np.nonzero(chosen)))
         try:
             expected = strip_redundant_links_by_loop(W, pairs)
         except ValidationError as exc:
             raised += 1
             with pytest.raises(ValidationError, match=str(exc)):
-                _strip_redundant_links(W, pairs)
+                _strip_redundant_links(W, chosen)
         else:
-            assert _strip_redundant_links(W, pairs) == expected
+            deg_s, deg_t = _strip_redundant_links(W, chosen)
+            assert set(zip(*np.nonzero(chosen))) == expected
+            assert deg_s.tolist() == chosen.sum(axis=1).tolist()
+            assert deg_t.tolist() == chosen.sum(axis=0).tolist()
     assert 0 < raised < 3000
+
+
+# The set-based decode that the boolean mask replaced, with its helpers
+# inlined; it now reads the matching as index arrays and counts the links
+# it strips.  It looks `_lexmin_matching` up on the module, so a test can
+# hand both decodes the same matching.
+def reference_solve_edge_cover(g, stripped=None):
+    W = g.weights
+    n, m = W.shape
+    mu_s = W.min(axis=1)
+    mu_t = W.min(axis=0)
+    reduced = W - mu_s[:, None] - mu_t[None, :]
+    rows, cols = matcher._lexmin_matching(np.minimum(reduced, 0.0))
+    pairs = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if reduced[i, j] <= COST_ATOL}
+    covered_s = {i for i, _ in pairs}
+    covered_t = {j for _, j in pairs}
+    # Each unit's cheapest edge: the smallest index within COST_ATOL of mu.
+    cheapest_t = np.argmax(W <= mu_s[:, None] + COST_ATOL, axis=1).tolist()
+    cheapest_s = np.argmax(W <= mu_t[None, :] + COST_ATOL, axis=0).tolist()
+    pairs.update((i, cheapest_t[i]) for i in range(n) if i not in covered_s)
+    pairs.update((cheapest_s[j], j) for j in range(m) if j not in covered_t)
+
+    deg_s = Counter(i for i, _ in pairs)
+    deg_t = Counter(j for _, j in pairs)
+    kept = set(pairs)
+    for i, j in sorted(pairs, reverse=True):
+        if deg_s[i] >= 2 and deg_t[j] >= 2 and W[i, j] <= COST_ATOL:
+            kept.remove((i, j))
+            deg_s[i] -= 1
+            deg_t[j] -= 1
+    if stripped is not None:
+        stripped.append(len(pairs) - len(kept))
+    if any(deg_s[i] >= 2 and deg_t[j] >= 2 for i, j in kept):
+        raise ValidationError(
+            "edge cover decode produced a positive-weight many-to-many link"
+        )
+    if {i for i, _ in kept} != set(range(n)) or {j for _, j in kept} != set(range(m)):
+        raise ValidationError("edge cover decode left a unit uncovered")
+    pairs = sorted(kept)
+    links = tuple((g.src_units[i], g.tgt_units[j], float(g.sim[i, j])) for i, j in pairs)
+    return SemanticAlignment(links, math.fsum(W[i, j] for i, j in pairs))
+
+
+def decode_outcome(solver, g, stripped=None):
+    try:
+        a = solver(g) if stripped is None else solver(g, stripped)
+    except ValidationError as exc:
+        return str(exc)
+    return a.links, a.cost
+
+
+def test_mask_decode_equals_the_set_decode(monkeypatch):
+    # Tie-heavy graphs with exact zeros and ones, decoded from the solved
+    # matching and from an arbitrary partial one (a matching that is not
+    # optimal leaves positive-weight many-to-many links), so that the strip
+    # step removes links and the decode raises.  Repairs for uncovered
+    # targets must come from the matching alone: taking them after the
+    # source repairs changes the links.
+    rng = np.random.default_rng(103)
+    stripped, errors = [], Counter()
+    for case in range(3000):
+        n, m = (int(x) for x in rng.integers(1, 9, size=2))
+        if case % 10 == 0:
+            n, m = (49, 7) if case % 20 else (7, 49)
+        d = rng.integers(1, 7, size=(n, m))
+        sim = rng.integers(0, d + 1) / d
+        sim[rng.random((n, m)) < rng.uniform(0.0, 0.6)] = 0.0
+        sim[rng.random((n, m)) < rng.uniform(0.0, 0.3)] = 1.0
+        src_units, tgt_units = increasing_ids(rng, n), increasing_ids(rng, m)
+        g = build_graph(src_units, tgt_units, sim, BIG)
+        want = decode_outcome(reference_solve_edge_cover, g, stripped)
+        assert decode_outcome(solve_edge_cover, g) == want
+        k = int(rng.integers(1, min(n, m) + 1))
+        rows = np.sort(rng.choice(n, size=k, replace=False))
+        cols = rng.choice(m, size=k, replace=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcher, "_lexmin_matching", lambda cost: (rows, cols))
+            want = decode_outcome(reference_solve_edge_cover, g, stripped)
+            assert decode_outcome(solve_edge_cover, g) == want
+        if isinstance(want, str):
+            errors[want] += 1
+    assert sum(x > 0 for x in stripped) > 100
+    assert errors["edge cover decode produced a positive-weight many-to-many link"] > 100
 
 
 def test_edge_cover_drops_zero_weight_link_between_two_stars():

@@ -19,7 +19,7 @@ def tie_heavy_sim(rng, n, m):
 
 
 def alignment(g, pairs, cost):
-    return SemanticAlignment(links_from_pairs(g, pairs), cost)
+    return SemanticAlignment(links_from_pairs(g, *oracle._index_arrays(pairs)), cost)
 
 
 def accepts(g, cls, got) -> bool:
