@@ -215,7 +215,7 @@ def _lexeme_offset(line: str, k: int) -> int:
     return next(itertools.islice(_LEXEME_RE.finditer(line), k, None)).start()
 
 
-def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
+def parse_tree(line: str) -> ParseTree:
     """Parse one Penn-style bracketed tree line into a ParseTree.
 
     The line is lexed into bracket and atom tokens by spacing out the
@@ -226,7 +226,7 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
     preterminal runs the same checks as a ``(`` at its position, so every
     error fires on the same input as with one step per token.
     Raises FormatError with a character offset for unbalanced or malformed
-    bracketings, and when the token count disagrees with ``expected_tokens``.
+    bracketings.
     Offsets appear only in errors, so they are found by lexing the line
     again when one is raised.  The parse keeps its own stack of open
     constituents, so tree depth is bounded by memory, not by the
@@ -309,11 +309,6 @@ def parse_tree(line: str, expected_tokens: int | None = None) -> ParseTree:
         raise FormatError("empty tree line")
     if stack:
         raise FormatError(f"unbalanced brackets: missing ')' at offset {len(line)}")
-
-    if expected_tokens is not None and len(surfaces) != expected_tokens:
-        raise FormatError(
-            f"tree has {len(surfaces)} tokens, expected {expected_tokens}"
-        )
     return ParseTree(
         Sentence(tuple(surfaces), tuple(tags)),
         tuple(labels),

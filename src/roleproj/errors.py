@@ -29,10 +29,6 @@ class OracleSizeError(ToolkitError):
     """Brute-force enumeration refused: instance exceeds the size guard."""
 
 
-class IntegrityError(ToolkitError):
-    """Internal consistency violation (e.g. a role on a unit missing from the graph)."""
-
-
 class located:
     """Prefix ``"{where}: "`` to any ToolkitError raised inside, keeping its subclass.
 

@@ -66,6 +66,8 @@ class AlignmentGraph:
     sim: np.ndarray = field(compare=False)  # n_src × n_tgt, in [0, 1]
     weights: np.ndarray = field(compare=False)  # n_src × n_tgt, never padded
 
+    # Their only readers are perfbench/checks.py::reference_cost and
+    # perfbench/run.py::install_layer_wrappers.
     @property
     def n_src_real(self) -> int:
         return self.weights.shape[0]
@@ -170,16 +172,14 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     chosen[bare_s, cheapest_t[bare_s]] = True
     chosen[cheapest_s[bare_t], bare_t] = True
 
-    deg_s, deg_t = _strip_redundant_links(W, chosen)
-    if not (deg_s.all() and deg_t.all()):
-        raise ValidationError("edge cover decode left a unit uncovered")
+    _strip_redundant_links(W, chosen)
     rows, cols = np.nonzero(chosen)
     return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
 
 
-def _strip_redundant_links(W: np.ndarray, chosen: np.ndarray):
+def _strip_redundant_links(W: np.ndarray, chosen: np.ndarray) -> None:
     """Remove links whose endpoints are both covered elsewhere from the
-    boolean link mask ``chosen``; return the source and target degrees left.
+    boolean link mask ``chosen``, in place.
 
     An optimal cover can contain such a link only when it has (near-)zero
     weight; dropping it preserves cost and restores the property that no
@@ -194,7 +194,7 @@ def _strip_redundant_links(W: np.ndarray, chosen: np.ndarray):
     deg_s = chosen.sum(axis=1)
     deg_t = chosen.sum(axis=0)
     if deg_s.max() < 2 or deg_t.max() < 2:
-        return deg_s, deg_t
+        return
     many = chosen & (deg_s[:, None] >= 2) & (deg_t[None, :] >= 2)
     rows, cols = np.nonzero(many & (W <= COST_ATOL))
     for i, j in zip(rows[::-1].tolist(), cols[::-1].tolist()):
@@ -206,7 +206,6 @@ def _strip_redundant_links(W: np.ndarray, chosen: np.ndarray):
         raise ValidationError(
             "edge cover decode produced a positive-weight many-to-many link"
         )
-    return deg_s, deg_t
 
 
 def solve_total(g: AlignmentGraph) -> SemanticAlignment:
@@ -227,22 +226,20 @@ def solve(g: AlignmentGraph, constraint_class: str) -> SemanticAlignment:
     raise ValueError(f"unknown constraint class {constraint_class!r}")
 
 
-def dump_weight_table(g: AlignmentGraph, alignment: SemanticAlignment | None = None) -> str:
+def dump_weight_table(g: AlignmentGraph, alignment: SemanticAlignment) -> str:
     """TSV debug table: rows = source units, columns = target units.
 
     Chosen cells are marked with a trailing ``*``.
     """
-    chosen = set()
-    if alignment is not None:
-        index_of_src = {u: i for i, u in enumerate(g.src_units)}
-        index_of_tgt = {u: j for j, u in enumerate(g.tgt_units)}
-        chosen = {(index_of_src[s], index_of_tgt[t]) for s, t in alignment.link_pairs()}
+    index_of_src = {u: i for i, u in enumerate(g.src_units)}
+    index_of_tgt = {u: j for j, u in enumerate(g.tgt_units)}
+    chosen = {(index_of_src[s], index_of_tgt[t]) for s, t in alignment.link_pairs()}
     header = "unit\t" + "\t".join(str(u) for u in g.tgt_units)
     lines = [header]
     W = g.weights
     for i, src_unit in enumerate(g.src_units):
         cells = []
-        for j in range(g.n_tgt_real):
+        for j in range(len(g.tgt_units)):
             mark = "*" if (i, j) in chosen else ""
             cells.append(f"{W[i, j]:.6g}{mark}")
         lines.append(f"{src_unit}\t" + "\t".join(cells))

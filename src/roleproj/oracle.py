@@ -31,7 +31,7 @@ COVER_ATOL = 1e-6  # 1e6-capped weight sums round at about 1e-10 per link
 
 
 def _guard(g: AlignmentGraph) -> None:
-    cells = g.n_src_real * g.n_tgt_real
+    cells = g.weights.size
     if cells > MAX_CELLS:
         raise OracleSizeError(
             f"instance has {cells} cells; brute force is limited to {MAX_CELLS}"
@@ -202,5 +202,5 @@ def _has_many_to_many(pairs) -> bool:
 def _best_total(g: AlignmentGraph):
     cols = np.argmax(g.sim, axis=1)
     pairs = {(i, int(j)) for i, j in enumerate(cols)}
-    cost = float(g.weights[np.arange(g.n_src_real), cols].sum())
+    cost = float(g.weights[np.arange(len(cols)), cols].sum())
     return cost, pairs

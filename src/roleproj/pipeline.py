@@ -102,7 +102,6 @@ def select_target_units(
 class AlignmentInstance:
     """The constituent alignment problem of one bi-sentence."""
 
-    src_units: tuple[int, ...]
     tgt_pred: int
     warnings: tuple[str, ...]
     graph: AlignmentGraph | None  # None when no unit is left on a side
@@ -135,10 +134,10 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
     if not tgt_units:
         warnings.append("no target units after filtering; nothing projected")
     if not (src_units and tgt_units):
-        return AlignmentInstance(src_units, tgt_pred, tuple(warnings), None, role_units)
+        return AlignmentInstance(tgt_pred, tuple(warnings), None, role_units)
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     graph = build_graph(src_units, tgt_units, sim, cfg.big)
-    return AlignmentInstance(src_units, tgt_pred, tuple(warnings), graph, role_units)
+    return AlignmentInstance(tgt_pred, tuple(warnings), graph, role_units)
 
 
 def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
@@ -159,7 +158,6 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         alignment,
         b.src_roles,
         inst.role_units,
-        inst.src_units,
         b.tgt_tree,
         predicate=inst.tgt_pred,
         warnings=inst.warnings,

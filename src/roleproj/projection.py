@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import ParseTree, RoleAnnotation, spans_from_tokens
-from .errors import IntegrityError, ValidationError
+from .errors import ValidationError
 from .matcher import SemanticAlignment
 from .similarity import BiSentenceView
 
@@ -55,7 +55,6 @@ def project(
     alignment: SemanticAlignment,
     roles: RoleAnnotation,
     role_units: dict[str, tuple[int, ...]],
-    src_units,
     tgt_tree: ParseTree,
     *,
     predicate: int,
@@ -63,26 +62,19 @@ def project(
 ) -> ProjectedAnnotation:
     """Transfer each role onto the union of target units aligned to its units.
 
-    ``role_units`` maps each role label to its resolved source unit ids;
-    every such unit must belong to ``src_units`` (the graph's source
-    partition).  A target unit's tokens are its span in ``tgt_tree``.
+    ``role_units`` maps each role label to its resolved source unit ids,
+    each a row of the graph ``alignment`` was solved on.  A target unit's
+    tokens are its span in ``tgt_tree``.
     Zero-similarity links must already be stripped from ``alignment``; an
     empty alignment (no graph was built) leaves every role unprojected.
     Roles with an empty image are omitted from the output annotation and
     recorded as unprojected in the provenance.
     """
-    src_unit_set = set(src_units)
     tgt_spans = tgt_tree.spans
     out_roles: dict[str, set] = {}
     provenance: dict[str, RoleProvenance] = {}
     for label, _ in roles.roles:
-        units = role_units.get(label, ())
-        missing = [u for u in units if u not in src_unit_set]
-        if missing:
-            raise IntegrityError(
-                f"role {label} sits on units {missing} absent from the graph"
-            )
-        unit_set = set(units)
+        unit_set = set(role_units.get(label, ()))
         hit_links = tuple(l for l in alignment.links if l[0] in unit_set)
         tokens: set[int] = set()
         for _, tgt_unit, _ in hit_links:

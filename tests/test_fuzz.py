@@ -33,6 +33,7 @@ from roleproj.pipeline import (
     DEFAULT_FILTER_FOR_MODEL,
     MODELS,
     PipelineConfig,
+    build_instance,
     run_corpus,
     run_pipeline,
     select_target_units,
@@ -245,7 +246,7 @@ def all_rows_total(b, cfg):
     role_units = {
         label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
     }
-    return project(alignment, b.src_roles, role_units, src_units, b.tgt_tree,
+    return project(alignment, b.src_roles, role_units, b.tgt_tree,
                    predicate=tgt_pred, warnings=tuple(warnings))
 
 
@@ -260,3 +261,23 @@ def test_total_on_the_role_rows_projects_what_the_all_rows_graph_projects(rng, f
         got, want = run_pipeline(b, cfg), all_rows_total(b, cfg)
         assert roles_file_text([got.annotation]) == roles_file_text([want.annotation])
         assert got.to_record(k) == want.to_record(k)
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(FILTERS))
+def test_every_role_unit_is_a_row_of_the_graph(rng, filt):
+    # ``project`` reads a role's links by its source units, so a role unit
+    # missing from the rows would leave the role unprojected.
+    with tempfile.TemporaryDirectory() as d:
+        corpus = load(write(d, corpus_texts(rng, (1, 4), 12)))
+    filters = frozenset() if filt == "none" else frozenset(filt.split(","))
+    for model in ("perfect", "edgecover", "total"):
+        cfg = PipelineConfig(model=model, filters=filters)
+        for b in corpus:
+            inst = build_instance(b, cfg)
+            if inst.graph is None:
+                continue
+            units = set().union(*inst.role_units.values())
+            assert units <= set(inst.graph.src_units)
+            if model == "total":
+                assert inst.graph.src_units == tuple(sorted(units))

@@ -10,7 +10,7 @@ from roleproj.corpus import (
     parse_tree,
     serialize_roles,
 )
-from roleproj.errors import ConfigError, IntegrityError, ValidationError
+from roleproj.errors import ConfigError, ValidationError
 from roleproj.matcher import SemanticAlignment
 from roleproj.pipeline import PipelineConfig, run_pipeline, target_predicate
 from roleproj.projection import (
@@ -55,7 +55,6 @@ def test_project_is_the_image_of_the_role_units():
         alignment,
         roles,
         {"r": (1, 3)},
-        src_units=[0, 1, 2, 3],
         tgt_tree=tgt_tree,  # node k + 1 is token k
         predicate=0,
     )
@@ -69,7 +68,6 @@ def test_project_empty_alignment_preserves_frame():
         make_alignment([]),
         roles,
         {"r": (0,)},
-        src_units=[0],
         tgt_tree=parse_tree("(S (X a))"),
         predicate=3,
     )
@@ -78,26 +76,12 @@ def test_project_empty_alignment_preserves_frame():
     assert out.provenance["r"].unprojected
 
 
-def test_project_checks_units_against_graph():
-    roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
-    with pytest.raises(IntegrityError):
-        project(
-            make_alignment([]),
-            roles,
-            {"r": (9,)},
-            src_units=[0, 1],
-            tgt_tree=parse_tree("(S (X a))"),
-            predicate=0,
-        )
-
-
 def test_projected_spans_are_normalized_intervals():
     roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
     out = project(
         make_alignment([(0, 1, 0.5), (0, 4, 0.5), (0, 8, 0.5)]),
         roles,
         {"r": (0,)},
-        src_units=[0],
         tgt_tree=parse_tree("(S (A (X a) (X b)) (X c) (C (X d) (X e)) (X f))"),
         predicate=0,
     )
