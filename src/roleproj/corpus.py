@@ -36,6 +36,15 @@ line is accepted by one regular expression match and its numbers are
 converted in bulk; it is walked pair by pair only to name its first bad
 pair.
 
+A ``.roles`` file in the layout ``roles_file_text`` writes is likewise
+accepted by one regular expression match over the whole file, then split
+into blocks and lines with ``str.split`` and built into one
+``RoleAnnotation`` per block.  The block-by-block parser runs only when
+that match or a check fails: it names the first error, and reads the
+layouts the match leaves out, such as whitespace-only separator lines.
+``RoleAnnotation`` checks a role of one span without sorting or pairing
+its spans.
+
 Sentences and trees hold no Python object per token or node.  A
 ``Sentence`` is two parallel tuples, surfaces and tags, indexed by token
 position; a ``ParseTree`` is one tuple per node attribute (label, span,
@@ -114,6 +123,16 @@ class WordAlignment:
                     f"link {s}-{t} out of range for lengths {self.n_src}/{self.n_tgt}"
                 )
 
+    @classmethod
+    def _of_checked_links(cls, links, n_src: int, n_tgt: int) -> "WordAlignment":
+        """An alignment of links the caller has range-checked, built without
+        ``__post_init__``'s per-link check; only ``parse_alignment`` calls it."""
+        al = object.__new__(cls)
+        object.__setattr__(al, "links", links)
+        object.__setattr__(al, "n_src", n_src)
+        object.__setattr__(al, "n_tgt", n_tgt)
+        return al
+
     def image(self, src_tokens) -> frozenset[int]:
         """Target tokens linked to any of the given source tokens."""
         src_tokens = set(src_tokens)
@@ -135,10 +154,15 @@ class RoleAnnotation:
     predicate: int
 
     def __post_init__(self):
-        labels = [label for label, _ in self.roles]
-        if len(labels) != len(set(labels)):
+        roles = self.roles
+        if len({label for label, _ in roles}) != len(roles):
             raise ValidationError(f"duplicate role labels in frame {self.frame}")
-        for label, spans in self.roles:
+        for label, spans in roles:
+            if len(spans) == 1:  # most roles: nothing to sort or pair
+                ((lo, hi),) = spans
+                if lo > hi or lo < 0:
+                    raise ValidationError(f"bad span {lo}-{hi} for role {label}")
+                continue
             ordered = sorted(spans)
             for (lo, hi) in ordered:
                 if lo > hi or lo < 0:
@@ -366,7 +390,8 @@ def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
         else:
             src, tgt = nums[0::2], nums[1::2]
             if not nums or (max(src) < n_src and max(tgt) < n_tgt):
-                return WordAlignment(frozenset(zip(src, tgt)), n_src, n_tgt)
+                return WordAlignment._of_checked_links(
+                    frozenset(zip(src, tgt)), n_src, n_tgt)
     for part in line.split():
         m = _LINK_RE.fullmatch(part)
         if not m:
@@ -412,6 +437,14 @@ def sentence_to_tok_line(sentence: Sentence) -> str:
 
 _HEADER_RE = re.compile(r"^#([0-9]+) (\S+) (-?[0-9]+)$")
 _SPAN_RE = re.compile(r"^([0-9]+)-([0-9]+)$")
+
+# A whole .roles file in the layout ``roles_file_text`` writes: blocks
+# separated by one empty line, a final newline or none, and no whitespace
+# but the header's two spaces and a role line's tab.  No line in it is
+# blank, so it splits into the same blocks and lines as ``read_roles_file``
+# splits any file into, and each line passes ``parse_roles_block``'s checks.
+_ROLES_BLOCK = r"#[0-9]+ \S+ -?[0-9]+(?:\n\S+\t[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)*"
+_ROLES_FILE_RE = re.compile(rf"{_ROLES_BLOCK}(?:\n\n{_ROLES_BLOCK})*\n?")
 
 
 def parse_roles(block: str) -> RoleAnnotation:
@@ -509,7 +542,51 @@ def read_tok_file(path) -> list[Sentence]:
 
 
 def read_roles_file(path) -> list[RoleAnnotation]:
+    """The annotations of a .roles file, read in one pass if it can be.
+
+    A file that ``_roles_in_one_pass`` does not take, such as one with an
+    error, is parsed block by block, which names its first error.
+    """
     text = read_text(path)
+    anns = _roles_in_one_pass(text)
+    return _roles_block_by_block(path, text) if anns is None else anns
+
+
+def _roles_in_one_pass(text: str) -> list[RoleAnnotation] | None:
+    """The annotations of a well-formed file in the canonical layout, or None.
+
+    One match accepts the whole file; then its lines are split and each
+    role's numbers converted at once.  None means the match rejected the
+    file, a number has more digits than ``int()`` converts, a block carries
+    the wrong sentence number, or an annotation is invalid.
+    """
+    if not _ROLES_FILE_RE.fullmatch(text):
+        return None
+    anns = []
+    try:
+        for k, block in enumerate(text.rstrip("\n").split("\n\n")):
+            header, *lines = block.split("\n")
+            sent_no, frame, predicate = header.split(" ")
+            if int(sent_no[1:]) != k:
+                return None
+            roles = []
+            for line in lines:
+                label, span_text = line.split("\t")
+                if "," in span_text:
+                    nums = list(map(int, span_text.replace(",", "-").split("-")))
+                    spans = frozenset(zip(nums[0::2], nums[1::2]))
+                else:
+                    lo, hi = span_text.split("-")
+                    spans = frozenset(((int(lo), int(hi)),))
+                roles.append((label, spans))
+            roles.sort()
+            anns.append(RoleAnnotation(frame, tuple(roles), int(predicate)))
+    except (ValueError, ValidationError):
+        return None
+    return anns
+
+
+def _roles_block_by_block(path, text: str) -> list[RoleAnnotation]:
     blocks = [b for b in re.split(r"\n\s*\n", text) if b.strip()]
     anns = []
     for k, block in enumerate(blocks):

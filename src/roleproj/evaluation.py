@@ -1,7 +1,9 @@
 """Exact-match scoring, significance testing, and correspondence statistics.
 
 A predicted role is a true positive iff its label and its exact token-index
-set equal a gold role of the same sentence.  Corpus precision/recall/F1 are
+set equal a gold role of the same sentence.  The token sets are compared as
+merged spans (sorted, adjacent intervals joined), never built, so a role
+costs the same whatever its span lengths.  Corpus precision/recall/F1 are
 micro-averaged from pooled counts.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RoleAnnotation
+from .corpus import RoleAnnotation, Span
 from .errors import ValidationError
 from .pipeline import PipelineConfig, build_instance
 
@@ -69,15 +71,40 @@ def pooled_prf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, r, f1
 
 
+def _merged_spans(spans) -> tuple[Span, ...]:
+    """A role's spans sorted, with adjacent intervals merged.
+
+    ``RoleAnnotation`` rejects empty and overlapping spans, so two roles
+    cover the same tokens exactly when their merged spans are equal.
+    """
+    out: list[Span] = []
+    for lo, hi in sorted(spans):
+        if out and lo == out[-1][1] + 1:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
 def sentence_counts(gold: RoleAnnotation, pred: RoleAnnotation) -> SentenceCounts:
-    gold_sets = {label: gold.tokens_of(label) for label, _ in gold.roles}
-    pred_sets = {label: pred.tokens_of(label) for label, _ in pred.roles}
-    tp = sum(
-        1
-        for label, toks in pred_sets.items()
-        if label in gold_sets and gold_sets[label] == toks
-    )
-    return SentenceCounts(tp, len(pred_sets) - tp, len(gold_sets) - tp)
+    """Exact-match counts of one sentence, compared span by span.
+
+    Equal span sets cover equal tokens.  Unequal sets of at most one span
+    each never do, as a span holds at least one token; any other pair is
+    compared by its merged spans.  The work grows with the number of spans,
+    not with their lengths.
+    """
+    gold_spans = dict(gold.roles)
+    tp = 0
+    for label, spans in pred.roles:
+        other = gold_spans.get(label)
+        if other is not None and (
+            other == spans
+            or ((len(other) > 1 or len(spans) > 1)
+                and _merged_spans(other) == _merged_spans(spans))
+        ):
+            tp += 1
+    return SentenceCounts(tp, len(pred.roles) - tp, len(gold.roles) - tp)
 
 
 def score(gold, pred) -> ScoreReport:

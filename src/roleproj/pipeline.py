@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import BiSentence
@@ -180,5 +179,9 @@ def run_corpus(bisentences, cfg: PipelineConfig, jobs: int = 1):
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_one(task) for task in tasks]
+    # Imported here: it adds to the start-up of every command, and only
+    # a run with more than one worker needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, tasks))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,33 @@ def test_sigtest_self_comparison(fixture_dir, capsys):
     assert "p = 1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [(["evaluate"], "P = 0.667  R = 0.667  F1 = 0.667  (tp=2 fp=1 fn=1)\n"),
+     (["sigtest", "--iterations", "100"], "observed delta F1 = -0.333333\n")],
+    ids=["evaluate", "sigtest"],
+)
+def test_scoring_cost_does_not_grow_with_span_length(tmp_path, capsys, command, expected):
+    # Scoring a billion-token span token by token would need tens of GB.
+    gold, pred = tmp_path / "gold.roles", tmp_path / "pred.roles"
+    gold.write_text("#0 F 0\nA\t0-999999999\nB\t3-4\n\n#1 G 2\nA\t5-9,11-999999999\n")
+    pred.write_text("#0 F 0\nA\t0-999999999\nB\t3-3,4-4\n\n#1 G 2\nA\t5-9,10-999999999\n")
+    files = (["--gold", str(gold), "--pred", str(pred)] if command[0] == "evaluate" else
+             ["--gold", str(gold), "--pred-a", str(pred), "--pred-b", str(gold)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(command + files)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.startswith(expected)
+    assert seconds < 2.0
+    assert peak < 10 * 2**20
+
+
 def test_sigtest_negative_seed_is_an_error_line(fixture_dir, capsys):
     args = [
         "sigtest",
@@ -582,10 +610,13 @@ class RecordingPool:
 def test_worker_pool_is_capped_by_sentences_and_cpus(
     toy_corpus, monkeypatch, jobs, sentences, cpus, workers
 ):
+    import concurrent.futures
+
     import roleproj.pipeline as pipeline
 
     RecordingPool.started = []
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    # run_corpus imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = pipeline.PipelineConfig(model="total")
     corpus = toy_corpus[:sentences]

@@ -1,5 +1,9 @@
+import dataclasses
 import gc
+import importlib.util
+import pickle
 import re
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -19,10 +23,14 @@ from roleproj.corpus import (
     parse_roles_block,
     parse_tok_line,
     parse_tree,
+    read_text,
+    roles_file_text,
     sentence_to_tok_line,
     serialize_roles,
     spans_from_tokens,
     tree_to_line,
+    _roles_block_by_block,
+    _roles_in_one_pass,
 )
 from roleproj.errors import FormatError, ToolkitError, ValidationError
 
@@ -471,6 +479,18 @@ def test_word_alignment_names_a_link_out_of_range():
         WordAlignment(frozenset({(-1, 0)}), 2, 3)
 
 
+def test_only_parse_alignment_skips_the_range_check():
+    parsed = parse_alignment("1-2 0-0", 2, 3)
+    built = WordAlignment(frozenset({(0, 0), (1, 2)}), 2, 3)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert pickle.loads(pickle.dumps(parsed)) == built
+    # every other way to build one still checks each link
+    with pytest.raises(ValidationError, match=r"^link 1-2 out of range for lengths 2/2$"):
+        WordAlignment(parsed.links, 2, 2)
+    with pytest.raises(ValidationError, match=r"^link 1-2 out of range for lengths 2/2$"):
+        dataclasses.replace(parsed, n_tgt=2)
+
+
 # --- tok lines --------------------------------------------------------
 
 def test_tok_round_trip():
@@ -516,6 +536,16 @@ def test_parse_roles_frame_only():
 def test_overlapping_spans_within_role_rejected():
     with pytest.raises(ValidationError):
         parse_roles("#0 F 0\nA\t1-3,2-4")
+
+
+@pytest.mark.parametrize(
+    "spans, message",
+    [({(3, 1)}, "bad span 3-1 for role A"), ({(-1, 2)}, "bad span -1-2 for role A"),
+     ({(5, 6), (3, 1)}, "bad span 3-1 for role A")],
+)
+def test_role_annotation_rejects_bad_spans(spans, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        RoleAnnotation("F", (("A", frozenset(spans)),), 0)
 
 
 def test_unknown_field_rejected():
@@ -571,6 +601,99 @@ def test_read_roles_file_validates_block_numbering(tmp_path):
     path.write_text("#0 F 0\n\n#2 G 0\n")
     with pytest.raises(FormatError, match="sentence number"):
         read_roles_file(path)
+
+
+def load_corpus_gen():
+    """``perfbench/corpus_gen.py``, the benchmark's corpus generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("corpus_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def roles_both_ways(path):
+    """A .roles file read in one pass and block by block."""
+    text = read_text(path)
+    return _roles_in_one_pass(text), _roles_block_by_block(path, text)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_one_pass_roles_reader_equals_the_block_parser_on_generated_corpora(tmp_path, seed):
+    corpus_gen = load_corpus_gen()
+    for workload, sentences, lengths in (("short", 150, (20, 30)), ("long", 50, (50, 70))):
+        files = corpus_gen.generate(tmp_path / workload, workload, seed, sentences, lengths)
+        for name in ("src.roles", "tgt.roles"):
+            one_pass, by_block = roles_both_ways(files[name])
+            assert len(by_block) == sentences
+            assert one_pass == by_block
+
+
+def test_one_pass_roles_reader_equals_the_block_parser_on_the_fixtures(fixture_dir):
+    paths = sorted(fixture_dir.glob("*/*.roles"))
+    assert len(paths) == 7
+    for path in paths:
+        one_pass, by_block = roles_both_ways(path)
+        assert by_block and one_pass == by_block
+
+
+@given(st.lists(
+    st.dictionaries(st.sampled_from(["A", "B", "C", "LONG_ROLE"]), role_spans, max_size=4),
+    max_size=5,
+))
+def test_one_pass_roles_reader_reads_what_roles_file_text_writes(blocks):
+    anns = [RoleAnnotation.make("FRAME", roles, k - 1) for k, roles in enumerate(blocks)]
+    text = roles_file_text(anns)
+    assert _roles_in_one_pass(text) == (anns if anns else None)
+    assert _roles_in_one_pass(text.rstrip("\n")) == (anns if anns else None)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (f"#0 F 0\nA\t0-{HUGE}\n",
+         f": block 0: bad span '0-{HUGE}' in role line 'A\\t0-{HUGE}'"),
+        (f"#0 F 0\n\n#{HUGE} F 0\n", f": block 1: bad roles header '#{HUGE} F 0'"),
+        (f"#0 F {HUGE}\nA\t0-1\n", f": block 0: bad roles header '#0 F {HUGE}'"),
+        ("#0 F 0\r\nA\t0-1\r\n\r\n#1 G 2\r\nB\t6-7,3-4\r\n",
+         ["#0 F 0\nA\t0-1", "#1 G 2\nB\t3-4,6-7"]),
+        ("#0 F 0\r\nA\t0-1\r\n\r\n#2 G 2\r\n", ": block 1 carries sentence number 2"),
+        ("#0 F 0\nA\t0-1\n \t\n#1 G 2\nB\t3-4\n", ["#0 F 0\nA\t0-1", "#1 G 2\nB\t3-4"]),
+        ("#0 F 0\nA\t0-1\n \n#1 G 2\nB\t4-3\n", ": block 1: bad span 4-3 for role B"),
+        ("#007 F 01\nA\t002-0003\n", ": block 0 carries sentence number 7"),
+        ("#00 F 01\nA\t002-0003\n\n#01 G 1\n", ["#0 F 1\nA\t2-3", "#1 G 1"]),
+        ("#0 F 0\nA\t0-1\n\n#2 G 0\nB\t1-1\n", ": block 1 carries sentence number 2"),
+        ("#0 F 0\nA\t0-1\n\n#1 G 0\nB\t1-1\nB\t3-3\n",
+         ": block 1: duplicate role label 'B'"),
+        ("#0 F 0\nA\t0-1\n\n#1 G 0\nB\t1-3,2-4\n",
+         ": block 1: overlapping spans within role B"),
+        ("#0 F 0\nA\t0-1\n\n#1 G 0\nB\t3-1\n", ": block 1: bad span 3-1 for role B"),
+        ("#0 F 0\nA\t0-1,5-6\n\n#1 G 0\nB\t7-8,3-1\n",
+         ": block 1: bad span 3-1 for role B"),
+        ("#0 F 0\nA\t3-1\n\n#1 G 0\nA\tx\n", ": block 0: bad span 3-1 for role A"),
+        ("#0 F 0\nB\t1-1\nA\t0-0\n", ["#0 F 0\nA\t0-0\nB\t1-1"]),
+        ("", []),
+        ("\n\n\n", []),
+        ("#0 F 0\nA\t0-1\n\n#1 G 2\n\n\n", ["#0 F 0\nA\t0-1", "#1 G 2"]),
+        ("#0 F 0\nA\t0-1\n\n#1 G 2\n  \n", ["#0 F 0\nA\t0-1", "#1 G 2"]),
+    ],
+    ids=["huge-span", "huge-sentence-number", "huge-predicate", "crlf", "crlf-mismatch",
+         "blank-separator", "blank-separator-bad-span", "leading-zeros-mismatch",
+         "leading-zeros", "mismatch", "duplicate-label", "overlap", "lo-above-hi",
+         "lo-above-hi-second-span", "first-error-first", "unsorted-labels", "empty", "only-newlines",
+         "trailing-blank-lines", "trailing-blank-line-with-spaces"],
+)
+def test_roles_files_outside_the_canonical_layout_read_as_before(tmp_path, text, expected):
+    from roleproj.corpus import read_roles_file
+
+    path = tmp_path / "x.roles"
+    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(expected, list):
+        assert read_roles_file(path) == [parse_roles(block) for block in expected]
+        return
+    with pytest.raises(ToolkitError) as info:
+        read_roles_file(path)
+    assert str(info.value) == f"{path}{expected}"
 
 
 def test_load_corpus_word_model_inputs_only(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from roleproj import evaluation
 from roleproj.corpus import (
@@ -11,6 +12,7 @@ from roleproj.corpus import (
     parse_alignment,
     parse_tree,
     read_roles_file,
+    spans_from_tokens,
 )
 from roleproj.errors import ValidationError
 from roleproj.evaluation import (
@@ -117,6 +119,60 @@ def test_toy_corpus_against_independent_counter(fixture_dir):
     assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
     assert report.precision == pytest.approx(tp / (tp + fp))
     assert report.recall == pytest.approx(tp / (tp + fn))
+
+
+def token_set_counts(gold, pred):
+    """``sentence_counts`` by its definition: compare each role's token set."""
+    def token_sets(a):
+        return {label: {i for lo, hi in spans for i in range(lo, hi + 1)}
+                for label, spans in a.roles}
+
+    gold_sets, pred_sets = token_sets(gold), token_sets(pred)
+    tp = sum(1 for label, toks in pred_sets.items() if gold_sets.get(label) == toks)
+    return (tp, len(pred_sets) - tp, len(gold_sets) - tp)
+
+
+@st.composite
+def cut_spans(draw, tokens):
+    """The maximal runs of a token set, each cut into adjacent spans at random."""
+    spans = []
+    for lo, hi in sorted(spans_from_tokens(tokens)):
+        cuts = sorted(draw(st.sets(st.integers(lo + 1, hi)))) if hi > lo else []
+        spans += zip([lo, *cuts], [c - 1 for c in cuts] + [hi])
+    return spans
+
+
+@st.composite
+def annotation_pairs(draw):
+    """Gold and predicted annotations with the same, different, empty or one-sided roles."""
+    token_sets = st.sets(st.integers(0, 12), max_size=8)
+    gold, pred = {}, {}
+    for label in ("A", "B", "C", "D"):
+        kind = draw(st.sampled_from(["same tokens", "any tokens", "gold only", "pred only",
+                                     "neither"]))
+        if kind == "same tokens":
+            tokens = draw(token_sets)
+            gold[label] = draw(cut_spans(tokens))
+            pred[label] = draw(cut_spans(tokens))
+        else:
+            if kind in ("any tokens", "gold only"):
+                gold[label] = draw(cut_spans(draw(token_sets)))
+            if kind in ("any tokens", "pred only"):
+                pred[label] = draw(cut_spans(draw(token_sets)))
+    return ann(gold), ann(pred)
+
+
+@given(annotation_pairs())
+@example((ann({"A": {(0, 1), (2, 3)}}), ann({"A": {(0, 3)}})))
+@example((ann({"A": {(0, 3)}}), ann({"A": {(0, 1), (2, 3)}})))
+@example((ann({"A": {(0, 1), (3, 3)}}), ann({"A": {(0, 3)}})))
+@example((ann({"A": set()}), ann({"A": set()})))
+@example((ann({"A": set()}), ann({"A": {(0, 0)}})))
+@example((ann({"A": {(1, 2)}}), ann({"B": {(1, 2)}})))
+def test_span_counts_equal_the_token_set_counts(pair):
+    gold, pred = pair
+    got = sentence_counts(gold, pred)
+    assert (got.tp, got.fp, got.fn) == token_set_counts(gold, pred)
 
 
 # --- significance testing ----------------------------------------------------
