@@ -232,7 +232,10 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``roleproj`` parser.  When ``command`` names a subcommand, only its
+    arguments are added: each ``add_argument`` reads the terminal size.  All
+    subcommands are registered, so usage, help and errors stay the same."""
     parser = argparse.ArgumentParser(
         prog="roleproj",
         description="Project labeled spans across word-aligned bi-sentences "
@@ -241,58 +244,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"roleproj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("project", help="project source roles onto the target side")
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
-    p.add_argument("--fill-gaps", action="store_true", dest="fill_gaps")
-    p.add_argument("--src-trees", dest="src_trees")
-    p.add_argument("--tgt-trees", dest="tgt_trees")
-    p.add_argument("--src-tok", dest="src_tok")
-    p.add_argument("--tgt-tok", dest="tgt_tok")
-    p.add_argument("--align", required=True)
-    p.add_argument("--src-roles", dest="src_roles")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--provenance")
-    p.add_argument("--oracle", action="store_true",
-                   help="check the cost and links of every graph of at most "
-                   f"{oracle.MAX_CELLS} cells against brute force")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_project)
+    every = command not in ("project", "evaluate", "sigtest", "stats", "fixtures")
 
-    p = sub.add_parser("evaluate", help="exact-match scoring against gold roles")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
+    def subcommand(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p.add_argument if every or command == name else lambda *a, **k: None
 
-    p = sub.add_parser("sigtest", help="stratified-shuffling significance test")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred-a", dest="pred_a", required=True)
-    p.add_argument("--pred-b", dest="pred_b", required=True)
-    p.add_argument("--iterations", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sigtest)
+    arg = subcommand("project", cmd_project, "project source roles onto the target side")
+    arg("--model", choices=MODELS)
+    arg("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
+    arg("--fill-gaps", action="store_true", dest="fill_gaps")
+    arg("--src-trees", dest="src_trees")
+    arg("--tgt-trees", dest="tgt_trees")
+    arg("--src-tok", dest="src_tok")
+    arg("--tgt-tok", dest="tgt_tok")
+    arg("--align", required=True)
+    arg("--src-roles", dest="src_roles")
+    arg("--out", required=True)
+    arg("--config")
+    arg("--provenance")
+    arg("--oracle", action="store_true",
+        help="check the cost and links of every graph of at most "
+        f"{oracle.MAX_CELLS} cells against brute force")
+    arg("--jobs", type=int, default=1)
 
-    p = sub.add_parser("stats", help="constituent correspondence statistics")
-    p.add_argument("--src-trees", dest="src_trees", required=True)
-    p.add_argument("--tgt-trees", dest="tgt_trees", required=True)
-    p.add_argument("--align", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
+    arg = subcommand("evaluate", cmd_evaluate, "exact-match scoring against gold roles")
+    arg("--gold", required=True)
+    arg("--pred", required=True)
+    arg("--out")
 
-    p = sub.add_parser("fixtures", help="emit the bundled example bi-sentence and toy corpus")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_fixtures)
+    arg = subcommand("sigtest", cmd_sigtest, "stratified-shuffling significance test")
+    arg("--gold", required=True)
+    arg("--pred-a", dest="pred_a", required=True)
+    arg("--pred-b", dest="pred_b", required=True)
+    arg("--iterations", type=int, default=10000)
+    arg("--seed", type=int, default=1)
+    arg("--out")
+
+    arg = subcommand("stats", cmd_stats, "constituent correspondence statistics")
+    arg("--src-trees", dest="src_trees", required=True)
+    arg("--tgt-trees", dest="tgt_trees", required=True)
+    arg("--align", required=True)
+    arg("--threshold", type=float, default=0.5)
+    arg("--out")
+
+    arg = subcommand("fixtures", cmd_fixtures,
+                     "emit the bundled example bi-sentence and toy corpus")
+    arg("--out-dir", dest="out_dir", required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ToolkitError as exc:

@@ -494,16 +494,17 @@ def serialize_roles(ann: RoleAnnotation, sentence_no: int = 0) -> str:
     return "\n".join(lines)
 
 
-def spans_from_tokens(tokens) -> frozenset[Span]:
-    """Normalize a token set to its maximal disjoint inclusive intervals."""
-    ordered = sorted(tokens)
-    spans = []
-    for i in ordered:
-        if spans and i == spans[-1][1] + 1:
-            spans[-1][1] = i
+def merge_spans(spans) -> tuple[Span, ...]:
+    """The sorted maximal intervals covering inclusive spans, joining spans
+    that overlap or touch: two collections cover the same tokens exactly
+    when their merges are equal."""
+    out: list[Span] = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
         else:
-            spans.append([i, i])
-    return frozenset((lo, hi) for lo, hi in spans)
+            out.append((lo, hi))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RoleAnnotation, Span
+from .corpus import RoleAnnotation, merge_spans
 from .errors import ValidationError
 from .pipeline import PipelineConfig, build_instance
 
@@ -71,21 +71,6 @@ def pooled_prf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, r, f1
 
 
-def _merged_spans(spans) -> tuple[Span, ...]:
-    """A role's spans sorted, with adjacent intervals merged.
-
-    ``RoleAnnotation`` rejects empty and overlapping spans, so two roles
-    cover the same tokens exactly when their merged spans are equal.
-    """
-    out: list[Span] = []
-    for lo, hi in sorted(spans):
-        if out and lo == out[-1][1] + 1:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
 def sentence_counts(gold: RoleAnnotation, pred: RoleAnnotation) -> SentenceCounts:
     """Exact-match counts of one sentence, compared span by span.
 
@@ -101,7 +86,7 @@ def sentence_counts(gold: RoleAnnotation, pred: RoleAnnotation) -> SentenceCount
         if other is not None and (
             other == spans
             or ((len(other) > 1 or len(spans) > 1)
-                and _merged_spans(other) == _merged_spans(spans))
+                and merge_spans(other) == merge_spans(spans))
         ):
             tp += 1
     return SentenceCounts(tp, len(pred.roles) - tp, len(gold.roles) - tp)

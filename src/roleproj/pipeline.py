@@ -157,7 +157,7 @@ def run_pipeline(b: BiSentence, cfg: PipelineConfig) -> ProjectedAnnotation:
         alignment,
         b.src_roles,
         inst.role_units,
-        b.tgt_tree,
+        b.tgt_tree.spans,
         predicate=inst.tgt_pred,
         warnings=inst.warnings,
     )

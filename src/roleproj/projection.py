@@ -1,11 +1,13 @@
-"""Role transfer onto the target side: unit-level projection, the word-based
-baseline, span repair, argument filtering, and source-unit resolution."""
+"""Role transfer onto the target side: unit-level projection (the word-based
+baseline is the same transfer over word units), argument filtering, and
+source-unit resolution."""
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .corpus import ParseTree, RoleAnnotation, spans_from_tokens
+from .corpus import ParseTree, RoleAnnotation, Span, merge_spans
 from .errors import ValidationError
 from .matcher import SemanticAlignment
 from .similarity import BiSentenceView
@@ -43,48 +45,36 @@ class ProjectedAnnotation:
         }
 
 
-def fill_gaps(tokens) -> frozenset[int]:
-    """Close a token set to the full interval between its extremes."""
-    tokens = set(tokens)
-    if not tokens:
-        return frozenset()
-    return frozenset(range(min(tokens), max(tokens) + 1))
-
-
 def project(
     alignment: SemanticAlignment,
     roles: RoleAnnotation,
-    role_units: dict[str, tuple[int, ...]],
-    tgt_tree: ParseTree,
+    role_units: dict[str, Collection[int]],
+    tgt_spans: tuple[Span, ...],
     *,
     predicate: int,
     warnings: tuple[str, ...] = (),
+    fill: bool = False,
 ) -> ProjectedAnnotation:
-    """Transfer each role onto the union of target units aligned to its units.
+    """Transfer each role onto the target units aligned to its source units.
 
-    ``role_units`` maps each role label to its resolved source unit ids,
-    each a row of the graph ``alignment`` was solved on.  A target unit's
-    tokens are its span in ``tgt_tree``.
-    Zero-similarity links must already be stripped from ``alignment``; an
-    empty alignment (no graph was built) leaves every role unprojected.
-    Roles with an empty image are omitted from the output annotation and
-    recorded as unprojected in the provenance.
+    ``role_units`` maps each role label to its source unit ids, and
+    ``tgt_spans`` gives each target unit's inclusive token span.  A role's
+    spans are the merge of its linked target units' spans, or with ``fill``
+    their outer interval.  Zero-similarity links must already be stripped
+    from ``alignment``.  A role with no link is left out of the annotation
+    and marked unprojected in the provenance.
     """
-    tgt_spans = tgt_tree.spans
-    out_roles: dict[str, set] = {}
+    out_roles: dict[str, tuple[Span, ...]] = {}
     provenance: dict[str, RoleProvenance] = {}
     for label, _ in roles.roles:
         unit_set = set(role_units.get(label, ()))
         hit_links = tuple(l for l in alignment.links if l[0] in unit_set)
-        tokens: set[int] = set()
-        for _, tgt_unit, _ in hit_links:
-            lo, hi = tgt_spans[tgt_unit]
-            tokens.update(range(lo, hi + 1))
-        if tokens:
-            out_roles[label] = set(spans_from_tokens(tokens))
-            provenance[label] = RoleProvenance(links=hit_links)
-        else:
+        if not hit_links:
             provenance[label] = RoleProvenance(unprojected=True)
+            continue
+        spans = merge_spans(tgt_spans[t] for _, t, _ in hit_links)
+        out_roles[label] = ((spans[0][0], spans[-1][1]),) if fill else spans
+        provenance[label] = RoleProvenance(links=hit_links)
     ann = RoleAnnotation.make(roles.frame, out_roles, predicate)
     return ProjectedAnnotation(ann, provenance, warnings)
 
@@ -96,24 +86,15 @@ def project_word_based(
     *,
     predicate: int,
 ) -> ProjectedAnnotation:
-    """Word-level projection: the image of each role's tokens under the links."""
-    out_roles: dict[str, set] = {}
-    provenance: dict[str, RoleProvenance] = {}
-    for label, _ in roles.roles:
-        src_tokens = roles.tokens_of(label) & view.included_src
-        hit_links = tuple(
-            (s, t, 1.0) for s, t in sorted(view.links) if s in src_tokens
-        )
-        tokens = {t for _, t, _ in hit_links}
-        if fill:
-            tokens = set(fill_gaps(tokens))
-        if tokens:
-            out_roles[label] = set(spans_from_tokens(tokens))
-            provenance[label] = RoleProvenance(links=hit_links)
-        else:
-            provenance[label] = RoleProvenance(unprojected=True)
-    ann = RoleAnnotation.make(roles.frame, out_roles, predicate)
-    return ProjectedAnnotation(ann, provenance)
+    """``project`` with words as the units: each word link is a link of
+    similarity 1, a role's units are its tokens left in the view, and each
+    target token is a unit spanning itself."""
+    alignment = SemanticAlignment(tuple((s, t, 1.0) for s, t in sorted(view.links)), 0.0)
+    role_units = {
+        label: roles.tokens_of(label) & view.included_src for label, _ in roles.roles
+    }
+    tgt_spans = tuple((t, t) for t in range(len(view.bisentence.tgt)))
+    return project(alignment, roles, role_units, tgt_spans, predicate=predicate, fill=fill)
 
 
 def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()):

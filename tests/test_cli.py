@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from roleproj import cli
 from roleproj.cli import main
 from roleproj.corpus import read_roles_file
 from roleproj.errors import ConfigError
@@ -623,3 +624,32 @@ def test_worker_pool_is_capped_by_sentences_and_cpus(
     got = pipeline.run_corpus(corpus, cfg, jobs=jobs)
     assert RecordingPool.started == ([] if workers is None else [workers])
     assert got == [pipeline.run_pipeline(b, cfg) for b in corpus]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["project", "--help"], ["evaluate", "--help"], ["sigtest", "--help"],
+    ["stats", "--help"], ["fixtures", "--help"], ["--version"], [], ["nosuch"],
+    ["project"], ["evaluate", "--gold"], ["sigtest", "--iterations", "x"],
+    ["stats", "--bogus"],
+])
+def test_parser_of_the_named_command_prints_what_the_full_parser_prints(
+    monkeypatch, capsys, argv
+):
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    got = run()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run() == got
+
+
+def test_parser_adds_only_the_named_commands_arguments(capsys):
+    project = ["project", "--align", "a", "--out", "o"]
+    assert cli.build_parser().parse_args(project).align == "a"
+    assert cli.build_parser("project").parse_args(project).align == "a"
+    with pytest.raises(SystemExit):
+        cli.build_parser("evaluate").parse_args(project)
+    assert "unrecognized arguments: --align a --out o" in capsys.readouterr().err

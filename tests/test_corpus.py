@@ -18,6 +18,7 @@ from roleproj.corpus import (
     Sentence,
     WordAlignment,
     alignment_to_line,
+    merge_spans,
     parse_alignment,
     parse_roles,
     parse_roles_block,
@@ -27,7 +28,6 @@ from roleproj.corpus import (
     roles_file_text,
     sentence_to_tok_line,
     serialize_roles,
-    spans_from_tokens,
     tree_to_line,
     _roles_block_by_block,
     _roles_in_one_pass,
@@ -565,7 +565,9 @@ def test_roles_round_trip_bytes():
     assert parse_roles(serialize_roles(ann, 2)) == ann
 
 
-role_spans = st.sets(st.integers(0, 15), min_size=1).map(spans_from_tokens)
+role_spans = st.sets(st.integers(0, 15), min_size=1).map(
+    lambda tokens: merge_spans((i, i) for i in tokens)
+)
 
 
 @given(
@@ -577,9 +579,30 @@ def test_roles_value_round_trip(roles, predicate):
     assert parse_roles(serialize_roles(ann, 0)) == ann
 
 
-def test_spans_from_tokens_normalizes():
-    assert spans_from_tokens({3, 4, 5, 7}) == {(3, 5), (7, 7)}
-    assert spans_from_tokens(set()) == frozenset()
+def test_merge_spans_normalizes():
+    assert merge_spans((i, i) for i in {3, 4, 5, 7}) == ((3, 5), (7, 7))
+    assert merge_spans([]) == ()
+
+
+span_lists = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 6)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=8,
+)
+
+
+@given(span_lists)
+@example([])
+@example([(0, 9), (2, 3)])  # nested
+@example([(0, 3), (2, 5)])  # overlapping
+@example([(2, 3), (0, 1)])  # adjacent
+@example([(1, 2), (1, 2)])  # duplicate
+def test_merge_spans_are_the_runs_of_the_covered_tokens(spans):
+    merged = merge_spans(spans)
+    tokens = {i for lo, hi in spans for i in range(lo, hi + 1)}
+    assert {i for lo, hi in merged for i in range(lo, hi + 1)} == tokens
+    assert all(lo <= hi for lo, hi in merged)
+    # sorted, and a gap of at least one token between neighbours
+    assert all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(merged, merged[1:]))
 
 
 # --- whole files ---------------------------------------------------------

@@ -9,10 +9,10 @@ from roleproj import evaluation
 from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
+    merge_spans,
     parse_alignment,
     parse_tree,
     read_roles_file,
-    spans_from_tokens,
 )
 from roleproj.errors import ValidationError
 from roleproj.evaluation import (
@@ -136,7 +136,7 @@ def token_set_counts(gold, pred):
 def cut_spans(draw, tokens):
     """The maximal runs of a token set, each cut into adjacent spans at random."""
     spans = []
-    for lo, hi in sorted(spans_from_tokens(tokens)):
+    for lo, hi in merge_spans((i, i) for i in tokens):
         cuts = sorted(draw(st.sets(st.integers(lo + 1, hi)))) if hi > lo else []
         spans += zip([lo, *cuts], [c - 1 for c in cuts] + [hi])
     return spans

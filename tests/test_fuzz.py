@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from roleproj.cli import main
 from roleproj.corpus import (
+    RoleAnnotation,
     alignment_to_line,
     load_corpus,
     read_roles_file,
@@ -39,7 +40,14 @@ from roleproj.pipeline import (
     select_target_units,
     target_predicate,
 )
-from roleproj.projection import project, resolve_role_units, strip_zero_links
+from roleproj.projection import (
+    ProjectedAnnotation,
+    RoleProvenance,
+    project,
+    project_word_based,
+    resolve_role_units,
+    strip_zero_links,
+)
 from roleproj.similarity import UnitSimilarity, apply_word_filters
 
 WORDS = ("Kim", "promised", "to", "pünktlich", "a_b", "_", ",", "Ü", "x")
@@ -246,7 +254,7 @@ def all_rows_total(b, cfg):
     role_units = {
         label: resolve_role_units(b.src_tree, spans) for label, spans in b.src_roles.roles
     }
-    return project(alignment, b.src_roles, role_units, b.tgt_tree,
+    return project(alignment, b.src_roles, role_units, b.tgt_tree.spans,
                    predicate=tgt_pred, warnings=tuple(warnings))
 
 
@@ -281,3 +289,45 @@ def test_every_role_unit_is_a_row_of_the_graph(rng, filt):
             assert units <= set(inst.graph.src_units)
             if model == "total":
                 assert inst.graph.src_units == tuple(sorted(units))
+
+
+def per_role_word_loop(view, roles, fill, *, predicate):
+    """The word model as a loop of its own: each role's links from its
+    tokens in the view, their target tokens, closed to one interval with
+    ``fill``, cut into maximal runs."""
+    out_roles, provenance = {}, {}
+    for label, _ in roles.roles:
+        src_tokens = roles.tokens_of(label) & view.included_src
+        hit_links = tuple((s, t, 1.0) for s, t in sorted(view.links) if s in src_tokens)
+        tokens = sorted({t for _, t, _ in hit_links})
+        if not tokens:
+            provenance[label] = RoleProvenance(unprojected=True)
+            continue
+        if fill:
+            tokens = list(range(tokens[0], tokens[-1] + 1))
+        spans = []
+        for t in tokens:
+            if spans and t == spans[-1][1] + 1:
+                spans[-1][1] = t
+            else:
+                spans.append([t, t])
+        out_roles[label] = {(lo, hi) for lo, hi in spans}
+        provenance[label] = RoleProvenance(links=hit_links)
+    return ProjectedAnnotation(RoleAnnotation.make(roles.frame, out_roles, predicate), provenance)
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(("none", "na", "nc")), st.booleans())
+def test_word_model_projects_what_the_per_role_word_loop_projects(rng, filt, fill):
+    with tempfile.TemporaryDirectory() as d:
+        corpus = load(write(d, corpus_texts(rng, (1, 4), 12)))
+    filters = frozenset() if filt == "none" else frozenset({filt})
+    cfg = PipelineConfig(model="word", filters=filters, fill_gaps=fill)
+    for k, b in enumerate(corpus):
+        view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
+        pred = target_predicate(b)
+        got = project_word_based(view, b.src_roles, fill, predicate=pred)
+        want = per_role_word_loop(view, b.src_roles, fill, predicate=pred)
+        assert got.annotation == want.annotation
+        assert got.to_record(k) == want.to_record(k)
+        assert run_pipeline(b, cfg).to_record(k) == want.to_record(k)

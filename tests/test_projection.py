@@ -5,6 +5,8 @@ from conftest import ancestors, node_yield, trees
 from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
+    Sentence,
+    WordAlignment,
     parse_alignment,
     parse_roles,
     parse_tree,
@@ -16,7 +18,6 @@ from roleproj.pipeline import PipelineConfig, run_pipeline, target_predicate
 from roleproj.projection import (
     RoleProvenance,
     argument_filter,
-    fill_gaps,
     project,
     project_word_based,
     resolve_role_units,
@@ -26,16 +27,31 @@ from roleproj.similarity import full_view
 
 # --- fill_gaps -----------------------------------------------------------
 
+def word_fill(tgt_tokens):
+    """``project_word_based`` with ``fill`` of a one-token role linked to
+    ``tgt_tokens`` of a 41-token target: the role's tokens, or None."""
+    tgt = Sentence(tuple(f"w{i}" for i in range(41)), ("NN",) * 41)
+    roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
+    b = BiSentence(
+        src=Sentence(("a",), ("NN",)), tgt=tgt,
+        alignment=WordAlignment(frozenset((0, t) for t in tgt_tokens), 1, 41),
+        src_roles=roles,
+    )
+    out = project_word_based(full_view(b), roles, fill=True, predicate=0)
+    assert out.provenance["r"].unprojected == (not tgt_tokens)
+    return out.annotation.tokens_of("r") if out.annotation.roles else None
+
+
 def test_fill_gaps_examples():
-    assert fill_gaps({3, 5}) == {3, 4, 5}
-    assert fill_gaps({2}) == {2}
-    assert fill_gaps({1, 2, 3}) == {1, 2, 3}
-    assert fill_gaps(set()) == frozenset()
+    assert word_fill({3, 5}) == {3, 4, 5}
+    assert word_fill({2}) == {2}
+    assert word_fill({1, 2, 3}) == {1, 2, 3}
+    assert word_fill(set()) is None
 
 
 @given(st.sets(st.integers(0, 40), min_size=1))
 def test_fill_gaps_is_the_extremal_interval(tokens):
-    filled = fill_gaps(tokens)
+    filled = word_fill(tokens)
     assert min(filled) == min(tokens) and max(filled) == max(tokens)
     assert filled == set(range(min(tokens), max(tokens) + 1))
     assert tokens <= filled
@@ -55,7 +71,7 @@ def test_project_is_the_image_of_the_role_units():
         alignment,
         roles,
         {"r": (1, 3)},
-        tgt_tree=tgt_tree,  # node k + 1 is token k
+        tgt_tree.spans,  # node k + 1 is token k
         predicate=0,
     )
     assert out.annotation.spans_of("r") == {(1, 1), (3, 3)}
@@ -68,7 +84,7 @@ def test_project_empty_alignment_preserves_frame():
         make_alignment([]),
         roles,
         {"r": (0,)},
-        tgt_tree=parse_tree("(S (X a))"),
+        parse_tree("(S (X a))").spans,
         predicate=3,
     )
     assert out.annotation.frame == "FRAME"
@@ -82,10 +98,21 @@ def test_projected_spans_are_normalized_intervals():
         make_alignment([(0, 1, 0.5), (0, 4, 0.5), (0, 8, 0.5)]),
         roles,
         {"r": (0,)},
-        tgt_tree=parse_tree("(S (A (X a) (X b)) (X c) (C (X d) (X e)) (X f))"),
+        parse_tree("(S (A (X a) (X b)) (X c) (C (X d) (X e)) (X f))").spans,
         predicate=0,
     )
     assert out.annotation.spans_of("r") == {(0, 2), (5, 5)}
+
+
+def test_a_constituent_its_child_and_its_sibling_merge_into_one_span():
+    # node 1 is A over tokens 0-1, node 2 its child over token 0, node 4
+    # the sibling over token 2, next to A
+    tgt_spans = parse_tree("(S (A (X a) (X b)) (X c) (X d))").spans
+    links = [(0, 1, 0.5), (0, 2, 0.25), (0, 4, 0.5)]
+    roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
+    out = project(make_alignment(links), roles, {"r": (0,)}, tgt_spans, predicate=0)
+    assert out.annotation.spans_of("r") == {(0, 2)}
+    assert out.provenance["r"].links == tuple(links)
 
 
 # --- word-based projection --------------------------------------------------
