@@ -233,65 +233,70 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``roleproj`` parser.  When ``command`` names a subcommand, only its
-    arguments are added: each ``add_argument`` reads the terminal size.  All
-    subcommands are registered, so usage, help and errors stay the same."""
+    """The ``roleproj`` parser.  When ``command`` names a subcommand, only
+    that subcommand is registered, under a metavar that lists all five, so
+    its usage, help and errors stay the same.  Otherwise all five are, with
+    no metavar: the errors for a missing or unknown command call the
+    argument ``command``."""
     parser = argparse.ArgumentParser(
         prog="roleproj",
         description="Project labeled spans across word-aligned bi-sentences "
         "and evaluate the projections.",
     )
     parser.add_argument("--version", action="version", version=f"roleproj {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    every = command not in ("project", "evaluate", "sigtest", "stats", "fixtures")
+    names = ("project", "evaluate", "sigtest", "stats", "fixtures")
+    named = command in names
+    metavar = "{" + ",".join(names) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def subcommand(name, func, help):
+        if named and command != name:
+            return None
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        return p.add_argument if every or command == name else lambda *a, **k: None
+        return p.add_argument
 
-    arg = subcommand("project", cmd_project, "project source roles onto the target side")
-    arg("--model", choices=MODELS)
-    arg("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
-    arg("--fill-gaps", action="store_true", dest="fill_gaps")
-    arg("--src-trees", dest="src_trees")
-    arg("--tgt-trees", dest="tgt_trees")
-    arg("--src-tok", dest="src_tok")
-    arg("--tgt-tok", dest="tgt_tok")
-    arg("--align", required=True)
-    arg("--src-roles", dest="src_roles")
-    arg("--out", required=True)
-    arg("--config")
-    arg("--provenance")
-    arg("--oracle", action="store_true",
-        help="check the cost and links of every graph of at most "
-        f"{oracle.MAX_CELLS} cells against brute force")
-    arg("--jobs", type=int, default=1)
+    if arg := subcommand("project", cmd_project, "project source roles onto the target side"):
+        arg("--model", choices=MODELS)
+        arg("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
+        arg("--fill-gaps", action="store_true", dest="fill_gaps")
+        arg("--src-trees", dest="src_trees")
+        arg("--tgt-trees", dest="tgt_trees")
+        arg("--src-tok", dest="src_tok")
+        arg("--tgt-tok", dest="tgt_tok")
+        arg("--align", required=True)
+        arg("--src-roles", dest="src_roles")
+        arg("--out", required=True)
+        arg("--config")
+        arg("--provenance")
+        arg("--oracle", action="store_true",
+            help="check the cost and links of every graph of at most "
+            f"{oracle.MAX_CELLS} cells against brute force")
+        arg("--jobs", type=int, default=1)
 
-    arg = subcommand("evaluate", cmd_evaluate, "exact-match scoring against gold roles")
-    arg("--gold", required=True)
-    arg("--pred", required=True)
-    arg("--out")
+    if arg := subcommand("evaluate", cmd_evaluate, "exact-match scoring against gold roles"):
+        arg("--gold", required=True)
+        arg("--pred", required=True)
+        arg("--out")
 
-    arg = subcommand("sigtest", cmd_sigtest, "stratified-shuffling significance test")
-    arg("--gold", required=True)
-    arg("--pred-a", dest="pred_a", required=True)
-    arg("--pred-b", dest="pred_b", required=True)
-    arg("--iterations", type=int, default=10000)
-    arg("--seed", type=int, default=1)
-    arg("--out")
+    if arg := subcommand("sigtest", cmd_sigtest, "stratified-shuffling significance test"):
+        arg("--gold", required=True)
+        arg("--pred-a", dest="pred_a", required=True)
+        arg("--pred-b", dest="pred_b", required=True)
+        arg("--iterations", type=int, default=10000)
+        arg("--seed", type=int, default=1)
+        arg("--out")
 
-    arg = subcommand("stats", cmd_stats, "constituent correspondence statistics")
-    arg("--src-trees", dest="src_trees", required=True)
-    arg("--tgt-trees", dest="tgt_trees", required=True)
-    arg("--align", required=True)
-    arg("--threshold", type=float, default=0.5)
-    arg("--out")
+    if arg := subcommand("stats", cmd_stats, "constituent correspondence statistics"):
+        arg("--src-trees", dest="src_trees", required=True)
+        arg("--tgt-trees", dest="tgt_trees", required=True)
+        arg("--align", required=True)
+        arg("--threshold", type=float, default=0.5)
+        arg("--out")
 
-    arg = subcommand("fixtures", cmd_fixtures,
-                     "emit the bundled example bi-sentence and toy corpus")
-    arg("--out-dir", dest="out_dir", required=True)
+    if arg := subcommand("fixtures", cmd_fixtures,
+                         "emit the bundled example bi-sentence and toy corpus"):
+        arg("--out-dir", dest="out_dir", required=True)
 
     return parser
 

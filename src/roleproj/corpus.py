@@ -1,4 +1,4 @@
-"""Data model for bi-sentences and parsers/serializers for the toolkit's file formats.
+"""Data model for bi-sentences, the file-format parsers, and the ``.roles`` writer.
 
 Four line-oriented UTF-8 text formats, all parallel by line/block number:
 
@@ -21,9 +21,11 @@ Four line-oriented UTF-8 text formats, all parallel by line/block number:
     A predicate index of -1 means "no known predicate position".
 
 Token indexing is 0-based everywhere and spans are inclusive intervals.
-Serializers emit a canonical form (sorted links, alphabetically sorted role
-labels, spans sorted by start); parsing a canonical file and re-serializing
-it reproduces the input byte for byte.
+``.roles`` is the one format written: in a canonical form (alphabetically
+sorted role labels, spans sorted by start), so that reading a canonical
+``.roles`` file and writing it again reproduces the input byte for byte.
+The tests check the same round trip for the other three formats with
+writers of their own.
 
 Tree lines are lexed by spacing out the brackets and calling
 ``str.split()``, so every token is a bracket or an atom, and parsed in a
@@ -343,28 +345,6 @@ def parse_tree(line: str) -> ParseTree:
     )
 
 
-def tree_to_line(tree: ParseTree) -> str:
-    """Serialize a tree back to canonical single-space bracketed form."""
-    out = []
-    todo: list[int | str] = [0]  # node ids still to render, and literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        label, kids = tree.labels[item], tree.children[item]
-        if not kids:
-            word = tree.sentence.surfaces[tree.spans[item][0]]
-            out.append(f"({label} {word})")
-            continue
-        out.append(f"({label} ")
-        todo.append(")")
-        for child in reversed(kids[1:]):
-            todo += [child, " "]
-        todo.append(kids[0])
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Word alignments
 
@@ -407,10 +387,6 @@ def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
     raise AssertionError(f"no bad pair in the rejected alignment line {line!r}")
 
 
-def alignment_to_line(al: WordAlignment) -> str:
-    return " ".join(f"{s}-{t}" for s, t in sorted(al.links))
-
-
 # ---------------------------------------------------------------------------
 # Tokenized sentences
 
@@ -426,10 +402,6 @@ def parse_tok_line(line: str) -> Sentence:
         surfaces.append(surface)
         tags.append(pos)
     return Sentence(tuple(surfaces), tuple(tags))
-
-
-def sentence_to_tok_line(sentence: Sentence) -> str:
-    return " ".join(f"{s}_{t}" for s, t in zip(sentence.surfaces, sentence.tags))
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +572,9 @@ def _roles_block_by_block(path, text: str) -> list[RoleAnnotation]:
 
 
 def roles_file_text(annotations) -> str:
-    return "\n\n".join(
-        serialize_roles(ann, k) for k, ann in enumerate(annotations)
-    ) + "\n"
+    """The ``.roles`` text of annotations; ``""`` for none."""
+    blocks = [serialize_roles(ann, k) for k, ann in enumerate(annotations)]
+    return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
 def _side(trees_path, tok_path, name) -> tuple[list[Sentence], list[ParseTree | None]]:

@@ -7,8 +7,9 @@ matchings are enumerated as injections of the smaller side into the
 larger, at most 7 * 6 * 5 * 4 = 840 of them under the guard; edge covers
 as functions from source to target, at most 3**10.  The one edge cover
 ``brute_force_optimum`` returns is an optimal minimal cover but not always
-the lexicographically smallest one; ``enumerate_optimal_covers`` lists
-them all, which the tests use as the reference for ``check``.
+the lexicographically smallest one, so ``check`` accepts any optimal
+minimal cover; the tests hold the enumeration of them all that ``check``
+is tested against.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def brute_force_optimum(g: AlignmentGraph, constraint_class: str) -> SemanticAli
     each optimal source->target function is completed with the
     smallest-index cheapest source for every target it leaves uncovered,
     non-minimal completions are dropped, and the smallest remaining link
-    set is returned.  That need not be the smallest of
-    ``enumerate_optimal_covers``: a completion that uses a larger-index
-    tied source can be minimal where the smallest-index one is not.
+    set is returned.  That need not be the smallest optimal minimal cover:
+    a completion that uses a larger-index tied source can be minimal where
+    the smallest-index one is not.
     """
     _guard(g)
     if constraint_class == "perfect":
@@ -71,11 +72,11 @@ def check(g: AlignmentGraph, constraint_class: str, got: SemanticAlignment) -> N
     """Raise ToolkitError unless ``got`` agrees with the oracle on ``g``.
 
     The cost must be the optimum's within COST_ATOL, and ``perfect`` and
-    ``total`` links the oracle's.  ``edgecover`` links must be one of
-    ``enumerate_optimal_covers(g, COVER_ATOL)``, each a source->target
-    function plus a cheapest repair per target it leaves uncovered: without
-    enumeration, a cover with no many-to-many link costing at most the
-    optimum + COVER_ATOL.  Above the size guard, raises OracleSizeError.
+    ``total`` links the oracle's.  ``edgecover`` links must be an optimal
+    minimal cover within COVER_ATOL, each a source->target function plus a
+    cheapest repair per target it leaves uncovered: without enumeration, a
+    cover with no many-to-many link costing at most the optimum +
+    COVER_ATOL.  Above the size guard, raises OracleSizeError.
     """
     reference = brute_force_optimum(g, constraint_class)
     if abs(got.cost - reference.cost) > COST_ATOL:
@@ -164,31 +165,6 @@ def _best_edge_cover(g: AlignmentGraph):
             candidates.append(tuple(sorted(pairs)))
     pairs = min(candidates)
     return links_cost(W, *_index_arrays(pairs)), pairs
-
-
-def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):
-    """All optimal minimal edge covers as frozensets of links.
-
-    Each optimal source->target function is completed with every
-    combination of cost-tied cheapest repairs for the targets it leaves
-    uncovered; covers with a many-to-many link are not minimal and are
-    dropped.
-    """
-    _guard(g)
-    W = g.weights
-    _, functions, covered = _optimal_cover_functions(W, atol)
-    out = set()
-    for f, covered_row in zip(functions, covered):
-        base = frozenset((i, int(t)) for i, t in enumerate(f))
-        repairs = [
-            [(int(s), int(t)) for s in _tied_repairs(W, t, atol)]
-            for t in np.flatnonzero(~covered_row)
-        ]
-        for chosen in itertools.product(*repairs):
-            pairs = base.union(chosen)
-            if not _has_many_to_many(pairs):
-                out.add(pairs)
-    return out
 
 
 def _has_many_to_many(pairs) -> bool:

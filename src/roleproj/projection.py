@@ -87,12 +87,11 @@ def project_word_based(
     predicate: int,
 ) -> ProjectedAnnotation:
     """``project`` with words as the units: each word link is a link of
-    similarity 1, a role's units are its tokens left in the view, and each
-    target token is a unit spanning itself."""
+    similarity 1, a role's units are its tokens, and each target token is a
+    unit spanning itself.  The filters leave no link at an excluded token,
+    so a role's excluded tokens hit nothing."""
     alignment = SemanticAlignment(tuple((s, t, 1.0) for s, t in sorted(view.links)), 0.0)
-    role_units = {
-        label: roles.tokens_of(label) & view.included_src for label, _ in roles.roles
-    }
+    role_units = {label: roles.tokens_of(label) for label, _ in roles.roles}
     tgt_spans = tuple((t, t) for t in range(len(view.bisentence.tgt)))
     return project(alignment, roles, role_units, tgt_spans, predicate=predicate, fill=fill)
 

@@ -1,12 +1,13 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from roleproj import fixtures, lap
+from roleproj import fixtures, lap, oracle
 from roleproj.lap import lexmin_perfect_matching
-from roleproj.matcher import AlignmentGraph, build_graph
+from roleproj.matcher import COST_ATOL, AlignmentGraph, build_graph
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -81,6 +82,64 @@ def exits_early(adm, col_of_row, pad=None) -> bool:
         except _Searched:
             return False
     return True
+
+
+def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):
+    """All optimal minimal edge covers as frozensets of links.
+
+    Each optimal source->target function is completed with every
+    combination of cost-tied cheapest repairs for the targets it leaves
+    uncovered; covers with a many-to-many link are not minimal and are
+    dropped.  The reference ``oracle.check`` is tested against.
+    """
+    oracle._guard(g)
+    W = g.weights
+    _, functions, covered = oracle._optimal_cover_functions(W, atol)
+    out = set()
+    for f, covered_row in zip(functions, covered):
+        base = frozenset((i, int(t)) for i, t in enumerate(f))
+        repairs = [
+            [(int(s), int(t)) for s in oracle._tied_repairs(W, t, atol)]
+            for t in np.flatnonzero(~covered_row)
+        ]
+        for chosen in itertools.product(*repairs):
+            pairs = base.union(chosen)
+            if not oracle._has_many_to_many(pairs):
+                out.add(pairs)
+    return out
+
+
+def tree_to_line(tree) -> str:
+    """A tree in canonical single-space bracketed form, the form
+    ``corpus.parse_tree`` reads back to the same tree."""
+    out = []
+    todo: list[int | str] = [0]  # node ids still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        label, kids = tree.labels[item], tree.children[item]
+        if not kids:
+            word = tree.sentence.surfaces[tree.spans[item][0]]
+            out.append(f"({label} {word})")
+            continue
+        out.append(f"({label} ")
+        todo.append(")")
+        for child in reversed(kids[1:]):
+            todo += [child, " "]
+        todo.append(kids[0])
+    return "".join(out)
+
+
+def alignment_to_line(al) -> str:
+    """A word alignment as a canonical ``.align`` line: sorted ``i-j`` pairs."""
+    return " ".join(f"{s}-{t}" for s, t in sorted(al.links))
+
+
+def sentence_to_tok_line(sentence) -> str:
+    """A sentence as a ``.tok`` line of ``surface_POS`` tokens."""
+    return " ".join(f"{s}_{t}" for s, t in zip(sentence.surfaces, sentence.tags))
 
 
 def random_sim(rng, n, m, zero_frac=0.3) -> np.ndarray:

@@ -652,4 +652,26 @@ def test_parser_adds_only_the_named_commands_arguments(capsys):
     assert cli.build_parser("project").parse_args(project).align == "a"
     with pytest.raises(SystemExit):
         cli.build_parser("evaluate").parse_args(project)
-    assert "unrecognized arguments: --align a --out o" in capsys.readouterr().err
+    assert "invalid choice: 'project'" in capsys.readouterr().err
+
+
+def test_a_missing_or_unknown_command_is_called_command_in_the_error(monkeypatch, capsys):
+    # Only the parser with every subcommand prints these; it names the
+    # subcommand argument by its dest, not by the metavar that a parser of
+    # one subcommand sets.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def stderr(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err.splitlines()
+
+    usage = "usage: roleproj [-h] [--version] {project,evaluate,sigtest,stats,fixtures} ..."
+    assert stderr([]) == [usage, "roleproj: error: the following arguments are required: command"]
+    usage_line, error = stderr(["nosuch"])
+    assert usage_line == usage
+    # Python versions differ in how they quote the choices that follow
+    assert error.startswith(
+        "roleproj: error: argument command: invalid choice: 'nosuch' (choose from "
+    )

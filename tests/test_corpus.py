@@ -9,7 +9,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import trees
+from conftest import alignment_to_line, sentence_to_tok_line, tree_to_line, trees
 
 from roleproj.corpus import (
     BiSentence,
@@ -17,18 +17,16 @@ from roleproj.corpus import (
     RoleAnnotation,
     Sentence,
     WordAlignment,
-    alignment_to_line,
     merge_spans,
     parse_alignment,
     parse_roles,
     parse_roles_block,
     parse_tok_line,
     parse_tree,
+    read_roles_file,
     read_text,
     roles_file_text,
-    sentence_to_tok_line,
     serialize_roles,
-    tree_to_line,
     _roles_block_by_block,
     _roles_in_one_pass,
 )
@@ -669,6 +667,14 @@ def test_one_pass_roles_reader_reads_what_roles_file_text_writes(blocks):
     text = roles_file_text(anns)
     assert _roles_in_one_pass(text) == (anns if anns else None)
     assert _roles_in_one_pass(text.rstrip("\n")) == (anns if anns else None)
+
+
+def test_no_annotations_write_an_empty_file_that_reads_back_empty(tmp_path):
+    # not "\n": a blank line is outside the canonical layout
+    path = tmp_path / "empty.roles"
+    path.write_text(roles_file_text([]), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") == ""
+    assert read_roles_file(path) == []
 
 
 @pytest.mark.parametrize(

@@ -17,17 +17,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import alignment_to_line, sentence_to_tok_line, tree_to_line
 from roleproj.cli import main
 from roleproj.corpus import (
     RoleAnnotation,
-    alignment_to_line,
     load_corpus,
     read_roles_file,
     read_tok_file,
     read_trees_file,
     roles_file_text,
-    sentence_to_tok_line,
-    tree_to_line,
 )
 from roleproj.matcher import SemanticAlignment, build_graph, solve
 from roleproj.pipeline import (
@@ -48,7 +46,7 @@ from roleproj.projection import (
     resolve_role_units,
     strip_zero_links,
 )
-from roleproj.similarity import UnitSimilarity, apply_word_filters
+from roleproj.similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
 
 WORDS = ("Kim", "promised", "to", "pünktlich", "a_b", "_", ",", "Ü", "x")
 TAGS = ("NN", "VBD", "TO", "ADJD", "$,", "-NONE-", "JJ", "DT")
@@ -289,6 +287,20 @@ def test_every_role_unit_is_a_row_of_the_graph(rng, filt):
             assert units <= set(inst.graph.src_units)
             if model == "total":
                 assert inst.graph.src_units == tuple(sorted(units))
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(("none", "na", "nc", "na,nc")))
+def test_every_link_of_a_filtered_view_joins_two_included_tokens(rng, filt):
+    # ``project_word_based`` takes all of a role's tokens as its units: an
+    # excluded token has no link left to project through.
+    with tempfile.TemporaryDirectory() as d:
+        corpus = load(write(d, corpus_texts(rng, (1, 4), 12)))
+    filters = frozenset() if filt == "none" else frozenset(filt.split(","))
+    for b in corpus:
+        view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
+        for s, t in view.links:
+            assert s in view.included_src and t in view.included_tgt
 
 
 def per_role_word_loop(view, roles, fill, *, predicate):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exits_early, graph_of, random_sim
+from conftest import enumerate_optimal_covers, exits_early, graph_of, random_sim
 from roleproj import lap, matcher, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
@@ -22,7 +22,7 @@ from roleproj.matcher import (
     solve_perfect_matching,
     solve_total,
 )
-from roleproj.oracle import MAX_CELLS, brute_force_optimum, enumerate_optimal_covers
+from roleproj.oracle import MAX_CELLS, brute_force_optimum
 from roleproj.similarity import to_weights
 
 BIG = 1e6

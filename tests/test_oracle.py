@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import graph_of, random_sim
+from conftest import enumerate_optimal_covers, graph_of, random_sim
 from roleproj import oracle
 from roleproj.errors import OracleSizeError, ToolkitError
 from roleproj.matcher import COST_ATOL, SemanticAlignment, links_from_pairs, solve
-from roleproj.oracle import MAX_CELLS, brute_force_optimum, check, enumerate_optimal_covers
+from roleproj.oracle import MAX_CELLS, brute_force_optimum, check
 
 BIG = 1e6
 
