@@ -10,17 +10,20 @@ inputs and configuration produce identical manifests.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
-from . import __version__, fixtures, oracle
-from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
-from .errors import ConfigError, ToolkitError, located
+from . import __version__, fixtures
+from .corpus import (
+    DEFAULT_CONTENT_PREFIXES,
+    load_corpus,
+    read_lines,
+    read_roles_file,
+    roles_file_text,
+)
+from .errors import MAX_CELLS, ConfigError, ToolkitError, located
 from .evaluation import correspondence_stats, score, stratified_shuffling
-from .matcher import solve
 from .pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, build_instance, run_corpus
-from .similarity import DEFAULT_CONTENT_PREFIXES
 
 CONFIG_KEYS = {
     "model",
@@ -34,6 +37,8 @@ CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": Fa
 
 
 def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL; only a projection run's manifest needs it
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -97,6 +102,11 @@ def _build_pipeline_config(args) -> PipelineConfig:
 def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
     """``oracle.check`` each graph within the size guard; return the number
     of sentences checked and of graphs skipped, unsolved, above the guard."""
+    # Imported here: both load numpy, which a command that builds no graph
+    # never imports.
+    from . import oracle
+    from .matcher import solve
+
     checked = skipped = 0
     for k, b in enumerate(bisentences):
         if b.src_tree is None or b.tgt_tree is None:
@@ -105,7 +115,7 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
             graph = build_instance(b, cfg).graph
             if graph is None:
                 continue
-            if graph.sim.size > oracle.MAX_CELLS:
+            if graph.sim.size > MAX_CELLS:
                 skipped += 1
                 continue
             oracle.check(graph, cfg.model, solve(graph, cfg.model))
@@ -151,7 +161,7 @@ def cmd_project(args) -> int:
     elif args.oracle:
         checked, skipped = _oracle_check(corpus, cfg)
         print(f"oracle check passed on {checked} sentence(s); "
-              f"{skipped} graph(s) above {oracle.MAX_CELLS} cells not checked")
+              f"{skipped} graph(s) above {MAX_CELLS} cells not checked")
 
     projected = run_corpus(corpus, cfg, jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -271,7 +281,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         arg("--provenance")
         arg("--oracle", action="store_true",
             help="check the cost and links of every graph of at most "
-            f"{oracle.MAX_CELLS} cells against brute force")
+            f"{MAX_CELLS} cells against brute force")
         arg("--jobs", type=int, default=1)
 
     if arg := subcommand("evaluate", cmd_evaluate, "exact-match scoring against gold roles"):

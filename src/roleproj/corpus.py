@@ -1,4 +1,5 @@
-"""Data model for bi-sentences, the file-format parsers, and the ``.roles`` writer.
+"""Data model for bi-sentences, their word-filter views, the file-format
+parsers, and the ``.roles`` writer.
 
 Four line-oriented UTF-8 text formats, all parallel by line/block number:
 
@@ -223,6 +224,79 @@ class BiSentence:
                                 (self.tgt_roles, self.tgt, "target")):
             if ann is not None and ann.max_index() >= len(sent):
                 raise ValidationError(f"{side} role annotation index out of range")
+
+
+# ---------------------------------------------------------------------------
+# Word filters
+
+# POS prefixes counted as content words: nouns, verbs, adjectives, adverbs,
+# covering both the Penn Treebank and the TIGER tagsets.
+DEFAULT_CONTENT_PREFIXES = frozenset(
+    {"NN", "JJ", "RB", "VB", "NE", "VV", "VA", "VM", "ADJ", "ADV"}
+)
+
+
+@dataclass(frozen=True)
+class BiSentenceView:
+    """A bi-sentence with exclusion masks applied for similarity purposes.
+
+    The word filters are views, never edits: token indices in any output
+    still refer to the original sentence.
+    """
+
+    bisentence: BiSentence
+    included_src: frozenset[int]
+    included_tgt: frozenset[int]
+    links: frozenset[tuple[int, int]]
+
+
+def full_view(b: BiSentence) -> BiSentenceView:
+    return BiSentenceView(
+        b,
+        frozenset(range(len(b.src))),
+        frozenset(range(len(b.tgt))),
+        b.alignment.links,
+    )
+
+
+def na_filter(view: BiSentenceView) -> BiSentenceView:
+    """Exclude every token with no alignment link; links stay untouched."""
+    al = view.bisentence.alignment
+    return BiSentenceView(
+        view.bisentence,
+        view.included_src & al.aligned_src(),
+        view.included_tgt & al.aligned_tgt(),
+        view.links,
+    )
+
+
+def nc_filter(view: BiSentenceView, content_pos_prefixes) -> BiSentenceView:
+    """Exclude non-content tokens on both sides along with their links."""
+    prefixes = tuple(content_pos_prefixes)
+
+    def content(sentence):
+        kept = set()
+        for i, (surface, tag) in enumerate(zip(sentence.surfaces, sentence.tags)):
+            if not tag:
+                raise ValidationError(f"token {surface!r} has no POS tag")
+            if tag.startswith(prefixes):
+                kept.add(i)
+        return kept
+
+    inc_src = view.included_src & content(view.bisentence.src)
+    inc_tgt = view.included_tgt & content(view.bisentence.tgt)
+    links = frozenset((s, t) for s, t in view.links if s in inc_src and t in inc_tgt)
+    return BiSentenceView(view.bisentence, inc_src, inc_tgt, links)
+
+
+def apply_word_filters(b: BiSentence, filters, content_pos_prefixes) -> BiSentenceView:
+    """The view of ``b`` under the word filters (``na``, ``nc``) in ``filters``."""
+    view = full_view(b)
+    if "na" in filters:
+        view = na_filter(view)
+    if "nc" in filters:
+        view = nc_filter(view, content_pos_prefixes)
+    return view
 
 
 # ---------------------------------------------------------------------------

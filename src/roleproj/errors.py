@@ -25,6 +25,12 @@ class DegenerateGraphError(ToolkitError):
     """Alignment graph with an empty partition."""
 
 
+# The oracle's size guard: brute force takes graphs of at most this many
+# cells.  Defined here so that ``roleproj project --help`` can state it
+# without importing the oracle and numpy.
+MAX_CELLS = 30
+
+
 class OracleSizeError(ToolkitError):
     """Brute-force enumeration refused: instance exceeds the size guard."""
 

@@ -5,18 +5,24 @@ set equal a gold role of the same sentence.  The token sets are compared as
 merged spans (sorted, adjacent intervals joined), never built, so a role
 costs the same whatever its span lengths.  Corpus precision/recall/F1 are
 micro-averaged from pooled counts.
+
+``score`` computes them in Python floats, so ``roleproj evaluate`` never
+imports numpy; ``pooled_prf`` and ``stratified_shuffling`` import it when
+they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import RoleAnnotation, merge_spans
 from .errors import ValidationError
 from .pipeline import PipelineConfig, build_instance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Iteration × sentence flips that ``stratified_shuffling`` draws and reduces
 # at once, so its memory stays flat in the iterations: about 7 MB at 5
@@ -63,6 +69,8 @@ def pooled_prf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Each ratio is 0 where its denominator is 0.
     """
+    import numpy as np
+
     tp, fp, fn = counts[..., 0], counts[..., 1], counts[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
@@ -101,8 +109,22 @@ def score(gold, pred) -> ScoreReport:
     tp = sum(c.tp for c in per)
     fp = sum(c.fp for c in per)
     fn = sum(c.fn for c in per)
-    p, r, f1 = (float(x) for x in pooled_prf(np.array([tp, fp, fn])))
+    p, r, f1 = _prf(tp, fp, fn)
     return ScoreReport(tp, fp, fn, p, r, f1, per)
+
+
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """``pooled_prf`` of one count triple, in Python floats.
+
+    The same IEEE operations in the same order give the same doubles for
+    counts below 2^53.  Each denominator is rounded to a double before the
+    division, as numpy rounds an int64 sum before dividing; an exact
+    int/int quotient can differ once a sum passes 2^53.
+    """
+    p = tp / float(tp + fp) if tp + fp > 0 else 0.0
+    r = tp / float(tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * p * r / max(p + r, 1e-300) if p + r > 0 else 0.0
+    return p, r, f1
 
 
 @dataclass(frozen=True)
@@ -137,6 +159,7 @@ def stratified_shuffling(
         raise ValidationError("iterations must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    import numpy as np
 
     counts_a = np.array(
         [[c.tp, c.fp, c.fn] for c in (sentence_counts(g, p) for g, p in zip(gold, pred_a))]

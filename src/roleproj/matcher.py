@@ -54,6 +54,7 @@ import numpy as np
 
 from . import lap
 from .errors import DegenerateGraphError, ValidationError
+from .projection import SemanticAlignment
 from .similarity import to_weights
 
 COST_ATOL = 1e-9
@@ -75,15 +76,6 @@ class AlignmentGraph:
     @property
     def n_tgt_real(self) -> int:
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class SemanticAlignment:
-    links: tuple[tuple[int, int, float], ...]  # (src_unit, tgt_unit, sim), sorted
-    cost: float  # sum of the weights of the links, zero-similarity ones included
-
-    def link_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s, t) for s, t, _ in self.links)
 
 
 def build_graph(src_units, tgt_units, sim: np.ndarray, big: float) -> AlignmentGraph:

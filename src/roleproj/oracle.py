@@ -18,16 +18,10 @@ import itertools
 
 import numpy as np
 
-from .errors import OracleSizeError, ToolkitError
-from .matcher import (
-    COST_ATOL,
-    AlignmentGraph,
-    SemanticAlignment,
-    links_cost,
-    links_from_pairs,
-)
+from .errors import MAX_CELLS, OracleSizeError, ToolkitError
+from .matcher import COST_ATOL, AlignmentGraph, links_cost, links_from_pairs
+from .projection import SemanticAlignment
 
-MAX_CELLS = 30
 COVER_ATOL = 1e-6  # 1e6-capped weight sums round at about 1e-10 per link
 
 

@@ -6,6 +6,14 @@ alignment instance with ``build_instance`` and solve the corresponding
 optimal-subgraph problem on its graph.  Word filters (``na``, ``nc``)
 mask tokens before similarity computation; the ``arg`` filter restricts
 the target unit set to likely argument constituents of the predicate.
+
+The array layers, ``UnitSimilarity``, ``build_graph`` and ``solve``, bind
+into this module's globals at the first graph, so that a run of the
+``word`` model, and every command that builds no graph, starts without
+numpy.  Until then they resolve as module attributes through
+``__getattr__``, which binds them.  A name already set, such as a wrapper
+put on the module from outside, is never re-bound, and ``build_instance``
+and ``run_pipeline`` look the three up in the globals at each call.
 """
 
 from __future__ import annotations
@@ -13,19 +21,46 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .corpus import BiSentence
+from .corpus import DEFAULT_CONTENT_PREFIXES, BiSentence, apply_word_filters
 from .errors import ConfigError, located
-from .matcher import AlignmentGraph, SemanticAlignment, build_graph, solve
 from .projection import (
     ProjectedAnnotation,
+    SemanticAlignment,
     argument_filter,
     project,
     project_word_based,
     resolve_role_units,
     strip_zero_links,
 )
-from .similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
+
+if TYPE_CHECKING:
+    from .matcher import AlignmentGraph
+
+_ARRAY_LAYERS = ("UnitSimilarity", "build_graph", "solve")
+_array_layers_bound = False
+
+
+def _bind_array_layers() -> None:
+    """Import the array layers; bind each of their names not already set."""
+    global _array_layers_bound
+    from .matcher import build_graph, solve
+    from .similarity import UnitSimilarity
+
+    names = globals()
+    names.setdefault("UnitSimilarity", UnitSimilarity)
+    names.setdefault("build_graph", build_graph)
+    names.setdefault("solve", solve)
+    _array_layers_bound = True
+
+
+def __getattr__(name):
+    if name in _ARRAY_LAYERS:
+        _bind_array_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MODELS = ("word", "perfect", "edgecover", "total")
 FILTERS = ("na", "nc", "arg")
@@ -134,6 +169,8 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
         warnings.append("no target units after filtering; nothing projected")
     if not (src_units and tgt_units):
         return AlignmentInstance(tgt_pred, tuple(warnings), None, role_units)
+    if not _array_layers_bound:
+        _bind_array_layers()
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     graph = build_graph(src_units, tgt_units, sim, cfg.big)
     return AlignmentInstance(tgt_pred, tuple(warnings), graph, role_units)
@@ -173,7 +210,8 @@ def run_corpus(bisentences, cfg: PipelineConfig, jobs: int = 1):
     """Project a whole corpus; results come back in input order.
 
     Starts at most one worker per sentence and per CPU; runs in-process
-    when that allows only one.
+    when that allows only one.  The workers take contiguous chunks of
+    about n / (4 × workers) sentences, so each round trip carries many.
     """
     tasks = [(k, b, cfg) for k, b in enumerate(bisentences)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -184,4 +222,5 @@ def run_corpus(bisentences, cfg: PipelineConfig, jobs: int = 1):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, tasks))
+        chunk = math.ceil(len(tasks) / (4 * workers))  # at least 1: n >= workers
+        return list(pool.map(_run_one, tasks, chunksize=chunk))

@@ -1,16 +1,27 @@
 """Role transfer onto the target side: unit-level projection (the word-based
 baseline is the same transfer over word units), argument filtering, and
-source-unit resolution."""
+source-unit resolution.
+
+``SemanticAlignment``, the links a solver chose, is defined here rather than
+in ``matcher`` so that the word model transfers roles without the array
+layers."""
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .corpus import ParseTree, RoleAnnotation, Span, merge_spans
+from .corpus import BiSentenceView, ParseTree, RoleAnnotation, Span, merge_spans
 from .errors import ValidationError
-from .matcher import SemanticAlignment
-from .similarity import BiSentenceView
+
+
+@dataclass(frozen=True)
+class SemanticAlignment:
+    links: tuple[tuple[int, int, float], ...]  # (src_unit, tgt_unit, sim), sorted
+    cost: float  # sum of the weights of the links, zero-similarity ones included
+
+    def link_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((s, t) for s, t, _ in self.links)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Cross-lingual similarity over constituents, plus word-level filters.
+"""Cross-lingual similarity over constituents.
 
-Word filters are views (exclusion masks over token indices), never edits:
-token indices in any downstream output always refer to the original
-sentence.  Similarity is computed from the filtered view; projected spans
-are read off the original constituent yields.
+Similarity is computed from a word-filtered ``corpus.BiSentenceView`` (the
+filters themselves live in ``corpus``, next to the bi-sentence they wrap);
+projected spans are read off the original constituent yields.
 
 Similarity is incidence-matrix algebra over 0/1 float64 masks: unit x token
 yield masks ``Y_s`` and ``Y_t`` of the units asked for (zero on excluded
@@ -19,78 +18,12 @@ in float64, so each cell is the correctly rounded quotient of two integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .corpus import BiSentence, ParseTree
-from .errors import ConfigError, ValidationError
-
-# POS prefixes counted as content words: nouns, verbs, adjectives, adverbs,
-# covering both the Penn Treebank and the TIGER tagsets.
-DEFAULT_CONTENT_PREFIXES = frozenset(
-    {"NN", "JJ", "RB", "VB", "NE", "VV", "VA", "VM", "ADJ", "ADV"}
-)
-
-
-@dataclass(frozen=True)
-class BiSentenceView:
-    """A bi-sentence with exclusion masks applied for similarity purposes."""
-
-    bisentence: BiSentence
-    included_src: frozenset[int]
-    included_tgt: frozenset[int]
-    links: frozenset[tuple[int, int]]
-
-
-def full_view(b: BiSentence) -> BiSentenceView:
-    return BiSentenceView(
-        b,
-        frozenset(range(len(b.src))),
-        frozenset(range(len(b.tgt))),
-        b.alignment.links,
-    )
-
-
-def na_filter(view: BiSentenceView) -> BiSentenceView:
-    """Exclude every token with no alignment link; links stay untouched."""
-    al = view.bisentence.alignment
-    return BiSentenceView(
-        view.bisentence,
-        view.included_src & al.aligned_src(),
-        view.included_tgt & al.aligned_tgt(),
-        view.links,
-    )
-
-
-def nc_filter(view: BiSentenceView, content_pos_prefixes) -> BiSentenceView:
-    """Exclude non-content tokens on both sides along with their links."""
-    prefixes = tuple(content_pos_prefixes)
-
-    def content(sentence):
-        kept = set()
-        for i, (surface, tag) in enumerate(zip(sentence.surfaces, sentence.tags)):
-            if not tag:
-                raise ValidationError(f"token {surface!r} has no POS tag")
-            if tag.startswith(prefixes):
-                kept.add(i)
-        return kept
-
-    inc_src = view.included_src & content(view.bisentence.src)
-    inc_tgt = view.included_tgt & content(view.bisentence.tgt)
-    links = frozenset((s, t) for s, t in view.links if s in inc_src and t in inc_tgt)
-    return BiSentenceView(view.bisentence, inc_src, inc_tgt, links)
-
-
-def apply_word_filters(b: BiSentence, filters, content_pos_prefixes) -> BiSentenceView:
-    """The view of ``b`` under the word filters (``na``, ``nc``) in ``filters``."""
-    view = full_view(b)
-    if "na" in filters:
-        view = na_filter(view)
-    if "nc" in filters:
-        view = nc_filter(view, content_pos_prefixes)
-    return view
+from .corpus import BiSentenceView, ParseTree
+from .errors import ConfigError
 
 
 class UnitSimilarity:

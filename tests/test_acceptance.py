@@ -9,12 +9,12 @@ import pytest
 import conftest
 from conftest import graph_of, random_sim
 from roleproj.cli import main
-from roleproj.corpus import read_roles_file, RoleAnnotation
+from roleproj.corpus import full_view, read_roles_file, RoleAnnotation
 from roleproj.evaluation import score, stratified_shuffling
 from roleproj.matcher import solve_edge_cover, solve_perfect_matching, solve_total
 from roleproj.oracle import brute_force_optimum
 from roleproj.projection import argument_filter
-from roleproj.similarity import UnitSimilarity, full_view
+from roleproj.similarity import UnitSimilarity
 
 BIG = 1e6
 

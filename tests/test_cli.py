@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -123,15 +125,18 @@ def test_oracle_flag_fails_on_links_other_than_the_oracles(
     fixture_dir, tmp_path, capsys, monkeypatch, model
 ):
     # The cost is the optimum's, so only the link-set check can catch it.
-    import roleproj.cli as cli
+    # _oracle_check imports matcher.solve when it runs; the pipeline binds
+    # its own solve first, so the projection after the check is unpatched.
+    import roleproj.matcher as matcher
+    import roleproj.pipeline as pipeline
 
-    solve = cli.solve
+    solve = pipeline.solve
 
     def one_link_short(graph, constraint_class):
         got = solve(graph, constraint_class)
         return dataclasses.replace(got, links=got.links[1:])
 
-    monkeypatch.setattr(cli, "solve", one_link_short)
+    monkeypatch.setattr(matcher, "solve", one_link_short)
     assert main(toy_oracle_args(fixture_dir, tmp_path / "out.roles", model)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: sentence 0 ({model}): solver links ")
@@ -169,12 +174,15 @@ def test_oracle_summary_counts_the_graphs_above_the_guard_unsolved(
     fixture_dir, tmp_path, capsys, monkeypatch, model
 ):
     # Figure 1 under --filter none is one graph above 30 cells.
-    import roleproj.cli as cli
+    import roleproj.matcher as matcher
+    import roleproj.pipeline as pipeline
+
+    pipeline.solve  # binds the pipeline's solve before _oracle_check's is patched
 
     def never(graph, constraint_class):
         raise AssertionError("solved a graph the oracle cannot check")
 
-    monkeypatch.setattr(cli, "solve", never)
+    monkeypatch.setattr(matcher, "solve", never)
     assert main(project_args(fixture_dir, tmp_path / "out.roles", model, ["--oracle"])) == 0
     assert capsys.readouterr().out == (
         "oracle check passed on 0 sentence(s); 1 graph(s) above 30 cells not checked\n"
@@ -599,7 +607,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
 
 
@@ -675,3 +683,81 @@ def test_a_missing_or_unknown_command_is_called_command_in_the_error(monkeypatch
     assert error.startswith(
         "roleproj: error: argument command: invalid choice: 'nosuch' (choose from "
     )
+
+
+# --- numpy loads at the first graph ------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUN_MAIN = """
+import json, sys
+from roleproj import cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def run_fresh(code, *args) -> str:
+    """Run ``code`` in a fresh interpreter that imports roleproj from src/;
+    return the last line it prints."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def main_fresh(argv) -> tuple[int, bool]:
+    """Exit code of ``cli.main(argv)`` and whether it loaded numpy."""
+    return tuple(json.loads(run_fresh(RUN_MAIN, json.dumps(argv))))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "fixtures", "word"])
+def test_commands_without_arrays_never_import_numpy(fixture_dir, tmp_path, command):
+    argv = {
+        "evaluate": ["evaluate", "--gold", fx(fixture_dir, "tgt.roles"),
+                     "--pred", fx(fixture_dir, "expected_perfect.roles")],
+        "fixtures": ["fixtures", "--out-dir", str(tmp_path / "fx")],
+        "word": project_args(fixture_dir, tmp_path / "out.roles", "word"),
+    }[command]
+    assert main_fresh(argv) == (0, False)
+
+
+def test_a_constituent_model_imports_numpy_at_its_first_graph(fixture_dir, tmp_path):
+    out = tmp_path / "out.roles"
+    assert main_fresh(project_args(fixture_dir, out)) == (0, True)
+    assert out.read_bytes() == (fixture_dir / "figure1" / "expected_perfect.roles").read_bytes()
+
+
+def test_a_solve_set_on_the_pipeline_before_any_graph_is_the_one_called():
+    code = """
+import sys
+from roleproj import fixtures, pipeline
+calls = []
+def wrapper(graph, model):
+    from roleproj.matcher import solve
+    calls.append(model)
+    return solve(graph, model)
+pipeline.solve = wrapper
+assert "numpy" not in sys.modules
+b = fixtures.figure1_bisentence()
+for model in ("perfect", "edgecover"):
+    pipeline.run_pipeline(b, pipeline.PipelineConfig(model=model))
+from roleproj import matcher, similarity
+print(calls, pipeline.solve is wrapper, pipeline.build_graph is matcher.build_graph,
+      pipeline.UnitSimilarity is similarity.UnitSimilarity)
+"""
+    assert run_fresh(code) == "['perfect', 'edgecover'] True True True"
+
+
+def test_spawned_workers_bind_the_array_layers_themselves():
+    # A spawned worker unpickles its tasks into a fresh pipeline module.
+    code = """
+import multiprocessing
+from roleproj import fixtures, pipeline
+multiprocessing.set_start_method("spawn")
+corpus = fixtures.toy_bisentences()
+cfg = pipeline.PipelineConfig(model="perfect")
+print(pipeline.run_corpus(corpus, cfg, jobs=2) == pipeline.run_corpus(corpus, cfg))
+"""
+    assert run_fresh(code) == "True"

@@ -97,6 +97,25 @@ def test_empty_annotations_count_nothing():
     assert r.precision == r.recall == r.f1 == 0.0
 
 
+COUNTS = st.one_of(st.just(0), st.integers(0, 2**53 - 1), st.integers(2**53 - 64, 2**53 - 1))
+
+
+@given(COUNTS, COUNTS, COUNTS)
+@example(2**53 - 1, 2, 0)  # tp + fp rounds to 2^53; an exact int/int quotient does not
+@example(0, 0, 0)
+@example(0, 5, 0)
+def test_score_equals_pooled_prf_bit_for_bit(tp, fp, fn):
+    gold, pred = [ann({})], [ann({})]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "sentence_counts",
+                      lambda g, p: evaluation.SentenceCounts(tp, fp, fn))
+        got = score(gold, pred)
+    want = [float(x) for x in pooled_prf(np.array([tp, fp, fn]))]
+    for g, w in zip((got.precision, got.recall, got.f1), want):
+        assert type(g) is float
+        assert g == w and repr(g) == repr(w)
+
+
 def test_toy_corpus_against_independent_counter(fixture_dir):
     gold = read_roles_file(fixture_dir / "toy" / "tgt.roles")
     pred = read_roles_file(fixture_dir / "toy" / "pred.roles")

@@ -20,14 +20,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import alignment_to_line, sentence_to_tok_line, tree_to_line
 from roleproj.cli import main
 from roleproj.corpus import (
+    DEFAULT_CONTENT_PREFIXES,
     RoleAnnotation,
+    apply_word_filters,
     load_corpus,
     read_roles_file,
     read_tok_file,
     read_trees_file,
     roles_file_text,
 )
-from roleproj.matcher import SemanticAlignment, build_graph, solve
+from roleproj.matcher import build_graph, solve
 from roleproj.pipeline import (
     DEFAULT_FILTER_FOR_MODEL,
     MODELS,
@@ -41,12 +43,13 @@ from roleproj.pipeline import (
 from roleproj.projection import (
     ProjectedAnnotation,
     RoleProvenance,
+    SemanticAlignment,
     project,
     project_word_based,
     resolve_role_units,
     strip_zero_links,
 )
-from roleproj.similarity import DEFAULT_CONTENT_PREFIXES, UnitSimilarity, apply_word_filters
+from roleproj.similarity import UnitSimilarity
 
 WORDS = ("Kim", "promised", "to", "pünktlich", "a_b", "_", ",", "Ü", "x")
 TAGS = ("NN", "VBD", "TO", "ADJD", "$,", "-NONE-", "JJ", "DT")

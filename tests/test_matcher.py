@@ -12,7 +12,6 @@ from roleproj import lap, matcher, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
-    SemanticAlignment,
     _lexmin_matching,
     _strip_redundant_links,
     build_graph,
@@ -23,6 +22,7 @@ from roleproj.matcher import (
     solve_total,
 )
 from roleproj.oracle import MAX_CELLS, brute_force_optimum
+from roleproj.projection import SemanticAlignment
 from roleproj.similarity import to_weights
 
 BIG = 1e6

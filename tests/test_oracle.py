@@ -4,8 +4,9 @@ import pytest
 from conftest import enumerate_optimal_covers, graph_of, random_sim
 from roleproj import oracle
 from roleproj.errors import OracleSizeError, ToolkitError
-from roleproj.matcher import COST_ATOL, SemanticAlignment, links_from_pairs, solve
+from roleproj.matcher import COST_ATOL, links_from_pairs, solve
 from roleproj.oracle import MAX_CELLS, brute_force_optimum, check
+from roleproj.projection import SemanticAlignment
 
 BIG = 1e6
 

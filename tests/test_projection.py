@@ -7,22 +7,22 @@ from roleproj.corpus import (
     RoleAnnotation,
     Sentence,
     WordAlignment,
+    full_view,
     parse_alignment,
     parse_roles,
     parse_tree,
     serialize_roles,
 )
 from roleproj.errors import ConfigError, ValidationError
-from roleproj.matcher import SemanticAlignment
 from roleproj.pipeline import PipelineConfig, run_pipeline, target_predicate
 from roleproj.projection import (
     RoleProvenance,
+    SemanticAlignment,
     argument_filter,
     project,
     project_word_based,
     resolve_role_units,
 )
-from roleproj.similarity import full_view
 
 
 # --- fill_gaps -----------------------------------------------------------

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import node_yield
-from roleproj.corpus import BiSentence, WordAlignment, parse_alignment, parse_tree
-from roleproj.errors import ConfigError
-from roleproj.pipeline import PipelineConfig
-from roleproj.projection import argument_filter
-from roleproj.similarity import (
+from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
-    UnitSimilarity,
+    BiSentence,
+    WordAlignment,
     apply_word_filters,
     full_view,
     na_filter,
     nc_filter,
-    to_weights,
+    parse_alignment,
+    parse_tree,
 )
+from roleproj.errors import ConfigError
+from roleproj.pipeline import PipelineConfig
+from roleproj.projection import argument_filter
+from roleproj.similarity import UnitSimilarity, to_weights
 
 
 def clause(tree, span):
