@@ -14,7 +14,7 @@ def main():
     print("source:", " ".join(b.src.surfaces))
     print("target:", " ".join(b.tgt.surfaces))
     print("links: ", " ".join(f"{s}-{t}" for s, t in sorted(b.alignment.links)))
-    print("gold:  ", serialize_roles(b.tgt_roles).replace("\n", "  "))
+    print("gold:  ", fixtures.FIGURE1["tgt.roles"].rstrip("\n").replace("\n", "  "))
     print()
 
     configs = [

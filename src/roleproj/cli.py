@@ -127,14 +127,6 @@ def cmd_project(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _build_pipeline_config(args)
-    input_paths = {
-        "align": args.align,
-        "src_trees": args.src_trees,
-        "src_tok": args.src_tok,
-        "tgt_trees": args.tgt_trees,
-        "tgt_tok": args.tgt_tok,
-        "src_roles": args.src_roles,
-    }
     if args.src_roles is None:
         raise ToolkitError("--src-roles is required")
     if cfg.model != "word":
@@ -156,6 +148,19 @@ def cmd_project(args) -> int:
         tgt_tok_path=args.tgt_tok,
         src_roles_path=args.src_roles,
     )
+    # Hashed before any output is opened, which may be one of the inputs.
+    inputs = {
+        name: {"path": str(path), "sha256": _sha256(path)}
+        for name, path in (
+            ("align", args.align),
+            ("src_trees", args.src_trees),
+            ("src_tok", args.src_tok),
+            ("tgt_trees", args.tgt_trees),
+            ("tgt_tok", args.tgt_tok),
+            ("src_roles", args.src_roles),
+        )
+        if path is not None
+    }
     if args.oracle and cfg.model == "word":
         print("oracle check skipped: the word model builds no graph to check")
     elif args.oracle:
@@ -182,11 +187,7 @@ def cmd_project(args) -> int:
         "tool": "roleproj",
         "version": __version__,
         "config": cfg.to_dict(),
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in input_paths.items()
-            if path is not None
-        },
+        "inputs": inputs,
         "warnings": warnings,
     }
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:

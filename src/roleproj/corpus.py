@@ -206,7 +206,6 @@ class BiSentence:
     src_tree: ParseTree | None = None
     tgt_tree: ParseTree | None = None
     src_roles: RoleAnnotation | None = None
-    tgt_roles: RoleAnnotation | None = None
 
     def __post_init__(self):
         if self.alignment.n_src != len(self.src) or self.alignment.n_tgt != len(self.tgt):
@@ -220,10 +219,8 @@ class BiSentence:
             if (tree is not None and tree.sentence is not sent
                     and tree.sentence.surfaces != sent.surfaces):
                 raise ValidationError(f"{side} tree tokens do not match the sentence")
-        for ann, sent, side in ((self.src_roles, self.src, "source"),
-                                (self.tgt_roles, self.tgt, "target")):
-            if ann is not None and ann.max_index() >= len(sent):
-                raise ValidationError(f"{side} role annotation index out of range")
+        if self.src_roles is not None and self.src_roles.max_index() >= len(self.src):
+            raise ValidationError("source role annotation index out of range")
 
 
 # ---------------------------------------------------------------------------

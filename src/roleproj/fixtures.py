@@ -96,8 +96,8 @@ def figure1_bisentence():
 
 def toy_bisentences():
     out = []
-    for src_line, tgt_line, al_line, src_block, tgt_block in zip(
-        _TOY_SRC_TREES, _TOY_TGT_TREES, _TOY_ALIGN, _TOY_SRC_ROLES, _TOY_TGT_ROLES
+    for src_line, tgt_line, al_line, src_block in zip(
+        _TOY_SRC_TREES, _TOY_TGT_TREES, _TOY_ALIGN, _TOY_SRC_ROLES
     ):
         src_tree = parse_tree(src_line)
         tgt_tree = parse_tree(tgt_line)
@@ -112,7 +112,6 @@ def toy_bisentences():
                 src_tree=src_tree,
                 tgt_tree=tgt_tree,
                 src_roles=parse_roles(src_block),
-                tgt_roles=parse_roles(tgt_block),
             )
         )
     return out

@@ -1,7 +1,7 @@
 """Exhaustive-enumeration oracle for the alignment solvers.
 
 ``check`` is the one statement of what agreeing with the oracle means; the
-``--oracle`` CLI flag and ``scripts/solver_benchmark.py`` both call it.
+tests and the ``--oracle`` CLI flag are its only callers.
 Refuses instances above the size guard, n * m <= MAX_CELLS.  Perfect
 matchings are enumerated as injections of the smaller side into the
 larger, at most 7 * 6 * 5 * 4 = 840 of them under the guard; edge covers

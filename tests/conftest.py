@@ -46,6 +46,32 @@ def node_yield(tree, node: int) -> frozenset[int]:
     return frozenset(range(lo, hi + 1))
 
 
+# The per-cell frozenset Jaccard that UnitSimilarity computed before it became
+# matrix algebra, kept as the reference the array code must equal exactly.
+
+def _set_jaccard(a: frozenset, b: frozenset) -> float:
+    union = len(a | b)
+    if union == 0:
+        return 0.0
+    return len(a & b) / union
+
+
+def reference_matrix(view, src_tree, tgt_tree, src_units, tgt_units) -> np.ndarray:
+    src_yield = {n: node_yield(src_tree, n) & view.included_src
+                 for n in range(len(src_tree.labels))}
+    tgt_yield = {n: node_yield(tgt_tree, n) & view.included_tgt
+                 for n in range(len(tgt_tree.labels))}
+    src_al = {k: frozenset(t for s, t in view.links if s in toks) for k, toks in src_yield.items()}
+    tgt_al = {k: frozenset(s for s, t in view.links if t in toks) for k, toks in tgt_yield.items()}
+    sim = np.zeros((len(src_units), len(tgt_units)))
+    for i, s in enumerate(src_units):
+        for j, t in enumerate(tgt_units):
+            sim[i, j] = (
+                _set_jaccard(src_al[s], tgt_yield[t]) + _set_jaccard(tgt_al[t], src_yield[s])
+            ) / 2.0
+    return sim
+
+
 def ancestors(tree, node: int) -> list[int]:
     """A tree node's parent chain, from its parent up to the root."""
     chain = []

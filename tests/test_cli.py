@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,18 @@ def test_project_emits_manifest_with_digests(fixture_dir, tmp_path):
     assert set(manifest["inputs"]) == {"align", "src_trees", "tgt_trees", "src_roles"}
     for record in manifest["inputs"].values():
         assert len(record["sha256"]) == 64
+
+
+def test_manifest_hashes_an_input_that_the_output_overwrites(fixture_dir, tmp_path):
+    roles = tmp_path / "r.roles"
+    original = (fixture_dir / "figure1" / "src.roles").read_bytes()
+    roles.write_bytes(original)
+    args = project_args(fixture_dir, roles)
+    args[args.index("--src-roles") + 1] = str(roles)
+    assert main(args) == 0
+    assert roles.read_bytes() != original
+    manifest = json.loads((tmp_path / "r.roles.manifest.json").read_text())
+    assert manifest["inputs"]["src_roles"]["sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def toy_oracle_args(fixture_dir, out, model):

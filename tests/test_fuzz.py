@@ -4,7 +4,8 @@ A small generator writes the four file formats in canonical form: random
 bracketings over random words and tags, alignments, and role blocks.  The
 tests check that canonical files round-trip byte for byte, that
 ``roleproj project`` keeps its exit-code contract on intact and damaged
-corpora, and that ``run_corpus`` gives the same output at one and two jobs.
+corpora, that ``run_corpus`` gives the same output at one and two jobs,
+and that each model projects what its definition projects.
 """
 
 import contextlib
@@ -12,12 +13,19 @@ import io
 import json
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import alignment_to_line, sentence_to_tok_line, tree_to_line
+from conftest import (
+    alignment_to_line,
+    enumerate_optimal_covers,
+    reference_matrix,
+    sentence_to_tok_line,
+    tree_to_line,
+)
 from roleproj.cli import main
 from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
@@ -30,6 +38,7 @@ from roleproj.corpus import (
     roles_file_text,
 )
 from roleproj.matcher import build_graph, solve
+from roleproj.oracle import MAX_CELLS, brute_force_optimum
 from roleproj.pipeline import (
     DEFAULT_FILTER_FOR_MODEL,
     MODELS,
@@ -62,6 +71,17 @@ FILTERS = ("none", "na", "nc", "arg", "na,nc")
 DAMAGE = "()-_#,\t 0179١\xa0\nx"
 
 
+def maximal_runs(tokens) -> tuple[tuple[int, int], ...]:
+    """A token set cut into its maximal runs of consecutive tokens."""
+    runs = []
+    for t in sorted(tokens):
+        if runs and t == runs[-1][1] + 1:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t])
+    return tuple((lo, hi) for lo, hi in runs)
+
+
 def bracketing(rng, words, tags, lo, hi, label):
     """Canonical bracketed text of a random tree over tokens lo..hi."""
     if lo == hi and rng.random() < 0.7:
@@ -91,13 +111,7 @@ def roles_block(rng, k, n):
     """A canonical roles block: labels sorted, each role's spans sorted and disjoint."""
     lines = [f"#{k} {rng.choice(FRAMES)} {rng.randint(-1, n - 1)}"]
     for label in sorted(rng.sample(ROLE_LABELS, rng.randint(0, 3))):
-        tokens = sorted(rng.sample(range(n), rng.randint(1, n)))
-        spans = []
-        for i in tokens:
-            if spans and i == spans[-1][1] + 1:
-                spans[-1][1] = i
-            else:
-                spans.append([i, i])
+        spans = maximal_runs(rng.sample(range(n), rng.randint(1, n)))
         lines.append(label + "\t" + ",".join(f"{lo}-{hi}" for lo, hi in spans))
     return "\n".join(lines)
 
@@ -319,14 +333,8 @@ def per_role_word_loop(view, roles, fill, *, predicate):
             provenance[label] = RoleProvenance(unprojected=True)
             continue
         if fill:
-            tokens = list(range(tokens[0], tokens[-1] + 1))
-        spans = []
-        for t in tokens:
-            if spans and t == spans[-1][1] + 1:
-                spans[-1][1] = t
-            else:
-                spans.append([t, t])
-        out_roles[label] = {(lo, hi) for lo, hi in spans}
+            tokens = range(tokens[0], tokens[-1] + 1)
+        out_roles[label] = set(maximal_runs(tokens))
         provenance[label] = RoleProvenance(links=hit_links)
     return ProjectedAnnotation(RoleAnnotation.make(roles.frame, out_roles, predicate), provenance)
 
@@ -346,3 +354,77 @@ def test_word_model_projects_what_the_per_role_word_loop_projects(rng, filt, fil
         assert got.annotation == want.annotation
         assert got.to_record(k) == want.to_record(k)
         assert run_pipeline(b, cfg).to_record(k) == want.to_record(k)
+
+
+def definition_roles(b, cfg):
+    """Every role output the paper's definitions allow for a constituent
+    model, or None when the graph is above the oracle's size guard.
+
+    Every source node is a row; the similarities are the set-based
+    Jaccard; the links are an optimum by enumeration (for ``edgecover``,
+    each optimal minimal cover); zero-similarity links are dropped, and a
+    role is the token union of its linked target units' spans, cut into
+    maximal runs.  Each output maps a role label to its sorted spans.
+    """
+    view = apply_word_filters(b, cfg.filters, cfg.content_pos_prefixes)
+    tgt_units, _ = select_target_units(b, cfg, target_predicate(b))
+    src_units = range(len(b.src_tree.labels))
+    if len(src_units) * len(tgt_units) > MAX_CELLS:
+        return None
+    kept = {frozenset()}
+    sim = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
+    if sim.any():  # else every link is dropped, whichever cover is taken
+        graph = build_graph(src_units, tgt_units, sim, cfg.big)
+        if cfg.model == "edgecover":  # source indices are unit ids
+            link_sets = [
+                [(i, tgt_units[j], sim[i, j]) for i, j in cover]
+                for cover in enumerate_optimal_covers(graph)
+            ]
+        else:
+            link_sets = [brute_force_optimum(graph, cfg.model).links]
+        kept = {frozenset((s, t) for s, t, w in links if w > 0.0) for links in link_sets}
+    role_units = {
+        label: set(resolve_role_units(b.src_tree, spans)) for label, spans in b.src_roles.roles
+    }
+    outputs = []
+    for links in kept:
+        roles = {}
+        for label, units in role_units.items():
+            tokens = {
+                k
+                for s, t in links
+                if s in units
+                for k in range(b.tgt_tree.spans[t][0], b.tgt_tree.spans[t][1] + 1)
+            }
+            if tokens:
+                roles[label] = maximal_runs(tokens)
+        outputs.append(roles)
+    return outputs
+
+
+def test_constituent_models_project_what_the_definitions_allow():
+    # Glue between the layers, such as the `arg` unit set, the `total`
+    # row subset, `strip_zero_links` or the span merge, is checked here
+    # against references of its own for each layer.
+    counts = Counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(randoms)
+    def check(rng):
+        with tempfile.TemporaryDirectory() as d:
+            corpus = load(write(d, corpus_texts(rng, (1, 3), 4)))
+        for model in ("perfect", "edgecover", "total"):
+            for filt in FILTERS:
+                filters = frozenset() if filt == "none" else frozenset(filt.split(","))
+                cfg = PipelineConfig(model=model, filters=filters)
+                for b in corpus:
+                    allowed = definition_roles(b, cfg)
+                    if allowed is None:
+                        counts["skipped"] += 1
+                        continue
+                    got = run_pipeline(b, cfg).annotation.roles
+                    assert {label: tuple(sorted(spans)) for label, spans in got} in allowed
+                    counts["checked"] += 1
+
+    check()
+    assert counts["checked"] >= 1000, counts
