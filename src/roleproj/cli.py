@@ -5,15 +5,22 @@ Exit codes: 0 success, 1 validation/configuration error, 2 I/O error.
 Every projection run writes a JSON manifest next to its output recording
 the configuration, input digests, and per-sentence warnings; identical
 inputs and configuration produce identical manifests.
+
+A command loads only the modules it runs: importing this module reads
+just ``corpus`` and ``errors``.  The names it takes from ``pipeline`` and
+``evaluation`` bind into its globals when a command needs them, or when
+one is first read as a module attribute, and never over a name already
+set, so a wrapper put on this module before ``main`` runs is the one a
+command calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
-from . import __version__, fixtures
+from . import __version__, deferred_imports
 from .corpus import (
     DEFAULT_CONTENT_PREFIXES,
     load_corpus,
@@ -22,8 +29,13 @@ from .corpus import (
     roles_file_text,
 )
 from .errors import MAX_CELLS, ConfigError, ToolkitError, located
-from .evaluation import correspondence_stats, score, stratified_shuffling
-from .pipeline import DEFAULT_FILTER_FOR_MODEL, MODELS, PipelineConfig, build_instance, run_corpus
+
+_bind, __getattr__ = deferred_imports(globals(), {
+    "pipeline": (
+        "DEFAULT_FILTER_FOR_MODEL", "MODELS", "PipelineConfig", "build_instance", "run_corpus",
+    ),
+    "evaluation": ("correspondence_stats", "score", "stratified_shuffling"),
+})
 
 CONFIG_KEYS = {
     "model",
@@ -107,6 +119,7 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
     from . import oracle
     from .matcher import solve
 
+    _bind("pipeline")
     checked = skipped = 0
     for k, b in enumerate(bisentences):
         if b.src_tree is None or b.tgt_tree is None:
@@ -123,9 +136,30 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
     return checked, skipped
 
 
+def _check_outputs_differ(args) -> None:
+    """Refuse two outputs of one run that name the same file, which the
+    later write would destroy.  An output may still overwrite an input."""
+    seen = {}
+    for name, path in (
+        ("--out", args.out),
+        ("the manifest of --out", args.out + ".manifest.json"),
+        ("--provenance", args.provenance),
+    ):
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {name} name the same file: {path}")
+        seen[real] = name
+
+
 def cmd_project(args) -> int:
+    import json
+
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_outputs_differ(args)
+    _bind("pipeline")
     cfg = _build_pipeline_config(args)
     if args.src_roles is None:
         raise ToolkitError("--src-roles is required")
@@ -196,6 +230,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _bind("evaluation")
     gold = read_roles_file(args.gold)
     pred = read_roles_file(args.pred)
     report = score(gold, pred)
@@ -207,6 +242,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sigtest(args) -> int:
+    _bind("evaluation")
     gold = read_roles_file(args.gold)
     pred_a = read_roles_file(args.pred_a)
     pred_b = read_roles_file(args.pred_b)
@@ -223,6 +259,7 @@ def cmd_sigtest(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _bind("evaluation")
     corpus = load_corpus(
         align_path=args.align,
         src_trees_path=args.src_trees,
@@ -237,6 +274,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
+
     written = fixtures.emit(args.out_dir)
     for path in written:
         print(path)
@@ -268,6 +307,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return p.add_argument
 
     if arg := subcommand("project", cmd_project, "project source roles onto the target side"):
+        _bind("pipeline")  # MODELS gives --model its choices
         arg("--model", choices=MODELS)
         arg("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
         arg("--fill-gaps", action="store_true", dest="fill_gaps")

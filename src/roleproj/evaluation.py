@@ -8,7 +8,8 @@ micro-averaged from pooled counts.
 
 ``score`` computes them in Python floats, so ``roleproj evaluate`` never
 imports numpy; ``pooled_prf`` and ``stratified_shuffling`` import it when
-they run.
+they run, and ``correspondence_stats`` imports the pipeline, so that
+``evaluate`` and ``sigtest`` never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from .corpus import RoleAnnotation, merge_spans
 from .errors import ValidationError
-from .pipeline import PipelineConfig, build_instance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,6 +229,8 @@ def correspondence_stats(corpus, threshold: float = 0.5) -> CorrespondenceStats:
     corresponds to (similarity >= threshold): none, exactly one, or many."""
     if math.isnan(threshold):
         raise ValidationError("threshold must be a number, got nan")
+    from .pipeline import PipelineConfig, build_instance
+
     cfg = PipelineConfig()  # no filters: every unit, on the full view
     src_counts = {"none": 0, "one": 0, "many": 0}
     tgt_counts = {"none": 0, "one": 0, "many": 0}

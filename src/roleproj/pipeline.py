@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import deferred_imports
 from .corpus import DEFAULT_CONTENT_PREFIXES, BiSentence, apply_word_filters
 from .errors import ConfigError, located
 from .projection import (
@@ -38,29 +39,10 @@ from .projection import (
 if TYPE_CHECKING:
     from .matcher import AlignmentGraph
 
-_ARRAY_LAYERS = ("UnitSimilarity", "build_graph", "solve")
-_array_layers_bound = False
-
-
-def _bind_array_layers() -> None:
-    """Import the array layers; bind each of their names not already set."""
-    global _array_layers_bound
-    from .matcher import build_graph, solve
-    from .similarity import UnitSimilarity
-
-    names = globals()
-    names.setdefault("UnitSimilarity", UnitSimilarity)
-    names.setdefault("build_graph", build_graph)
-    names.setdefault("solve", solve)
-    _array_layers_bound = True
-
-
-def __getattr__(name):
-    if name in _ARRAY_LAYERS:
-        _bind_array_layers()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+_bind, __getattr__ = deferred_imports(globals(), {
+    "matcher": ("build_graph", "solve"),
+    "similarity": ("UnitSimilarity",),
+})
 
 MODELS = ("word", "perfect", "edgecover", "total")
 FILTERS = ("na", "nc", "arg")
@@ -169,8 +151,7 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
         warnings.append("no target units after filtering; nothing projected")
     if not (src_units and tgt_units):
         return AlignmentInstance(tgt_pred, tuple(warnings), None, role_units)
-    if not _array_layers_bound:
-        _bind_array_layers()
+    _bind("matcher", "similarity")
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
     graph = build_graph(src_units, tgt_units, sim, cfg.big)
     return AlignmentInstance(tgt_pred, tuple(warnings), graph, role_units)

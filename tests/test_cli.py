@@ -108,6 +108,23 @@ def test_manifest_hashes_an_input_that_the_output_overwrites(fixture_dir, tmp_pa
     assert manifest["inputs"]["src_roles"]["sha256"] == hashlib.sha256(original).hexdigest()
 
 
+@pytest.mark.parametrize("provenance", ["out.roles", "out.roles.manifest.json"])
+def test_outputs_that_name_one_file_are_an_error_before_any_write(
+    fixture_dir, tmp_path, capsys, provenance
+):
+    # The later write would destroy the earlier output; the second path
+    # reaches the same file through a subdirectory's parent.
+    run = tmp_path / "run"
+    (run / "d").mkdir(parents=True)
+    (run / provenance).write_text("kept\n")
+    args = project_args(fixture_dir, run / "out.roles", extra=[
+        "--provenance", str(run / "d" / ".." / provenance)])
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (run / provenance).read_text() == "kept\n"
+    assert sorted(p.name for p in run.iterdir()) == sorted(["d", provenance])
+
+
 def toy_oracle_args(fixture_dir, out, model):
     return [
         "project", "--model", model, "--filter", "arg", "--oracle",
@@ -698,16 +715,22 @@ def test_a_missing_or_unknown_command_is_called_command_in_the_error(monkeypatch
     )
 
 
-# --- numpy loads at the first graph ------------------------------------------
+# --- each command loads its own modules, numpy at the first graph -----------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUN_MAIN = """
 import json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "roleproj")
 from roleproj import cli
+at_import = loaded()
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+added = [name for name in loaded() if name not in at_import]
+print(json.dumps([code, "numpy" in sys.modules, at_import, added]))
 """
+
+CLI_IMPORTS = ["roleproj", "roleproj.cli", "roleproj.corpus", "roleproj.errors"]
 
 
 def run_fresh(code, *args) -> str:
@@ -720,25 +743,29 @@ def run_fresh(code, *args) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def main_fresh(argv) -> tuple[int, bool]:
-    """Exit code of ``cli.main(argv)`` and whether it loaded numpy."""
+def main_fresh(argv) -> tuple[int, bool, list, list]:
+    """Exit code of ``cli.main(argv)``, whether it loaded numpy, the roleproj
+    modules that ``import roleproj.cli`` loaded and those ``main`` added."""
     return tuple(json.loads(run_fresh(RUN_MAIN, json.dumps(argv))))
 
 
 @pytest.mark.parametrize("command", ["evaluate", "fixtures", "word"])
 def test_commands_without_arrays_never_import_numpy(fixture_dir, tmp_path, command):
-    argv = {
-        "evaluate": ["evaluate", "--gold", fx(fixture_dir, "tgt.roles"),
-                     "--pred", fx(fixture_dir, "expected_perfect.roles")],
-        "fixtures": ["fixtures", "--out-dir", str(tmp_path / "fx")],
-        "word": project_args(fixture_dir, tmp_path / "out.roles", "word"),
+    # Each command also loads only its own modules.
+    argv, added = {
+        "evaluate": (["evaluate", "--gold", fx(fixture_dir, "tgt.roles"),
+                      "--pred", fx(fixture_dir, "expected_perfect.roles")],
+                     ["roleproj.evaluation"]),
+        "fixtures": (["fixtures", "--out-dir", str(tmp_path / "fx")], ["roleproj.fixtures"]),
+        "word": (project_args(fixture_dir, tmp_path / "out.roles", "word"),
+                 ["roleproj.pipeline", "roleproj.projection"]),
     }[command]
-    assert main_fresh(argv) == (0, False)
+    assert main_fresh(argv) == (0, False, CLI_IMPORTS, added)
 
 
 def test_a_constituent_model_imports_numpy_at_its_first_graph(fixture_dir, tmp_path):
     out = tmp_path / "out.roles"
-    assert main_fresh(project_args(fixture_dir, out)) == (0, True)
+    assert main_fresh(project_args(fixture_dir, out))[:2] == (0, True)
     assert out.read_bytes() == (fixture_dir / "figure1" / "expected_perfect.roles").read_bytes()
 
 
@@ -761,6 +788,40 @@ print(calls, pipeline.solve is wrapper, pipeline.build_graph is matcher.build_gr
       pipeline.UnitSimilarity is similarity.UnitSimilarity)
 """
     assert run_fresh(code) == "['perfect', 'edgecover'] True True True"
+
+
+def test_wrappers_put_on_the_cli_before_main_are_the_ones_called(fixture_dir, tmp_path):
+    # The names a tracer wraps on the cli resolve as attributes, and a
+    # command calls them through the cli's globals: run_corpus is set
+    # before the pipeline is bound, score read and then wrapped.
+    names = ("load_corpus", "run_corpus", "roles_file_text", "score", "stratified_shuffling")
+    resolve = f"""
+from roleproj import cli
+print(all(callable(getattr(cli, name)) for name in {names!r}))
+"""
+    assert run_fresh(resolve) == "True"
+    code = """
+import json, sys
+from roleproj import cli
+calls = []
+def run_corpus(corpus, cfg, jobs=1):
+    from roleproj.pipeline import run_corpus
+    calls.append("run_corpus")
+    return run_corpus(corpus, cfg, jobs=jobs)
+cli.run_corpus = run_corpus
+score = cli.score
+def wrapper(gold, pred):
+    calls.append("score")
+    return score(gold, pred)
+cli.score = wrapper
+codes = [cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+print(codes, calls, cli.run_corpus is run_corpus, cli.score is wrapper)
+"""
+    project = project_args(fixture_dir, tmp_path / "out.roles", "word")
+    evaluate = ["evaluate", "--gold", fx(fixture_dir, "tgt.roles"),
+                "--pred", str(tmp_path / "out.roles")]
+    got = run_fresh(code, json.dumps(project), json.dumps(evaluate))
+    assert got == "[0, 0] ['run_corpus', 'score'] True True"
 
 
 def test_spawned_workers_bind_the_array_layers_themselves():
