@@ -13,7 +13,7 @@ def main():
     b = fixtures.figure1_bisentence()
     print("source:", " ".join(b.src.surfaces))
     print("target:", " ".join(b.tgt.surfaces))
-    print("links: ", " ".join(f"{s}-{t}" for s, t in sorted(b.alignment.links)))
+    print("links: ", " ".join(f"{s}-{t}" for s, t in sorted(b.links)))
     print("gold:  ", fixtures.FIGURE1["tgt.roles"].rstrip("\n").replace("\n", "  "))
     print()
 

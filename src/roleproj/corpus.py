@@ -48,6 +48,12 @@ layouts the match leaves out, such as whitespace-only separator lines.
 ``RoleAnnotation`` checks a role of one span without sorting or pairing
 its spans.
 
+A ``BiSentence`` holds its word links as a frozenset of (source, target)
+token index pairs and takes the sentence lengths from its sentences
+alone.  ``parse_alignment``, the one reader given those lengths,
+range-checks the links; ``BiSentence`` checks only that its trees and
+roles fit its sentences.
+
 Sentences and trees hold no Python object per token or node.  A
 ``Sentence`` is two parallel tuples, surfaces and tags, indexed by token
 position; a ``ParseTree`` is one tuple per node attribute (label, span,
@@ -113,41 +119,6 @@ class ParseTree:
     preterminals: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WordAlignment:
-    links: frozenset[tuple[int, int]]
-    n_src: int
-    n_tgt: int
-
-    def __post_init__(self):
-        for s, t in self.links:
-            if not (0 <= s < self.n_src and 0 <= t < self.n_tgt):
-                raise ValidationError(
-                    f"link {s}-{t} out of range for lengths {self.n_src}/{self.n_tgt}"
-                )
-
-    @classmethod
-    def _of_checked_links(cls, links, n_src: int, n_tgt: int) -> "WordAlignment":
-        """An alignment of links the caller has range-checked, built without
-        ``__post_init__``'s per-link check; only ``parse_alignment`` calls it."""
-        al = object.__new__(cls)
-        object.__setattr__(al, "links", links)
-        object.__setattr__(al, "n_src", n_src)
-        object.__setattr__(al, "n_tgt", n_tgt)
-        return al
-
-    def image(self, src_tokens) -> frozenset[int]:
-        """Target tokens linked to any of the given source tokens."""
-        src_tokens = set(src_tokens)
-        return frozenset(t for s, t in self.links if s in src_tokens)
-
-    def aligned_src(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.links)
-
-    def aligned_tgt(self) -> frozenset[int]:
-        return frozenset(t for _, t in self.links)
-
-
 @dataclass(frozen=True, eq=True)
 class RoleAnnotation:
     """One frame per sentence plus a mapping from role label to a set of spans."""
@@ -200,19 +171,17 @@ class RoleAnnotation:
 
 @dataclass(frozen=True)
 class BiSentence:
+    """A sentence pair, its word links as (source, target) token indices,
+    and optionally its trees and source role annotation."""
+
     src: Sentence
     tgt: Sentence
-    alignment: WordAlignment
+    links: frozenset[tuple[int, int]]
     src_tree: ParseTree | None = None
     tgt_tree: ParseTree | None = None
     src_roles: RoleAnnotation | None = None
 
     def __post_init__(self):
-        if self.alignment.n_src != len(self.src) or self.alignment.n_tgt != len(self.tgt):
-            raise ValidationError(
-                "alignment lengths do not match sentence lengths: "
-                f"{self.alignment.n_src}/{self.alignment.n_tgt} vs {len(self.src)}/{len(self.tgt)}"
-            )
         # load_corpus passes each tree's own Sentence, which needs no check.
         for tree, sent, side in ((self.src_tree, self.src, "source"),
                                  (self.tgt_tree, self.tgt, "target")):
@@ -252,17 +221,17 @@ def full_view(b: BiSentence) -> BiSentenceView:
         b,
         frozenset(range(len(b.src))),
         frozenset(range(len(b.tgt))),
-        b.alignment.links,
+        b.links,
     )
 
 
 def na_filter(view: BiSentenceView) -> BiSentenceView:
     """Exclude every token with no alignment link; links stay untouched."""
-    al = view.bisentence.alignment
+    links = view.bisentence.links
     return BiSentenceView(
         view.bisentence,
-        view.included_src & al.aligned_src(),
-        view.included_tgt & al.aligned_tgt(),
+        view.included_src & {s for s, _ in links},
+        view.included_tgt & {t for _, t in links},
         view.links,
     )
 
@@ -426,8 +395,8 @@ _ALIGN_LINE_RE = re.compile(r"\s*(?:[0-9]+-[0-9]+(?:\s+[0-9]+-[0-9]+)*)?\s*")
 _LINK_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
 
-def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
-    """Parse a Pharaoh-style line of ``i-j`` pairs; duplicates collapse.
+def parse_alignment(line: str, n_src: int, n_tgt: int) -> frozenset[tuple[int, int]]:
+    """The links of a Pharaoh-style line of ``i-j`` pairs; duplicates collapse.
 
     One match accepts a well-formed line and its numbers are converted in
     bulk.  A line is walked pair by pair only when it has an error, to name
@@ -441,8 +410,7 @@ def parse_alignment(line: str, n_src: int, n_tgt: int) -> WordAlignment:
         else:
             src, tgt = nums[0::2], nums[1::2]
             if not nums or (max(src) < n_src and max(tgt) < n_tgt):
-                return WordAlignment._of_checked_links(
-                    frozenset(zip(src, tgt)), n_src, n_tgt)
+                return frozenset(zip(src, tgt))
     for part in line.split():
         m = _LINK_RE.fullmatch(part)
         if not m:
@@ -704,7 +672,7 @@ def load_corpus(
     out = []
     for k, (src, tgt, line) in enumerate(zip(src_sents, tgt_sents, align_lines)):
         with located(f"{align_path}:{k + 1}"):
-            alignment = parse_alignment(line, len(src), len(tgt))
+            links = parse_alignment(line, len(src), len(tgt))
         with located(f"sentence {k}"):
-            out.append(BiSentence(src, tgt, alignment, src_trees[k], tgt_trees[k], src_roles[k]))
+            out.append(BiSentence(src, tgt, links, src_trees[k], tgt_trees[k], src_roles[k]))
     return out

@@ -6,23 +6,19 @@ merged spans (sorted, adjacent intervals joined), never built, so a role
 costs the same whatever its span lengths.  Corpus precision/recall/F1 are
 micro-averaged from pooled counts.
 
-``score`` computes them in Python floats, so ``roleproj evaluate`` never
-imports numpy; ``pooled_prf`` and ``stratified_shuffling`` import it when
-they run, and ``correspondence_stats`` imports the pipeline, so that
-``evaluate`` and ``sigtest`` never load it.
+``prf`` is the one formula: ``score`` runs it on Python ints, so
+``roleproj evaluate`` never imports numpy, and ``stratified_shuffling``
+on count arrays, importing numpy when it runs.  ``correspondence_stats``
+imports the pipeline, so that ``evaluate`` and ``sigtest`` never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .corpus import RoleAnnotation, merge_spans
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Iteration × sentence flips that ``stratified_shuffling`` draws and reduces
 # at once, so its memory stays flat in the iterations: about 7 MB at 5
@@ -64,19 +60,20 @@ class ScoreReport:
         )
 
 
-def pooled_prf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precision, recall and F1 of pooled ``[tp, fp, fn]`` counts on the last axis.
+def prf(tp, fp, fn):
+    """Precision, recall and F1 of pooled counts; each 0 where its denominator is 0.
 
-    Each ratio is 0 where its denominator is 0.
+    Elementwise, so the same IEEE operations give the same doubles on Python
+    ints and on numpy arrays.  Each denominator is rounded to a double
+    before the division, as numpy rounds an int64 sum, so the int path
+    matches the array path also once a sum passes 2^53.
     """
-    import numpy as np
-
-    tp, fp, fn = counts[..., 0], counts[..., 1], counts[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        r = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-        f1 = np.where(p + r > 0, 2 * p * r / np.maximum(p + r, 1e-300), 0.0)
-    return p, r, f1
+    d = (tp + fp) * 1.0
+    p = tp / (d + (d == 0))
+    d = (tp + fn) * 1.0
+    r = tp / (d + (d == 0))
+    s = p + r
+    return p, r, 2 * p * r / (s + (s == 0))
 
 
 def sentence_counts(gold: RoleAnnotation, pred: RoleAnnotation) -> SentenceCounts:
@@ -109,22 +106,8 @@ def score(gold, pred) -> ScoreReport:
     tp = sum(c.tp for c in per)
     fp = sum(c.fp for c in per)
     fn = sum(c.fn for c in per)
-    p, r, f1 = _prf(tp, fp, fn)
+    p, r, f1 = prf(tp, fp, fn)
     return ScoreReport(tp, fp, fn, p, r, f1, per)
-
-
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    """``pooled_prf`` of one count triple, in Python floats.
-
-    The same IEEE operations in the same order give the same doubles for
-    counts below 2^53.  Each denominator is rounded to a double before the
-    division, as numpy rounds an int64 sum before dividing; an exact
-    int/int quotient can differ once a sum passes 2^53.
-    """
-    p = tp / float(tp + fp) if tp + fp > 0 else 0.0
-    r = tp / float(tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * p * r / max(p + r, 1e-300) if p + r > 0 else 0.0
-    return p, r, f1
 
 
 @dataclass(frozen=True)
@@ -168,7 +151,7 @@ def stratified_shuffling(
         [[c.tp, c.fp, c.fn] for c in (sentence_counts(g, p) for g, p in zip(gold, pred_b))]
     )
 
-    observed = float(pooled_prf(counts_a.sum(0))[2] - pooled_prf(counts_b.sum(0))[2])
+    observed = float(prf(*counts_a.sum(0))[2] - prf(*counts_b.sum(0))[2])
 
     # Flipping sentence k moves counts_b[k] - counts_a[k] from system b to
     # system a.  Every count is a small integer, exact in float64.
@@ -184,7 +167,7 @@ def stratified_shuffling(
         flips = rng.random((min(rows, iterations - start), len(gold)))
         np.less(flips, 0.5, out=flips)
         sum_a = flips @ swap + base
-        deltas = pooled_prf(sum_a)[2] - pooled_prf(total - sum_a)[2]
+        deltas = prf(*sum_a.T)[2] - prf(*(total - sum_a).T)[2]
         hits += int(np.count_nonzero(np.abs(deltas) >= abs(observed)))
     p_value = (hits + 1) / (iterations + 1)
     return SigTestResult(observed, p_value, iterations, seed)

@@ -101,14 +101,12 @@ def toy_bisentences():
     ):
         src_tree = parse_tree(src_line)
         tgt_tree = parse_tree(tgt_line)
-        alignment = parse_alignment(
-            al_line, len(src_tree.sentence), len(tgt_tree.sentence)
-        )
+        links = parse_alignment(al_line, len(src_tree.sentence), len(tgt_tree.sentence))
         out.append(
             BiSentence(
                 src=src_tree.sentence,
                 tgt=tgt_tree.sentence,
-                alignment=alignment,
+                links=links,
                 src_tree=src_tree,
                 tgt_tree=tgt_tree,
                 src_roles=parse_roles(src_block),

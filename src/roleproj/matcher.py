@@ -204,8 +204,7 @@ def solve_total(g: AlignmentGraph) -> SemanticAlignment:
     """Per-source argmax similarity link; lowest target index wins ties."""
     cols = np.argmax(g.sim, axis=1)
     rows = np.arange(len(cols))
-    cost = float(g.weights[rows, cols].sum())
-    return SemanticAlignment(links_from_pairs(g, rows, cols), cost)
+    return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(g.weights, rows, cols))
 
 
 def solve(g: AlignmentGraph, constraint_class: str) -> SemanticAlignment:

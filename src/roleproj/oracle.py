@@ -170,7 +170,6 @@ def _has_many_to_many(pairs) -> bool:
 
 
 def _best_total(g: AlignmentGraph):
-    cols = np.argmax(g.sim, axis=1)
-    pairs = {(i, int(j)) for i, j in enumerate(cols)}
-    cost = float(g.weights[np.arange(len(cols)), cols].sum())
-    return cost, pairs
+    """Each source's first most-similar target, found by a plain scan of its row."""
+    pairs = {(i, row.index(max(row))) for i, row in enumerate(g.sim.tolist())}
+    return links_cost(g.weights, *_index_arrays(pairs)), pairs

@@ -93,8 +93,8 @@ def target_predicate(b: BiSentence) -> int:
     """Alignment image of the source predicate; -1 when unaligned."""
     if b.src_roles is None:
         return -1
-    image = sorted(b.alignment.image({b.src_roles.predicate}))
-    return image[0] if image else -1
+    pred = b.src_roles.predicate
+    return min((t for s, t in b.links if s == pred), default=-1)
 
 
 def select_target_units(

@@ -4,7 +4,8 @@ source-unit resolution.
 
 ``SemanticAlignment``, the links a solver chose, is defined here rather than
 in ``matcher`` so that the word model transfers roles without the array
-layers."""
+layers.  A role's ``RoleProvenance`` is the links it was transferred
+through, and the role is unprojected when it has none."""
 
 from __future__ import annotations
 
@@ -26,11 +27,16 @@ class SemanticAlignment:
 
 @dataclass(frozen=True)
 class RoleProvenance:
+    """The links a role was transferred through; none when it is unprojected."""
+
     links: tuple[tuple[int, int, float], ...] = ()
-    unprojected: bool = False
-    # Always False: every role span tiles exactly onto constituents.  Kept
-    # so the provenance sidecar keeps its record layout.
-    inexact_tiling: bool = False
+    # Every role span tiles exactly onto constituents.  Kept so the
+    # provenance sidecar keeps its record layout.
+    inexact_tiling = False
+
+    @property
+    def unprojected(self) -> bool:
+        return not self.links
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,10 @@ def project(
     for label, _ in roles.roles:
         unit_set = set(role_units.get(label, ()))
         hit_links = tuple(l for l in alignment.links if l[0] in unit_set)
-        if not hit_links:
-            provenance[label] = RoleProvenance(unprojected=True)
-            continue
-        spans = merge_spans(tgt_spans[t] for _, t, _ in hit_links)
-        out_roles[label] = ((spans[0][0], spans[-1][1]),) if fill else spans
-        provenance[label] = RoleProvenance(links=hit_links)
+        provenance[label] = RoleProvenance(hit_links)
+        if hit_links:
+            spans = merge_spans(tgt_spans[t] for _, t, _ in hit_links)
+            out_roles[label] = ((spans[0][0], spans[-1][1]),) if fill else spans
     ann = RoleAnnotation.make(roles.frame, out_roles, predicate)
     return ProjectedAnnotation(ann, provenance, warnings)
 

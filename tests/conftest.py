@@ -158,9 +158,9 @@ def tree_to_line(tree) -> str:
     return "".join(out)
 
 
-def alignment_to_line(al) -> str:
-    """A word alignment as a canonical ``.align`` line: sorted ``i-j`` pairs."""
-    return " ".join(f"{s}-{t}" for s, t in sorted(al.links))
+def alignment_to_line(links) -> str:
+    """Word links as a canonical ``.align`` line: sorted ``i-j`` pairs."""
+    return " ".join(f"{s}-{t}" for s, t in sorted(links))
 
 
 def sentence_to_tok_line(sentence) -> str:

@@ -578,6 +578,11 @@ def test_malformed_alignment_line_names_file_and_line(tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: {tmp_path / 'align'}:2: malformed alignment pair '1:1'\n"
+    # a link past the one-token target sentence; parse_alignment is its only check
+    args = two_sentence_inputs(tmp_path, align="0-0\n0-1\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'align'}:2: alignment link 0-1 out of range for lengths 1/1\n"
 
 
 def test_alignment_number_past_the_int_digit_limit_is_an_error_line(tmp_path, capsys):

@@ -17,7 +17,7 @@ from roleproj.corpus import (
 from roleproj.errors import ValidationError
 from roleproj.evaluation import (
     correspondence_stats,
-    pooled_prf,
+    prf,
     score,
     sentence_counts,
     stratified_shuffling,
@@ -105,15 +105,19 @@ COUNTS = st.one_of(st.just(0), st.integers(0, 2**53 - 1), st.integers(2**53 - 64
 @example(0, 0, 0)
 @example(0, 5, 0)
 def test_score_equals_pooled_prf_bit_for_bit(tp, fp, fn):
+    # ``score`` runs ``prf`` on Python ints, ``stratified_shuffling`` on
+    # int64 and float64 count arrays: all three must give the same doubles.
     gold, pred = [ann({})], [ann({})]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation, "sentence_counts",
                       lambda g, p: evaluation.SentenceCounts(tp, fp, fn))
         got = score(gold, pred)
-    want = [float(x) for x in pooled_prf(np.array([tp, fp, fn]))]
-    for g, w in zip((got.precision, got.recall, got.f1), want):
-        assert type(g) is float
-        assert g == w and repr(g) == repr(w)
+    for dtype in (np.int64, np.float64):
+        counts = np.array([[tp, fp, fn]], dtype=dtype)
+        want = [float(x[0]) for x in prf(*counts.T)]
+        for g, w in zip((got.precision, got.recall, got.f1), want):
+            assert type(g) is float
+            assert g == w and repr(g) == repr(w)
 
 
 def test_toy_corpus_against_independent_counter(fixture_dir):
@@ -254,12 +258,12 @@ def single_draw_p_value(gold, pred_a, pred_b, iterations, seed):
         np.array([[c.tp, c.fp, c.fn] for c in map(sentence_counts, gold, pred)])
         for pred in (pred_a, pred_b)
     )
-    observed = pooled_prf(counts_a.sum(0))[2] - pooled_prf(counts_b.sum(0))[2]
+    observed = prf(*counts_a.sum(0))[2] - prf(*counts_b.sum(0))[2]
     flips = np.random.default_rng(seed).random((iterations, len(gold))) < 0.5
     keep = ~flips
     sum_a = keep.astype(int) @ counts_a + flips.astype(int) @ counts_b
     sum_b = flips.astype(int) @ counts_a + keep.astype(int) @ counts_b
-    deltas = pooled_prf(sum_a)[2] - pooled_prf(sum_b)[2]
+    deltas = prf(*sum_a.T)[2] - prf(*sum_b.T)[2]
     return (int(np.count_nonzero(np.abs(deltas) >= abs(observed))) + 1) / (iterations + 1)
 
 
@@ -296,7 +300,7 @@ def test_isomorphic_trees_with_bijective_alignment_are_all_one():
     tgt = parse_tree(line)
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("0-0 1-1 2-2", 3, 3),
+        links=parse_alignment("0-0 1-1 2-2", 3, 3),
         src_tree=src, tgt_tree=tgt,
     )
     stats = correspondence_stats([b], threshold=0.5)
@@ -309,7 +313,7 @@ def test_empty_alignment_is_all_none():
     src, tgt = parse_tree(line), parse_tree(line)
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("", 2, 2), src_tree=src, tgt_tree=tgt,
+        links=parse_alignment("", 2, 2), src_tree=src, tgt_tree=tgt,
     )
     stats = correspondence_stats([b], threshold=0.5)
     assert stats.src_proportions["none"] == 1.0
@@ -323,7 +327,7 @@ def test_proportions_sum_to_one(toy_corpus):
 
 
 def test_stats_require_trees(figure1):
-    naked = BiSentence(src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment)
+    naked = BiSentence(src=figure1.src, tgt=figure1.tgt, links=figure1.links)
     message = "^correspondence statistics need trees on both sides$"
     with pytest.raises(ValidationError, match=message):
         correspondence_stats([naked])

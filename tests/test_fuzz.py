@@ -193,7 +193,7 @@ def test_canonical_files_round_trip_byte_for_byte(rng):
     for side in ("src", "tgt"):
         assert "".join(tree_to_line(t) + "\n" for t in trees[side]) == texts[f"{side}.trees"]
         assert "".join(sentence_to_tok_line(s) + "\n" for s in toks[side]) == texts[f"{side}.tok"]
-    assert "".join(alignment_to_line(b.alignment) + "\n" for b in corpus) == texts["align"]
+    assert "".join(alignment_to_line(b.links) + "\n" for b in corpus) == texts["align"]
     assert roles_file_text(roles) == texts["src.roles"]
 
 
@@ -330,12 +330,12 @@ def per_role_word_loop(view, roles, fill, *, predicate):
         hit_links = tuple((s, t, 1.0) for s, t in sorted(view.links) if s in src_tokens)
         tokens = sorted({t for _, t, _ in hit_links})
         if not tokens:
-            provenance[label] = RoleProvenance(unprojected=True)
+            provenance[label] = RoleProvenance()
             continue
         if fill:
             tokens = range(tokens[0], tokens[-1] + 1)
         out_roles[label] = set(maximal_runs(tokens))
-        provenance[label] = RoleProvenance(links=hit_links)
+        provenance[label] = RoleProvenance(hit_links)
     return ProjectedAnnotation(RoleAnnotation.make(roles.frame, out_roles, predicate), provenance)
 
 

@@ -242,7 +242,7 @@ def test_total_cost_is_row_min_sum():
     for _ in range(20):
         m = random_sim(rng, 4, 6)
         g = graph_of(m, BIG)
-        assert solve_total(g).cost == g.weights.min(axis=1).sum()
+        assert solve_total(g).cost == math.fsum(g.weights.min(axis=1).tolist())
 
 
 def test_total_many_sources_one_target():

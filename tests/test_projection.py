@@ -6,7 +6,6 @@ from roleproj.corpus import (
     BiSentence,
     RoleAnnotation,
     Sentence,
-    WordAlignment,
     full_view,
     parse_alignment,
     parse_roles,
@@ -34,7 +33,7 @@ def word_fill(tgt_tokens):
     roles = RoleAnnotation.make("F", {"r": {(0, 0)}}, 0)
     b = BiSentence(
         src=Sentence(("a",), ("NN",)), tgt=tgt,
-        alignment=WordAlignment(frozenset((0, t) for t in tgt_tokens), 1, 41),
+        links=frozenset((0, t) for t in tgt_tokens),
         src_roles=roles,
     )
     out = project_word_based(full_view(b), roles, fill=True, predicate=0)
@@ -128,7 +127,7 @@ def test_word_based_figure1_message(figure1):
 def test_word_based_unaligned_role_is_unprojected(figure1):
     roles = RoleAnnotation.make("F", {"GHOST": {(3, 3)}}, 1)  # "be" is unaligned
     b = BiSentence(
-        src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment, src_roles=roles
+        src=figure1.src, tgt=figure1.tgt, links=figure1.links, src_roles=roles
     )
     out = project_word_based(full_view(b), roles, fill=False, predicate=1)
     assert out.annotation.roles == ()
@@ -141,7 +140,7 @@ def test_word_based_bijective_single_token():
     roles = RoleAnnotation.make("F", {"r": {(1, 1)}}, 0)
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("0-0 1-1", 2, 2), src_roles=roles,
+        links=parse_alignment("0-0 1-1", 2, 2), src_roles=roles,
     )
     out = project_word_based(full_view(b), roles, fill=False, predicate=0)
     assert out.annotation.spans_of("r") == {(1, 1)}
@@ -152,15 +151,13 @@ def test_word_based_bijective_single_token():
     st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
 )
 def test_word_based_projection_is_monotone_in_links(links, extra):
-    from roleproj.corpus import Sentence, WordAlignment
-
     sent = Sentence(tuple(f"w{i}" for i in range(6)), ("NN",) * 6)
     roles = RoleAnnotation.make("F", {"r": {(0, 2)}}, 0)
 
     def run(link_set):
         b = BiSentence(
             src=sent, tgt=sent,
-            alignment=WordAlignment(link_set, 6, 6), src_roles=roles,
+            links=link_set, src_roles=roles,
         )
         out = project_word_based(full_view(b), roles, fill=False, predicate=0)
         if not out.annotation.roles:
@@ -319,7 +316,7 @@ def test_pipeline_is_deterministic(figure1):
 
 def test_pipeline_requires_trees_for_constituent_models(figure1):
     stripped = BiSentence(
-        src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment,
+        src=figure1.src, tgt=figure1.tgt, links=figure1.links,
         src_roles=figure1.src_roles,
     )
     with pytest.raises(ConfigError, match="tree"):
@@ -337,7 +334,7 @@ def test_pipeline_rejects_fill_gaps_outside_word_model():
 def test_pipeline_arg_filter_with_unaligned_predicate_degrades(figure1):
     roles = RoleAnnotation.make("F", {"MESSAGE": {(2, 5)}}, 3)  # "be" unaligned
     b = BiSentence(
-        src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment,
+        src=figure1.src, tgt=figure1.tgt, links=figure1.links,
         src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree, src_roles=roles,
     )
     out = run_pipeline(b, PipelineConfig(model="perfect", filters=frozenset({"arg"})))
@@ -349,7 +346,7 @@ def test_pipeline_zero_similarity_roles_are_unprojected(figure1):
     # a role on an unaligned single token yields an all-zero similarity row
     roles = RoleAnnotation.make("F", {"GHOST": {(3, 3)}}, 1)
     b = BiSentence(
-        src=figure1.src, tgt=figure1.tgt, alignment=figure1.alignment,
+        src=figure1.src, tgt=figure1.tgt, links=figure1.links,
         src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree, src_roles=roles,
     )
     out = run_pipeline(b, PipelineConfig(model="total"))
@@ -363,13 +360,13 @@ def test_pipeline_empty_argument_set_warns_and_projects_nothing():
     roles = parse_roles("#0 MOTION 1\nAGENT\t0-0")
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("1-0", 2, 1),
+        links=parse_alignment("1-0", 2, 1),
         src_tree=src, tgt_tree=tgt, src_roles=roles,
     )
     out = run_pipeline(b, PipelineConfig(model="perfect", filters=frozenset({"arg"})))
     assert out.annotation.roles == ()
     assert out.annotation.frame == "MOTION" and out.annotation.predicate == 0
-    assert out.provenance == {"AGENT": RoleProvenance(unprojected=True)}
+    assert out.provenance == {"AGENT": RoleProvenance()}
     assert any("no target units" in w for w in out.warnings)
 
 

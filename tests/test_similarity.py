@@ -8,7 +8,6 @@ from conftest import node_yield, reference_matrix
 from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
     BiSentence,
-    WordAlignment,
     apply_word_filters,
     full_view,
     na_filter,
@@ -30,28 +29,32 @@ def clause(tree, span):
 
 # The aligned words of a constituent: the alignment image of its yield.
 
+def image(links, src_tokens):
+    return {t for s, t in links if s in src_tokens}
+
+
 def test_aligned_words_figure1(figure1):
     c = clause(figure1.src_tree, (2, 5))  # "to be on time"
-    got = figure1.alignment.image(node_yield(figure1.src_tree, c))
+    got = image(figure1.links, node_yield(figure1.src_tree, c))
     assert got == {3, 4}  # pünktlich, zu
 
 
 def test_aligned_words_reverse_direction(figure1):
     c = clause(figure1.tgt_tree, (3, 5))  # "pünktlich zu kommen"
     tgt_tokens = node_yield(figure1.tgt_tree, c)
-    got = {s for s, t in figure1.alignment.links if t in tgt_tokens}
+    got = {s for s, t in figure1.links if t in tgt_tokens}
     assert got == {2, 5}  # to, time
 
 
 def test_aligned_words_whole_sentence(figure1):
-    got = figure1.alignment.image(node_yield(figure1.src_tree, 0))
-    assert got == figure1.alignment.aligned_tgt()
+    got = image(figure1.links, node_yield(figure1.src_tree, 0))
+    assert got == {t for _, t in figure1.links}
 
 
 def test_aligned_words_empty():
     tree = parse_tree("(S (NN a))")
-    al = parse_alignment("", 1, 1)
-    assert al.image(node_yield(tree, 0)) == frozenset()
+    links = parse_alignment("", 1, 1)
+    assert image(links, node_yield(tree, 0)) == set()
 
 
 def test_figure1_overlap_and_sim(figure1):
@@ -72,7 +75,7 @@ def test_overlap_identical_and_disjoint():
 
     perfect = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("0-0 1-1", 2, 2),
+        links=parse_alignment("0-0 1-1", 2, 2),
         src_tree=src, tgt_tree=tgt,
     )
     ctx = UnitSimilarity(full_view(perfect), src, tgt)
@@ -80,7 +83,7 @@ def test_overlap_identical_and_disjoint():
 
     none = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=parse_alignment("", 2, 2),
+        links=parse_alignment("", 2, 2),
         src_tree=src, tgt_tree=tgt,
     )
     ctx0 = UnitSimilarity(full_view(none), src, tgt)
@@ -93,11 +96,7 @@ def test_sim_is_symmetric_under_side_swap(figure1):
     flipped = BiSentence(
         src=figure1.tgt,
         tgt=figure1.src,
-        alignment=WordAlignment(
-            frozenset((t, s) for s, t in figure1.alignment.links),
-            len(figure1.tgt),
-            len(figure1.src),
-        ),
+        links=frozenset((t, s) for s, t in figure1.links),
         src_tree=figure1.tgt_tree,
         tgt_tree=figure1.src_tree,
     )
@@ -139,14 +138,14 @@ def test_na_filter_figure1(figure1):
     assert view.included_src == {0, 1, 2, 5}
     assert view.included_tgt == {0, 1, 3, 4}
     # links are untouched: their endpoints are aligned by definition
-    assert view.links == figure1.alignment.links
+    assert view.links == figure1.links
 
 
 def test_na_filter_noop_when_fully_aligned():
     src = parse_tree("(S (A a) (B b))")
     tgt = parse_tree("(S (A x) (B y))")
     b = BiSentence(src=src.sentence, tgt=tgt.sentence,
-                   alignment=parse_alignment("0-0 1-1", 2, 2),
+                   links=parse_alignment("0-0 1-1", 2, 2),
                    src_tree=src, tgt_tree=tgt)
     view = na_filter(full_view(b))
     assert view.included_src == {0, 1} and view.included_tgt == {0, 1}
@@ -154,7 +153,7 @@ def test_na_filter_noop_when_fully_aligned():
 
 def test_na_filter_empty_alignment_excludes_everything(figure1):
     b = BiSentence(src=figure1.src, tgt=figure1.tgt,
-                   alignment=parse_alignment("", 6, 6))
+                   links=parse_alignment("", 6, 6))
     view = na_filter(full_view(b))
     assert view.included_src == frozenset() and view.included_tgt == frozenset()
 
@@ -174,7 +173,7 @@ def test_nc_filter_all_function_words_zeroes_similarity():
     src = parse_tree("(S (DT the) (IN of))")
     tgt = parse_tree("(S (ART der) (APPR von))")
     b = BiSentence(src=src.sentence, tgt=tgt.sentence,
-                   alignment=parse_alignment("0-0 1-1", 2, 2),
+                   links=parse_alignment("0-0 1-1", 2, 2),
                    src_tree=src, tgt_tree=tgt)
     view = nc_filter(full_view(b), DEFAULT_CONTENT_PREFIXES)
     ctx = UnitSimilarity(view, src, tgt)
@@ -216,15 +215,15 @@ def test_full_overlap_implies_equal_sets(links):
     tgt = parse_tree("(S (A w) (B x) (C y) (D z))")
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
-        alignment=WordAlignment(links, 4, 4), src_tree=src, tgt_tree=tgt,
+        links=links, src_tree=src, tgt_tree=tgt,
     )
     src_ids, tgt_ids = range(len(src.labels)), range(len(tgt.labels))
     fwd, _ = UnitSimilarity(full_view(b), src, tgt).overlaps(src_ids, tgt_ids)
     for s in src_ids:
         for t in tgt_ids:
             if fwd[s, t] == 1.0:
-                image = b.alignment.image(node_yield(src, s))
-                assert image == node_yield(tgt, t) and image
+                linked = image(b.links, node_yield(src, s))
+                assert linked == node_yield(tgt, t) and linked
 
 
 def test_matrix_values_in_unit_interval(figure1):
@@ -266,7 +265,7 @@ def bisentences(draw):
         st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=n * m),
     ))
     return BiSentence(src=src.sentence, tgt=tgt.sentence,
-                      alignment=WordAlignment(links, n, m), src_tree=src, tgt_tree=tgt)
+                      links=links, src_tree=src, tgt_tree=tgt)
 
 
 def assert_matches_reference(b, filters, tgt_units):
@@ -290,7 +289,7 @@ def test_matrix_equals_per_cell_reference(b, filters, data):
 @pytest.mark.parametrize("filters", WORD_FILTER_SETS, ids=lambda f: ",".join(sorted(f)) or "none")
 def test_matrix_equals_reference_on_figure1_and_its_empty_alignment(figure1, filters):
     empty = BiSentence(src=figure1.src, tgt=figure1.tgt,
-                       alignment=parse_alignment("", len(figure1.src), len(figure1.tgt)),
+                       links=parse_alignment("", len(figure1.src), len(figure1.tgt)),
                        src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree)
     for b in (figure1, empty):
         assert_matches_reference(b, filters, list(range(len(b.tgt_tree.labels))))
