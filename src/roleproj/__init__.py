@@ -11,6 +11,17 @@ import sys
 
 __version__ = "0.1.0"
 
+MODELS = ("word", "perfect", "edgecover", "total")
+FILTERS = ("na", "nc", "arg")
+
+# Best pairings observed on development data; used when no filter is given.
+DEFAULT_FILTER_FOR_MODEL = {
+    "word": frozenset(),
+    "perfect": frozenset({"na"}),
+    "edgecover": frozenset({"arg"}),
+    "total": frozenset({"arg"}),
+}
+
 
 def deferred_imports(namespace: dict, sources: dict[str, tuple[str, ...]]):
     """Names a module takes from other modules of this package at first use.

@@ -6,8 +6,13 @@ Every projection run writes a JSON manifest next to its output recording
 the configuration, input digests, and per-sentence warnings; identical
 inputs and configuration produce identical manifests.
 
-A command loads only the modules it runs: importing this module reads
-just ``corpus`` and ``errors``.  The names it takes from ``pipeline`` and
+``project`` stacks a run's settings, the ``--config`` lines and the flags
+over them, and ``PipelineConfig.from_settings`` parses them: a bad value
+from either source, such as an unknown filter, is an ``error:`` line.
+
+A command loads only the modules it runs: importing this module and
+building its parser, as ``--version`` and ``--help`` do, read just
+``corpus`` and ``errors``.  The names it takes from ``pipeline`` and
 ``evaluation`` bind into its globals when a command needs them, or when
 one is first read as a module attribute, and never over a name already
 set, so a wrapper put on this module before ``main`` runs is the one a
@@ -20,32 +25,14 @@ import argparse
 import os
 import sys
 
-from . import __version__, deferred_imports
-from .corpus import (
-    DEFAULT_CONTENT_PREFIXES,
-    load_corpus,
-    read_lines,
-    read_roles_file,
-    roles_file_text,
-)
+from . import MODELS, __version__, deferred_imports
+from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
 from .errors import MAX_CELLS, ConfigError, ToolkitError, located
 
 _bind, __getattr__ = deferred_imports(globals(), {
-    "pipeline": (
-        "DEFAULT_FILTER_FOR_MODEL", "MODELS", "PipelineConfig", "build_instance", "run_corpus",
-    ),
+    "pipeline": ("SETTINGS", "PipelineConfig", "build_instance", "run_corpus"),
     "evaluation": ("correspondence_stats", "score", "stratified_shuffling"),
 })
-
-CONFIG_KEYS = {
-    "model",
-    "filter",
-    "fill_gaps",
-    "big",
-    "content_pos_prefixes",
-    "clause_boundary_labels",
-}
-CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _sha256(path) -> str:
@@ -58,57 +45,21 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    for lineno, raw in enumerate(read_lines(path)):
+def _settings(args) -> dict[str, str]:
+    """A run's text settings: the ``--config`` lines, with the flags over them."""
+    settings = {}
+    for lineno, raw in enumerate(read_lines(args.config) if args.config else ()):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in CONFIG_KEYS:
-            raise ToolkitError(f"{path}:{lineno + 1}: unknown config entry {line!r}")
-        values[key] = value
-    return values
-
-
-def _build_pipeline_config(args) -> PipelineConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    model = args.model or file_values.get("model") or "perfect"
-    filter_choice = args.filter or file_values.get("filter")
-    if filter_choice is None:
-        # an unknown model has no default; PipelineConfig rejects it below
-        filters = DEFAULT_FILTER_FOR_MODEL.get(model, frozenset())
-    elif filter_choice == "none":
-        filters = frozenset()
-    else:
-        filters = frozenset(f for f in filter_choice.split(",") if f)
-
-    fill_text = file_values.get("fill_gaps", "no")
-    if fill_text.lower() not in CONFIG_BOOLEANS:
-        raise ConfigError(f"fill_gaps must be 1/true/yes or 0/false/no, got {fill_text!r}")
-    fill = args.fill_gaps or CONFIG_BOOLEANS[fill_text.lower()]
-    try:
-        big = float(file_values.get("big", 1e6))
-    except ValueError:
-        raise ConfigError(f"big must be a number, got {file_values['big']!r}") from None
-    prefixes = DEFAULT_CONTENT_PREFIXES
-    if "content_pos_prefixes" in file_values:
-        prefixes = frozenset(
-            p for p in file_values["content_pos_prefixes"].split(",") if p
-        )
-    boundaries = frozenset(
-        b for b in file_values.get("clause_boundary_labels", "").split(",") if b
-    )
-    return PipelineConfig(
-        model=model,
-        filters=filters,
-        fill_gaps=fill,
-        big=big,
-        content_pos_prefixes=prefixes,
-        clause_boundary_labels=boundaries,
-    )
+        key = key.strip()
+        if not sep or key not in SETTINGS:
+            raise ToolkitError(f"{args.config}:{lineno + 1}: unknown config entry {line!r}")
+        settings[key] = value.strip()
+    flags = {"model": args.model, "filter": args.filter, "fill_gaps": args.fill_gaps}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    return settings
 
 
 def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
@@ -160,7 +111,7 @@ def cmd_project(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     _check_outputs_differ(args)
     _bind("pipeline")
-    cfg = _build_pipeline_config(args)
+    cfg = PipelineConfig.from_settings(_settings(args))
     if args.src_roles is None:
         raise ToolkitError("--src-roles is required")
     if cfg.model != "word":
@@ -307,10 +258,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return p.add_argument
 
     if arg := subcommand("project", cmd_project, "project source roles onto the target side"):
-        _bind("pipeline")  # MODELS gives --model its choices
         arg("--model", choices=MODELS)
-        arg("--filter", choices=["none", "na", "nc", "arg", "na,nc"])
-        arg("--fill-gaps", action="store_true", dest="fill_gaps")
+        arg("--filter", help="none, or a comma list of na, nc and arg")
+        arg("--fill-gaps", action="store_const", const="yes", dest="fill_gaps")
         arg("--src-trees", dest="src_trees")
         arg("--tgt-trees", dest="tgt_trees")
         arg("--src-tok", dest="src_tok")

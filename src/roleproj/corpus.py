@@ -190,6 +190,10 @@ class BiSentence:
                 raise ValidationError(f"{side} tree tokens do not match the sentence")
         if self.src_roles is not None and self.src_roles.max_index() >= len(self.src):
             raise ValidationError("source role annotation index out of range")
+        n_src, n_tgt = len(self.src), len(self.tgt)
+        for s, t in self.links:
+            if not (0 <= s < n_src and 0 <= t < n_tgt):
+                raise ValidationError(f"link {s}-{t} out of range for lengths {n_src}/{n_tgt}")
 
 
 # ---------------------------------------------------------------------------

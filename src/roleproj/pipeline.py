@@ -7,6 +7,9 @@ optimal-subgraph problem on its graph.  Word filters (``na``, ``nc``)
 mask tokens before similarity computation; the ``arg`` filter restricts
 the target unit set to likely argument constituents of the predicate.
 
+``PipelineConfig.from_settings`` is the one parser of a run's text
+settings, by each key's grammar in ``SETTINGS``.
+
 The array layers, ``UnitSimilarity``, ``build_graph`` and ``solve``, bind
 into this module's globals at the first graph, so that a run of the
 ``word`` model, and every command that builds no graph, starts without
@@ -23,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import deferred_imports
+from . import DEFAULT_FILTER_FOR_MODEL, FILTERS, MODELS, deferred_imports
 from .corpus import DEFAULT_CONTENT_PREFIXES, BiSentence, apply_word_filters
 from .errors import ConfigError, located
 from .projection import (
@@ -44,15 +47,33 @@ _bind, __getattr__ = deferred_imports(globals(), {
     "similarity": ("UnitSimilarity",),
 })
 
-MODELS = ("word", "perfect", "edgecover", "total")
-FILTERS = ("na", "nc", "arg")
 
-# Best pairings observed on development data; used when no filter is given.
-DEFAULT_FILTER_FOR_MODEL = {
-    "word": frozenset(),
-    "perfect": frozenset({"na"}),
-    "edgecover": frozenset({"arg"}),
-    "total": frozenset({"arg"}),
+def _names(text: str) -> frozenset[str]:
+    return frozenset(name for name in text.split(",") if name)
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigError(f"fill_gaps must be 1/true/yes or 0/false/no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"big must be a number, got {text!r}") from None
+
+
+# The grammar of a run's text settings: each key's PipelineConfig field and
+# the parser of its value.
+SETTINGS = {
+    "model": ("model", str),
+    "filter": ("filters", lambda text: frozenset() if text == "none" else _names(text)),
+    "fill_gaps": ("fill_gaps", _flag),
+    "big": ("big", _number),
+    "content_pos_prefixes": ("content_pos_prefixes", _names),
+    "clause_boundary_labels": ("clause_boundary_labels", _names),
 }
 
 
@@ -78,14 +99,26 @@ class PipelineConfig:
         if not (math.isfinite(self.big) and self.big > 0):
             raise ConfigError(f"big must be positive and finite, got {self.big}")
 
+    @classmethod
+    def from_settings(cls, settings: dict[str, str]) -> PipelineConfig:
+        """A run's configuration from its text settings, parsed by ``SETTINGS``.
+        A key not given keeps its field's default; with no ``filter``, the
+        model's ``DEFAULT_FILTER_FOR_MODEL`` applies."""
+        unknown = settings.keys() - SETTINGS.keys()
+        if unknown:
+            raise ConfigError(f"unknown settings: {sorted(unknown)}")
+        fields = {field: parse(settings[key])
+                  for key, (field, parse) in SETTINGS.items() if key in settings}
+        if "filters" not in fields:
+            # an unknown model has no default; __post_init__ rejects it
+            model = fields.get("model", cls.model)
+            fields["filters"] = DEFAULT_FILTER_FOR_MODEL.get(model, frozenset())
+        return cls(**fields)
+
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
-            "filters": sorted(self.filters),
-            "fill_gaps": self.fill_gaps,
-            "big": self.big,
-            "content_pos_prefixes": sorted(self.content_pos_prefixes),
-            "clause_boundary_labels": sorted(self.clause_boundary_labels),
+            field: sorted(value) if isinstance(value, frozenset) else value
+            for field, value in vars(self).items()
         }
 
 

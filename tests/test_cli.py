@@ -332,6 +332,46 @@ def test_fill_gaps_config_values(fixture_dir, tmp_path, value, expected):
     assert manifest["config"]["fill_gaps"] is expected
 
 
+def test_no_config_file_and_no_flag_give_the_default_model_and_its_filter(fixture_dir):
+    args = cli.build_parser("project").parse_args(
+        ["project", "--align", fx(fixture_dir, "align"), "--out", "out.roles"])
+    assert cli._settings(args) == {}
+    default = PipelineConfig(model="perfect", filters=frozenset({"na"}))
+    assert PipelineConfig.from_settings({}) == default
+
+
+@pytest.mark.parametrize("filters", ["none", "na", "nc", "arg", "na,nc", "arg,na", "nc,na,"])
+def test_filter_flag_and_filter_entry_give_equal_configs(fixture_dir, tmp_path, filters):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"filter={filters}\n")
+    manifests = []
+    for extra in (["--filter", filters], ["--config", str(cfg)]):
+        out = tmp_path / f"{extra[0][2:]}.roles"
+        assert main(without_flag(project_args(fixture_dir, out), "--filter") + extra) == 0
+        manifests.append((tmp_path / f"{out.name}.manifest.json").read_text())
+    expected = frozenset() if filters == "none" else frozenset(filters.split(",")) - {""}
+    assert json.loads(manifests[0])["config"]["filters"] == sorted(expected)
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("source", ["flag", "entry"])
+def test_an_unknown_filter_is_an_error_line_from_either_source(fixture_dir, tmp_path, capsys,
+                                                                source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("filter=na,bogus\n")
+    extra = ["--filter", "na,bogus"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.roles"
+    args = without_flag(project_args(fixture_dir, out), "--filter") + extra
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: unknown filters: ['bogus']\n"
+    assert not out.exists()
+
+
+def test_pipeline_config_from_settings_rejects_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown settings: \\['filters'\\]"):
+        PipelineConfig.from_settings({"filters": "na"})
+
+
 @pytest.mark.parametrize("big", [float("nan"), float("inf"), 0.0, -1.0])
 def test_pipeline_config_rejects_unusable_big(big):
     with pytest.raises(ConfigError):
@@ -752,6 +792,25 @@ def main_fresh(argv) -> tuple[int, bool, list, list]:
     """Exit code of ``cli.main(argv)``, whether it loaded numpy, the roleproj
     modules that ``import roleproj.cli`` loaded and those ``main`` added."""
     return tuple(json.loads(run_fresh(RUN_MAIN, json.dumps(argv))))
+
+
+RUN_PARSER = """
+import json, sys
+from roleproj import cli
+try:
+    cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(name for name in sys.modules if name.split(".")[0] == "roleproj")]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0), (["--help"], 0), (["project", "--help"], 0), (["nosuch"], 2),
+])
+def test_version_help_and_an_unknown_command_load_no_command_module(argv, code):
+    # --model's choices come from the package, not from the pipeline
+    assert json.loads(run_fresh(RUN_PARSER, json.dumps(argv))) == [code, CLI_IMPORTS]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "fixtures", "word"])

@@ -17,15 +17,10 @@ and say in the change's notes which rows changed and why.
 import contextlib
 import hashlib
 import io
-import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 from test_corpus import load_corpus_gen
 
 from roleproj.cli import main

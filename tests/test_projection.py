@@ -326,6 +326,19 @@ def test_pipeline_requires_trees_for_constituent_models(figure1):
     assert out.annotation.frame == "COMMITMENT"
 
 
+@pytest.mark.parametrize("model", ["word", "perfect", "edgecover", "total"])
+@pytest.mark.parametrize("link", [(1, 5), (0, -1), (-1, 0)])
+def test_a_link_outside_the_sentences_is_a_validation_error_naming_it(model, link):
+    # A negative index would wrap to the last token: A at 0-0 went to 1-1
+    # under word and total and to 0-1 under perfect.
+    t = parse_tree("(S (NN a) (NN b))")
+    roles = RoleAnnotation.make("F", {"A": {(0, 0)}}, 1)
+    with pytest.raises(ValidationError) as exc:
+        b = BiSentence(t.sentence, t.sentence, frozenset({(0, 0), link}), t, t, roles)
+        run_pipeline(b, PipelineConfig(model=model))
+    assert str(exc.value) == f"link {link[0]}-{link[1]} out of range for lengths 2/2"
+
+
 def test_pipeline_rejects_fill_gaps_outside_word_model():
     with pytest.raises(ConfigError):
         PipelineConfig(model="perfect", fill_gaps=True)
