@@ -570,6 +570,44 @@ def test_provenance_sidecar_bytes_are_pinned_on_the_toy_fixture(fixture_dir, tmp
     assert prov.read_bytes() == (GOLDEN / f"toy_{model}.prov.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, inputs",
+    [("toy", ("src-trees", "tgt-trees", "align", "src-roles")),
+     ("figure1", ("src-trees", "src-tok", "tgt-trees", "tgt-tok", "align", "src-roles"))],
+)
+def test_manifest_and_provenance_bytes_are_pinned_with_relative_inputs(
+    fixture_dir, monkeypatch, name, inputs
+):
+    # Relative paths, so the manifest's input records are the same on every machine.
+    monkeypatch.chdir(fixture_dir)
+    args = ["project", "--model", "perfect", "--out", "run.roles", "--provenance", "run.prov"]
+    for flag in inputs:
+        args += [f"--{flag}", f"{name}/{flag.replace('-', '.')}"]
+    assert main(args) == 0
+    assert (fixture_dir / "run.roles.manifest.json").read_bytes() == (
+        GOLDEN / f"{name}_perfect.manifest.json").read_bytes()
+    assert (fixture_dir / "run.prov").read_bytes() == (
+        GOLDEN / f"{name}_perfect.prov.jsonl").read_bytes()
+
+
+REPORTS = {
+    "evaluate": ["--gold", "toy/tgt.roles", "--pred", "toy/pred.roles"],
+    "sigtest": ["--gold", "toy/tgt.roles", "--pred-a", "toy/pred.roles",
+                "--pred-b", "toy/tgt.roles", "--iterations", "2000", "--seed", "3"],
+    "stats": ["--src-trees", "toy/src.trees", "--tgt-trees", "toy/tgt.trees",
+              "--align", "toy/align"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_report_bytes_are_pinned_on_the_toy_fixture(fixture_dir, monkeypatch, capsys, command):
+    monkeypatch.chdir(fixture_dir)
+    assert main([command, *REPORTS[command], "--out", "report.tsv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"toy_{command}.stdout").read_text()
+    assert (fixture_dir / "report.tsv").read_bytes() == (
+        GOLDEN / f"toy_{command}.tsv").read_bytes()
+
+
 def test_project_on_a_5000_deep_tree_exits_cleanly(tmp_path, capsys):
     depth = 5000
     (tmp_path / "src.trees").write_text("(S " * depth + "(NN a)" + ")" * depth + "\n")
