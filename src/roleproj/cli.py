@@ -26,13 +26,17 @@ import os
 import sys
 
 from . import MODELS, __version__, deferred_imports
-from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text
+from .corpus import load_corpus, read_lines, read_roles_file, roles_file_text, write_text
 from .errors import MAX_CELLS, ConfigError, ToolkitError, located
 
 _bind, __getattr__ = deferred_imports(globals(), {
     "pipeline": ("SETTINGS", "PipelineConfig", "build_instance", "run_corpus"),
     "evaluation": ("correspondence_stats", "score", "stratified_shuffling"),
 })
+
+# A projection run's input files, in ``project --help`` order: flag dests,
+# keys of the manifest's inputs and, with ``_path``, ``load_corpus`` keywords.
+INPUTS = ("src_trees", "tgt_trees", "src_tok", "tgt_tok", "align", "src_roles")
 
 
 def _sha256(path) -> str:
@@ -87,6 +91,11 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
     return checked, skipped
 
 
+def _load_corpus(args):
+    """The corpus of the input files that a command's flags name."""
+    return load_corpus(**{f"{name}_path": getattr(args, name, None) for name in INPUTS})
+
+
 def _check_outputs_differ(args) -> None:
     """Refuse two outputs of one run that name the same file, which the
     later write would destroy.  An output may still overwrite an input."""
@@ -125,26 +134,12 @@ def cmd_project(args) -> int:
                 f"model {cfg.model!r} needs constituent trees on both sides; "
                 f"missing {', '.join(missing)}"
             )
-    corpus = load_corpus(
-        align_path=args.align,
-        src_trees_path=args.src_trees,
-        src_tok_path=args.src_tok,
-        tgt_trees_path=args.tgt_trees,
-        tgt_tok_path=args.tgt_tok,
-        src_roles_path=args.src_roles,
-    )
+    corpus = _load_corpus(args)
     # Hashed before any output is opened, which may be one of the inputs.
     inputs = {
         name: {"path": str(path), "sha256": _sha256(path)}
-        for name, path in (
-            ("align", args.align),
-            ("src_trees", args.src_trees),
-            ("src_tok", args.src_tok),
-            ("tgt_trees", args.tgt_trees),
-            ("tgt_tok", args.tgt_tok),
-            ("src_roles", args.src_roles),
-        )
-        if path is not None
+        for name in INPUTS
+        if (path := getattr(args, name)) is not None
     }
     if args.oracle and cfg.model == "word":
         print("oracle check skipped: the word model builds no graph to check")
@@ -154,14 +149,12 @@ def cmd_project(args) -> int:
               f"{skipped} graph(s) above {MAX_CELLS} cells not checked")
 
     projected = run_corpus(corpus, cfg, jobs=args.jobs)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(roles_file_text([p.annotation for p in projected]))
-
+    write_text(args.out, roles_file_text([p.annotation for p in projected]))
     if args.provenance:
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            for k, p in enumerate(projected):
-                fh.write(json.dumps(p.to_record(k), sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
+        write_text(args.provenance, "".join(
+            json.dumps(p.to_record(k), sort_keys=True, ensure_ascii=False) + "\n"
+            for k, p in enumerate(projected)
+        ))
 
     warnings = [
         {"sentence": k, "warnings": list(p.warnings)}
@@ -175,8 +168,16 @@ def cmd_project(args) -> int:
         "inputs": inputs,
         "warnings": warnings,
     }
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    write_text(args.out + ".manifest.json",
+               json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    return 0
+
+
+def _report(result, out) -> int:
+    """Print a result's text and write its TSV to ``out``, if given."""
+    print(result.format_text())
+    if out:
+        write_text(out, result.to_tsv())
     return 0
 
 
@@ -184,12 +185,7 @@ def cmd_evaluate(args) -> int:
     _bind("evaluation")
     gold = read_roles_file(args.gold)
     pred = read_roles_file(args.pred)
-    report = score(gold, pred)
-    print(report.format_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_tsv())
-    return 0
+    return _report(score(gold, pred), args.out)
 
 
 def cmd_sigtest(args) -> int:
@@ -198,37 +194,18 @@ def cmd_sigtest(args) -> int:
     pred_a = read_roles_file(args.pred_a)
     pred_b = read_roles_file(args.pred_b)
     result = stratified_shuffling(gold, pred_a, pred_b, args.iterations, args.seed)
-    print(result.format_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(
-                "observed_delta_f1\tp_value\titerations\tseed\n"
-                f"{result.observed_delta_f1:.6f}\t{result.p_value:.6f}"
-                f"\t{result.iterations}\t{result.seed}\n"
-            )
-    return 0
+    return _report(result, args.out)
 
 
 def cmd_stats(args) -> int:
     _bind("evaluation")
-    corpus = load_corpus(
-        align_path=args.align,
-        src_trees_path=args.src_trees,
-        tgt_trees_path=args.tgt_trees,
-    )
-    stats = correspondence_stats(corpus, args.threshold)
-    print(stats.format_text())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(stats.to_tsv())
-    return 0
+    return _report(correspondence_stats(_load_corpus(args), args.threshold), args.out)
 
 
 def cmd_fixtures(args) -> int:
     from . import fixtures
 
-    written = fixtures.emit(args.out_dir)
-    for path in written:
+    for path in fixtures.emit(args.out_dir):
         print(path)
     return 0
 
@@ -260,13 +237,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if arg := subcommand("project", cmd_project, "project source roles onto the target side"):
         arg("--model", choices=MODELS)
         arg("--filter", help="none, or a comma list of na, nc and arg")
-        arg("--fill-gaps", action="store_const", const="yes", dest="fill_gaps")
-        arg("--src-trees", dest="src_trees")
-        arg("--tgt-trees", dest="tgt_trees")
-        arg("--src-tok", dest="src_tok")
-        arg("--tgt-tok", dest="tgt_tok")
-        arg("--align", required=True)
-        arg("--src-roles", dest="src_roles")
+        arg("--fill-gaps", action="store_const", const="yes")
+        for name in INPUTS:
+            arg("--" + name.replace("_", "-"), required=name == "align")
         arg("--out", required=True)
         arg("--config")
         arg("--provenance")
@@ -282,22 +255,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if arg := subcommand("sigtest", cmd_sigtest, "stratified-shuffling significance test"):
         arg("--gold", required=True)
-        arg("--pred-a", dest="pred_a", required=True)
-        arg("--pred-b", dest="pred_b", required=True)
+        arg("--pred-a", required=True)
+        arg("--pred-b", required=True)
         arg("--iterations", type=int, default=10000)
         arg("--seed", type=int, default=1)
         arg("--out")
 
     if arg := subcommand("stats", cmd_stats, "constituent correspondence statistics"):
-        arg("--src-trees", dest="src_trees", required=True)
-        arg("--tgt-trees", dest="tgt_trees", required=True)
+        arg("--src-trees", required=True)
+        arg("--tgt-trees", required=True)
         arg("--align", required=True)
         arg("--threshold", type=float, default=0.5)
         arg("--out")
 
     if arg := subcommand("fixtures", cmd_fixtures,
                          "emit the bundled example bi-sentence and toy corpus"):
-        arg("--out-dir", dest="out_dir", required=True)
+        arg("--out-dir", required=True)
 
     return parser
 

@@ -4,8 +4,8 @@ parsers, and the ``.roles`` writer.
 Four line-oriented UTF-8 text formats, all parallel by line/block number:
 
 ``*.tok``
-    One sentence per line, tokens as ``surface_POS`` separated by single
-    spaces.  The last underscore separates surface from tag.
+    One sentence per line, whitespace-free ``surface_POS`` tokens separated
+    by single spaces.  The last underscore separates surface from tag.
 
 ``*.trees``
     One bracketed constituency tree per line, ``(LABEL (POS word) ...)``.
@@ -19,7 +19,7 @@ Four line-oriented UTF-8 text formats, all parallel by line/block number:
     Blocks separated by one blank line.  First line of a block is
     ``#<sentence-no> <frame-name> <predicate-index>``; each following line
     is ``ROLE<TAB>lo-hi[,lo-hi...]`` with inclusive 0-based token spans.
-    A predicate index of -1 means "no known predicate position".
+    A predicate index of -1 means "no known predicate position"; none is lower.
 
 Token indexing is 0-based everywhere and spans are inclusive intervals.
 ``.roles`` is the one format written: in a canonical form (alphabetically
@@ -128,6 +128,8 @@ class RoleAnnotation:
     predicate: int
 
     def __post_init__(self):
+        if self.predicate < -1:
+            raise ValidationError(f"bad predicate index {self.predicate} in frame {self.frame}")
         roles = self.roles
         if len({label for label, _ in roles}) != len(roles):
             raise ValidationError(f"duplicate role labels in frame {self.frame}")
@@ -439,6 +441,8 @@ def parse_tok_line(line: str) -> Sentence:
     for item in line.split(" "):
         if not item:
             raise FormatError("empty token (double space?) in .tok line")
+        if len(item.split()) != 1:
+            raise FormatError(f"token {item!r} contains whitespace")
         surface, sep, pos = item.rpartition("_")
         if not sep or not surface or not pos:
             raise FormatError(f"token {item!r} is not of the form surface_POS")
@@ -533,6 +537,12 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write a whole UTF-8 text file; every output file is written through here."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_lines(path) -> list[str]:

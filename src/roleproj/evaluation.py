@@ -117,6 +117,12 @@ class SigTestResult:
     iterations: int
     seed: int
 
+    def to_tsv(self) -> str:
+        return (
+            "observed_delta_f1\tp_value\titerations\tseed\n"
+            f"{self.observed_delta_f1:.6f}\t{self.p_value:.6f}\t{self.iterations}\t{self.seed}\n"
+        )
+
     def format_text(self) -> str:
         return (
             f"observed delta F1 = {self.observed_delta_f1:+.6f}\n"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from .corpus import BiSentence, parse_alignment, parse_roles, parse_tree
+from .corpus import BiSentence, parse_alignment, parse_roles, parse_tree, write_text
 
 _TOY_SRC_TREES = [
     "(S (NP (NNP Kim)) (VP (VBD promised) (S (TO to) (VP (VB be) (PP (IN on) (NN time))))))",
@@ -123,7 +123,6 @@ def emit(out_dir) -> list[str]:
         os.makedirs(directory, exist_ok=True)
         for filename, content in sorted(blob.items()):
             path = os.path.join(directory, filename)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
+            write_text(path, content)
             written.append(path)
     return written

@@ -696,6 +696,46 @@ def test_pipeline_error_names_sentence_and_model(tmp_path, capsys, jobs):
     assert err == "error: sentence 1 (perfect): model 'perfect' requires src tree\n"
 
 
+@pytest.mark.parametrize("predicate", ["-7", "-2"])
+def test_predicate_index_below_minus_one_is_an_error_line_naming_the_block(
+    fixture_dir, tmp_path, capsys, predicate
+):
+    # -1 is the one index that means "unknown"; a lower one was written out as -1.
+    roles = tmp_path / "src.roles"
+    roles.write_text(f"#0 COMMITMENT {predicate}\nMESSAGE\t2-5\nSPEAKER\t0-0\n")
+    args = project_args(fixture_dir, tmp_path / "out.roles")
+    args[args.index("--src-roles") + 1] = str(roles)
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {roles}: block 0: bad predicate index {predicate} in frame COMMITMENT\n"
+    )
+    assert not (tmp_path / "out.roles").exists()
+    roles.write_text("#0 COMMITMENT -1\nMESSAGE\t2-5\nSPEAKER\t0-0\n")
+    assert main(args) == 0
+    assert (tmp_path / "out.roles").read_text().startswith("#0 COMMITMENT -1\n")
+
+
+@pytest.mark.parametrize("space", ["\t", "\x0b", "\xa0", "\u3000"])
+def test_tok_token_holding_whitespace_is_an_error_line_naming_the_tok_line(
+    fixture_dir, tmp_path, capsys, space
+):
+    # Read as one token, the line was one token short, and the error then
+    # blamed an alignment link for being out of range.
+    tok = tmp_path / "src.tok"
+    tok.write_text(f"Kim_NNP{space}promised_VBD to_TO be_VB on_IN time_NN\n", encoding="utf-8")
+    args = [
+        "project", "--model", "word",
+        "--src-tok", str(tok),
+        "--tgt-tok", fx(fixture_dir, "tgt.tok"),
+        "--align", fx(fixture_dir, "align"),
+        "--src-roles", fx(fixture_dir, "src.roles"),
+        "--out", str(tmp_path / "out.roles"),
+    ]
+    assert main(args) == 1
+    token = f"Kim_NNP{space}promised_VBD"
+    assert capsys.readouterr().err == f"error: {tok}:1: token {token!r} contains whitespace\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_project_jobs_below_one_is_an_error_line(fixture_dir, tmp_path, capsys, jobs):
     out = tmp_path / "out.roles"
