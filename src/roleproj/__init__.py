@@ -14,6 +14,11 @@ __version__ = "0.1.0"
 MODELS = ("word", "perfect", "edgecover", "total")
 FILTERS = ("na", "nc", "arg")
 
+# The weight of a zero-similarity link, for the infinite -log 0.  It must
+# exceed every finite weight; the tolerances of ``lap``, ``oracle`` and
+# ``matcher.links_cost`` are set for it.  Manifests record it as ``big``.
+WEIGHT_CAP = 1e6
+
 # Best pairings observed on development data; used when no filter is given.
 DEFAULT_FILTER_FOR_MODEL = {
     "word": frozenset(),

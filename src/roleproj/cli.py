@@ -2,6 +2,8 @@
 correspondence statistics, and fixture generation.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 I/O error.
+Each command checks its output paths, with ``_check_outputs``, before it
+reads an input.
 Every projection run writes a JSON manifest next to its output recording
 the configuration, input digests, and per-sentence warnings; identical
 inputs and configuration produce identical manifests.
@@ -22,6 +24,7 @@ command calls.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -77,8 +80,6 @@ def _oracle_check(bisentences, cfg: PipelineConfig) -> tuple[int, int]:
     _bind("pipeline")
     checked = skipped = 0
     for k, b in enumerate(bisentences):
-        if b.src_tree is None or b.tgt_tree is None:
-            continue
         with located(f"sentence {k} ({cfg.model})"):
             graph = build_instance(b, cfg).graph
             if graph is None:
@@ -96,21 +97,26 @@ def _load_corpus(args):
     return load_corpus(**{f"{name}_path": getattr(args, name, None) for name in INPUTS})
 
 
-def _check_outputs_differ(args) -> None:
-    """Refuse two outputs of one run that name the same file, which the
-    later write would destroy.  An output may still overwrite an input."""
+def _check_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Refuse a command's outputs, given as (name, path) pairs, before it
+    reads any input.  Two outputs that name the same file, which the later
+    write would destroy, are a ``ConfigError``.  An output that is a
+    directory, or whose directory is missing or a file, is the ``OSError``
+    that opening it would raise.  An output may still overwrite an input."""
+    outputs = [(name, path) for name, path in outputs if path is not None]
     seen = {}
-    for name, path in (
-        ("--out", args.out),
-        ("the manifest of --out", args.out + ".manifest.json"),
-        ("--provenance", args.provenance),
-    ):
-        if path is None:
-            continue
+    for name, path in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{seen[real]} and {name} name the same file: {path}")
         seen[real] = name
+    for _, path in outputs:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:  # the trailing separator makes a file there ENOTDIR, as in open
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_project(args) -> int:
@@ -118,7 +124,9 @@ def cmd_project(args) -> int:
 
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    _check_outputs_differ(args)
+    _check_outputs(("--out", args.out),
+                   ("the manifest of --out", args.out + ".manifest.json"),
+                   ("--provenance", args.provenance))
     _bind("pipeline")
     cfg = PipelineConfig.from_settings(_settings(args))
     if args.src_roles is None:
@@ -182,6 +190,7 @@ def _report(result, out) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(("--out", args.out))
     _bind("evaluation")
     gold = read_roles_file(args.gold)
     pred = read_roles_file(args.pred)
@@ -189,6 +198,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sigtest(args) -> int:
+    _check_outputs(("--out", args.out))
     _bind("evaluation")
     gold = read_roles_file(args.gold)
     pred_a = read_roles_file(args.pred_a)
@@ -198,6 +208,7 @@ def cmd_sigtest(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_outputs(("--out", args.out))
     _bind("evaluation")
     return _report(correspondence_stats(_load_corpus(args), args.threshold), args.out)
 

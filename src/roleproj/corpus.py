@@ -51,8 +51,8 @@ its spans.
 A ``BiSentence`` holds its word links as a frozenset of (source, target)
 token index pairs and takes the sentence lengths from its sentences
 alone.  ``parse_alignment``, the one reader given those lengths,
-range-checks the links; ``BiSentence`` checks only that its trees and
-roles fit its sentences.
+range-checks the links with its file and line; ``BiSentence`` checks that
+its trees, roles and links fit its sentences.
 
 Sentences and trees hold no Python object per token or node.  A
 ``Sentence`` is two parallel tuples, surfaces and tags, indexed by token

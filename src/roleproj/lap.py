@@ -56,7 +56,7 @@ from itertools import chain
 import numpy as np
 
 # Absolute slack below which a cell counts as tight.  Large enough to absorb
-# float accumulation at the 1e6 weight cap, small enough not to merge
+# float accumulation at ``WEIGHT_CAP``, small enough not to merge
 # genuinely distinct weights of rational similarity values.
 ADMISSIBLE_TOL = 1e-7
 

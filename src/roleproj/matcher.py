@@ -78,7 +78,7 @@ class AlignmentGraph:
         return self.weights.shape[1]
 
 
-def build_graph(src_units, tgt_units, sim: np.ndarray, big: float) -> AlignmentGraph:
+def build_graph(src_units, tgt_units, sim: np.ndarray) -> AlignmentGraph:
     """The graph over the given units; ``sim`` is indexed [source, target]."""
     if sim.shape != (len(src_units), len(tgt_units)):
         raise ValidationError("similarity matrix shape does not match unit counts")
@@ -86,7 +86,7 @@ def build_graph(src_units, tgt_units, sim: np.ndarray, big: float) -> AlignmentG
         raise DegenerateGraphError("alignment graph needs units on both sides")
     if sim.min() < 0.0 or sim.max() > 1.0:
         raise ValidationError("similarity values must lie in [0, 1]")
-    return AlignmentGraph(tuple(src_units), tuple(tgt_units), sim, to_weights(sim, big))
+    return AlignmentGraph(tuple(src_units), tuple(tgt_units), sim, to_weights(sim))
 
 
 def links_from_pairs(g: AlignmentGraph, rows, cols) -> tuple[tuple[int, int, float], ...]:
@@ -100,7 +100,7 @@ def links_cost(W: np.ndarray, rows, cols) -> float:
     """Exactly rounded sum of the link weights.
 
     Equal weights give an equal cost in any order, also where sums of
-    zero-similarity weights (1e6 each) leave a float spacing above 1e-9.
+    zero-similarity weights (``WEIGHT_CAP`` each) leave a spacing above 1e-9.
     """
     return math.fsum(W[rows, cols].tolist())
 

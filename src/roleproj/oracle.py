@@ -22,7 +22,7 @@ from .errors import MAX_CELLS, OracleSizeError, ToolkitError
 from .matcher import COST_ATOL, AlignmentGraph, links_cost, links_from_pairs
 from .projection import SemanticAlignment
 
-COVER_ATOL = 1e-6  # 1e6-capped weight sums round at about 1e-10 per link
+COVER_ATOL = 1e-6  # sums of WEIGHT_CAP-capped weights round at about 1e-10 per link
 
 
 def _guard(g: AlignmentGraph) -> None:

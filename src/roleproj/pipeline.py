@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_FILTER_FOR_MODEL, FILTERS, MODELS, deferred_imports
+from . import DEFAULT_FILTER_FOR_MODEL, FILTERS, MODELS, WEIGHT_CAP, deferred_imports
 from .corpus import DEFAULT_CONTENT_PREFIXES, BiSentence, apply_word_filters
 from .errors import ConfigError, located
 from .projection import (
@@ -58,20 +58,12 @@ def _flag(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
-def _number(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"big must be a number, got {text!r}") from None
-
-
 # The grammar of a run's text settings: each key's PipelineConfig field and
 # the parser of its value.
 SETTINGS = {
     "model": ("model", str),
     "filter": ("filters", lambda text: frozenset() if text == "none" else _names(text)),
     "fill_gaps": ("fill_gaps", _flag),
-    "big": ("big", _number),
     "content_pos_prefixes": ("content_pos_prefixes", _names),
     "clause_boundary_labels": ("clause_boundary_labels", _names),
 }
@@ -82,7 +74,6 @@ class PipelineConfig:
     model: str = "perfect"
     filters: frozenset[str] = frozenset()
     fill_gaps: bool = False
-    big: float = 1e6
     content_pos_prefixes: frozenset[str] = DEFAULT_CONTENT_PREFIXES
     clause_boundary_labels: frozenset[str] = frozenset()
 
@@ -96,8 +87,6 @@ class PipelineConfig:
             raise ConfigError("fill_gaps is only meaningful for the word model")
         if "nc" in self.filters and not self.content_pos_prefixes:
             raise ConfigError("nc filter requires a non-empty content POS prefix set")
-        if not (math.isfinite(self.big) and self.big > 0):
-            raise ConfigError(f"big must be positive and finite, got {self.big}")
 
     @classmethod
     def from_settings(cls, settings: dict[str, str]) -> PipelineConfig:
@@ -116,10 +105,10 @@ class PipelineConfig:
         return cls(**fields)
 
     def to_dict(self) -> dict:
-        return {
-            field: sorted(value) if isinstance(value, frozenset) else value
-            for field, value in vars(self).items()
-        }
+        """The manifest's record of the settings and of the fixed weight cap."""
+        record = {field: sorted(value) if isinstance(value, frozenset) else value
+                  for field, value in vars(self).items()}
+        return record | {"big": WEIGHT_CAP}
 
 
 def target_predicate(b: BiSentence) -> int:
@@ -186,7 +175,7 @@ def build_instance(b: BiSentence, cfg: PipelineConfig) -> AlignmentInstance:
         return AlignmentInstance(tgt_pred, tuple(warnings), None, role_units)
     _bind("matcher", "similarity")
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
-    graph = build_graph(src_units, tgt_units, sim, cfg.big)
+    graph = build_graph(src_units, tgt_units, sim)
     return AlignmentInstance(tgt_pred, tuple(warnings), graph, role_units)
 
 

@@ -22,8 +22,8 @@ from itertools import chain
 
 import numpy as np
 
+from . import WEIGHT_CAP
 from .corpus import BiSentenceView, ParseTree
-from .errors import ConfigError
 
 
 class UnitSimilarity:
@@ -84,9 +84,7 @@ def _jaccard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter
 
 
-def to_weights(sim: np.ndarray, big: float) -> np.ndarray:
-    """Entrywise min(-log sim, big); zero similarity maps to the finite cap."""
-    if big <= 0:
-        raise ConfigError(f"big must be positive, got {big}")
+def to_weights(sim: np.ndarray) -> np.ndarray:
+    """Entrywise min(-log sim, WEIGHT_CAP); zero similarity maps to the cap."""
     with np.errstate(divide="ignore"):
-        return np.minimum(-np.log(sim), big) + 0.0  # +0.0 normalizes -0.0
+        return np.minimum(-np.log(sim), WEIGHT_CAP) + 0.0  # +0.0 normalizes -0.0

@@ -82,11 +82,11 @@ def ancestors(tree, node: int) -> list[int]:
     return chain
 
 
-def graph_of(sim, big) -> AlignmentGraph:
+def graph_of(sim) -> AlignmentGraph:
     """The graph of a similarity matrix whose unit ids are its indices."""
     sim = np.asarray(sim, dtype=float)
     n, m = sim.shape
-    return build_graph(range(n), range(m), sim, big)
+    return build_graph(range(n), range(m), sim)
 
 
 class _Searched(Exception):

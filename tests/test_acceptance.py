@@ -17,8 +17,6 @@ from roleproj.oracle import brute_force_optimum
 from roleproj.projection import argument_filter
 from roleproj.similarity import UnitSimilarity
 
-BIG = 1e6
-
 
 def record(line):
     conftest.ACCEPTANCE_LINES.append(line)
@@ -33,7 +31,7 @@ def solved_instances():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        g = graph_of(random_sim(rng, n, m, zero_frac=0.3), BIG)
+        g = graph_of(random_sim(rng, n, m, zero_frac=0.3))
         record_entry = {
             "dims": (n, m),
             "perfect": solve_perfect_matching(g),
@@ -174,7 +172,7 @@ def test_criterion_7_significance_sanity():
 def test_criterion_8_scale_smoke():
     rng = np.random.default_rng(99)
     sim = random_sim(rng, 100, 100, zero_frac=0.3)
-    graph = graph_of(sim, BIG)
+    graph = graph_of(sim)
     start = time.perf_counter()
     solved = solve_perfect_matching(graph)
     elapsed = time.perf_counter() - start

@@ -125,6 +125,70 @@ def test_outputs_that_name_one_file_are_an_error_before_any_write(
     assert sorted(p.name for p in run.iterdir()) == sorted(["d", provenance])
 
 
+def test_an_output_in_a_missing_directory_is_an_io_error_before_any_write(
+    fixture_dir, tmp_path, capsys
+):
+    # --out is writable, --provenance is not: --out must not be left
+    # written without its manifest.
+    (tmp_path / "o2").mkdir()
+    out, provenance = tmp_path / "o2" / "x.roles", tmp_path / "nodir" / "p.jsonl"
+    args = project_args(fixture_dir, out, extra=["--provenance", str(provenance)])
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno 2] No such file or directory: '{provenance}'\n")
+    assert list((tmp_path / "o2").iterdir()) == []
+
+
+@pytest.fixture
+def no_projection(monkeypatch):
+    def run_corpus(*args, **kwargs):
+        pytest.fail("the projection ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_corpus", run_corpus)
+
+
+@pytest.mark.parametrize("parent, message", [
+    ("nodir2", "[Errno 2] No such file or directory"),
+    ("afile", "[Errno 20] Not a directory"),
+])
+def test_an_out_whose_directory_is_missing_fails_before_the_projection(
+    fixture_dir, tmp_path, capsys, no_projection, parent, message
+):
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / parent / "x.roles"
+    assert main(project_args(fixture_dir, out)) == 2
+    assert capsys.readouterr().err == f"i/o error: {message}: '{out}'\n"
+    assert (tmp_path / "afile").read_text() == "kept\n" and not (tmp_path / "nodir2").exists()
+
+
+def test_an_out_that_is_a_directory_is_an_io_error_before_the_projection(
+    fixture_dir, tmp_path, capsys, no_projection
+):
+    out = tmp_path / "o2"
+    out.mkdir()
+    assert main(project_args(fixture_dir, out)) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(out.iterdir()) == [] and not (tmp_path / "o2.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sigtest", "stats"])
+def test_a_report_out_in_a_missing_directory_fails_before_any_report(
+    fixture_dir, tmp_path, capsys, command
+):
+    gold, pred = toy(fixture_dir, "tgt.roles"), toy(fixture_dir, "pred.roles")
+    inputs = {
+        "evaluate": ["--gold", gold, "--pred", pred],
+        "sigtest": ["--gold", gold, "--pred-a", pred, "--pred-b", gold, "--iterations", "10"],
+        "stats": ["--src-trees", toy(fixture_dir, "src.trees"), "--tgt-trees",
+                  toy(fixture_dir, "tgt.trees"), "--align", toy(fixture_dir, "align")],
+    }
+    out = tmp_path / "nodir" / "e.tsv"
+    assert main([command, *inputs[command], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def toy_oracle_args(fixture_dir, out, model):
     return [
         "project", "--model", model, "--filter", "arg", "--oracle",
@@ -243,9 +307,9 @@ def test_oracle_checks_the_graphs_the_pipeline_solves(toy_corpus, monkeypatch):
 
     build_graph, units = pipeline.build_graph, []
 
-    def recording(src_units, tgt_units, sim, big):
+    def recording(src_units, tgt_units, sim):
         units.append((tuple(src_units), tuple(tgt_units)))
-        return build_graph(src_units, tgt_units, sim, big)
+        return build_graph(src_units, tgt_units, sim)
 
     monkeypatch.setattr(pipeline, "build_graph", recording)
     cfg = pipeline.PipelineConfig(model="edgecover", filters=frozenset({"arg"}))
@@ -273,22 +337,25 @@ def test_default_filter_pairing(fixture_dir, tmp_path):
 
 def test_config_file_overridden_by_flags(fixture_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("model=total\nfilter=nc\nbig=100.0\n")
+    cfg.write_text("model=total\nfilter=nc\n")
     out = tmp_path / "out.roles"
     args = project_args(fixture_dir, out, extra=["--config", str(cfg)])
     assert main(args) == 0
     manifest = json.loads((tmp_path / "out.roles.manifest.json").read_text())
-    # flags win over the file; big comes from the file
+    # flags win over the file
     assert manifest["config"]["model"] == "perfect"
     assert manifest["config"]["filters"] == []
-    assert manifest["config"]["big"] == 100.0
 
 
-def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path):
+def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path, capsys):
+    # the weight cap is a constant, so big is no key, even at the cap's value
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus=1\n")
-    args = project_args(fixture_dir, tmp_path / "out.roles", extra=["--config", str(cfg)])
-    assert main(args) == 1
+    out = tmp_path / "out.roles"
+    for entry in ("bogus=1", "big=1000000"):
+        cfg.write_text(entry + "\n")
+        assert main(project_args(fixture_dir, out, extra=["--config", str(cfg)])) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config entry {entry!r}\n"
+        assert not out.exists()
 
 
 def without_flag(args, flag):
@@ -372,10 +439,10 @@ def test_pipeline_config_from_settings_rejects_an_unknown_key():
         PipelineConfig.from_settings({"filters": "na"})
 
 
-@pytest.mark.parametrize("big", [float("nan"), float("inf"), 0.0, -1.0])
-def test_pipeline_config_rejects_unusable_big(big):
-    with pytest.raises(ConfigError):
-        PipelineConfig(big=big)
+def test_big_is_no_setting_and_the_manifest_still_records_the_cap():
+    with pytest.raises(ConfigError, match="unknown settings: \\['big'\\]"):
+        PipelineConfig.from_settings({"big": "1000000"})
+    assert PipelineConfig().to_dict()["big"] == 1e6
 
 
 @pytest.mark.parametrize("flag", ["--align", "--src-trees"])
@@ -688,12 +755,16 @@ def test_role_past_the_sentence_names_the_sentence(tmp_path, capsys):
     assert err == "error: sentence 1: source role annotation index out of range\n"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_pipeline_error_names_sentence_and_model(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("extra", [["--jobs", "1"], ["--jobs", "2"], ["--oracle"]],
+                         ids=["1", "2", "oracle"])
+def test_pipeline_error_names_sentence_and_model(tmp_path, capsys, extra):
+    # --oracle meets the sentence first, and prints no summary before failing
     args = two_sentence_inputs(tmp_path, src_trees="(S (NN a))\n-\n")
-    assert main(args + ["--jobs", jobs]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: sentence 1 (perfect): model 'perfect' requires src tree\n"
+    assert main(args + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sentence 1 (perfect): model 'perfect' requires src tree\n")
 
 
 @pytest.mark.parametrize("predicate", ["-7", "-2"])

@@ -262,7 +262,7 @@ def all_rows_total(b, cfg):
     alignment = SemanticAlignment((), 0.0)
     if tgt_units:
         sim = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
-        graph = build_graph(src_units, tgt_units, sim, cfg.big)
+        graph = build_graph(src_units, tgt_units, sim)
         alignment = strip_zero_links(solve(graph, "total"))
     else:
         warnings.append("no target units after filtering; nothing projected")
@@ -374,7 +374,7 @@ def definition_roles(b, cfg):
     kept = {frozenset()}
     sim = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
     if sim.any():  # else every link is dropped, whichever cover is taken
-        graph = build_graph(src_units, tgt_units, sim, cfg.big)
+        graph = build_graph(src_units, tgt_units, sim)
         if cfg.model == "edgecover":  # source indices are unit ids
             link_sets = [
                 [(i, tgt_units[j], sim[i, j]) for i, j in cover]

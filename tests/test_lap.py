@@ -47,7 +47,7 @@ def test_all_equal_and_padded_costs_match_scipy():
     d = rng.integers(1, 7, size=(9, 116))
     sim = rng.integers(0, d + 1) / d
     padded = np.full((116, 116), 1e6)
-    padded[:9] = to_weights(sim, 1e6)
+    padded[:9] = to_weights(sim)
     costs = [np.zeros((n, n)) for n in (1, 5, 60)]
     costs += [np.full((k, m), 1e6) for k, m in ((1, 1), (7, 50), (116, 116))]
     costs.append(padded)
@@ -160,7 +160,7 @@ def tie_heavy_costs(rng, k, m):
     sim = rng.integers(0, d + 1) / d
     sim[rng.random(k) < 0.15] = 0.0
     sim[:, rng.random(m) < 0.15] = 0.0
-    W = to_weights(sim, 1e6)
+    W = to_weights(sim)
     return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
 
 

@@ -45,27 +45,27 @@ def degrees(alignment):
 # --- graph construction -------------------------------------------------
 
 def test_build_square_no_padding():
-    g = graph_of(random_sim(np.random.default_rng(0), 4, 4), BIG)
+    g = graph_of(random_sim(np.random.default_rng(0), 4, 4))
     assert g.weights.shape == (4, 4)
 
 
 def test_build_graph_never_pads():
     for n, m in ((6, 4), (4, 6), (1, 30)):
         sim = random_sim(np.random.default_rng(0), n, m)
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         assert g.weights.shape == (n, m)
         assert (g.n_src_real, g.n_tgt_real) == (n, m)
-        assert (g.weights == to_weights(sim, BIG)).all()
+        assert (g.weights == to_weights(sim)).all()
 
 
 def test_build_no_padding_for_edge_cover():
-    g = graph_of(random_sim(np.random.default_rng(0), 3, 5), BIG)
+    g = graph_of(random_sim(np.random.default_rng(0), 3, 5))
     assert g.weights.shape == (3, 5)
 
 
 def test_build_rejects_empty_partition():
     with pytest.raises(DegenerateGraphError):
-        graph_of(np.zeros((0, 3)), BIG)
+        graph_of(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize(
@@ -75,7 +75,7 @@ def test_build_rejects_empty_partition():
 def test_build_rejects_a_shape_other_than_the_unit_counts(src_units, tgt_units, shape):
     message = "^similarity matrix shape does not match unit counts$"
     with pytest.raises(ValidationError, match=message):
-        build_graph(src_units, tgt_units, np.full(shape, 0.5), BIG)
+        build_graph(src_units, tgt_units, np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("value", [-0.25, -1e-300, 1.0 + 2**-52, 1.5, np.inf])
@@ -83,11 +83,11 @@ def test_build_rejects_similarities_outside_the_unit_interval(value):
     sim = np.full((2, 3), 0.5)
     sim[1, 2] = value
     with pytest.raises(ValidationError, match=r"^similarity values must lie in \[0, 1\]$"):
-        build_graph((0, 1), (0, 1, 2), sim, BIG)
+        build_graph((0, 1), (0, 1, 2), sim)
 
 
 def test_build_accepts_the_ends_of_the_unit_interval():
-    g = build_graph((3, 8), (1, 4), np.array([[0.0, 1.0], [1.0, 0.0]]), BIG)
+    g = build_graph((3, 8), (1, 4), np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert (g.src_units, g.tgt_units) == ((3, 8), (1, 4))
     assert g.weights.tolist() == [[BIG, 0.0], [0.0, BIG]]
 
@@ -100,14 +100,14 @@ def weights_to_sim(w):
 
 
 def test_perfect_diagonal_forced():
-    g = graph_of(weights_to_sim([[0, 5], [5, 0]]), BIG)
+    g = graph_of(weights_to_sim([[0, 5], [5, 0]]))
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
 
 
 def test_perfect_antidiagonal_forced():
-    g = graph_of(weights_to_sim([[1, 0], [0, 1]]), BIG)
+    g = graph_of(weights_to_sim([[1, 0], [0, 1]]))
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 1), (1, 0))
     assert a.cost == pytest.approx(0.0, abs=1e-9)
@@ -117,7 +117,7 @@ def test_perfect_matches_oracle_on_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = random_sim(rng, 5, 5)
-        g = graph_of(m, BIG)
+        g = graph_of(m)
         got = solve_perfect_matching(g)
         ref = brute_force_optimum(g, "perfect")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
@@ -126,7 +126,7 @@ def test_perfect_matches_oracle_on_random_instances():
 
 def test_perfect_strips_padding_links():
     rng = np.random.default_rng(1)
-    g = graph_of(random_sim(rng, 2, 5), BIG)
+    g = graph_of(random_sim(rng, 2, 5))
     a = solve_perfect_matching(g)
     assert all(s < 2 and t < 5 for s, t in a.link_pairs())
     assert len(a.links) == 2
@@ -144,14 +144,14 @@ def test_oracle_on_skewed_graphs_within_the_size_guard():
     for n, m in ((1, 30), (30, 1), (2, 15), (15, 2), (3, 10), (10, 3), (5, 6), (6, 5)):
         d = rng.integers(1, 7, size=(n, m))
         for sim in (random_sim(rng, n, m), rng.integers(0, d + 1) / d):
-            g = graph_of(sim, BIG)
+            g = graph_of(sim)
             for cls in ("perfect", "edgecover", "total"):
                 oracle.check(g, cls, solve(g, cls))
     assert time.perf_counter() - start < 2.0
 
 
 def test_perfect_lexicographic_tie_break():
-    g = graph_of(np.full((3, 3), 0.5), BIG)
+    g = graph_of(np.full((3, 3), 0.5))
     a = solve_perfect_matching(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -160,7 +160,7 @@ def test_perfect_lexicographic_tie_break():
 
 def test_edge_cover_three_by_two_example():
     w = [[1, 10], [10, 1], [1, 10]]
-    g = graph_of(weights_to_sim(w), BIG)
+    g = graph_of(weights_to_sim(w))
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 0))
     assert a.cost == pytest.approx(3.0, abs=1e-9)
@@ -168,7 +168,7 @@ def test_edge_cover_three_by_two_example():
 
 def test_edge_cover_single_source_covers_all_targets():
     w = np.array([[2.0, 3.0, 4.0]])
-    g = graph_of(weights_to_sim(w), BIG)
+    g = graph_of(weights_to_sim(w))
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (0, 1), (0, 2))
     assert a.cost == pytest.approx(w.sum(), abs=1e-9)
@@ -178,7 +178,7 @@ def test_edge_cover_equals_strictly_better_perfect_matching():
     # diagonal strongly dominant: the unique optimal matching is also the cover
     sim = np.full((3, 3), 0.01)
     np.fill_diagonal(sim, 0.99)
-    g_cov = graph_of(sim, BIG)
+    g_cov = graph_of(sim)
     a = solve_edge_cover(g_cov)
     assert a.link_pairs() == ((0, 0), (1, 1), (2, 2))
 
@@ -187,20 +187,20 @@ def test_edge_cover_cost_never_exceeds_perfect_on_square():
     rng = np.random.default_rng(11)
     for _ in range(50):
         m = random_sim(rng, 4, 4)
-        cover = solve_edge_cover(graph_of(m, BIG))
-        matching = solve_perfect_matching(graph_of(m, BIG))
+        cover = solve_edge_cover(graph_of(m))
+        matching = solve_perfect_matching(graph_of(m))
         assert cover.cost <= matching.cost + 1e-9
 
 
 def test_edge_cover_lexicographic_on_uniform_ties():
-    g = graph_of(np.full((2, 2), 1.0), BIG)
+    g = graph_of(np.full((2, 2), 1.0))
     a = solve_edge_cover(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
 
 
 def test_edge_cover_tie_that_crashed_the_mirrored_reduction():
     sim = [[0, 0, 0, .25, .25], [.25, 0, 0, 0, .75], [.25, .5, 0, .75, 0], [0, 1, .75, .25, 0]]
-    g = graph_of(sim, BIG)
+    g = graph_of(sim)
     a = solve_edge_cover(g)
     assert a.cost == pytest.approx(brute_force_optimum(g, "edgecover").cost, abs=1e-9)
     assert a.cost == pytest.approx(3.348, abs=1e-3)
@@ -213,7 +213,7 @@ def test_edge_cover_cost_matches_gallai_reference():
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(8)]
     for n, m in shapes:
         sim = random_sim(rng, n, m, zero_frac=0.6)
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         W = g.weights
         mu_s, mu_t = W.min(axis=1), W.min(axis=0)
         reduced = np.minimum(0.0, W - mu_s[:, None] - mu_t[None, :])
@@ -225,13 +225,13 @@ def test_edge_cover_cost_matches_gallai_reference():
 # --- total ---------------------------------------------------------------
 
 def test_total_row_argmax():
-    g = graph_of([[0.9, 0.1], [0.8, 0.2]], BIG)
+    g = graph_of([[0.9, 0.1], [0.8, 0.2]])
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 0))
 
 
 def test_total_zero_row_links_lowest_index_with_zero_sim():
-    g = graph_of([[0.0, 0.0], [0.3, 0.9]], BIG)
+    g = graph_of([[0.0, 0.0], [0.3, 0.9]])
     a = solve_total(g)
     assert a.link_pairs() == ((0, 0), (1, 1))
     assert a.links[0][2] == 0.0
@@ -241,13 +241,13 @@ def test_total_cost_is_row_min_sum():
     rng = np.random.default_rng(3)
     for _ in range(20):
         m = random_sim(rng, 4, 6)
-        g = graph_of(m, BIG)
+        g = graph_of(m)
         assert solve_total(g).cost == math.fsum(g.weights.min(axis=1).tolist())
 
 
 def test_total_many_sources_one_target():
     # all rows peak on column 0; targets 1..2 stay unaligned
-    g = graph_of([[0.9, 0.2, 0.1]] * 4, BIG)
+    g = graph_of([[0.9, 0.2, 0.1]] * 4)
     a = solve_total(g)
     assert a.link_pairs() == tuple((i, 0) for i in range(4))
 
@@ -262,19 +262,19 @@ dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 def test_degree_constraints_hold(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
-    per = solve_perfect_matching(graph_of(sim, BIG))
+    per = solve_perfect_matching(graph_of(sim))
     ds, dt = degrees(per)
     assert all(v == 1 for v in ds.values()) and all(v == 1 for v in dt.values())
     assert len(ds) <= min(n, m)
 
-    cov = solve_edge_cover(graph_of(sim, BIG))
+    cov = solve_edge_cover(graph_of(sim))
     ds, dt = degrees(cov)
     assert set(ds) == set(range(n)) and set(dt) == set(range(m))
     assert not any(
         ds[s] >= 2 and dt[t] >= 2 for s, t in cov.link_pairs()
     ), "optimal edge cover must not contain many-to-many links"
 
-    tot = solve_total(graph_of(sim, BIG))
+    tot = solve_total(graph_of(sim))
     ds, _ = degrees(tot)
     assert all(ds.get(i) == 1 for i in range(n))
 
@@ -285,8 +285,8 @@ def test_solvers_are_deterministic(dim, seed):
     n, m = dim
     sim = random_sim(np.random.default_rng(seed), n, m)
     for cls in ("perfect", "edgecover", "total"):
-        a = solve(graph_of(sim, BIG), cls)
-        b = solve(graph_of(sim, BIG), cls)
+        a = solve(graph_of(sim), cls)
+        b = solve(graph_of(sim), cls)
         assert a.link_pairs() == b.link_pairs()
         assert a.cost == b.cost
 
@@ -297,9 +297,9 @@ def test_similarity_scaling_leaves_optimal_matchings_invariant():
         sim = rng.random((3, 4))
         sim[rng.random((3, 4)) < 0.2] = 0.0
         for alpha in (0.5, 0.125):
-            base = enumerate_optimal_perfect(graph_of(sim, BIG))
+            base = enumerate_optimal_perfect(graph_of(sim))
             scaled = enumerate_optimal_perfect(
-                graph_of(sim * alpha, BIG)
+                graph_of(sim * alpha)
             )
             assert base == scaled
 
@@ -313,13 +313,13 @@ def test_link_sets_are_optimal_on_tie_heavy_instances():
         n, m = (int(x) for x in rng.integers(1, 5, size=2))
         d = rng.integers(1, 7, size=(n, m))
         sim = rng.integers(0, d + 1) / d
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         assert frozenset(solve(g, "perfect").link_pairs()) in enumerate_optimal_perfect(g, 1e-6)
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         cover = solve(g, "edgecover").link_pairs()
         assert frozenset(cover) in enumerate_optimal_covers(g, 1e-6)
         assert solve(g, "edgecover").link_pairs() == cover
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         assert solve(g, "total").link_pairs() == brute_force_optimum(g, "total").link_pairs()
 
 
@@ -359,7 +359,7 @@ def test_perfect_tie_break_does_not_depend_on_the_dual():
     shapes += [tuple(int(x) for x in rng.integers(1, 151, size=2)) for _ in range(16)]
     for n, m in shapes:
         d = rng.integers(1, 7, size=(n, m))
-        g = graph_of(rng.integers(0, d + 1) / d, BIG)
+        g = graph_of(rng.integers(0, d + 1) / d)
         links = frozenset(solve_perfect_matching(g).link_pairs())
         if n * m <= MAX_CELLS:
             assert links in enumerate_optimal_perfect(g, 1e-6)
@@ -412,7 +412,7 @@ def tie_heavy_gallai(rng, n, m, zero_frac):
     d = rng.integers(1, 7, size=(n, m))
     sim = rng.integers(0, d + 1) / d
     sim[rng.random((n, m)) < zero_frac] = 0.0
-    W = to_weights(sim, BIG)
+    W = to_weights(sim)
     return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
 
 
@@ -450,7 +450,7 @@ def test_gallai_matrix_of_an_argument_filtered_graph_takes_the_early_exit(monkey
 @pytest.mark.parametrize("model", ["perfect", "edgecover"])
 def test_skewed_graphs_solve_without_a_square(shape, model):
     # A max(n, m)^2 square of floats alone is 200 MB here.
-    g = graph_of(random_sim(np.random.default_rng(73), *shape), BIG)
+    g = graph_of(random_sim(np.random.default_rng(73), *shape))
     tracemalloc.start()
     try:
         solve(g, model)
@@ -576,7 +576,7 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
         sim[rng.random((n, m)) < rng.uniform(0.0, 0.6)] = 0.0
         sim[rng.random((n, m)) < rng.uniform(0.0, 0.3)] = 1.0
         src_units, tgt_units = increasing_ids(rng, n), increasing_ids(rng, m)
-        g = build_graph(src_units, tgt_units, sim, BIG)
+        g = build_graph(src_units, tgt_units, sim)
         want = decode_outcome(reference_solve_edge_cover, g, stripped)
         got = decode_outcome(solve_edge_cover, g)
         assert got == want and covers_every_unit(g, got)
@@ -597,7 +597,7 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
     # The tie-broken matching keeps the zero-weight link (0, 0); covering
     # source 1 and target 1 by their cheapest links then makes it redundant.
-    g = graph_of([[1.0, 1.0], [1.0, 0.5]], BIG)
+    g = graph_of([[1.0, 1.0], [1.0, 0.5]])
     assert enumerate_optimal_covers(g) == {frozenset({(0, 1), (1, 0)})}
     assert solve_edge_cover(g).link_pairs() == ((0, 1), (1, 0))
 
@@ -609,14 +609,14 @@ def test_oracle_all_classes_on_tiny_instances():
     for _ in range(50):
         sim = random_sim(rng, 2, 2)
         for cls in ("perfect", "edgecover", "total"):
-            g = graph_of(sim, BIG)
+            g = graph_of(sim)
             assert solve(g, cls).cost == pytest.approx(
                 brute_force_optimum(g, cls).cost, abs=1e-9
             )
 
 
 def test_oracle_one_by_one():
-    g = graph_of([[0.7]], BIG)
+    g = graph_of([[0.7]])
     for cls in ("perfect", "edgecover", "total"):
         a = brute_force_optimum(g, cls)
         assert a.link_pairs() == ((0, 0),)
@@ -625,7 +625,7 @@ def test_oracle_one_by_one():
 def test_oracle_edge_cover_is_optimal_but_not_the_smallest_optimum():
     # Completing f = (0, 1, 0) with source 0 for target 2 is not minimal;
     # with source 1 it is, and that cover sorts before the one returned.
-    g = graph_of([[1, 0, 0], [0, 0, 0], [1, 0, 0]], BIG)
+    g = graph_of([[1, 0, 0], [0, 0, 0], [1, 0, 0]])
     covers = enumerate_optimal_covers(g)
     ref = brute_force_optimum(g, "edgecover").link_pairs()
     assert ref == ((0, 0), (1, 1), (2, 2))
@@ -636,7 +636,7 @@ def test_oracle_edge_cover_is_optimal_but_not_the_smallest_optimum():
 
 def test_oracle_refuses_large_instances():
     sim = random_sim(np.random.default_rng(0), 6, 6)
-    g = graph_of(sim, BIG)
+    g = graph_of(sim)
     with pytest.raises(OracleSizeError):
         brute_force_optimum(g, "perfect")
 
@@ -646,7 +646,7 @@ def test_edge_cover_matches_oracle_on_rectangular_instances():
     for _ in range(200):
         n, m = rng.integers(1, 5, size=2)
         sim = random_sim(rng, int(n), int(m))
-        g = graph_of(sim, BIG)
+        g = graph_of(sim)
         got = solve_edge_cover(g)
         ref = brute_force_optimum(g, "edgecover")
         assert got.cost == pytest.approx(ref.cost, abs=1e-9)
@@ -668,8 +668,8 @@ def test_links_carry_unit_ids_and_similarities_on_tie_heavy_graphs():
         d = rng.integers(1, 7, size=(n, m))
         sim = rng.integers(0, d + 1) / d
         src_units, tgt_units = increasing_ids(rng, n), increasing_ids(rng, m)
-        by_index = graph_of(sim, BIG)
-        g = build_graph(src_units, tgt_units, sim, BIG)
+        by_index = graph_of(sim)
+        g = build_graph(src_units, tgt_units, sim)
         solvers = [solve]
         if n * m <= MAX_CELLS:
             solvers.append(brute_force_optimum)
@@ -690,7 +690,7 @@ def test_links_carry_unit_ids_and_similarities_on_tie_heavy_graphs():
 # --- misc ---------------------------------------------------------------
 
 def test_dump_weight_table_marks_links():
-    g = graph_of([[0.9, 0.1], [0.2, 0.8]], BIG)
+    g = graph_of([[0.9, 0.1], [0.2, 0.8]])
     a = solve_perfect_matching(g)
     table = dump_weight_table(g, a)
     assert table.count("*") == 2

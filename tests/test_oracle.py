@@ -8,8 +8,6 @@ from roleproj.matcher import COST_ATOL, links_from_pairs, solve
 from roleproj.oracle import MAX_CELLS, brute_force_optimum, check
 from roleproj.projection import SemanticAlignment
 
-BIG = 1e6
-
 
 def tie_heavy_sim(rng, n, m):
     """Similarities k/d with d <= 3 and many zeros, so optimal covers tie."""
@@ -58,7 +56,7 @@ def test_edge_cover_check_is_membership_in_the_enumerated_covers():
     for _ in range(250):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, min(4, MAX_CELLS // n) + 1))
-        g = graph_of(tie_heavy_sim(rng, n, m), BIG)
+        g = graph_of(tie_heavy_sim(rng, n, m))
         optimum = brute_force_optimum(g, "edgecover").cost
         covers = enumerate_optimal_covers(g, oracle.COVER_ATOL)
         for cover in covers:
@@ -77,7 +75,7 @@ def test_edge_cover_check_without_enumeration_on_an_all_tied_graph():
     # All-zero 2x15 and 3x10 similarities: millions of tied repair choices
     # for the enumeration, one pass over the links for the check.
     for n, m in ((2, 15), (3, 10)):
-        g = graph_of(np.zeros((n, m)), BIG)
+        g = graph_of(np.zeros((n, m)))
         got = solve(g, "edgecover")
         check(g, "edgecover", got)
         extra = alignment(g, set(got.link_pairs()) | {(0, 0), (1, 0)}, got.cost)
@@ -87,7 +85,7 @@ def test_edge_cover_check_without_enumeration_on_an_all_tied_graph():
 
 @pytest.mark.parametrize("cls", ["perfect", "edgecover", "total"])
 def test_check_rejects_a_cost_off_by_more_than_the_tolerance(cls):
-    g = graph_of(random_sim(np.random.default_rng(3), 3, 4), BIG)
+    g = graph_of(random_sim(np.random.default_rng(3), 3, 4))
     got = solve(g, cls)
     check(g, cls, got)
     off = SemanticAlignment(got.links, got.cost + 10 * COST_ATOL)
@@ -98,7 +96,7 @@ def test_check_rejects_a_cost_off_by_more_than_the_tolerance(cls):
 @pytest.mark.parametrize("cls", ["perfect", "total"])
 def test_check_rejects_other_links_at_the_optimal_cost(cls):
     # Every link ties, so only the link-set rule can tell them apart.
-    g = graph_of(np.full((3, 3), 0.5), BIG)
+    g = graph_of(np.full((3, 3), 0.5))
     got = solve(g, cls)
     assert got.link_pairs() == brute_force_optimum(g, cls).link_pairs()
     other = alignment(g, [(0, 1), (1, 0), (2, 2)], got.cost)
@@ -113,6 +111,6 @@ def test_check_refuses_a_graph_above_the_guard_before_solving(cls, monkeypatch):
 
     for name in ("_best_perfect", "_best_edge_cover", "_best_total"):
         monkeypatch.setattr(oracle, name, never)
-    g = graph_of(random_sim(np.random.default_rng(5), 5, 7), BIG)
+    g = graph_of(random_sim(np.random.default_rng(5), 5, 7))
     with pytest.raises(OracleSizeError):
         check(g, cls, None)

@@ -111,21 +111,16 @@ def test_sim_is_symmetric_under_side_swap(figure1):
 
 
 def test_to_weights_examples():
-    w = to_weights(np.array([[1.0, 0.0, 0.5]]), 1e6)
+    w = to_weights(np.array([[1.0, 0.0, 0.5]]))
     assert w[0, 0] == 0.0
     assert w[0, 1] == 1e6
     assert w[0, 2] == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_to_weights_rejects_bad_big():
-    with pytest.raises(ConfigError):
-        to_weights(np.array([[0.5]]), 0.0)
-
-
 @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=20, unique=True))
 def test_to_weights_strictly_antitone(grid):
     sims = sorted(k / 10**6 for k in grid)
-    w = to_weights(np.array([sims]), 1e6)[0]
+    w = to_weights(np.array([sims]))[0]
     assert all(w[k] > w[k + 1] for k in range(len(sims) - 1))
 
 
