@@ -7,7 +7,10 @@ units:
     Every unit of the smaller side links to its own unit of the larger
     side; the |n - m| units of the larger side left over stay unlinked,
     which lets the model abstain.  Solved as a rectangular min(n, m)-row
-    assignment.
+    assignment with ``WEIGHT_CAP`` stated as its ceiling: the zero
+    similarities, 85-92% of the cells on the benchmark corpora, weigh the
+    cap, and ``lap.solve_lap`` reads only the cells below it when they
+    average few a row.
 
 ``edgecover``
     Every node has degree at least one.  Solved exactly by Gallai's
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lap
+from . import WEIGHT_CAP, lap
 from .errors import DegenerateGraphError, ValidationError
 from .projection import SemanticAlignment
 from .similarity import to_weights
@@ -108,11 +111,11 @@ def links_cost(W: np.ndarray, rows, cols) -> float:
 def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
-    rows, cols = _lexmin_matching(W)
+    rows, cols = _lexmin_matching(W, WEIGHT_CAP)
     return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
 
 
-def _lexmin_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lexmin_matching(cost: np.ndarray, ceiling=None) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically smallest minimum-cost matching of the smaller side.
 
     ``cost`` is n×m.  The assignment runs on the min(n, m)-row orientation;
@@ -124,14 +127,15 @@ def _lexmin_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of dual d when 0 - d <= ADMISSIBLE_TOL, the test the square would apply
     to it; ``lap.lexmin_perfect_matching`` takes those units as a mask and
     never builds the square.  The matched cells come back as (rows, cols)
-    index arrays in row-major order.
+    index arrays in row-major order.  ``ceiling``, if given, bounds every
+    cell and goes on to ``lap.solve_lap``.
     """
     n, m = cost.shape
     if n <= m:
-        col_of_row, u, v = lap.solve_lap(cost)
+        col_of_row, u, v = lap.solve_lap(cost, ceiling)
         pad = -v <= lap.ADMISSIBLE_TOL
     else:
-        row_of_col, v, u = lap.solve_lap(cost.T)
+        row_of_col, v, u = lap.solve_lap(cost.T, ceiling)
         col_of_row = np.full(n, -1, dtype=int)
         col_of_row[row_of_col] = np.arange(m)
         pad = -u <= lap.ADMISSIBLE_TOL

@@ -363,15 +363,23 @@ def without_flag(args, flag):
     return args[:k] + args[k + 2:]
 
 
-@pytest.mark.parametrize("entry", ["big=abc", "big=nan", "big=inf", "big=1e400", "model=bogus"])
-def test_bad_config_value_is_an_error_line(fixture_dir, tmp_path, capsys, entry):
+@pytest.mark.parametrize(
+    "entry, names",
+    [
+        ("model=bogus", "unknown model 'bogus'"),
+        ("model=", "unknown model ''"),
+        ("fill_gaps=", "got ''"),
+    ],
+    ids=["model=bogus", "model=", "fill_gaps="],
+)
+def test_bad_config_value_is_an_error_line(fixture_dir, tmp_path, capsys, entry, names):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(entry + "\n")
     args = project_args(fixture_dir, tmp_path / "out.roles", extra=["--config", str(cfg)])
     args = without_flag(without_flag(args, "--model"), "--filter")
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and names in err and "Traceback" not in err
 
 
 def test_misspelt_fill_gaps_config_value_is_an_error_line(fixture_dir, tmp_path, capsys):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import exits_early
-from roleproj.lap import ADMISSIBLE_TOL, lexmin_perfect_matching, solve_lap
+from roleproj import WEIGHT_CAP, lap
+from roleproj.lap import (
+    ADMISSIBLE_TOL,
+    CEILING_CELLS_PER_ROW,
+    lexmin_perfect_matching,
+    solve_lap,
+)
 from roleproj.similarity import to_weights
 
 
@@ -67,6 +73,10 @@ def test_solve_lap_shapes():
         solve_lap(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         solve_lap(np.array([[np.inf, 0.0]]))
+    # A cell above the ceiling, on either side of the threshold.
+    for cost in (np.array([[2.0, 0.0]]), np.append(np.zeros(39), 2.0)[None]):
+        with pytest.raises(ValueError, match="ceiling"):
+            solve_lap(cost, 1.0)
 
 
 # The solver before the per-phase path rebuild, verbatim: it updates the
@@ -189,6 +199,113 @@ def test_solve_lap_memory_stays_below_twice_the_cost_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 2 * cost.nbytes
+
+
+
+def capped_costs(rng, k, m, per_row):
+    """Weights of k/d similarities, d <= 6, about ``per_row`` positive a row.
+
+    The other cells, and every cell of about 15% of the rows and of the
+    columns, have zero similarity and weigh the cap.
+    """
+    d = rng.integers(1, 7, size=(k, m))
+    sim = rng.integers(1, d + 1) / d
+    sim[rng.random((k, m)) >= per_row / m] = 0.0
+    sim[rng.random(k) < 0.15] = 0.0
+    sim[:, rng.random(m) < 0.15] = 0.0
+    return to_weights(sim)
+
+
+def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices():
+    # It makes the dense path's choices, so it returns the same assignment
+    # and duals to the last bit; both must match scipy's cost.
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(89)
+    shapes = [(k, m) for m in range(1, 13) for k in range(1, m + 1) for _ in range(10)]
+    shapes += [(114, 120), (8, 116), (1, 150), (150, 150)] * 3
+    for k, m in shapes:
+        cost = capped_costs(rng, k, m, rng.uniform(1.0, CEILING_CELLS_PER_ROW))
+        assert np.count_nonzero(cost < WEIGHT_CAP) <= CEILING_CELLS_PER_ROW * k
+        col_of_row, u, v = solve_lap(cost, WEIGHT_CAP)
+        check_duals(cost, col_of_row, u, v)
+        for got, want in zip((col_of_row, u, v), solve_lap(cost)):
+            assert np.array_equal(got, want), (k, m)
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[np.arange(k), col_of_row].sum() == pytest.approx(
+            cost[rows, cols].sum(), abs=1e-6
+        ), (k, m)
+
+
+def test_ceiling_path_cases():
+    c = 10.0
+    # A row of ceiling cells alone takes the first free column at the warm
+    # start; row 1's phase moves it on to the escape.
+    cost = np.array([[c, c, c], [1.0, 2.0, c]])
+    col_of_row, u, v = solve_lap(cost, c)
+    check_duals(cost, col_of_row, u, v)
+    assert col_of_row.tolist() == [1, 0]
+    # Row 1's one column below the ceiling is row 0's, which costs row 0
+    # less: row 1 ends on a ceiling cell.
+    cost = np.array([[0.0, c, c], [1.0, c, c]])
+    col_of_row, u, v = solve_lap(cost, c)
+    check_duals(cost, col_of_row, u, v)
+    assert col_of_row.tolist() == [0, 1]
+    # Row 1 reaches column 1 below the ceiling at the escape's distance,
+    # before row 0 offers the escape there: the path takes row 1's cell.
+    cost = np.array([[2.0, c, c], [1.0, 9.0, c]])
+    col_of_row, u, v = solve_lap(cost, c)
+    check_duals(cost, col_of_row, u, v)
+    assert col_of_row.tolist() == [0, 1]
+    # No cell at the ceiling: the escape never wins.
+    cost = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]).T
+    for got, want in zip(solve_lap(cost, c), solve_lap(cost)):
+        assert np.array_equal(got, want)
+    # Every cell at the ceiling: the warm start assigns every row.
+    col_of_row, u, v = solve_lap(np.full((3, 5), c), c)
+    assert col_of_row.tolist() == [0, 1, 2]
+    assert (u == c).all() and (v == 0.0).all()
+
+
+def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
+    # Up to CEILING_CELLS_PER_ROW cells below the ceiling per row on average
+    # the ceiling path runs; above, the dense path, bit for bit as without
+    # a ceiling.
+    ceiling_runs = []
+    real = lap._solve_below_ceiling
+
+    def spy(*args):
+        ceiling_runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lap, "_solve_below_ceiling", spy)
+    rng = np.random.default_rng(97)
+    costs = []
+    for per_row in (CEILING_CELLS_PER_ROW, CEILING_CELLS_PER_ROW + 1):
+        cost = np.full((30, 40), WEIGHT_CAP)
+        for row in cost:
+            row[rng.choice(40, per_row, replace=False)] = -np.log(rng.integers(1, 7, per_row) / 6)
+        costs.append(cost)
+    costs += [tie_heavy_costs(rng, k, m)[0] for k, m in [(114, 120), (47, 51), (8, 116)]]
+    for n, cost in enumerate(costs):
+        ceiling_runs.clear()
+        got = solve_lap(cost, WEIGHT_CAP)
+        assert ceiling_runs == ([1] if n == 0 else [])
+        check_duals(cost, *got)
+        if n:
+            for a, b in zip(got, solve_lap(cost)):
+                assert np.array_equal(a, b)
+
+
+def test_ceiling_path_memory_stays_below_twice_the_cost_matrix():
+    cost = capped_costs(np.random.default_rng(67), 600, 600, CEILING_CELLS_PER_ROW)
+    assert np.count_nonzero(cost < WEIGHT_CAP) <= CEILING_CELLS_PER_ROW * 600
+    tracemalloc.start()
+    try:
+        solve_lap(cost, WEIGHT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cost.nbytes
 
 
 def test_lexmin_on_long_cycle_needs_no_recursion():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_optimal_covers, exits_early, graph_of, random_sim
-from roleproj import lap, matcher, oracle
+from roleproj import WEIGHT_CAP, lap, matcher, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
@@ -418,17 +418,19 @@ def tie_heavy_gallai(rng, n, m, zero_frac):
 
 def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     # Tie-heavy k/d similarities, d <= 6, many of them zero; on the raw
-    # weights as `perfect` solves them and on the Gallai matrices of
-    # `edgecover`, whose zero cells tie everywhere.  Each orientation must
-    # meet both a tie-break that returns at once and one that searches.
+    # weights, solved whole and with the cap as the ceiling as `perfect`
+    # solves them, and on the Gallai matrices of `edgecover`, whose zero
+    # cells tie everywhere.  Each orientation must meet both a tie-break
+    # that returns at once and one that searches.
     calls = record_lexmin_calls(monkeypatch)
     rng = np.random.default_rng(71)
     shapes = [(n, m) for n in range(1, 13) for m in range(1, 13) for _ in range(3)]
     shapes += [(116, 9), (9, 116), (50, 7), (7, 50), (120, 118)]
     paths = set()
     for n, m in shapes:
-        for cost in tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9)):
-            rows, cols = _lexmin_matching(cost)
+        W, gallai = tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9))
+        for cost, ceiling in ((W, None), (W, WEIGHT_CAP), (gallai, None)):
+            rows, cols = _lexmin_matching(cost, ceiling)
             paths.add((np.sign(n - m), exits_early(*calls[-1])))
             assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(cost), (n, m)
     assert paths == {(s, e) for s in (-1, 0, 1) for e in (False, True)}
