@@ -100,8 +100,8 @@ def _load_corpus(args):
 def _check_outputs(*outputs: tuple[str, str | None]) -> None:
     """Refuse a command's outputs, given as (name, path) pairs, before it
     reads any input.  Two outputs that name the same file, which the later
-    write would destroy, are a ``ConfigError``.  An output that is a
-    directory, or whose directory is missing or a file, is the ``OSError``
+    write would destroy, are a ``ConfigError``.  An output that is empty or
+    a directory, or whose directory is missing or a file, is the ``OSError``
     that opening it would raise.  An output may still overwrite an input."""
     outputs = [(name, path) for name, path in outputs if path is not None]
     seen = {}
@@ -111,6 +111,8 @@ def _check_outputs(*outputs: tuple[str, str | None]) -> None:
             raise ConfigError(f"{seen[real]} and {name} name the same file: {path}")
         seen[real] = name
     for _, path in outputs:
+        if not path:
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         try:  # the trailing separator makes a file there ENOTDIR, as in open

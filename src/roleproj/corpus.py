@@ -222,53 +222,32 @@ class BiSentenceView:
     links: frozenset[tuple[int, int]]
 
 
-def full_view(b: BiSentence) -> BiSentenceView:
-    return BiSentenceView(
-        b,
-        frozenset(range(len(b.src))),
-        frozenset(range(len(b.tgt))),
-        b.links,
-    )
-
-
-def na_filter(view: BiSentenceView) -> BiSentenceView:
-    """Exclude every token with no alignment link; links stay untouched."""
-    links = view.bisentence.links
-    return BiSentenceView(
-        view.bisentence,
-        view.included_src & {s for s, _ in links},
-        view.included_tgt & {t for _, t in links},
-        view.links,
-    )
-
-
-def nc_filter(view: BiSentenceView, content_pos_prefixes) -> BiSentenceView:
-    """Exclude non-content tokens on both sides along with their links."""
-    prefixes = tuple(content_pos_prefixes)
-
-    def content(sentence):
-        kept = set()
-        for i, (surface, tag) in enumerate(zip(sentence.surfaces, sentence.tags)):
-            if not tag:
-                raise ValidationError(f"token {surface!r} has no POS tag")
-            if tag.startswith(prefixes):
-                kept.add(i)
-        return kept
-
-    inc_src = view.included_src & content(view.bisentence.src)
-    inc_tgt = view.included_tgt & content(view.bisentence.tgt)
-    links = frozenset((s, t) for s, t in view.links if s in inc_src and t in inc_tgt)
-    return BiSentenceView(view.bisentence, inc_src, inc_tgt, links)
-
-
 def apply_word_filters(b: BiSentence, filters, content_pos_prefixes) -> BiSentenceView:
-    """The view of ``b`` under the word filters (``na``, ``nc``) in ``filters``."""
-    view = full_view(b)
+    """The view of ``b`` under the word filters (``na``, ``nc``) in ``filters``.
+
+    ``na`` keeps the tokens that have a link, and every link.  ``nc`` then
+    keeps the tokens whose tag starts with one of ``content_pos_prefixes``,
+    and the links whose two ends it keeps; a token with no tag, even one
+    ``na`` excluded, is a ``ValidationError``.  ``na`` reads the unfiltered
+    links, so a content word linked only to a function word survives
+    ``na,nc``.
+    """
+    links = b.links
     if "na" in filters:
-        view = na_filter(view)
+        inc_src, inc_tgt = {s for s, _ in links}, {t for _, t in links}
+    else:
+        inc_src, inc_tgt = range(len(b.src)), range(len(b.tgt))
     if "nc" in filters:
-        view = nc_filter(view, content_pos_prefixes)
-    return view
+        prefixes = tuple(content_pos_prefixes)
+        for sentence in (b.src, b.tgt):
+            if not all(sentence.tags):
+                surface = next(w for w, tag in zip(sentence.surfaces, sentence.tags) if not tag)
+                raise ValidationError(f"token {surface!r} has no POS tag")
+        src_tags, tgt_tags = b.src.tags, b.tgt.tags
+        inc_src = {i for i in inc_src if src_tags[i].startswith(prefixes)}
+        inc_tgt = {j for j in inc_tgt if tgt_tags[j].startswith(prefixes)}
+        links = frozenset((s, t) for s, t in links if s in inc_src and t in inc_tgt)
+    return BiSentenceView(b, frozenset(inc_src), frozenset(inc_tgt), links)
 
 
 # ---------------------------------------------------------------------------

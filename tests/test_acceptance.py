@@ -10,7 +10,12 @@ import pytest
 import conftest
 from conftest import graph_of, random_sim
 from roleproj.cli import main
-from roleproj.corpus import full_view, read_roles_file, RoleAnnotation
+from roleproj.corpus import (
+    DEFAULT_CONTENT_PREFIXES,
+    RoleAnnotation,
+    apply_word_filters,
+    read_roles_file,
+)
 from roleproj.evaluation import score, stratified_shuffling
 from roleproj.matcher import solve_edge_cover, solve_perfect_matching, solve_total
 from roleproj.oracle import brute_force_optimum
@@ -119,7 +124,8 @@ def test_criterion_4_argument_filter_fixture(figure1):
 
 
 def test_criterion_5_similarity_arithmetic(figure1):
-    ctx = UnitSimilarity(full_view(figure1), figure1.src_tree, figure1.tgt_tree)
+    view = apply_word_filters(figure1, (), DEFAULT_CONTENT_PREFIXES)
+    ctx = UnitSimilarity(view, figure1.src_tree, figure1.tgt_tree)
     src, tgt = figure1.src_tree, figure1.tgt_tree
     c_s = next(n for n, span in enumerate(src.spans) if span == (2, 5) and src.children[n])
     c_t = next(n for n, span in enumerate(tgt.spans) if span == (3, 5) and tgt.children[n])

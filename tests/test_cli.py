@@ -171,22 +171,48 @@ def test_an_out_that_is_a_directory_is_an_io_error_before_the_projection(
     assert list(out.iterdir()) == [] and not (tmp_path / "o2.manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "sigtest", "stats"])
-def test_a_report_out_in_a_missing_directory_fails_before_any_report(
-    fixture_dir, tmp_path, capsys, command
-):
+def report_inputs(fixture_dir, command):
     gold, pred = toy(fixture_dir, "tgt.roles"), toy(fixture_dir, "pred.roles")
-    inputs = {
+    return {
         "evaluate": ["--gold", gold, "--pred", pred],
         "sigtest": ["--gold", gold, "--pred-a", pred, "--pred-b", gold, "--iterations", "10"],
         "stats": ["--src-trees", toy(fixture_dir, "src.trees"), "--tgt-trees",
                   toy(fixture_dir, "tgt.trees"), "--align", toy(fixture_dir, "align")],
-    }
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sigtest", "stats"])
+def test_a_report_out_in_a_missing_directory_fails_before_any_report(
+    fixture_dir, tmp_path, capsys, command
+):
     out = tmp_path / "nodir" / "e.tsv"
-    assert main([command, *inputs[command], "--out", str(out)]) == 2
+    assert main([command, *report_inputs(fixture_dir, command), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("case", [
+    "project --out", "project --provenance", "evaluate", "sigtest", "stats",
+])
+def test_an_empty_output_path_is_an_io_error_before_any_input_is_read(
+    fixture_dir, tmp_path, monkeypatch, capsys, no_projection, case
+):
+    # The error open('') raises, before the projection or any report.
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    if case == "project --out":
+        args = project_args(fixture_dir, "")
+    elif case == "project --provenance":
+        args = project_args(fixture_dir, run / "x.roles", extra=["--provenance", ""])
+    else:
+        args = [case, *report_inputs(fixture_dir, case), "--out", ""]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "i/o error: [Errno 2] No such file or directory: ''\n"
+    assert list(run.iterdir()) == []
 
 
 def toy_oracle_args(fixture_dir, out, model):

@@ -29,7 +29,9 @@ from conftest import (
 from roleproj.cli import main
 from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
+    BiSentence,
     RoleAnnotation,
+    Sentence,
     apply_word_filters,
     load_corpus,
     read_roles_file,
@@ -37,6 +39,7 @@ from roleproj.corpus import (
     read_trees_file,
     roles_file_text,
 )
+from roleproj.errors import ValidationError
 from roleproj.matcher import build_graph, solve
 from roleproj.oracle import MAX_CELLS, brute_force_optimum
 from roleproj.pipeline import (
@@ -318,6 +321,66 @@ def test_every_link_of_a_filtered_view_joins_two_included_tokens(rng, filt):
         view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
         for s, t in view.links:
             assert s in view.included_src and t in view.included_tgt
+
+
+def defined_view(b, filters, prefixes):
+    """The word filters token by token, from their definitions.
+
+    A token stays if ``na`` is off or it has a link, and ``nc`` is off or
+    its tag starts with a content prefix.  A link stays if ``nc`` is off
+    or both its ends stay.  ``nc`` first refuses a token with no tag,
+    looking at every source token and then every target token.
+    """
+    if "nc" in filters:
+        for sent in (b.src, b.tgt):
+            for surface, tag in zip(sent.surfaces, sent.tags):
+                if tag == "":
+                    raise ValidationError(f"token {surface!r} has no POS tag")
+
+    def stays(sent, linked):
+        return frozenset(
+            i for i, tag in enumerate(sent.tags)
+            if ("na" not in filters or i in linked)
+            and ("nc" not in filters or any(tag.startswith(p) for p in prefixes))
+        )
+
+    src = stays(b.src, {s for s, _ in b.links})
+    tgt = stays(b.tgt, {t for _, t in b.links})
+    links = frozenset(
+        (s, t) for s, t in b.links if "nc" not in filters or (s in src and t in tgt)
+    )
+    return src, tgt, links
+
+
+def with_untagged_tokens(rng, b):
+    """``b`` with the tags of a few random tokens emptied, as only a
+    ``Sentence`` built in Python can have them."""
+    def blank(sent):
+        tags = list(sent.tags)
+        for _ in range(rng.randint(0, 2)):
+            tags[rng.randrange(len(tags))] = ""
+        return Sentence(sent.surfaces, tuple(tags))
+
+    return BiSentence(src=blank(b.src), tgt=blank(b.tgt), links=b.links)
+
+
+@settings(deadline=None)
+@given(randoms, st.sampled_from(("none", "na", "nc", "na,nc")))
+def test_word_filters_match_their_definitions(rng, filt):
+    with tempfile.TemporaryDirectory() as d:
+        corpus = load(write(d, corpus_texts(rng, (1, 4), 12)))
+    filters = frozenset() if filt == "none" else frozenset(filt.split(","))
+    for b in (*corpus, *(with_untagged_tokens(rng, b) for b in corpus)):
+        try:
+            want = defined_view(b, filters, DEFAULT_CONTENT_PREFIXES)
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
+            assert str(got.value) == str(e)
+            continue
+        view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
+        assert view.bisentence is b
+        assert (view.included_src, view.included_tgt, view.links) == want
 
 
 def per_role_word_loop(view, roles, fill, *, predicate):

@@ -3,10 +3,11 @@ from hypothesis import given, strategies as st
 
 from conftest import ancestors, node_yield, trees
 from roleproj.corpus import (
+    DEFAULT_CONTENT_PREFIXES,
     BiSentence,
     RoleAnnotation,
     Sentence,
-    full_view,
+    apply_word_filters,
     parse_alignment,
     parse_roles,
     parse_tree,
@@ -36,7 +37,8 @@ def word_fill(tgt_tokens):
         links=frozenset((0, t) for t in tgt_tokens),
         src_roles=roles,
     )
-    out = project_word_based(full_view(b), roles, fill=True, predicate=0)
+    view = apply_word_filters(b, (), DEFAULT_CONTENT_PREFIXES)
+    out = project_word_based(view, roles, fill=True, predicate=0)
     assert out.provenance["r"].unprojected == (not tgt_tokens)
     return out.annotation.tokens_of("r") if out.annotation.roles else None
 
@@ -117,9 +119,8 @@ def test_a_constituent_its_child_and_its_sibling_merge_into_one_span():
 # --- word-based projection --------------------------------------------------
 
 def test_word_based_figure1_message(figure1):
-    out = project_word_based(
-        full_view(figure1), figure1.src_roles, fill=False, predicate=1
-    )
+    view = apply_word_filters(figure1, (), DEFAULT_CONTENT_PREFIXES)
+    out = project_word_based(view, figure1.src_roles, fill=False, predicate=1)
     # the noisy links send MESSAGE onto the truncated "pünktlich zu"
     assert out.annotation.spans_of("MESSAGE") == {(3, 4)}
 
@@ -129,7 +130,8 @@ def test_word_based_unaligned_role_is_unprojected(figure1):
     b = BiSentence(
         src=figure1.src, tgt=figure1.tgt, links=figure1.links, src_roles=roles
     )
-    out = project_word_based(full_view(b), roles, fill=False, predicate=1)
+    view = apply_word_filters(b, (), DEFAULT_CONTENT_PREFIXES)
+    out = project_word_based(view, roles, fill=False, predicate=1)
     assert out.annotation.roles == ()
     assert out.provenance["GHOST"].unprojected
 
@@ -142,7 +144,8 @@ def test_word_based_bijective_single_token():
         src=src.sentence, tgt=tgt.sentence,
         links=parse_alignment("0-0 1-1", 2, 2), src_roles=roles,
     )
-    out = project_word_based(full_view(b), roles, fill=False, predicate=0)
+    view = apply_word_filters(b, (), DEFAULT_CONTENT_PREFIXES)
+    out = project_word_based(view, roles, fill=False, predicate=0)
     assert out.annotation.spans_of("r") == {(1, 1)}
 
 
@@ -159,7 +162,8 @@ def test_word_based_projection_is_monotone_in_links(links, extra):
             src=sent, tgt=sent,
             links=link_set, src_roles=roles,
         )
-        out = project_word_based(full_view(b), roles, fill=False, predicate=0)
+        view = apply_word_filters(b, (), DEFAULT_CONTENT_PREFIXES)
+        out = project_word_based(view, roles, fill=False, predicate=0)
         if not out.annotation.roles:
             return frozenset()
         return out.annotation.tokens_of("r")
