@@ -3,14 +3,26 @@
 print the resulting annotations side by side, plus the constituent alignment
 weight table for the perfect-matching model."""
 
+import os
+import tempfile
+
 from roleproj import fixtures
-from roleproj.corpus import serialize_roles
+from roleproj.corpus import load_corpus, serialize_roles
 from roleproj.matcher import dump_weight_table, solve
 from roleproj.pipeline import PipelineConfig, build_instance, run_pipeline
 
 
 def main():
-    b = fixtures.figure1_bisentence()
+    # Read as `roleproj project` reads the files `roleproj fixtures` writes.
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures.emit(tmp)
+        path = os.path.join(tmp, "figure1")
+        (b,) = load_corpus(
+            src_trees_path=os.path.join(path, "src.trees"),
+            tgt_trees_path=os.path.join(path, "tgt.trees"),
+            align_path=os.path.join(path, "align"),
+            src_roles_path=os.path.join(path, "src.roles"),
+        )
     print("source:", " ".join(b.src.surfaces))
     print("target:", " ".join(b.tgt.surfaces))
     print("links: ", " ".join(f"{s}-{t}" for s, t in sorted(b.links)))

@@ -218,6 +218,8 @@ def cmd_stats(args) -> int:
 def cmd_fixtures(args) -> int:
     from . import fixtures
 
+    if not args.out_dir:  # joined onto "", the files would land in the working directory
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_dir)
     for path in fixtures.emit(args.out_dir):
         print(path)
     return 0

@@ -445,13 +445,8 @@ _ROLES_BLOCK = r"#[0-9]+ \S+ -?[0-9]+(?:\n\S+\t[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*)
 _ROLES_FILE_RE = re.compile(rf"{_ROLES_BLOCK}(?:\n\n{_ROLES_BLOCK})*\n?")
 
 
-def parse_roles(block: str) -> RoleAnnotation:
-    """Parse one .roles block (header line plus zero or more role lines)."""
-    _, ann = parse_roles_block(block)
-    return ann
-
-
 def parse_roles_block(block: str) -> tuple[int, RoleAnnotation]:
+    """The sentence number and annotation of one .roles block: a header, then role lines."""
     lines = [ln for ln in block.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty roles block")

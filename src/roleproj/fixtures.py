@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-from .corpus import BiSentence, parse_alignment, parse_roles, parse_tree, write_text
+from .corpus import write_text
 
 _TOY_SRC_TREES = [
     "(S (NP (NNP Kim)) (VP (VBD promised) (S (TO to) (VP (VB be) (PP (IN on) (NN time))))))",
@@ -87,32 +87,6 @@ TOY = {
     "tgt.roles": "\n\n".join(_TOY_TGT_ROLES) + "\n",
     "pred.roles": "\n\n".join(_TOY_PRED_ROLES) + "\n",
 }
-
-
-def figure1_bisentence():
-    """The worked example, which is toy sentence 0."""
-    return toy_bisentences()[0]
-
-
-def toy_bisentences():
-    out = []
-    for src_line, tgt_line, al_line, src_block in zip(
-        _TOY_SRC_TREES, _TOY_TGT_TREES, _TOY_ALIGN, _TOY_SRC_ROLES
-    ):
-        src_tree = parse_tree(src_line)
-        tgt_tree = parse_tree(tgt_line)
-        links = parse_alignment(al_line, len(src_tree.sentence), len(tgt_tree.sentence))
-        out.append(
-            BiSentence(
-                src=src_tree.sentence,
-                tgt=tgt_tree.sentence,
-                links=links,
-                src_tree=src_tree,
-                tgt_tree=tgt_tree,
-                src_roles=parse_roles(src_block),
-            )
-        )
-    return out
 
 
 def emit(out_dir) -> list[str]:

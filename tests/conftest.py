@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from roleproj import fixtures, lap, oracle
+from roleproj.corpus import load_corpus
 from roleproj.lap import lexmin_perfect_matching
 from roleproj.matcher import COST_ATOL, AlignmentGraph, build_graph
 
@@ -24,14 +25,33 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture
-def figure1():
-    return fixtures.figure1_bisentence()
+def fixture_set_paths(directory) -> dict[str, str]:
+    """The ``load_corpus`` keywords that name an emitted fixture set's trees,
+    alignment and source roles: the inputs of ``roleproj project``."""
+    return {f"{name}_path": os.path.join(directory, name.replace("_", "."))
+            for name in ("src_trees", "tgt_trees", "align", "src_roles")}
+
+
+@pytest.fixture(scope="session")
+def fixture_records(tmp_path_factory):
+    """Both bundled fixture sets, emitted once and read back through
+    ``load_corpus`` as ``roleproj project`` reads them.  The records are
+    frozen, so the tests share them."""
+    root = tmp_path_factory.mktemp("fixtures")
+    fixtures.emit(root)
+    return {name: load_corpus(**fixture_set_paths(root / name)) for name in ("figure1", "toy")}
 
 
 @pytest.fixture
-def toy_corpus():
-    return fixtures.toy_bisentences()
+def figure1(fixture_records):
+    """The worked example, which is toy sentence 0."""
+    (b,) = fixture_records["figure1"]
+    return b
+
+
+@pytest.fixture
+def toy_corpus(fixture_records):
+    return list(fixture_records["toy"])
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fixture_set_paths
+
 from roleproj import cli
 from roleproj.cli import main
 from roleproj.corpus import read_roles_file
@@ -193,12 +195,12 @@ def test_a_report_out_in_a_missing_directory_fails_before_any_report(
 
 
 @pytest.mark.parametrize("case", [
-    "project --out", "project --provenance", "evaluate", "sigtest", "stats",
+    "project --out", "project --provenance", "evaluate", "sigtest", "stats", "fixtures",
 ])
 def test_an_empty_output_path_is_an_io_error_before_any_input_is_read(
     fixture_dir, tmp_path, monkeypatch, capsys, no_projection, case
 ):
-    # The error open('') raises, before the projection or any report.
+    # The error open('') raises, before the projection, any report or any fixture file.
     run = tmp_path / "run"
     run.mkdir()
     monkeypatch.chdir(run)
@@ -206,6 +208,8 @@ def test_an_empty_output_path_is_an_io_error_before_any_input_is_read(
         args = project_args(fixture_dir, "")
     elif case == "project --provenance":
         args = project_args(fixture_dir, run / "x.roles", extra=["--provenance", ""])
+    elif case == "fixtures":
+        args = ["fixtures", "--out-dir", ""]
     else:
         args = [case, *report_inputs(fixture_dir, case), "--out", ""]
     assert main(args) == 2
@@ -1016,10 +1020,12 @@ def test_a_constituent_model_imports_numpy_at_its_first_graph(fixture_dir, tmp_p
     assert out.read_bytes() == (fixture_dir / "figure1" / "expected_perfect.roles").read_bytes()
 
 
-def test_a_solve_set_on_the_pipeline_before_any_graph_is_the_one_called():
+def test_a_solve_set_on_the_pipeline_before_any_graph_is_the_one_called(fixture_dir):
     code = """
-import sys
-from roleproj import fixtures, pipeline
+import json, sys
+from roleproj import pipeline
+from roleproj.corpus import load_corpus
+(b,) = load_corpus(**json.loads(sys.argv[1]))
 calls = []
 def wrapper(graph, model):
     from roleproj.matcher import solve
@@ -1027,14 +1033,14 @@ def wrapper(graph, model):
     return solve(graph, model)
 pipeline.solve = wrapper
 assert "numpy" not in sys.modules
-b = fixtures.figure1_bisentence()
 for model in ("perfect", "edgecover"):
     pipeline.run_pipeline(b, pipeline.PipelineConfig(model=model))
 from roleproj import matcher, similarity
 print(calls, pipeline.solve is wrapper, pipeline.build_graph is matcher.build_graph,
       pipeline.UnitSimilarity is similarity.UnitSimilarity)
 """
-    assert run_fresh(code) == "['perfect', 'edgecover'] True True True"
+    paths = json.dumps(fixture_set_paths(fixture_dir / "figure1"))
+    assert run_fresh(code, paths) == "['perfect', 'edgecover'] True True True"
 
 
 def test_wrappers_put_on_the_cli_before_main_are_the_ones_called(fixture_dir, tmp_path):
@@ -1071,14 +1077,15 @@ print(codes, calls, cli.run_corpus is run_corpus, cli.score is wrapper)
     assert got == "[0, 0] ['run_corpus', 'score'] True True"
 
 
-def test_spawned_workers_bind_the_array_layers_themselves():
+def test_spawned_workers_bind_the_array_layers_themselves(fixture_dir):
     # A spawned worker unpickles its tasks into a fresh pipeline module.
     code = """
-import multiprocessing
-from roleproj import fixtures, pipeline
+import json, multiprocessing, sys
+from roleproj import pipeline
+from roleproj.corpus import load_corpus
 multiprocessing.set_start_method("spawn")
-corpus = fixtures.toy_bisentences()
+corpus = load_corpus(**json.loads(sys.argv[1]))
 cfg = pipeline.PipelineConfig(model="perfect")
 print(pipeline.run_corpus(corpus, cfg, jobs=2) == pipeline.run_corpus(corpus, cfg))
 """
-    assert run_fresh(code) == "True"
+    assert run_fresh(code, json.dumps(fixture_set_paths(fixture_dir / "toy"))) == "True"

@@ -16,7 +16,6 @@ from roleproj.corpus import (
     Sentence,
     merge_spans,
     parse_alignment,
-    parse_roles,
     parse_roles_block,
     parse_tok_line,
     parse_tree,
@@ -496,20 +495,20 @@ def test_sentence_needs_tokens_and_one_tag_per_token(surfaces, tags, message):
 # --- roles ------------------------------------------------------------
 
 def test_parse_roles_block():
-    ann = parse_roles("#0 COMMITMENT 1\nMESSAGE\t2-5")
+    ann = parse_roles_block("#0 COMMITMENT 1\nMESSAGE\t2-5")[1]
     assert ann.frame == "COMMITMENT"
     assert ann.predicate == 1
     assert ann.spans_of("MESSAGE") == {(2, 5)}
 
 
 def test_parse_roles_frame_only():
-    ann = parse_roles("#3 GESTURE 0")
+    ann = parse_roles_block("#3 GESTURE 0")[1]
     assert ann.roles == ()
 
 
 def test_overlapping_spans_within_role_rejected():
     with pytest.raises(ValidationError):
-        parse_roles("#0 F 0\nA\t1-3,2-4")
+        parse_roles_block("#0 F 0\nA\t1-3,2-4")[1]
 
 
 @pytest.mark.parametrize(
@@ -524,19 +523,19 @@ def test_role_annotation_rejects_bad_spans(spans, message):
 
 def test_unknown_field_rejected():
     with pytest.raises(FormatError):
-        parse_roles("#0 F 0\nA\t1-2\textra")
+        parse_roles_block("#0 F 0\nA\t1-2\textra")[1]
 
 
 def test_duplicate_role_label_rejected():
     with pytest.raises(ValidationError):
-        parse_roles("#0 F 0\nA\t1-3\nA\t5-6")
+        parse_roles_block("#0 F 0\nA\t1-3\nA\t5-6")[1]
 
 
 def test_roles_round_trip_bytes():
     block = "#2 PERCEPTION 1\nPERCEIVER\t0-0\nPHENOMENON\t2-4,6-7"
-    ann = parse_roles(block)
+    ann = parse_roles_block(block)[1]
     assert serialize_roles(ann, 2) == block
-    assert parse_roles(serialize_roles(ann, 2)) == ann
+    assert parse_roles_block(serialize_roles(ann, 2))[1] == ann
 
 
 role_spans = st.sets(st.integers(0, 15), min_size=1).map(
@@ -550,7 +549,7 @@ role_spans = st.sets(st.integers(0, 15), min_size=1).map(
 )
 def test_roles_value_round_trip(roles, predicate):
     ann = RoleAnnotation.make("FRAME", roles, predicate)
-    assert parse_roles(serialize_roles(ann, 0)) == ann
+    assert parse_roles_block(serialize_roles(ann, 0))[1] == ann
 
 
 def test_merge_spans_normalizes():
@@ -694,7 +693,7 @@ def test_roles_files_outside_the_canonical_layout_read_as_before(tmp_path, text,
     path = tmp_path / "x.roles"
     path.write_text(text, encoding="utf-8", newline="")
     if isinstance(expected, list):
-        assert read_roles_file(path) == [parse_roles(block) for block in expected]
+        assert read_roles_file(path) == [parse_roles_block(block)[1] for block in expected]
         return
     with pytest.raises(ToolkitError) as info:
         read_roles_file(path)

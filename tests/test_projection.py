@@ -9,7 +9,7 @@ from roleproj.corpus import (
     Sentence,
     apply_word_filters,
     parse_alignment,
-    parse_roles,
+    parse_roles_block,
     parse_tree,
     serialize_roles,
 )
@@ -374,7 +374,7 @@ def test_pipeline_zero_similarity_roles_are_unprojected(figure1):
 def test_pipeline_empty_argument_set_warns_and_projects_nothing():
     src = parse_tree("(S (NP (NNP Kim)) (VBD ran))")
     tgt = parse_tree("(S (VP (VBD lief)))")
-    roles = parse_roles("#0 MOTION 1\nAGENT\t0-0")
+    roles = parse_roles_block("#0 MOTION 1\nAGENT\t0-0")[1]
     b = BiSentence(
         src=src.sentence, tgt=tgt.sentence,
         links=parse_alignment("1-0", 2, 1),
