@@ -505,9 +505,12 @@ def merge_spans(spans) -> tuple[Span, ...]:
 
 
 def read_text(path) -> str:
-    """A whole UTF-8 text file; every input file is read through here."""
+    """A whole UTF-8 text file; every input file is read through here.
+
+    A leading byte-order mark, which some editors write, is not text.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -60,6 +60,12 @@ def fixture_dir(tmp_path):
     return tmp_path
 
 
+def with_byte_order_mark(path) -> None:
+    """Prefix a file with the UTF-8 byte-order mark, EF BB BF, as some
+    editors save text."""
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 def node_yield(tree, node: int) -> frozenset[int]:
     """The tokens a tree node dominates."""
     lo, hi = tree.spans[node]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_set_paths
+from conftest import fixture_set_paths, with_byte_order_mark
 
 from roleproj import cli
 from roleproj.cli import main
@@ -386,6 +386,42 @@ def test_config_file_rejects_unknown_keys(fixture_dir, tmp_path, capsys):
         assert main(project_args(fixture_dir, out, extra=["--config", str(cfg)])) == 1
         assert capsys.readouterr().err == f"error: {cfg}:1: unknown config entry {entry!r}\n"
         assert not out.exists()
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read_as_its_entries(fixture_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=total\n", encoding="utf-8")
+    with_byte_order_mark(cfg)
+    out = tmp_path / "out.roles"
+    args = without_flag(project_args(fixture_dir, out), "--model") + ["--config", str(cfg)]
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "out.roles.manifest.json").read_text())
+    assert manifest["config"]["model"] == "total"
+
+
+def test_inputs_with_a_byte_order_mark_project_alike_and_hash_as_their_bytes(
+    fixture_dir, tmp_path
+):
+    for name in ("src.trees", "tgt.trees", "align", "src.roles"):
+        with_byte_order_mark(fixture_dir / "figure1" / name)
+    out = tmp_path / "out.roles"
+    assert main(project_args(fixture_dir, out)) == 0
+    expected = (fixture_dir / "figure1" / "expected_perfect.roles").read_bytes()
+    assert out.read_bytes() == expected
+    manifest = json.loads((tmp_path / "out.roles.manifest.json").read_text())
+    assert len(manifest["inputs"]) == 4
+    for entry in manifest["inputs"].values():
+        raw = Path(entry["path"]).read_bytes()
+        assert raw.startswith(b"\xef\xbb\xbf")
+        assert entry["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_evaluate_reads_a_roles_file_with_a_byte_order_mark(fixture_dir, capsys):
+    with_byte_order_mark(fixture_dir / "toy" / "pred.roles")
+    args = ["evaluate", "--gold", toy(fixture_dir, "pred.roles"),
+            "--pred", toy(fixture_dir, "pred.roles")]
+    assert main(args) == 0
+    assert "F1 = 1.000" in capsys.readouterr().out
 
 
 def without_flag(args, flag):

@@ -7,13 +7,20 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import alignment_to_line, sentence_to_tok_line, tree_to_line, trees
+from conftest import (
+    alignment_to_line,
+    sentence_to_tok_line,
+    tree_to_line,
+    trees,
+    with_byte_order_mark,
+)
 
 from roleproj.corpus import (
     BiSentence,
     ParseTree,
     RoleAnnotation,
     Sentence,
+    load_corpus,
     merge_spans,
     parse_alignment,
     parse_roles_block,
@@ -650,6 +657,19 @@ def test_no_annotations_write_an_empty_file_that_reads_back_empty(tmp_path):
     path.write_text(roles_file_text([]), encoding="utf-8")
     assert path.read_text(encoding="utf-8") == ""
     assert read_roles_file(path) == []
+
+
+@pytest.mark.parametrize("name", ["src.trees", "src.tok", "align", "src.roles"])
+def test_a_byte_order_mark_before_an_input_file_is_not_text(fixture_dir, name):
+    figure1 = fixture_dir / "figure1"
+    paths = {f"{key}_path": figure1 / key.replace("_", ".")
+             for key in ("src_trees", "tgt_trees", "src_tok", "tgt_tok", "align", "src_roles")}
+    want = load_corpus(**paths)
+    with_byte_order_mark(figure1 / name)
+    assert load_corpus(**paths) == want
+    if name == "src.tok":
+        tok_only = {key: path for key, path in paths.items() if "trees" not in key}
+        assert load_corpus(**tok_only)[0].src.surfaces[0] == "Kim"
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import node_yield, reference_matrix
+from roleproj import similarity
 from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
     BiSentence,
+    BiSentenceView,
     apply_word_filters,
     parse_alignment,
     parse_tree,
@@ -263,13 +265,32 @@ def bisentences(draw):
                       links=links, src_tree=src, tgt_tree=tgt)
 
 
-def assert_matches_reference(b, filters, tgt_units):
+# ``SMALL_MATRIX_CELLS`` values that send every test matrix down one path.
+PATH_CUTOFFS = {"bitset": 10**9, "array": 0}
+
+
+def matrix_on_each_path(sim, src_units, tgt_units) -> dict:
+    """``sim.matrix`` computed on the bitset path and on the array path."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for path, cutoff in PATH_CUTOFFS.items():
+            mp.setattr(similarity, "SMALL_MATRIX_CELLS", cutoff)
+            out[path] = sim.matrix(src_units, tgt_units)
+    return out
+
+
+def assert_matches_reference(view, src_tree, tgt_tree, src_units, tgt_units):
+    want = reference_matrix(view, src_tree, tgt_tree, src_units, tgt_units)
+    sim = UnitSimilarity(view, src_tree, tgt_tree)
+    for path, got in matrix_on_each_path(sim, src_units, tgt_units).items():
+        assert got.dtype == np.float64 and got.shape == want.shape, path
+        assert (got == want).all(), path
+
+
+def assert_filtered_matches_reference(b, filters, tgt_units):
     view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
     src_units = list(range(len(b.src_tree.labels)))
-    got = UnitSimilarity(view, b.src_tree, b.tgt_tree).matrix(src_units, tgt_units)
-    want = reference_matrix(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
-    assert got.shape == want.shape
-    assert (got == want).all()
+    assert_matches_reference(view, b.src_tree, b.tgt_tree, src_units, tgt_units)
 
 
 @given(bisentences(), st.sampled_from(WORD_FILTER_SETS), st.data())
@@ -278,7 +299,7 @@ def test_matrix_equals_per_cell_reference(b, filters, data):
     pred = data.draw(st.integers(0, len(b.tgt) - 1))
     args = argument_filter(b.tgt_tree, pred)
     for tgt_units in (all_units, args):
-        assert_matches_reference(b, filters, tgt_units)
+        assert_filtered_matches_reference(b, filters, tgt_units)
 
 
 @pytest.mark.parametrize("filters", WORD_FILTER_SETS, ids=lambda f: ",".join(sorted(f)) or "none")
@@ -287,19 +308,78 @@ def test_matrix_equals_reference_on_figure1_and_its_empty_alignment(figure1, fil
                        links=parse_alignment("", len(figure1.src), len(figure1.tgt)),
                        src_tree=figure1.src_tree, tgt_tree=figure1.tgt_tree)
     for b in (figure1, empty):
-        assert_matches_reference(b, filters, list(range(len(b.tgt_tree.labels))))
-        assert_matches_reference(b, filters, argument_filter(b.tgt_tree, 1))
+        assert_filtered_matches_reference(b, filters, list(range(len(b.tgt_tree.labels))))
+        assert_filtered_matches_reference(b, filters, argument_filter(b.tgt_tree, 1))
 
 
 @given(bisentences(), st.sampled_from(WORD_FILTER_SETS), st.data())
 def test_matrix_on_unit_subsets_is_the_block_of_the_all_units_matrix(b, filters, data):
-    # Masks are built for the given units only, in the order given; every
-    # value must still be bit-identical to the all-units matrix's.
+    # Each path builds yields for the given units only, in the order given;
+    # every value must still be bit-identical to the all-units matrix's.
     view = apply_word_filters(b, filters, DEFAULT_CONTENT_PREFIXES)
     sim = UnitSimilarity(view, b.src_tree, b.tgt_tree)
     n, m = len(b.src_tree.labels), len(b.tgt_tree.labels)
-    full = sim.matrix(range(n), range(m))
+    full = matrix_on_each_path(sim, range(n), range(m))
     src_units = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     tgt_units = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
-    got = sim.matrix(src_units, tgt_units)
-    assert np.array_equal(got, full[np.ix_(src_units, tgt_units)])
+    got = matrix_on_each_path(sim, src_units, tgt_units)
+    for path in PATH_CUTOFFS:
+        assert np.array_equal(got[path], full[path][np.ix_(src_units, tgt_units)]), path
+
+
+def test_matrix_of_no_units_is_an_empty_float64_array(figure1):
+    view = apply_word_filters(figure1, (), DEFAULT_CONTENT_PREFIXES)
+    sim = UnitSimilarity(view, figure1.src_tree, figure1.tgt_tree)
+    for src_units, tgt_units in (([], [0, 1]), ([0, 1, 2], []), ([], [])):
+        for path, got in matrix_on_each_path(sim, src_units, tgt_units).items():
+            assert got.dtype == np.float64, path
+            assert got.shape == (len(src_units), len(tgt_units)), path
+
+
+def test_aligned_words_keep_their_far_ends_when_the_far_side_excludes_them():
+    # A unit's aligned words are the far-side tokens linked to the kept
+    # tokens of its yield, kept on the far side or not.  apply_word_filters
+    # never builds such a view (na keeps both ends of every link, nc drops
+    # the links it cuts), so it is built by hand here.
+    src = parse_tree("(S (A a) (B b))")
+    tgt = parse_tree("(S (A x) (B y))")
+    links = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    b = BiSentence(src=src.sentence, tgt=tgt.sentence, links=links, src_tree=src, tgt_tree=tgt)
+    view = BiSentenceView(b, included_src=frozenset({0}), included_tgt=frozenset({0}), links=links)
+    units = [0, 1, 2]  # the root and the two preterminals, on either side
+    assert_matches_reference(view, src, tgt, units, units)
+    sim = UnitSimilarity(view, src, tgt)
+    for path, got in matrix_on_each_path(sim, units, units).items():
+        # The roots' yields are {a} and {x}, and each is linked to both
+        # far-side tokens: 1/2 each way.  Masking the far ends would give 1.
+        assert got[0, 0] == 0.5, path
+        # b and y are excluded: empty yields, and no aligned words.
+        assert (got[2, :] == 0.0).all() and (got[:, 2] == 0.0).all(), path
+
+
+def test_the_bitset_path_serves_up_to_small_matrix_cells_and_the_array_path_beyond(monkeypatch):
+    cutoff = similarity.SMALL_MATRIX_CELLS
+    tree = parse_tree("(S " + " ".join(f"(NN w{i})" for i in range(cutoff + 1)) + ")")
+    b = BiSentence(src=tree.sentence, tgt=tree.sentence,
+                   links=frozenset((i, i) for i in range(0, cutoff + 1, 2)),
+                   src_tree=tree, tgt_tree=tree)
+    view = apply_word_filters(b, (), DEFAULT_CONTENT_PREFIXES)
+    calls = []
+
+    def recording(path, method):
+        def wrapper(self, *args):
+            calls.append(path)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(UnitSimilarity, "_bitset_matrix",
+                        recording("bitset", UnitSimilarity._bitset_matrix))
+    monkeypatch.setattr(UnitSimilarity, "overlaps", recording("array", UnitSimilarity.overlaps))
+    sim = UnitSimilarity(view, tree, tree)
+    for cells, path in ((cutoff, "bitset"), (cutoff + 1, "array")):
+        for src_units, tgt_units in (([0], range(cells)), (range(cells), [0])):
+            calls.clear()
+            got = sim.matrix(src_units, tgt_units)
+            assert calls == [path]
+            assert got.shape == (len(src_units), len(tgt_units))
+            assert (got == reference_matrix(view, tree, tree, src_units, tgt_units)).all()
