@@ -420,7 +420,7 @@ def parse_tok_line(line: str) -> Sentence:
     for item in line.split(" "):
         if not item:
             raise FormatError("empty token (double space?) in .tok line")
-        if len(item.split()) != 1:
+        if item.split() != [item]:
             raise FormatError(f"token {item!r} contains whitespace")
         surface, sep, pos = item.rpartition("_")
         if not sep or not surface or not pos:
@@ -447,7 +447,7 @@ _ROLES_FILE_RE = re.compile(rf"{_ROLES_BLOCK}(?:\n\n{_ROLES_BLOCK})*\n?")
 
 def parse_roles_block(block: str) -> tuple[int, RoleAnnotation]:
     """The sentence number and annotation of one .roles block: a header, then role lines."""
-    lines = [ln for ln in block.splitlines() if ln.strip()]
+    lines = [ln for ln in block.split("\n") if ln.strip()]
     if not lines:
         raise FormatError("empty roles block")
     m = _HEADER_RE.match(lines[0])
@@ -463,6 +463,8 @@ def parse_roles_block(block: str) -> tuple[int, RoleAnnotation]:
         if len(fields) != 2:
             raise FormatError(f"unknown field layout in role line {line!r}")
         label, span_text = fields
+        if label.split() != [label]:
+            raise FormatError(f"bad role label {label!r} in role line {line!r}")
         if label in roles:
             raise ValidationError(f"duplicate role label {label!r}")
         spans = set()

@@ -27,12 +27,12 @@ Each Dijkstra step costs a handful of numpy calls on one row, so on graphs
 of about a hundred units the time goes to call overhead, not vector width.
 The worst case is O(k^2 m).  The potentials returned satisfy
 u[i] + v[j] <= cost[i, j] with equality on matched cells; v is
-non-positive and zero on unmatched columns.  That lets the caller recover
-the full set of optimal assignments as the perfect matchings of the
-tight-cell ("admissible") graph of the square padded with zero-cost rows;
-``matcher._lexmin_matching`` is that caller.  Any optimal dual yields the
-same set, which is how deterministic lexicographic tie-breaking is
-implemented here without giving up exactness.
+non-positive and zero on unmatched columns.  That lets ``lexmin_matching``,
+the module's entry point, recover the full set of optimal assignments as
+the perfect matchings of the tight-cell ("admissible") graph of the square
+padded with zero-cost rows.  Any optimal dual yields the same set, which is
+how deterministic lexicographic tie-breaking is implemented here without
+giving up exactness.
 
 ``lexmin_perfect_matching`` is that tie-break: one depth-first search per
 row, whose visited marks persist across the row's candidate columns
@@ -433,3 +433,31 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
         if match[i] >= 0:
             seen[match[i]] = True
     return np.array(match[:n], dtype=int)
+
+
+def lexmin_matching(cost: np.ndarray, ceiling=None) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically smallest minimum-cost matching of the smaller side.
+
+    ``cost`` is n×m; the matched cells come back as (rows, cols) index
+    arrays in row-major order.  ``solve_lap`` runs on the min(n, m)-row
+    orientation, ``ceiling``, if given, bounding every cell.  The tie-break
+    runs source-major on the n×m tight-cell graph, standing for the
+    max(n, m) square padded with zero-cost cells.  The duals are zero on
+    unmatched units and non-positive on the larger side, so unmatched units
+    are tight against every padding cell, and a larger-side unit of dual d
+    is tight against one when 0 - d <= ADMISSIBLE_TOL, the test the square
+    would apply; ``lexmin_perfect_matching`` takes those units as a mask.
+    The three steps are module globals, so a wrapper set on lap sees each call.
+    """
+    n, m = cost.shape
+    if n <= m:
+        col_of_row, u, v = solve_lap(cost, ceiling)
+        pad = -v <= ADMISSIBLE_TOL
+    else:
+        row_of_col, v, u = solve_lap(cost.T, ceiling)
+        col_of_row = np.full(n, -1, dtype=int)
+        col_of_row[row_of_col] = np.arange(m)
+        pad = -u <= ADMISSIBLE_TOL
+    match = lexmin_perfect_matching(admissible_cells(cost, u, v), col_of_row, pad)
+    rows = np.flatnonzero(match >= 0)
+    return rows, match[rows]

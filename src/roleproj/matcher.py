@@ -9,8 +9,8 @@ units:
     which lets the model abstain.  Solved as a rectangular min(n, m)-row
     assignment with ``WEIGHT_CAP`` stated as its ceiling: the zero
     similarities, 85-92% of the cells on the benchmark corpora, weigh the
-    cap, and ``lap.solve_lap`` reads only the cells below it when they
-    average few a row.
+    cap, and the assignment in ``lap`` reads only the cells below it when
+    they average few a row.
 
 ``edgecover``
     Every node has degree at least one.  Solved exactly by Gallai's
@@ -31,10 +31,9 @@ units:
 
 All solvers are deterministic.  ``perfect`` and ``total`` return the
 lexicographically smallest optimal link set under (source index, target
-index) ordering; for ``perfect`` it is computed by ``_lexmin_matching`` on
-the n×m tight-cell graph of the assignment duals, with the padding that
-squares it left implicit.  ``edgecover`` applies the
-same canonicalization to the reduced-cost matching before decoding, which
+index) ordering; for ``perfect`` it comes from ``lap.lexmin_matching``,
+the assignment with its tie-break.  ``edgecover`` applies the same
+canonicalization to the reduced-cost matching before decoding, which
 yields an optimal minimal cover that is not always the lexicographically
 smallest one.
 Zero-similarity links forced by degree constraints are retained with
@@ -111,38 +110,8 @@ def links_cost(W: np.ndarray, rows, cols) -> float:
 def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
-    rows, cols = _lexmin_matching(W, WEIGHT_CAP)
+    rows, cols = lap.lexmin_matching(W, WEIGHT_CAP)
     return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
-
-
-def _lexmin_matching(cost: np.ndarray, ceiling=None) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically smallest minimum-cost matching of the smaller side.
-
-    ``cost`` is n×m.  The assignment runs on the min(n, m)-row orientation;
-    the tie-break runs source-major on the n×m tight-cell graph, standing
-    for the max(n, m) square padded with zero-cost cells.  Padding keeps
-    the duals optimal because they are zero on unmatched units and
-    non-positive on the larger side, so unmatched units are tight against
-    every padding cell.  A padding cell is tight against a larger-side unit
-    of dual d when 0 - d <= ADMISSIBLE_TOL, the test the square would apply
-    to it; ``lap.lexmin_perfect_matching`` takes those units as a mask and
-    never builds the square.  The matched cells come back as (rows, cols)
-    index arrays in row-major order.  ``ceiling``, if given, bounds every
-    cell and goes on to ``lap.solve_lap``.
-    """
-    n, m = cost.shape
-    if n <= m:
-        col_of_row, u, v = lap.solve_lap(cost, ceiling)
-        pad = -v <= lap.ADMISSIBLE_TOL
-    else:
-        row_of_col, v, u = lap.solve_lap(cost.T, ceiling)
-        col_of_row = np.full(n, -1, dtype=int)
-        col_of_row[row_of_col] = np.arange(m)
-        pad = -u <= lap.ADMISSIBLE_TOL
-    adm = lap.admissible_cells(cost, u, v)
-    match = lap.lexmin_perfect_matching(adm, col_of_row, pad)
-    rows = np.flatnonzero(match >= 0)
-    return rows, match[rows]
 
 
 def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
@@ -152,7 +121,7 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     mu_s = W.min(axis=1)
     mu_t = W.min(axis=0)
     reduced = W - mu_s[:, None] - mu_t[None, :]
-    rows, cols = _lexmin_matching(np.minimum(reduced, 0.0))
+    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0))
     keep = reduced[rows, cols] <= COST_ATOL
     rows, cols = rows[keep], cols[keep]
     chosen = np.zeros((n, m), dtype=bool)

@@ -860,14 +860,28 @@ def test_predicate_index_below_minus_one_is_an_error_line_naming_the_block(
     assert (tmp_path / "out.roles").read_text().startswith("#0 COMMITMENT -1\n")
 
 
-@pytest.mark.parametrize("space", ["\t", "\x0b", "\xa0", "\u3000"])
+@pytest.mark.parametrize(
+    "line, token",
+    [
+        *(pytest.param(f"Kim_NNP{space}promised_VBD to_TO be_VB on_IN time_NN",
+                       f"Kim_NNP{space}promised_VBD", id=space)
+          for space in ["\t", "\x0b", "\xa0", "\u3000"]),
+        pytest.param("Kim_NNP promised_VBD to_TO be_VB on_IN time_NN\xa0", "time_NN\xa0",
+                     id="trailing-no-break-space"),
+        pytest.param("\u2028Kim_NNP promised_VBD to_TO be_VB on_IN time_NN", "\u2028Kim_NNP",
+                     id="leading-line-separator"),
+        pytest.param("Kim_NNP\x0b promised_VBD to_TO be_VB on_IN time_NN", "Kim_NNP\x0b",
+                     id="trailing-vertical-tab"),
+    ],
+)
 def test_tok_token_holding_whitespace_is_an_error_line_naming_the_tok_line(
-    fixture_dir, tmp_path, capsys, space
+    fixture_dir, tmp_path, capsys, line, token
 ):
     # Read as one token, the line was one token short, and the error then
-    # blamed an alignment link for being out of range.
+    # blamed an alignment link for being out of range.  Whitespace at either
+    # end of a token went into its surface or its tag.
     tok = tmp_path / "src.tok"
-    tok.write_text(f"Kim_NNP{space}promised_VBD to_TO be_VB on_IN time_NN\n", encoding="utf-8")
+    tok.write_text(f"{line}\n", encoding="utf-8")
     args = [
         "project", "--model", "word",
         "--src-tok", str(tok),
@@ -877,7 +891,6 @@ def test_tok_token_holding_whitespace_is_an_error_line_naming_the_tok_line(
         "--out", str(tmp_path / "out.roles"),
     ]
     assert main(args) == 1
-    token = f"Kim_NNP{space}promised_VBD"
     assert capsys.readouterr().err == f"error: {tok}:1: token {token!r} contains whitespace\n"
 
 

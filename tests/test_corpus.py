@@ -700,12 +700,22 @@ def test_a_byte_order_mark_before_an_input_file_is_not_text(fixture_dir, name):
         ("\n\n\n", []),
         ("#0 F 0\nA\t0-1\n\n#1 G 2\n\n\n", ["#0 F 0\nA\t0-1", "#1 G 2"]),
         ("#0 F 0\nA\t0-1\n\n#1 G 2\n  \n", ["#0 F 0\nA\t0-1", "#1 G 2"]),
+        ("#0 F 0\n\t0-0\n", ": block 0: bad role label '' in role line '\\t0-0'"),
+        ("#0 F 0\n MESSAGE\t2-5\n",
+         ": block 0: bad role label ' MESSAGE' in role line ' MESSAGE\\t2-5'"),
+        ("#0 F 0\nA\xa0B\t0-0\n",
+         ": block 0: bad role label 'A\\xa0B' in role line 'A\\xa0B\\t0-0'"),
+        ("#0 F 0\nA0\t0-0\x0cB\t1-1\n",
+         ": block 0: unknown field layout in role line 'A0\\t0-0\\x0cB\\t1-1'"),
+        ("#0 F 0\x0cA0\t0-0\n", ": block 0: bad roles header '#0 F 0\\x0cA0\\t0-0'"),
     ],
     ids=["huge-span", "huge-sentence-number", "huge-predicate", "crlf", "crlf-mismatch",
          "blank-separator", "blank-separator-bad-span", "leading-zeros-mismatch",
          "leading-zeros", "mismatch", "duplicate-label", "overlap", "lo-above-hi",
          "lo-above-hi-second-span", "first-error-first", "unsorted-labels", "empty", "only-newlines",
-         "trailing-blank-lines", "trailing-blank-line-with-spaces"],
+         "trailing-blank-lines", "trailing-blank-line-with-spaces", "empty-label",
+         "label-with-leading-space", "label-with-no-break-space", "form-feed-inside-a-block",
+         "form-feed-after-the-header"],
 )
 def test_roles_files_outside_the_canonical_layout_read_as_before(tmp_path, text, expected):
     from roleproj.corpus import read_roles_file

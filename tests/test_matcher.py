@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import enumerate_optimal_covers, exits_early, graph_of, random_sim
-from roleproj import WEIGHT_CAP, lap, matcher, oracle
+from roleproj import WEIGHT_CAP, lap, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
-    _lexmin_matching,
     _strip_redundant_links,
     build_graph,
     dump_weight_table,
@@ -430,7 +429,7 @@ def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     for n, m in shapes:
         W, gallai = tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9))
         for cost, ceiling in ((W, None), (W, WEIGHT_CAP), (gallai, None)):
-            rows, cols = _lexmin_matching(cost, ceiling)
+            rows, cols = lap.lexmin_matching(cost, ceiling)
             paths.add((np.sign(n - m), exits_early(*calls[-1])))
             assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(cost), (n, m)
     assert paths == {(s, e) for s in (-1, 0, 1) for e in (False, True)}
@@ -443,7 +442,7 @@ def test_gallai_matrix_of_an_argument_filtered_graph_takes_the_early_exit(monkey
     rng = np.random.default_rng(101)
     for _ in range(20):
         _, gallai = tie_heavy_gallai(rng, 49, 7, 0.85)
-        rows, cols = _lexmin_matching(gallai)
+        rows, cols = lap.lexmin_matching(gallai)
         assert exits_early(*calls[-1])
         assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(gallai)
 
@@ -503,7 +502,7 @@ def test_strip_redundant_links_equals_the_removal_loop():
 
 # The set-based decode that the boolean mask replaced, with its helpers
 # inlined; it now reads the matching as index arrays and counts the links
-# it strips.  It looks `_lexmin_matching` up on the module, so a test can
+# it strips.  It looks `lexmin_matching` up on `lap`, so a test can
 # hand both decodes the same matching.
 def reference_solve_edge_cover(g, stripped=None):
     W = g.weights
@@ -511,7 +510,7 @@ def reference_solve_edge_cover(g, stripped=None):
     mu_s = W.min(axis=1)
     mu_t = W.min(axis=0)
     reduced = W - mu_s[:, None] - mu_t[None, :]
-    rows, cols = matcher._lexmin_matching(np.minimum(reduced, 0.0))
+    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0))
     pairs = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if reduced[i, j] <= COST_ATOL}
     covered_s = {i for i, _ in pairs}
     covered_t = {j for _, j in pairs}
@@ -586,7 +585,7 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
         rows = np.sort(rng.choice(n, size=k, replace=False))
         cols = rng.choice(m, size=k, replace=False)
         with monkeypatch.context() as patch:
-            patch.setattr(matcher, "_lexmin_matching", lambda cost: (rows, cols))
+            patch.setattr(lap, "lexmin_matching", lambda cost: (rows, cols))
             want = decode_outcome(reference_solve_edge_cover, g, stripped)
             got = decode_outcome(solve_edge_cover, g)
             assert got == want and covers_every_unit(g, got)
