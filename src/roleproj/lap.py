@@ -47,13 +47,16 @@ row; then no row can move and the matching is returned as it is.  The
 thin Gallai matrices of ``edgecover`` under the ``arg`` filter almost
 always pass it, the square ``perfect`` graphs almost never.
 
-The ceiling path.  A caller may state a ``ceiling`` that no cell exceeds;
-``matcher.solve_perfect_matching`` states ``WEIGHT_CAP``, the weight of
-every zero similarity and of 85-92% of the cells of its graphs.  When the
-cells below the ceiling average at most ``CEILING_CELLS_PER_ROW`` a row,
-they are gathered once into per-row lists.  The warm start reads them,
-a row of ceiling cells alone taking the first free column, and a
-Dijkstra step relaxes its row's few cells in plain Python:
+The ceiling path.  A caller may state a finite ``ceiling`` that no cell
+exceeds.  ``matcher.solve_perfect_matching`` states ``WEIGHT_CAP``, the
+weight of every zero similarity and of 85-92% of the cells of its graphs;
+``matcher.solve_edge_cover`` states 0, since its Gallai reduced costs are
+clipped at 0.  When the cells below the ceiling average at most
+``CEILING_CELLS_PER_ROW`` a row, and the matrix has at most
+``CEILING_COLS_PER_ROW`` columns a row, those cells are gathered once into
+per-row lists.  The warm start reads them, a row of ceiling cells alone
+taking the first free column, and a Dijkstra step relaxes its row's few
+cells in plain Python:
 
 * The cells below the ceiling go into a heap keyed (distance, column is
   held, column), so at an equal distance a free column comes first, as
@@ -69,13 +72,17 @@ Dijkstra step relaxes its row's few cells in plain Python:
 
 Each step scans the column the dense path would, at the same distance, and
 a column is reached from the row the dense path's rebuild would read, so
-the assignment and the duals are the dense path's to the last bit.  Above
-the threshold the dense path runs; ``CEILING_CELLS_PER_ROW`` gives the
-timings that set it.
+the assignment and the duals are the dense path's to the last bit.  Past
+either bound the dense path runs.  The lists pay for themselves only over
+Dijkstra phases, and a thin wide matrix has few: on the benchmark corpora
+the argument-filtered graphs, of 3-16 rows and over 3 columns a row, almost
+never need one, since nearly every row takes a free minimum at the warm
+start.  The comment on the two constants gives the timings that set them.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain
@@ -87,14 +94,34 @@ import numpy as np
 # genuinely distinct weights of rational similarity values.
 ADMISSIBLE_TOL = 1e-7
 
-# The most cells below the ceiling, on average per row of the k×m matrix,
-# for which the ceiling path runs.  Against the dense path, on random
-# capped k×1.2k matrices of 50, 80 and 118 rows, it was 1.5-1.7x as fast
-# at 8 cells per row, 1.13-1.35x at 12, 0.91-1.12x at 16, 0.84-0.98x at
-# 20 and 0.47-0.76x at 32, whatever the size.  The median `perfect` graph
-# of the benchmark corpora has 7.8 (`short`) and 9.7 (`long`) cells below
-# the cap per row, and none has more than 14.2.
+# The ceiling path runs on a k×m matrix, k <= m, with at most
+# CEILING_CELLS_PER_ROW cells below the ceiling on average per row and at
+# most CEILING_COLS_PER_ROW columns per row.
+#
+# Cells per row: against the dense path, on random capped k×1.2k matrices
+# of 50, 80 and 118 rows, it was 1.5-1.7x as fast at 8 cells per row,
+# 1.13-1.35x at 12, 0.91-1.12x at 16, 0.84-0.98x at 20 and 0.47-0.76x at
+# 32, whatever the size.  The median `perfect` graph of the benchmark
+# corpora has 7.8 (`short`) and 9.7 (`long`) cells below the cap per row,
+# and none has more than 14.2.
+#
+# Columns per row: the ceiling path's speed against the dense path's, as
+# the range over 4, 8, 16, 32 and 64 rows of random capped k×m matrices
+# (15 a shape, two seeds), at 8 and 14 cells below the cap per row:
+#
+#     columns per row   1.0      1.5      2.0      2.5      3.0      4.0      8.0
+#     8 cells           1.5-2.5  1.4-1.9  0.9-1.7  0.8-1.4  0.7-1.2  0.8-1.0  0.6-0.7
+#     14 cells          1.6-2.1  1.1-1.3  1.0-1.1  0.8-1.1  0.8-0.9  0.7-0.9  0.5-0.7
+#
+# The benchmark corpora (seeds 1, 3, 7 and 11) hold no matrix between 1.42
+# and 3.2 columns per row.  Within the cell bound, the near-square ones
+# (32-142 rows, at most 1.42) ran 1.5-1.8x as fast in the median: the
+# `perfect` graphs under `na` and `none`, and the Gallai matrices of
+# `edgecover` without `arg` or with it skipped for an unaligned predicate.
+# The wide ones, the `arg` graphs (3-16 rows, 3.2 or more), ran 0.47x
+# (`perfect`) and 0.75x (the Gallai matrices of `edgecover`).
 CEILING_CELLS_PER_ROW = 16
+CEILING_COLS_PER_ROW = 2
 
 
 def solve_lap(cost: np.ndarray, ceiling: float | None = None):
@@ -102,9 +129,10 @@ def solve_lap(cost: np.ndarray, ceiling: float | None = None):
 
     ``cost`` is k×m with k <= m and finite entries; each row gets its own
     column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
-    With a ``ceiling`` no entry may exceed it, and a matrix with at most
-    ``CEILING_CELLS_PER_ROW`` cells below it per row on average is solved
-    over those cells alone.
+    A ``ceiling`` must be finite and no entry may exceed it.  A matrix of at
+    most ``CEILING_COLS_PER_ROW`` columns per row, with at most
+    ``CEILING_CELLS_PER_ROW`` cells below the ceiling per row on average, is
+    then solved over those cells alone.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
@@ -117,11 +145,14 @@ def solve_lap(cost: np.ndarray, ceiling: float | None = None):
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
     if ceiling is not None:
-        if (cost > ceiling).any():
+        if not math.isfinite(ceiling):
+            raise ValueError(f"ceiling must be finite, got {ceiling}")
+        if cost.max() > ceiling:
             raise ValueError(f"cost matrix entries must not exceed the ceiling {ceiling}")
-        below = cost < ceiling
-        if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
-            return _solve_below_ceiling(cost, below, float(ceiling))
+        if m <= CEILING_COLS_PER_ROW * n:
+            below = cost < ceiling
+            if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
+                return _solve_below_ceiling(cost, below, float(ceiling))
     return _solve_dense(cost)
 
 

@@ -17,12 +17,17 @@ units:
     reduction to a matching (Schrijver, *Combinatorial Optimization*,
     ch. 19): with mu(v) the cheapest weight incident to v, a minimum
     matching on the reduced costs min(0, w(s, t) - mu(s) - mu(t)) is a
-    rectangular assignment of the min(n, m) units of the smaller side.
-    The cover is decoded on an n×m boolean link mask.  Matched pairs with
-    non-positive reduced cost are kept; every unit they leave bare, found
-    from those pairs alone before any repair, takes its cheapest incident
-    edge; and a zero-weight link whose endpoints are both linked elsewhere
-    is dropped, scanning only those links, largest index first.  The cover
+    rectangular assignment of the min(n, m) units of the smaller side,
+    with 0 stated as its ceiling.  A near-square Gallai matrix with few
+    cells below 0 a row, such as that of a sentence whose unaligned
+    predicate turns the ``arg`` filter off, is solved in ``lap`` over
+    those cells alone; the thin matrices of the ``arg`` filter take the
+    whole-row path, which is faster on them.  The cover is decoded on an
+    n×m boolean link mask.  Matched pairs with non-positive reduced cost
+    are kept; every unit they leave bare, found from those pairs alone
+    before any repair, takes its cheapest incident edge; and a
+    zero-weight link whose endpoints are both linked elsewhere is
+    dropped, scanning only those links, largest index first.  The cover
     costs the sum of all mu plus the matching cost.
 
 ``total``
@@ -121,7 +126,7 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     mu_s = W.min(axis=1)
     mu_t = W.min(axis=0)
     reduced = W - mu_s[:, None] - mu_t[None, :]
-    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0))
+    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0), 0.0)
     keep = reduced[rows, cols] <= COST_ATOL
     rows, cols = rows[keep], cols[keep]
     chosen = np.zeros((n, m), dtype=bool)

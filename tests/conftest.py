@@ -136,6 +136,19 @@ def exits_early(adm, col_of_row, pad=None) -> bool:
     return True
 
 
+def record_ceiling_runs(monkeypatch) -> list:
+    """A list that gains one entry per ``lap._solve_below_ceiling`` call."""
+    runs = []
+    real = lap._solve_below_ceiling
+
+    def spy(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lap, "_solve_below_ceiling", spy)
+    return runs
+
+
 def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):
     """All optimal minimal edge covers as frozensets of links.
 

@@ -293,6 +293,48 @@ def test_oracle_edge_cover_check_is_fast_on_an_unaligned_pair(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("model", ["perfect", "edgecover", "total"])
+def test_an_unaligned_predicate_turns_the_argument_filter_off(
+    tmp_path, capsys, monkeypatch, model
+):
+    # Source predicate b has no alignment link, so `arg` is skipped: the
+    # graph spans all 5 target nodes, against every source node (25 cells)
+    # or, under total, the role unit's row alone, and the oracle checks it.
+    import roleproj.pipeline as pipeline
+
+    inputs = {
+        "src.trees": "(S (NP (NN a)) (VP (VB b)))\n",
+        "tgt.trees": "(S (NP (NN x)) (VP (VB y)))\n",
+        "align": "0-0\n",
+        "src.roles": "#0 F 1\nA0\t0-0\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    build_graph, graphs = pipeline.build_graph, []
+
+    def recording(src_units, tgt_units, sim):
+        graphs.append((tuple(tgt_units), sim.size))
+        return build_graph(src_units, tgt_units, sim)
+
+    monkeypatch.setattr(pipeline, "build_graph", recording)
+    out = tmp_path / "out.roles"
+    args = ["project", "--model", model, "--filter", "arg", "--oracle", "--out", str(out)]
+    for name in inputs:
+        args += [f"--{name.replace('.', '-')}", str(tmp_path / name)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "oracle check passed on 1 sentence(s); 0 graph(s) above 30 cells not checked\n"
+    )
+    # The oracle's graph, then the pipeline's.
+    cells = 5 if model == "total" else 25
+    assert graphs == [((0, 1, 2, 3, 4), cells)] * 2
+    manifest = json.loads((tmp_path / "out.roles.manifest.json").read_text())
+    assert manifest["warnings"] == [
+        {"sentence": 0, "warnings": ["predicate unaligned; argument filter skipped"]}
+    ]
+    assert out.read_text().splitlines()[0] == "#0 F -1"
+
+
 @pytest.mark.parametrize("model", ["perfect", "edgecover"])
 def test_oracle_summary_counts_the_graphs_above_the_guard_unsolved(
     fixture_dir, tmp_path, capsys, monkeypatch, model

@@ -1,14 +1,16 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import exits_early
+from conftest import exits_early, record_ceiling_runs
 from roleproj import WEIGHT_CAP, lap
 from roleproj.lap import (
     ADMISSIBLE_TOL,
     CEILING_CELLS_PER_ROW,
+    CEILING_COLS_PER_ROW,
     lexmin_perfect_matching,
     solve_lap,
 )
@@ -216,17 +218,22 @@ def capped_costs(rng, k, m, per_row):
     return to_weights(sim)
 
 
-def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices():
+def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices(monkeypatch):
     # It makes the dense path's choices, so it returns the same assignment
-    # and duals to the last bit; both must match scipy's cost.
+    # and duals to the last bit; both must match scipy's cost.  The shape
+    # bound is lifted, so that the wide matrices take the ceiling path too.
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    monkeypatch.setattr(lap, "CEILING_COLS_PER_ROW", math.inf)
+    ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(89)
     shapes = [(k, m) for m in range(1, 13) for k in range(1, m + 1) for _ in range(10)]
     shapes += [(114, 120), (8, 116), (1, 150), (150, 150)] * 3
     for k, m in shapes:
         cost = capped_costs(rng, k, m, rng.uniform(1.0, CEILING_CELLS_PER_ROW))
         assert np.count_nonzero(cost < WEIGHT_CAP) <= CEILING_CELLS_PER_ROW * k
+        ceiling_runs.clear()
         col_of_row, u, v = solve_lap(cost, WEIGHT_CAP)
+        assert ceiling_runs == [1], (k, m)
         check_duals(cost, col_of_row, u, v)
         for got, want in zip((col_of_row, u, v), solve_lap(cost)):
             assert np.array_equal(got, want), (k, m)
@@ -236,7 +243,9 @@ def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices():
         ), (k, m)
 
 
-def test_ceiling_path_cases():
+def test_ceiling_path_cases(monkeypatch):
+    # Each matrix solved with the ceiling takes the ceiling path.
+    ceiling_runs = record_ceiling_runs(monkeypatch)
     c = 10.0
     # A row of ceiling cells alone takes the first free column at the warm
     # start; row 1's phase moves it on to the escape.
@@ -264,20 +273,14 @@ def test_ceiling_path_cases():
     col_of_row, u, v = solve_lap(np.full((3, 5), c), c)
     assert col_of_row.tolist() == [0, 1, 2]
     assert (u == c).all() and (v == 0.0).all()
+    assert ceiling_runs == [1] * 5
 
 
 def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
     # Up to CEILING_CELLS_PER_ROW cells below the ceiling per row on average
     # the ceiling path runs; above, the dense path, bit for bit as without
     # a ceiling.
-    ceiling_runs = []
-    real = lap._solve_below_ceiling
-
-    def spy(*args):
-        ceiling_runs.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(lap, "_solve_below_ceiling", spy)
+    ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(97)
     costs = []
     for per_row in (CEILING_CELLS_PER_ROW, CEILING_CELLS_PER_ROW + 1):
@@ -294,6 +297,62 @@ def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
         if n:
             for a, b in zip(got, solve_lap(cost)):
                 assert np.array_equal(a, b)
+
+
+def test_the_ceiling_path_takes_at_most_the_bound_of_columns_per_row(monkeypatch):
+    # Two cells a row below the ceiling: the ceiling path runs on a k×m
+    # matrix while m <= CEILING_COLS_PER_ROW * k, and the dense path one
+    # column wider; either way the result is the dense path's, bit for bit.
+    ceiling_runs = record_ceiling_runs(monkeypatch)
+    rng = np.random.default_rng(107)
+    for k in (1, 4, 30):
+        for extra in (0, 1):
+            m = CEILING_COLS_PER_ROW * k + extra
+            for ceiling in (WEIGHT_CAP, 0.0):
+                cost = np.full((k, m), ceiling)
+                for row in cost:
+                    row[rng.choice(m, 2, replace=False)] = ceiling - rng.integers(1, 7, 2) / 6
+                ceiling_runs.clear()
+                got = solve_lap(cost, ceiling)
+                assert ceiling_runs == ([] if extra else [1]), (k, m, ceiling)
+                for a, b in zip(got, solve_lap(cost)):
+                    assert np.array_equal(a, b), (k, m, ceiling)
+
+
+def test_gallai_matrices_with_ceiling_zero_equal_the_dense_path_bit_for_bit(monkeypatch):
+    # The Gallai matrices of `edgecover`, with 0 as the ceiling as it
+    # states it, on either side of the shape bound; each is solved under
+    # the bound and with it lifted, so that the wide ones take the ceiling
+    # path too.
+    ceiling_runs = record_ceiling_runs(monkeypatch)
+    rng = np.random.default_rng(109)
+    shapes = [(k, m) for k in range(1, 9) for m in range(k, 3 * k + 2) for _ in range(3)]
+    shapes += [(47, 51), (30, 60), (30, 61), (8, 116)] * 3
+    paths = set()
+    for k, m in shapes:
+        _, gallai = tie_heavy_costs(rng, k, m)
+        want = solve_lap(gallai)
+        for cols_per_row in (CEILING_COLS_PER_ROW, math.inf):
+            monkeypatch.setattr(lap, "CEILING_COLS_PER_ROW", cols_per_row)
+            ceiling_runs.clear()
+            got = solve_lap(gallai, 0.0)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (k, m, cols_per_row)
+            wide = m > CEILING_COLS_PER_ROW * k
+            paths.add((wide, cols_per_row == math.inf, bool(ceiling_runs)))
+    # (wide, bound lifted, ceiling path taken)
+    assert (True, False, True) not in paths
+    assert {(False, False, True), (True, False, False), (True, True, True)} <= paths
+
+
+def test_solve_lap_refuses_a_non_finite_ceiling():
+    # Every comparison with NaN is false, so a NaN ceiling would let every
+    # cell pass as below it: the ceiling path then assigned [0, 1] here, at
+    # cost 6 where the optimum is 3, with infeasible duals.
+    cost = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0]])
+    for ceiling in (float("nan"), np.inf, -np.inf):
+        with pytest.raises(ValueError, match="ceiling must be finite"):
+            solve_lap(cost, ceiling)
 
 
 def test_ceiling_path_memory_stays_below_twice_the_cost_matrix():

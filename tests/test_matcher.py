@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_optimal_covers, exits_early, graph_of, random_sim
+from conftest import (
+    enumerate_optimal_covers,
+    exits_early,
+    graph_of,
+    random_sim,
+    record_ceiling_runs,
+)
 from roleproj import WEIGHT_CAP, lap, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
@@ -418,9 +424,10 @@ def tie_heavy_gallai(rng, n, m, zero_frac):
 def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     # Tie-heavy k/d similarities, d <= 6, many of them zero; on the raw
     # weights, solved whole and with the cap as the ceiling as `perfect`
-    # solves them, and on the Gallai matrices of `edgecover`, whose zero
-    # cells tie everywhere.  Each orientation must meet both a tie-break
-    # that returns at once and one that searches.
+    # solves them, and on the Gallai matrices of `edgecover`, whole and
+    # with 0 as the ceiling, whose zero cells tie everywhere.  Each
+    # orientation must meet both a tie-break that returns at once and one
+    # that searches.
     calls = record_lexmin_calls(monkeypatch)
     rng = np.random.default_rng(71)
     shapes = [(n, m) for n in range(1, 13) for m in range(1, 13) for _ in range(3)]
@@ -428,7 +435,7 @@ def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     paths = set()
     for n, m in shapes:
         W, gallai = tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9))
-        for cost, ceiling in ((W, None), (W, WEIGHT_CAP), (gallai, None)):
+        for cost, ceiling in ((W, None), (W, WEIGHT_CAP), (gallai, None), (gallai, 0.0)):
             rows, cols = lap.lexmin_matching(cost, ceiling)
             paths.add((np.sign(n - m), exits_early(*calls[-1])))
             assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(cost), (n, m)
@@ -585,7 +592,7 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
         rows = np.sort(rng.choice(n, size=k, replace=False))
         cols = rng.choice(m, size=k, replace=False)
         with monkeypatch.context() as patch:
-            patch.setattr(lap, "lexmin_matching", lambda cost: (rows, cols))
+            patch.setattr(lap, "lexmin_matching", lambda cost, ceiling=None: (rows, cols))
             want = decode_outcome(reference_solve_edge_cover, g, stripped)
             got = decode_outcome(solve_edge_cover, g)
             assert got == want and covers_every_unit(g, got)
@@ -593,6 +600,33 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
             errors[want] += 1
     assert sum(x > 0 for x in stripped) > 100
     assert errors["edge cover decode produced a positive-weight many-to-many link"] > 100
+
+
+def test_edge_cover_is_the_same_with_the_path_rule_forced_either_way(monkeypatch):
+    # Tie-heavy graphs of both orientations, near-square as the graph of a
+    # sentence whose unaligned predicate turns `arg` off, and thin as an
+    # `arg` graph: the links and the cost do not depend on which path
+    # solves the Gallai matrix.
+    ceiling_runs = record_ceiling_runs(monkeypatch)
+    rng = np.random.default_rng(113)
+    shapes = [(n, m) for n in range(1, 10) for m in range(1, 10)]
+    shapes += [(49, 7), (7, 49), (47, 51), (51, 47)] * 3
+    for n, m in shapes:
+        d = rng.integers(1, 7, size=(n, m))
+        sim = rng.integers(0, d + 1) / d
+        sim[rng.random((n, m)) < rng.uniform(0.0, 0.9)] = 0.0
+        g = graph_of(sim)
+        outcomes = []
+        # Every matrix on the ceiling path, then every one on the dense path.
+        for cells, cols in ((math.inf, math.inf), (lap.CEILING_CELLS_PER_ROW, 0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(lap, "CEILING_CELLS_PER_ROW", cells)
+                patch.setattr(lap, "CEILING_COLS_PER_ROW", cols)
+                ceiling_runs.clear()
+                a = solve_edge_cover(g)
+            assert ceiling_runs == ([1] if cols else []), (n, m)
+            outcomes.append((a.links, a.cost))
+        assert outcomes[0] == outcomes[1], (n, m)
 
 
 def test_edge_cover_drops_zero_weight_link_between_two_stars():
