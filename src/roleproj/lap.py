@@ -47,11 +47,10 @@ row; then no row can move and the matching is returned as it is.  The
 thin Gallai matrices of ``edgecover`` under the ``arg`` filter almost
 always pass it, the square ``perfect`` graphs almost never.
 
-The ceiling path.  A caller may state a finite ``ceiling`` that no cell
-exceeds.  ``matcher.solve_perfect_matching`` states ``WEIGHT_CAP``, the
-weight of every zero similarity and of 85-92% of the cells of its graphs;
-``matcher.solve_edge_cover`` states 0, since its Gallai reduced costs are
-clipped at 0.  When the cells below the ceiling average at most
+The ceiling path.  A matrix's largest cell is its ceiling: the cap on a
+``perfect`` graph with a zero similarity, which weighs 85-92% of the
+cells on the benchmark corpora, and 0 on a Gallai matrix of ``edgecover``
+with a clipped cell.  When the cells below the ceiling average at most
 ``CEILING_CELLS_PER_ROW`` a row, and the matrix has at most
 ``CEILING_COLS_PER_ROW`` columns a row, those cells are gathered once into
 per-row lists.  The warm start reads them, a row of ceiling cells alone
@@ -82,7 +81,6 @@ start.  The comment on the two constants gives the timings that set them.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import chain
@@ -124,15 +122,14 @@ CEILING_CELLS_PER_ROW = 16
 CEILING_COLS_PER_ROW = 2
 
 
-def solve_lap(cost: np.ndarray, ceiling: float | None = None):
+def solve_lap(cost: np.ndarray):
     """Return (col_of_row, u, v) for a minimum-cost assignment of every row.
 
     ``cost`` is k×m with k <= m and finite entries; each row gets its own
     column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
-    A ``ceiling`` must be finite and no entry may exceed it.  A matrix of at
-    most ``CEILING_COLS_PER_ROW`` columns per row, with at most
-    ``CEILING_CELLS_PER_ROW`` cells below the ceiling per row on average, is
-    then solved over those cells alone.
+    A matrix of at most ``CEILING_COLS_PER_ROW`` columns per row, with at
+    most ``CEILING_CELLS_PER_ROW`` cells below its largest cell per row on
+    average, is solved over those cells alone.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
@@ -144,15 +141,11 @@ def solve_lap(cost: np.ndarray, ceiling: float | None = None):
         return np.empty(0, dtype=int), np.empty(0), np.zeros(m)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
-    if ceiling is not None:
-        if not math.isfinite(ceiling):
-            raise ValueError(f"ceiling must be finite, got {ceiling}")
-        if cost.max() > ceiling:
-            raise ValueError(f"cost matrix entries must not exceed the ceiling {ceiling}")
-        if m <= CEILING_COLS_PER_ROW * n:
-            below = cost < ceiling
-            if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
-                return _solve_below_ceiling(cost, below, float(ceiling))
+    if m <= CEILING_COLS_PER_ROW * n:
+        ceiling = float(cost.max())
+        below = cost < ceiling
+        if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
+            return _solve_below_ceiling(cost, below, ceiling)
     return _solve_dense(cost)
 
 
@@ -466,26 +459,25 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
     return np.array(match[:n], dtype=int)
 
 
-def lexmin_matching(cost: np.ndarray, ceiling=None) -> tuple[np.ndarray, np.ndarray]:
+def lexmin_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically smallest minimum-cost matching of the smaller side.
 
     ``cost`` is n×m; the matched cells come back as (rows, cols) index
     arrays in row-major order.  ``solve_lap`` runs on the min(n, m)-row
-    orientation, ``ceiling``, if given, bounding every cell.  The tie-break
-    runs source-major on the n×m tight-cell graph, standing for the
-    max(n, m) square padded with zero-cost cells.  The duals are zero on
-    unmatched units and non-positive on the larger side, so unmatched units
-    are tight against every padding cell, and a larger-side unit of dual d
-    is tight against one when 0 - d <= ADMISSIBLE_TOL, the test the square
-    would apply; ``lexmin_perfect_matching`` takes those units as a mask.
+    orientation.  The tie-break runs source-major on the n×m tight-cell
+    graph, standing for the max(n, m) square padded with zero-cost cells.
+    The duals are zero on unmatched units and non-positive on the larger
+    side, so unmatched units are tight against every padding cell, and a
+    larger-side unit of dual d is tight against one when 0 - d <=
+    ADMISSIBLE_TOL, the test the square would apply; ``lexmin_perfect_matching`` takes those units as a mask.
     The three steps are module globals, so a wrapper set on lap sees each call.
     """
     n, m = cost.shape
     if n <= m:
-        col_of_row, u, v = solve_lap(cost, ceiling)
+        col_of_row, u, v = solve_lap(cost)
         pad = -v <= ADMISSIBLE_TOL
     else:
-        row_of_col, v, u = solve_lap(cost.T, ceiling)
+        row_of_col, v, u = solve_lap(cost.T)
         col_of_row = np.full(n, -1, dtype=int)
         col_of_row[row_of_col] = np.arange(m)
         pad = -u <= ADMISSIBLE_TOL

@@ -7,28 +7,26 @@ units:
     Every unit of the smaller side links to its own unit of the larger
     side; the |n - m| units of the larger side left over stay unlinked,
     which lets the model abstain.  Solved as a rectangular min(n, m)-row
-    assignment with ``WEIGHT_CAP`` stated as its ceiling: the zero
-    similarities, 85-92% of the cells on the benchmark corpora, weigh the
-    cap, and the assignment in ``lap`` reads only the cells below it when
-    they average few a row.
+    assignment.  The zero similarities, 85-92% of the cells on the
+    benchmark corpora, weigh the cap, and the assignment in ``lap`` reads
+    only the cells below it when they average few a row.
 
 ``edgecover``
     Every node has degree at least one.  Solved exactly by Gallai's
     reduction to a matching (Schrijver, *Combinatorial Optimization*,
     ch. 19): with mu(v) the cheapest weight incident to v, a minimum
     matching on the reduced costs min(0, w(s, t) - mu(s) - mu(t)) is a
-    rectangular assignment of the min(n, m) units of the smaller side,
-    with 0 stated as its ceiling.  A near-square Gallai matrix with few
-    cells below 0 a row, such as that of a sentence whose unaligned
-    predicate turns the ``arg`` filter off, is solved in ``lap`` over
-    those cells alone; the thin matrices of the ``arg`` filter take the
-    whole-row path, which is faster on them.  The cover is decoded on an
-    n×m boolean link mask.  Matched pairs with non-positive reduced cost
-    are kept; every unit they leave bare, found from those pairs alone
-    before any repair, takes its cheapest incident edge; and a
-    zero-weight link whose endpoints are both linked elsewhere is
-    dropped, scanning only those links, largest index first.  The cover
-    costs the sum of all mu plus the matching cost.
+    rectangular assignment of the min(n, m) units of the smaller side.
+    A near-square Gallai matrix with few cells below 0 a row, such as that
+    of a sentence whose unaligned predicate turns the ``arg`` filter off,
+    is solved in ``lap`` over those cells alone; the thin matrices of the
+    ``arg`` filter take the whole-row path, which is faster on them.  The
+    cover is decoded on an n×m boolean link mask.  Matched pairs with
+    non-positive reduced cost are kept; every unit they leave bare, found
+    from those pairs alone before any repair, takes its cheapest incident
+    edge; and a zero-weight link whose endpoints are both linked
+    elsewhere is dropped, scanning only those links, largest index first.
+    The cover costs the sum of all mu plus the matching cost.
 
 ``total``
     Every source node links to its maximally similar target node; target
@@ -59,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import WEIGHT_CAP, lap
+from . import lap
 from .errors import DegenerateGraphError, ValidationError
 from .projection import SemanticAlignment
 from .similarity import to_weights
@@ -115,7 +113,7 @@ def links_cost(W: np.ndarray, rows, cols) -> float:
 def solve_perfect_matching(g: AlignmentGraph) -> SemanticAlignment:
     """Minimum-weight matching of every unit of the smaller side."""
     W = g.weights
-    rows, cols = lap.lexmin_matching(W, WEIGHT_CAP)
+    rows, cols = lap.lexmin_matching(W)
     return SemanticAlignment(links_from_pairs(g, rows, cols), links_cost(W, rows, cols))
 
 
@@ -126,7 +124,7 @@ def solve_edge_cover(g: AlignmentGraph) -> SemanticAlignment:
     mu_s = W.min(axis=1)
     mu_t = W.min(axis=0)
     reduced = W - mu_s[:, None] - mu_t[None, :]
-    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0), 0.0)
+    rows, cols = lap.lexmin_matching(np.minimum(reduced, 0.0))
     keep = reduced[rows, cols] <= COST_ATOL
     rows, cols = rows[keep], cols[keep]
     chosen = np.zeros((n, m), dtype=bool)

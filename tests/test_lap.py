@@ -75,10 +75,14 @@ def test_solve_lap_shapes():
         solve_lap(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         solve_lap(np.array([[np.inf, 0.0]]))
-    # A cell above the ceiling, on either side of the threshold.
-    for cost in (np.array([[2.0, 0.0]]), np.append(np.zeros(39), 2.0)[None]):
-        with pytest.raises(ValueError, match="ceiling"):
-            solve_lap(cost, 1.0)
+    # A NaN or -inf cell, on either side of the column bound: a NaN largest
+    # cell would leave no cell below it.
+    for bad in (np.nan, -np.inf):
+        for m in (CEILING_COLS_PER_ROW, CEILING_COLS_PER_ROW + 1):
+            cost = np.zeros((1, m))
+            cost[0, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                solve_lap(cost)
 
 
 # The solver before the per-phase path rebuild, verbatim: it updates the
@@ -232,10 +236,10 @@ def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices(monkeyp
         cost = capped_costs(rng, k, m, rng.uniform(1.0, CEILING_CELLS_PER_ROW))
         assert np.count_nonzero(cost < WEIGHT_CAP) <= CEILING_CELLS_PER_ROW * k
         ceiling_runs.clear()
-        col_of_row, u, v = solve_lap(cost, WEIGHT_CAP)
+        col_of_row, u, v = solve_lap(cost)
         assert ceiling_runs == [1], (k, m)
         check_duals(cost, col_of_row, u, v)
-        for got, want in zip((col_of_row, u, v), solve_lap(cost)):
+        for got, want in zip((col_of_row, u, v), lap._solve_dense(cost)):
             assert np.array_equal(got, want), (k, m)
         rows, cols = linear_sum_assignment(cost)
         assert cost[np.arange(k), col_of_row].sum() == pytest.approx(
@@ -244,33 +248,34 @@ def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices(monkeyp
 
 
 def test_ceiling_path_cases(monkeypatch):
-    # Each matrix solved with the ceiling takes the ceiling path.
+    # Each matrix takes the ceiling path, its largest cell the ceiling.
     ceiling_runs = record_ceiling_runs(monkeypatch)
     c = 10.0
     # A row of ceiling cells alone takes the first free column at the warm
     # start; row 1's phase moves it on to the escape.
     cost = np.array([[c, c, c], [1.0, 2.0, c]])
-    col_of_row, u, v = solve_lap(cost, c)
+    col_of_row, u, v = solve_lap(cost)
     check_duals(cost, col_of_row, u, v)
     assert col_of_row.tolist() == [1, 0]
     # Row 1's one column below the ceiling is row 0's, which costs row 0
     # less: row 1 ends on a ceiling cell.
     cost = np.array([[0.0, c, c], [1.0, c, c]])
-    col_of_row, u, v = solve_lap(cost, c)
+    col_of_row, u, v = solve_lap(cost)
     check_duals(cost, col_of_row, u, v)
     assert col_of_row.tolist() == [0, 1]
     # Row 1 reaches column 1 below the ceiling at the escape's distance,
     # before row 0 offers the escape there: the path takes row 1's cell.
     cost = np.array([[2.0, c, c], [1.0, 9.0, c]])
-    col_of_row, u, v = solve_lap(cost, c)
+    col_of_row, u, v = solve_lap(cost)
     check_duals(cost, col_of_row, u, v)
     assert col_of_row.tolist() == [0, 1]
-    # No cell at the ceiling: the escape never wins.
+    # One cell at the ceiling, row 2's in column 0; rows 0 and 1 list all
+    # their cells.
     cost = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]).T
-    for got, want in zip(solve_lap(cost, c), solve_lap(cost)):
+    for got, want in zip(solve_lap(cost), lap._solve_dense(cost)):
         assert np.array_equal(got, want)
     # Every cell at the ceiling: the warm start assigns every row.
-    col_of_row, u, v = solve_lap(np.full((3, 5), c), c)
+    col_of_row, u, v = solve_lap(np.full((3, 5), c))
     assert col_of_row.tolist() == [0, 1, 2]
     assert (u == c).all() and (v == 0.0).all()
     assert ceiling_runs == [1] * 5
@@ -278,8 +283,7 @@ def test_ceiling_path_cases(monkeypatch):
 
 def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
     # Up to CEILING_CELLS_PER_ROW cells below the ceiling per row on average
-    # the ceiling path runs; above, the dense path, bit for bit as without
-    # a ceiling.
+    # the ceiling path runs; above, the dense path, bit for bit.
     ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(97)
     costs = []
@@ -291,11 +295,11 @@ def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
     costs += [tie_heavy_costs(rng, k, m)[0] for k, m in [(114, 120), (47, 51), (8, 116)]]
     for n, cost in enumerate(costs):
         ceiling_runs.clear()
-        got = solve_lap(cost, WEIGHT_CAP)
+        got = solve_lap(cost)
         assert ceiling_runs == ([1] if n == 0 else [])
         check_duals(cost, *got)
         if n:
-            for a, b in zip(got, solve_lap(cost)):
+            for a, b in zip(got, lap._solve_dense(cost)):
                 assert np.array_equal(a, b)
 
 
@@ -313,46 +317,52 @@ def test_the_ceiling_path_takes_at_most_the_bound_of_columns_per_row(monkeypatch
                 for row in cost:
                     row[rng.choice(m, 2, replace=False)] = ceiling - rng.integers(1, 7, 2) / 6
                 ceiling_runs.clear()
-                got = solve_lap(cost, ceiling)
+                got = solve_lap(cost)
                 assert ceiling_runs == ([] if extra else [1]), (k, m, ceiling)
-                for a, b in zip(got, solve_lap(cost)):
+                for a, b in zip(got, lap._solve_dense(cost)):
                     assert np.array_equal(a, b), (k, m, ceiling)
 
 
-def test_gallai_matrices_with_ceiling_zero_equal_the_dense_path_bit_for_bit(monkeypatch):
-    # The Gallai matrices of `edgecover`, with 0 as the ceiling as it
-    # states it, on either side of the shape bound; each is solved under
-    # the bound and with it lifted, so that the wide ones take the ceiling
-    # path too.
+def test_gallai_and_uncapped_matrices_equal_the_dense_path_bit_for_bit(monkeypatch):
+    # The Gallai matrices of `edgecover`, whose ceiling is 0, on either
+    # side of the shape bound; each is solved under the bound and with it
+    # lifted, so that the wide ones take the ceiling path too.  Two kinds
+    # of matrix have their largest cell below the cap or 0: the Gallai
+    # matrix of weights within a factor of 2 of each other, every reduced
+    # cost negative, and the weights of a graph with no zero similarity.
+    # On the shapes of up to 8 rows, at most 16 columns under the bound,
+    # they take the ceiling path whenever the bound admits them.
     ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(109)
     shapes = [(k, m) for k in range(1, 9) for m in range(k, 3 * k + 2) for _ in range(3)]
     shapes += [(47, 51), (30, 60), (30, 61), (8, 116)] * 3
     paths = set()
     for k, m in shapes:
-        _, gallai = tie_heavy_costs(rng, k, m)
-        want = solve_lap(gallai)
-        for cols_per_row in (CEILING_COLS_PER_ROW, math.inf):
-            monkeypatch.setattr(lap, "CEILING_COLS_PER_ROW", cols_per_row)
-            ceiling_runs.clear()
-            got = solve_lap(gallai, 0.0)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), (k, m, cols_per_row)
-            wide = m > CEILING_COLS_PER_ROW * k
-            paths.add((wide, cols_per_row == math.inf, bool(ceiling_runs)))
+        matrices = [tie_heavy_costs(rng, k, m)[1]]
+        if k <= 8:
+            W = to_weights(rng.choice([1 / 3, 2 / 5, 1 / 2], size=(k, m)))
+            negative = W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :]
+            assert negative.max() < 0.0
+            d = rng.integers(1, 7, size=(k, m))
+            uncapped = to_weights(rng.integers(1, d + 1) / d)
+            assert uncapped.max() < WEIGHT_CAP
+            matrices += [negative, uncapped]
+        for n, cost in enumerate(matrices):
+            want = lap._solve_dense(cost)
+            for cols_per_row in (CEILING_COLS_PER_ROW, math.inf):
+                monkeypatch.setattr(lap, "CEILING_COLS_PER_ROW", cols_per_row)
+                ceiling_runs.clear()
+                got = solve_lap(cost)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b), (k, m, n, cols_per_row)
+                wide = m > CEILING_COLS_PER_ROW * k
+                if n == 0:
+                    paths.add((wide, cols_per_row == math.inf, bool(ceiling_runs)))
+                elif not wide:
+                    assert ceiling_runs == [1], (k, m, n, cols_per_row)
     # (wide, bound lifted, ceiling path taken)
     assert (True, False, True) not in paths
     assert {(False, False, True), (True, False, False), (True, True, True)} <= paths
-
-
-def test_solve_lap_refuses_a_non_finite_ceiling():
-    # Every comparison with NaN is false, so a NaN ceiling would let every
-    # cell pass as below it: the ceiling path then assigned [0, 1] here, at
-    # cost 6 where the optimum is 3, with infeasible duals.
-    cost = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0]])
-    for ceiling in (float("nan"), np.inf, -np.inf):
-        with pytest.raises(ValueError, match="ceiling must be finite"):
-            solve_lap(cost, ceiling)
 
 
 def test_ceiling_path_memory_stays_below_twice_the_cost_matrix():
@@ -360,7 +370,7 @@ def test_ceiling_path_memory_stays_below_twice_the_cost_matrix():
     assert np.count_nonzero(cost < WEIGHT_CAP) <= CEILING_CELLS_PER_ROW * 600
     tracemalloc.start()
     try:
-        solve_lap(cost, WEIGHT_CAP)
+        solve_lap(cost)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from conftest import (
     random_sim,
     record_ceiling_runs,
 )
-from roleproj import WEIGHT_CAP, lap, oracle
+from roleproj import lap, oracle
 from roleproj.errors import DegenerateGraphError, OracleSizeError, ValidationError
 from roleproj.matcher import (
     COST_ATOL,
@@ -423,9 +423,8 @@ def tie_heavy_gallai(rng, n, m, zero_frac):
 
 def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     # Tie-heavy k/d similarities, d <= 6, many of them zero; on the raw
-    # weights, solved whole and with the cap as the ceiling as `perfect`
-    # solves them, and on the Gallai matrices of `edgecover`, whole and
-    # with 0 as the ceiling, whose zero cells tie everywhere.  Each
+    # weights, as `perfect` solves them, and on the Gallai matrices of
+    # `edgecover`, whose zero cells tie everywhere.  Each
     # orientation must meet both a tie-break that returns at once and one
     # that searches.
     calls = record_lexmin_calls(monkeypatch)
@@ -435,8 +434,8 @@ def test_tie_break_without_padding_equals_the_padded_square(monkeypatch):
     paths = set()
     for n, m in shapes:
         W, gallai = tie_heavy_gallai(rng, n, m, rng.uniform(0.0, 0.9))
-        for cost, ceiling in ((W, None), (W, WEIGHT_CAP), (gallai, None), (gallai, 0.0)):
-            rows, cols = lap.lexmin_matching(cost, ceiling)
+        for cost in (W, gallai):
+            rows, cols = lap.lexmin_matching(cost)
             paths.add((np.sign(n - m), exits_early(*calls[-1])))
             assert list(zip(rows.tolist(), cols.tolist())) == square_lexmin_matching(cost), (n, m)
     assert paths == {(s, e) for s in (-1, 0, 1) for e in (False, True)}
@@ -592,7 +591,7 @@ def test_mask_decode_equals_the_set_decode(monkeypatch):
         rows = np.sort(rng.choice(n, size=k, replace=False))
         cols = rng.choice(m, size=k, replace=False)
         with monkeypatch.context() as patch:
-            patch.setattr(lap, "lexmin_matching", lambda cost, ceiling=None: (rows, cols))
+            patch.setattr(lap, "lexmin_matching", lambda cost: (rows, cols))
             want = decode_outcome(reference_solve_edge_cover, g, stripped)
             got = decode_outcome(solve_edge_cover, g)
             assert got == want and covers_every_unit(g, got)
