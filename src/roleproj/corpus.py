@@ -57,10 +57,10 @@ its trees, roles and links fit its sentences.
 Sentences and trees hold no Python object per token or node.  A
 ``Sentence`` is two parallel tuples, surfaces and tags, indexed by token
 position; a ``ParseTree`` is one tuple per node attribute (label, span,
-parent, children), indexed by preorder node id, plus each token's
-preterminal.  A collection stops tracking a tuple that holds only strings,
-ints and untracked tuples, so a loaded corpus keeps a few tracked objects
-per sentence whatever the sentence length.
+children), indexed by preorder node id.  A collection stops tracking a
+tuple that holds only strings, ints and untracked tuples, so a loaded
+corpus keeps a few tracked objects per sentence whatever the sentence
+length.
 
 The whole-file readers and ``load_corpus`` prefix every error with where it
 happened: ``path:line:`` for tree, token and alignment lines,
@@ -105,18 +105,16 @@ class Sentence:
 class ParseTree:
     """A constituency tree as parallel tuples indexed by preorder node id.
 
-    Node 0 is the root.  ``spans[n]`` is node n's inclusive token interval,
-    ``parents[n]`` its parent (``None`` at the root) and ``children[n]`` its
-    child ids, left to right; ``children[n] == ()`` marks a preterminal,
-    whose label is the token's tag.  ``preterminals[i]`` is token i's node.
+    Node 0 is the root.  ``spans[n]`` is node n's inclusive token interval
+    and ``children[n]`` its child ids, left to right; ``children[n] == ()``
+    marks a preterminal, whose label is the token's tag.  The tree keeps
+    no parent links: ``projection.argument_filter`` walks down from the root.
     """
 
     sentence: Sentence
     labels: tuple[str, ...]
     spans: tuple[Span, ...]
-    parents: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
-    preterminals: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=True)
@@ -285,11 +283,9 @@ def parse_tree(line: str) -> ParseTree:
     """
     labels: list[str] = []  # preorder, like the other per-node lists
     spans: list[Span | None] = []  # a constituent's span is set when it closes
-    parents: list[int | None] = []
     children: list[tuple[int, ...] | None] = []
     surfaces: list[str] = []
     tags: list[str] = []
-    preterminals: list[int] = []
     # One [node_id, has_word, child_ids] frame per open constituent.
     # A frame gets a word only in a malformed preterminal, which the next
     # token rejects: a well-formed one is consumed in one step.
@@ -310,9 +306,6 @@ def parse_tree(line: str) -> ParseTree:
                         f"child constituent after word at offset {_lexeme_offset(line, k)}"
                     )
                 frame[2].append(node_id)
-                parents.append(frame[0])
-            else:
-                parents.append(None)
             # A token is never empty, so "in" tells a bracket from an atom;
             # the end of the line stands in as a bracket.
             label = toks[k + 1] if k + 1 < n else ")"
@@ -326,7 +319,6 @@ def parse_tree(line: str) -> ParseTree:
                 i = len(surfaces)
                 surfaces.append(toks[k + 2])
                 tags.append(label)
-                preterminals.append(node_id)
                 spans.append((i, i))
                 children.append(())
                 k += 4
@@ -364,9 +356,7 @@ def parse_tree(line: str) -> ParseTree:
         Sentence(tuple(surfaces), tuple(tags)),
         tuple(labels),
         tuple(spans),
-        tuple(parents),
         tuple(children),
-        tuple(preterminals),
     )
 
 

@@ -275,26 +275,28 @@ def _solve_below_ceiling(cost: np.ndarray, below: np.ndarray, ceiling: float):
         row_of[j] = i
 
     inf = float("inf")
-    reached_from = [0] * m
+    reached_at = [0] * m
     for start in [i for i, j in enumerate(col_of_row) if j < 0]:
-        # best[j] is column j's distance, -inf once scanned, and
-        # reached_from[j] the first row to reach it there.  `escape` is the
-        # nearest ceiling cell of the rows scanned so far (module docstring),
-        # at the first free column, and escape_row the first row offering it.
+        # Step s scans row rows[s].  best[j] is column j's distance, -inf
+        # once scanned, and reached_at[j] the first step to reach it there.
+        # `escape` is the nearest ceiling cell of the rows scanned so far
+        # (module docstring), at the first free column, and escape_at the
+        # first step offering it.
         best = [inf] * m
         heap = []
         rows, scanned, dists = [start], [], []
-        escape, escape_row = inf, start
+        escape, escape_at = inf, 0
         i, min_val = start, 0.0
         while True:
+            step = len(scanned)
             h = min_val - u[i]
             if ceiling + h < escape:
-                escape, escape_row = ceiling + h, i
+                escape, escape_at = ceiling + h, step
             for j, c in cells[i]:
                 d = c - v[j] + h
                 if d < best[j]:
                     best[j] = d
-                    reached_from[j] = i
+                    reached_at[j] = step
                     # At an equal distance a free column comes first.
                     heappush(heap, (d, row_of[j] >= 0, j))
             while heap and heap[0][0] > best[heap[0][2]]:
@@ -308,8 +310,8 @@ def _solve_below_ceiling(cost: np.ndarray, below: np.ndarray, ceiling: float):
                 min_val, j = escape, first_free
                 # The dense path takes the first row at that distance: an
                 # earlier row may reach j below the ceiling just as near.
-                if best[j] != escape or rows.index(reached_from[j]) > rows.index(escape_row):
-                    reached_from[j] = escape_row
+                if best[j] != escape or reached_at[j] > escape_at:
+                    reached_at[j] = escape_at
             scanned.append(j)
             dists.append(min_val)
             i = row_of[j]
@@ -330,7 +332,7 @@ def _solve_below_ceiling(cost: np.ndarray, below: np.ndarray, ceiling: float):
         # Augment from the free column back to the start row.
         j = scanned[-1]
         while True:
-            i = reached_from[j]
+            i = rows[reached_at[j]]
             row_of[j] = i
             col_of_row[i], j = j, col_of_row[i]
             if i == start:

@@ -115,31 +115,33 @@ def argument_filter(tree: ParseTree, predicate: int, boundary_labels=frozenset()
     """Likely-argument constituents for a predicate: children of its ancestors.
 
     Candidates that dominate the predicate are dropped, as are punctuation
-    preterminals (tags with no alphabetic character).  When
-    ``boundary_labels`` is non-empty, the ancestor walk stops after
-    processing a clause-labeled ancestor above the lowest clause containing
-    the predicate.  Returns sorted node ids.
+    preterminals (tags with no alphabetic character).  The ancestors are
+    found in one walk down from the root: at each one, the child whose span
+    holds the predicate is the next ancestor, and the walk ends at the
+    predicate's preterminal, or at a node none of whose children holds it.
+    When at least two ancestors carry one of ``boundary_labels``, only the
+    candidates of the second-lowest such ancestor, the clause above the
+    predicate's own, and of the ancestors below it are kept.  Returns
+    sorted node ids.
     """
     if not (0 <= predicate < len(tree.sentence)):
         raise ValidationError(f"predicate index {predicate} out of range")
     labels, spans, children = tree.labels, tree.spans, tree.children
-    kept: set[int] = set()
-    clauses_seen = 0
-    anc = tree.parents[tree.preterminals[predicate]]
-    while anc is not None:
-        for child in children[anc]:
+    candidates: list[int] = []
+    clause_starts: list[int] = []  # where each clause ancestor's candidates begin
+    node = 0
+    while node is not None and children[node]:
+        if labels[node] in boundary_labels:
+            clause_starts.append(len(candidates))
+        node_below = None
+        for child in children[node]:
             lo, hi = spans[child]
             if lo <= predicate <= hi:
-                continue  # dominates the predicate
-            if not children[child] and not any(ch.isalpha() for ch in labels[child]):
-                continue  # punctuation
-            kept.add(child)
-        if boundary_labels and labels[anc] in boundary_labels:
-            clauses_seen += 1
-            if clauses_seen >= 2:
-                break
-        anc = tree.parents[anc]
-    return sorted(kept)
+                node_below = child  # dominates the predicate
+            elif children[child] or any(ch.isalpha() for ch in labels[child]):
+                candidates.append(child)  # not punctuation
+        node = node_below
+    return sorted(candidates[clause_starts[-2]:] if len(clause_starts) >= 2 else candidates)
 
 
 def resolve_role_units(tree: ParseTree, spans) -> tuple[int, ...]:

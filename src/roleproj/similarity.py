@@ -56,7 +56,7 @@ corpora at seed 7 (Python 3.11, numpy 2.4, 2 cores):
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 
@@ -83,20 +83,6 @@ class UnitSimilarity:
         self._src_tree = src_tree
         self._tgt_tree = tgt_tree
 
-    @cached_property
-    def _arrays(self):
-        """The array path's state: each side's spans and kept-token mask,
-        and the source x target 0/1 link matrix."""
-        src_tree, tgt_tree, view = self._src_tree, self._tgt_tree, self._view
-        links = np.zeros((len(src_tree.sentence), len(tgt_tree.sentence)))
-        s, t = np.array(list(view.links), dtype=int).reshape(-1, 2).T
-        links[s, t] = 1.0
-        return (
-            (src_tree.spans, _kept_tokens(src_tree, view.included_src)),
-            (tgt_tree.spans, _kept_tokens(tgt_tree, view.included_tgt)),
-            links,
-        )
-
     def overlaps(self, src_units, tgt_units) -> tuple[np.ndarray, np.ndarray]:
         """The two directional Jaccard overlaps, both indexed [source, target].
 
@@ -104,7 +90,7 @@ class UnitSimilarity:
         unit's yield; the second each target unit's aligned words with each
         source unit's yield.  Yield masks are built for the given units only.
         """
-        src, tgt, links = self._arrays
+        src, tgt, links = _arrays(self._view, self._src_tree, self._tgt_tree)
         y_src = _yield_masks(*src, src_units)
         y_tgt = _yield_masks(*tgt, tgt_units)
         src_aligned = (y_src @ links > 0).astype(float)
@@ -160,6 +146,19 @@ def _unit_bitsets(spans, included: frozenset[int], links: list[int], units) -> l
         aligned = reduce(or_, links[lo:hi + 1], 0)
         out.append((token_set, aligned, token_set.bit_count(), aligned.bit_count()))
     return out
+
+
+def _arrays(view: BiSentenceView, src_tree: ParseTree, tgt_tree: ParseTree):
+    """The array path's state: each side's spans and kept-token mask, and
+    the source x target 0/1 link matrix."""
+    links = np.zeros((len(src_tree.sentence), len(tgt_tree.sentence)))
+    s, t = np.array(list(view.links), dtype=int).reshape(-1, 2).T
+    links[s, t] = 1.0
+    return (
+        (src_tree.spans, _kept_tokens(src_tree, view.included_src)),
+        (tgt_tree.spans, _kept_tokens(tgt_tree, view.included_tgt)),
+        links,
+    )
 
 
 def _kept_tokens(tree: ParseTree, included: frozenset[int]) -> np.ndarray:

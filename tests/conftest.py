@@ -98,14 +98,57 @@ def reference_matrix(view, src_tree, tgt_tree, src_units, tgt_units) -> np.ndarr
     return sim
 
 
+def parent_links(tree) -> list[int | None]:
+    """Each node's parent, derived from ``children``; None at the root."""
+    parents = [None] * len(tree.labels)
+    for node, kids in enumerate(tree.children):
+        for child in kids:
+            parents[child] = node
+    return parents
+
+
+def preterminal_nodes(tree) -> list[int]:
+    """Token i's node at index i: the preterminals in preorder."""
+    return [n for n, kids in enumerate(tree.children) if not kids]
+
+
 def ancestors(tree, node: int) -> list[int]:
     """A tree node's parent chain, from its parent up to the root."""
+    parents = parent_links(tree)
     chain = []
-    parent = tree.parents[node]
+    parent = parents[node]
     while parent is not None:
         chain.append(parent)
-        parent = tree.parents[parent]
+        parent = parents[parent]
     return chain
+
+
+def reference_argument_filter(tree, predicate: int, boundary_labels=frozenset()) -> list[int]:
+    """``projection.argument_filter`` as a walk up from the predicate's
+    preterminal, kept as the reference for the walk down from the root.
+
+    Each ancestor's children that do not dominate the predicate and are not
+    punctuation are kept; with ``boundary_labels``, the walk stops after
+    the second clause-labeled ancestor.
+    """
+    parents = parent_links(tree)
+    kept = set()
+    clauses_seen = 0
+    anc = parents[preterminal_nodes(tree)[predicate]]
+    while anc is not None:
+        for child in tree.children[anc]:
+            lo, hi = tree.spans[child]
+            if lo <= predicate <= hi:
+                continue
+            if not tree.children[child] and not any(ch.isalpha() for ch in tree.labels[child]):
+                continue
+            kept.add(child)
+        if tree.labels[anc] in boundary_labels:
+            clauses_seen += 1
+            if clauses_seen >= 2:
+                break
+        anc = parents[anc]
+    return sorted(kept)
 
 
 def graph_of(sim) -> AlignmentGraph:
@@ -213,9 +256,13 @@ def random_sim(rng, n, m, zero_frac=0.3) -> np.ndarray:
     return sim
 
 
+# The phrase labels of ``trees()``.
+TREE_LABELS = ("S", "NP", "VP", "PP", "X")
+
+
 @st.composite
 def trees(draw, max_depth=4):
-    labels = st.sampled_from(["S", "NP", "VP", "PP", "X"])
+    labels = st.sampled_from(TREE_LABELS)
     tags = st.sampled_from(["NN", "DT", "VBZ", "JJ"])
     words = st.sampled_from(["cat", "dog", "runs", "the", "green"])
 

@@ -14,9 +14,10 @@ from conftest import fixture_set_paths, with_byte_order_mark
 
 from roleproj import cli
 from roleproj.cli import main
-from roleproj.corpus import read_roles_file
+from roleproj.corpus import DEFAULT_CONTENT_PREFIXES, load_corpus, read_roles_file, roles_file_text
 from roleproj.errors import ConfigError
-from roleproj.pipeline import PipelineConfig
+from roleproj.pipeline import PipelineConfig, run_pipeline
+from roleproj.projection import argument_filter
 
 
 def fx(fixture_dir, name):
@@ -548,6 +549,66 @@ def test_an_unknown_filter_is_an_error_line_from_either_source(fixture_dir, tmp_
     assert main(args) == 1
     assert capsys.readouterr().err == "error: unknown filters: ['bogus']\n"
     assert not out.exists()
+
+
+# Three nested clauses; the predicate is "ran", token 5.
+NESTED_CLAUSES = (
+    "(S (NP (NN anna)) (VP (VBD thought) (S (NP (NN mary)) (VP (VBD said) "
+    "(S (NP (NN kim)) (VP (VBD ran) (ADVP (RB fast))))))))"
+)
+
+
+def test_clause_boundary_labels_entry_narrows_the_argument_filter(tmp_path):
+    (tmp_path / "trees").write_text(NESTED_CLAUSES + "\n")
+    (tmp_path / "align").write_text(" ".join(f"{i}-{i}" for i in range(7)) + "\n")
+    (tmp_path / "roles").write_text("#0 RUN 5\nA0\t4-4\nA1\t0-0\nAM-MNR\t6-6\n")
+    trees, align, roles = (str(tmp_path / name) for name in ("trees", "align", "roles"))
+    (b,) = load_corpus(src_trees_path=trees, tgt_trees_path=trees, align_path=align,
+                       src_roles_path=roles)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clause_boundary_labels=S\n")
+    base = ["project", "--model", "total", "--filter", "arg", "--src-trees", trees,
+            "--tgt-trees", trees, "--align", align, "--src-roles", roles]
+    runs = {}
+    for labels, extra in ((frozenset(), []), (frozenset({"S"}), ["--config", str(cfg)])):
+        out = tmp_path / f"{len(labels)}.roles"
+        assert main([*base, "--out", str(out), "--provenance", f"{out}.jsonl", *extra]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["clause_boundary_labels"] == sorted(labels)
+        config = PipelineConfig(model="total", filters=frozenset({"arg"}),
+                                clause_boundary_labels=labels)
+        assert out.read_text() == roles_file_text([run_pipeline(b, config).annotation])
+        (record,) = map(json.loads, Path(f"{out}.jsonl").read_text().splitlines())
+        linked = {t for role in record["roles"].values() for _, t, _ in role["links"]}
+        assert linked <= set(argument_filter(b.tgt_tree, 5, labels))
+        runs[labels] = read_roles_file(out)[0]
+    # Only the boundary keeps "anna", outside the clause above "ran", from A1.
+    assert runs[frozenset()].spans_of("A1") == {(0, 0)}
+    assert [label for label, _ in runs[frozenset({"S"})].roles] == ["A0", "AM-MNR"]
+
+
+def test_content_pos_prefixes_entry_sets_the_nc_filter(fixture_dir, tmp_path):
+    corpus = load_corpus(**fixture_set_paths(fixture_dir / "toy"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("content_pos_prefixes=NN\n")
+    outputs = []
+    for prefixes, extra in ((sorted(DEFAULT_CONTENT_PREFIXES), []),
+                            (["NN"], ["--config", str(cfg)])):
+        out = tmp_path / f"{len(prefixes)}.roles"
+        args = ["project", "--model", "perfect", "--filter", "nc", "--out", str(out),
+                "--src-trees", toy(fixture_dir, "src.trees"),
+                "--tgt-trees", toy(fixture_dir, "tgt.trees"),
+                "--align", toy(fixture_dir, "align"),
+                "--src-roles", toy(fixture_dir, "src.roles"), *extra]
+        assert main(args) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["content_pos_prefixes"] == prefixes
+        config = PipelineConfig(model="perfect", filters=frozenset({"nc"}),
+                                content_pos_prefixes=frozenset(prefixes))
+        expected = roles_file_text([run_pipeline(b, config).annotation for b in corpus])
+        assert out.read_text() == expected
+        outputs.append(expected)
+    assert outputs[0] != outputs[1], "the prefixes must change the toy projection"
 
 
 def test_pipeline_config_from_settings_rejects_an_unknown_key():

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import (
     alignment_to_line,
+    preterminal_nodes,
     sentence_to_tok_line,
     tree_to_line,
     trees,
@@ -64,20 +65,22 @@ def test_trailing_material_rejected():
 
 
 def dominated_tokens(tree, node):
-    """The tokens of the preterminals below ``node``, found by walking its children."""
+    """The tokens of the preterminals below ``node``, found by walking its
+    children; token i's preterminal is the i-th in preorder."""
+    token_of = {n: i for i, n in enumerate(preterminal_nodes(tree))}
     found, todo = set(), [node]
     while todo:
         n = todo.pop()
         todo.extend(tree.children[n])
         if not tree.children[n]:
-            found.add(tree.preterminals.index(n))
+            found.add(token_of[n])
     return found
 
 
 def test_yield_of_root_and_preterminal():
     tree = parse_tree("(S (A a) (B b) (C c) (D d) (E e))")
     assert tree.spans[0] == (0, 4) and dominated_tokens(tree, 0) == set(range(5))
-    pre = tree.preterminals[3]
+    pre = preterminal_nodes(tree)[3]
     assert tree.labels[pre] == "D" and tree.children[pre] == ()
     assert tree.spans[pre] == (3, 3) and dominated_tokens(tree, pre) == {3}
 
@@ -91,12 +94,15 @@ def test_yield_of_figure1_clause(figure1):
 
 def test_yields_tile_the_sentence(figure1):
     for tree in (figure1.src_tree, figure1.tgt_tree):
-        pre = [n for n, kids in enumerate(tree.children) if not kids]
-        assert list(tree.preterminals) == pre
+        pre = preterminal_nodes(tree)
         assert [tree.spans[n] for n in pre] == [(i, i) for i in range(len(tree.sentence))]
+        # Every node but the root is the child of exactly one node, after it
+        # in preorder.
+        assert sorted(c for kids in tree.children for c in kids) == list(
+            range(1, len(tree.labels))
+        )
         for node, kids in enumerate(tree.children):
-            for child in kids:
-                assert tree.parents[child] == node
+            assert all(child > node for child in kids)
             if kids:
                 lo, hi = tree.spans[node]
                 child_union = {
@@ -192,11 +198,9 @@ class Token(NamedTuple):
 
 
 class Constituent(NamedTuple):
-    id: int
     label: str
     span: tuple[int, int]
     children: tuple[int, ...]
-    is_terminal: bool
 
 
 def reference_parse_tree(line: str) -> ParseTree:
@@ -206,7 +210,7 @@ def reference_parse_tree(line: str) -> ParseTree:
     computes offsets only when it raises; it must give the same trees and
     the same error texts as this parser.
     """
-    nodes, parents, tokens, stack = [], [], [], []
+    nodes, tokens, stack = [], [], []
     toks = re.compile(r"[()]|[^\s()]+").finditer(line)
     for m in toks:
         text, off = m.group(), m.start()
@@ -223,7 +227,6 @@ def reference_parse_tree(line: str) -> ParseTree:
                 raise FormatError(f"expected node label at offset {off + 1}")
             node_id = len(nodes)
             nodes.append(None)
-            parents.append(stack[-1][0] if stack else None)
             if stack:
                 stack[-1][3].append(node_id)
             stack.append([node_id, label.group(), None, []])
@@ -232,11 +235,11 @@ def reference_parse_tree(line: str) -> ParseTree:
             if word is not None:
                 k = len(tokens)
                 tokens.append(Token(k, word, label))
-                nodes[node_id] = Constituent(node_id, label, (k, k), (), True)
+                nodes[node_id] = Constituent(label, (k, k), ())
             elif child_ids:
                 lo = nodes[child_ids[0]].span[0]
                 hi = nodes[child_ids[-1]].span[1]
-                nodes[node_id] = Constituent(node_id, label, (lo, hi), tuple(child_ids), False)
+                nodes[node_id] = Constituent(label, (lo, hi), tuple(child_ids))
             else:
                 raise FormatError(f"empty constituent '{label}'")
         else:
@@ -254,9 +257,7 @@ def reference_parse_tree(line: str) -> ParseTree:
         Sentence(tuple(t.surface for t in tokens), tuple(t.pos for t in tokens)),
         tuple(n.label for n in nodes),
         tuple(n.span for n in nodes),
-        tuple(parents),
         tuple(n.children for n in nodes),
-        tuple(n.id for n in nodes if n.is_terminal),
     )
 
 
@@ -311,7 +312,7 @@ def test_deep_unary_chain_parses_and_round_trips():
     tree = parse_tree(text)
     assert len(tree.sentence) == 1
     assert len(tree.labels) == depth + 1
-    assert tree.children[depth] == () and tree.parents[depth] == depth - 1
+    assert tree.children[depth] == () and tree.children[depth - 1] == (depth,)
     assert all(span == (0, 0) for span in tree.spans)
     assert tree_to_line(tree) == text
 

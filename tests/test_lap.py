@@ -269,6 +269,12 @@ def test_ceiling_path_cases(monkeypatch):
     col_of_row, u, v = solve_lap(cost)
     check_duals(cost, col_of_row, u, v)
     assert col_of_row.tolist() == [0, 1]
+    # The same rows swapped: row 0 reaches column 1 at the escape's
+    # distance after row 1 offered the escape there, so row 1 takes it.
+    cost = np.array([[1.0, 9.0, c], [2.0, c, c]])
+    col_of_row, u, v = solve_lap(cost)
+    check_duals(cost, col_of_row, u, v)
+    assert col_of_row.tolist() == [0, 1]
     # One cell at the ceiling, row 2's in column 0; rows 0 and 1 list all
     # their cells.
     cost = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]).T
@@ -278,7 +284,7 @@ def test_ceiling_path_cases(monkeypatch):
     col_of_row, u, v = solve_lap(np.full((3, 5), c))
     assert col_of_row.tolist() == [0, 1, 2]
     assert (u == c).all() and (v == 0.0).all()
-    assert ceiling_runs == [1] * 5
+    assert ceiling_runs == [1] * 6
 
 
 def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):

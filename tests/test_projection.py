@@ -1,10 +1,21 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ancestors, node_yield, trees
+from conftest import (
+    TREE_LABELS,
+    ancestors,
+    node_yield,
+    parent_links,
+    preterminal_nodes,
+    reference_argument_filter,
+    trees,
+)
 from roleproj.corpus import (
     DEFAULT_CONTENT_PREFIXES,
     BiSentence,
+    ParseTree,
     RoleAnnotation,
     Sentence,
     apply_word_filters,
@@ -201,10 +212,11 @@ def test_argument_filter_soundness(figure1, toy_corpus):
         tree = b.tgt_tree
         pred = target_predicate(b)
         ids = argument_filter(tree, pred)
-        pred_ancestors = set(ancestors(tree, tree.preterminals[pred]))
+        pred_ancestors = set(ancestors(tree, preterminal_nodes(tree)[pred]))
+        parents = parent_links(tree)
         for i in ids:
             assert pred not in node_yield(tree, i), "must not dominate the predicate"
-            assert tree.parents[i] in pred_ancestors, "must be the child of an ancestor"
+            assert parents[i] in pred_ancestors, "must be the child of an ancestor"
 
 
 def test_argument_filter_boundary_labels_stop_the_walk():
@@ -222,6 +234,46 @@ def test_argument_filter_boundary_labels_stop_the_walk():
     spans = {tree.spans[i] for i in restricted}
     assert (0, 0) not in spans
     assert spans == {(2, 2), (3, 3), (4, 4), (6, 6)}
+
+
+BOUNDARY_LABEL_SETS = [
+    frozenset(labels)
+    for r in range(len(TREE_LABELS) + 1)
+    for labels in itertools.combinations(TREE_LABELS, r)
+]
+
+
+@given(trees())
+def test_argument_filter_equals_the_walk_up_from_the_predicate(text):
+    tree = parse_tree(text)
+    for pred in range(len(tree.sentence)):
+        for labels in BOUNDARY_LABEL_SETS:
+            assert argument_filter(tree, pred, labels) == reference_argument_filter(
+                tree, pred, labels
+            )
+
+
+def test_argument_filter_walks_a_deep_unary_chain():
+    depth = 5000
+    tree = parse_tree("(S (NN x) " + "(S " * depth + "(VB a)" + ")" * (depth + 1))
+    chain_top = 2  # node 1 is "x"; the chain's bottom S holds "a"
+    assert argument_filter(tree, 0) == [chain_top]
+    assert argument_filter(tree, 0, frozenset({"S"})) == [chain_top]
+    assert argument_filter(tree, 1) == [1]
+    # The second-lowest S is inside the chain, whose nodes have one child each.
+    assert argument_filter(tree, 1, frozenset({"S"})) == []
+
+
+def test_argument_filter_stops_where_no_child_holds_the_predicate():
+    # Hand-built and inconsistent: the root spans both tokens, but both of
+    # its children claim token 0 alone.
+    tree = ParseTree(
+        Sentence(("a", "b"), ("NN", "NN")),
+        ("S", "NN", "NN"),
+        ((0, 1), (0, 0), (0, 0)),
+        ((1, 2), (), ()),
+    )
+    assert argument_filter(tree, 1) == [1, 2]
 
 
 def test_argument_filter_range_check(figure1):
