@@ -36,7 +36,8 @@ giving up exactness.
 
 ``lexmin_perfect_matching`` is that tie-break: one depth-first search per
 row, whose visited marks persist across the row's candidate columns
-because the matching changes only when the search succeeds.  It runs on
+because the matching changes only when the search succeeds, and which
+stops at the first row adjacent to the row's own column.  It runs on
 the k×m tight cells alone.  The padding nodes all cost 0 and have dual 0,
 so they are interchangeable: the padding side is kept implicit, as one
 virtual row or as one shared cursor over the rows that hold padding, and
@@ -77,6 +78,24 @@ Dijkstra phases, and a thin wide matrix has few: on the benchmark corpora
 the argument-filtered graphs, of 3-16 rows and over 3 columns a row, almost
 never need one, since nearly every row takes a free minimum at the warm
 start.  The comment on the two constants gives the timings that set them.
+
+The class route.  A near-square matrix past the cell bound, such as the
+Gallai matrix of an ``edgecover`` graph without the ``arg`` filter, often
+repeats rows and columns: units of one yield have equal similarity rows.
+An assignment with repeated rows and columns is a transportation problem
+(Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9): a class of
+identical rows supplies its count of rows, and a class of identical
+columns has room for its count.  When the class matrix has at most
+``CLASS_CELLS_SHARE`` of the cells, successive shortest paths solve it
+with the dense path's warm start and lazy-dual Dijkstra step, over the
+classes.  A held column class leads on to every row class that holds it,
+and one path moves as many rows as its bottleneck allows.  The result is
+expanded: twins share their duals, and each row takes a column of a class
+its class was given, so the contract above holds.  It is another optimal
+solution than the dense path's, but any optimal dual has the same optimal
+matchings in its tight graph, so the tie-break returns the same link set.
+Rows are grouped by a projection onto one vector, each checked against its
+class's first row.
 """
 
 from __future__ import annotations
@@ -121,6 +140,26 @@ ADMISSIBLE_TOL = 1e-7
 CEILING_CELLS_PER_ROW = 16
 CEILING_COLS_PER_ROW = 2
 
+# A matrix inside the column bound but past the cell bound runs on its
+# classes of identical rows and columns when the class matrix has at most
+# CLASS_CELLS_SHARE of its cells.  The class route's speed against the dense
+# path's, grouping included, on the class matrices of the near-square
+# Gallai matrices of `short` and `long` under `none` (seeds 1 and 7), each
+# re-expanded by random twins to a chosen share:
+#
+#     share of cells     0.95-1.0  0.44  0.36-0.37  0.30-0.31  0.24-0.25  0.19-0.20  0.11
+#     under 60 rows      0.76      0.89  0.94       0.97       1.10       1.21       1.31
+#     60 rows or more    0.79      1.02  1.09       1.12       1.24       1.34       1.71
+#
+# The near-square Gallai matrices of `edgecover` on the benchmark corpora
+# (seeds 1 and 7, all five filter settings) have shares of 0.01-0.38, and
+# all but one at most 0.30; there the class route ran 3.4x as fast under
+# 0.1, 2.0x at 0.1-0.2 and 1.7x at 0.2-0.3, in total.  Units of one yield
+# have equal similarity rows, and under `nc`, which counts content words
+# alone, so do units with the same content words.  No `perfect` graph of
+# those corpora reaches this route.
+CLASS_CELLS_SHARE = 0.35
+
 
 def solve_lap(cost: np.ndarray):
     """Return (col_of_row, u, v) for a minimum-cost assignment of every row.
@@ -129,7 +168,9 @@ def solve_lap(cost: np.ndarray):
     column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
     A matrix of at most ``CEILING_COLS_PER_ROW`` columns per row, with at
     most ``CEILING_CELLS_PER_ROW`` cells below its largest cell per row on
-    average, is solved over those cells alone.
+    average, is solved over those cells alone.  Past the cell bound, one
+    whose classes of identical rows and columns leave at most
+    ``CLASS_CELLS_SHARE`` of its cells is solved over those classes.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
@@ -146,7 +187,146 @@ def solve_lap(cost: np.ndarray):
         below = cost < ceiling
         if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
             return _solve_below_ceiling(cost, below, ceiling)
+        rows, cols = _twins(cost), _twins(cost.T)
+        if len(rows[1]) * len(cols[1]) <= CLASS_CELLS_SHARE * n * m:
+            return _solve_classes(cost, *rows, *cols)
     return _solve_dense(cost)
+
+
+def _twins(cost: np.ndarray):
+    """Each row's class of identical rows, and each class's first row.
+
+    Rows are keyed by one projection, and each is compared with the first
+    row of its key.  A row that differs from it, by less than the rounding
+    of the projection, is a class of its own.  Classes are numbered in the
+    order of their first rows.
+    """
+    keys = np.einsum("ij,j->i", cost, np.sqrt(np.arange(2.0, cost.shape[1] + 2)))
+    _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+    twins = np.flatnonzero(first[cls] != np.arange(len(cls)))
+    apart = twins[(cost[twins] != cost[first[cls[twins]]]).any(axis=1)]
+    cls[apart] = np.arange(len(first), len(first) + len(apart))
+    first = np.concatenate([first, apart])
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[cls], first[order]
+
+
+def _solve_classes(cost, row_cls, row_firsts, col_cls, col_firsts):
+    """``solve_lap`` as a transportation problem over classes of twins.
+
+    Row class r has supply[r] rows still to place and column class c has
+    room[c] free columns; held[c] maps each row class to the number of c's
+    columns it holds.  The steps are the dense path's on the class matrix,
+    except that a held column class leads on to every row class holding
+    it, and a path moves as many rows as its bottleneck allows.  Twins
+    share their duals, so the expanded (u, v) keeps ``solve_lap``'s
+    contract.
+    """
+    k = cost[np.ix_(row_firsts, col_firsts)]
+    n, m = k.shape
+    supply = np.bincount(row_cls, minlength=n).tolist()
+    room = np.bincount(col_cls, minlength=m).tolist()
+    held = [{} for _ in range(m)]
+
+    # Warm start: each row class at its minimum, filling the free columns
+    # there in order.  A class whose first minimum has room for all its rows
+    # takes it with no vector operation.
+    u = k.min(axis=1)
+    v = np.zeros(m)
+    at_min = k == u[:, None]
+    for r, c in enumerate(at_min.argmax(axis=1).tolist()):
+        cols = [c] if room[c] >= supply[r] else np.flatnonzero(at_min[r]).tolist()
+        for c in cols:
+            take = min(supply[r], room[c])
+            if take:
+                held[c][r] = take
+                supply[r] -= take
+                room[c] -= take
+    taken = np.array([0.0 if f else np.inf for f in room])
+
+    # One Dijkstra phase per path.  Step s scans row class rows[s], reached
+    # through column class scanned[via[s]], and writes its reduced costs
+    # into reach[s]; a phase reaches each row class once.
+    shortest = np.empty(m)
+    open_v = np.empty(m)
+    reach = np.empty((n, m))
+    for start in range(n):
+        while supply[start]:
+            shortest.fill(np.inf)
+            np.copyto(open_v, v)
+            rows, via, scanned, dists = [], [], [], []
+            batch, reached, min_val = [start], {start}, 0.0
+            while True:
+                for i in batch:
+                    r = reach[len(rows)]
+                    np.subtract(k[i], open_v, out=r)
+                    r += min_val - u[i]
+                    np.minimum(shortest, r, out=shortest)
+                    rows.append(i)
+                    via.append(len(scanned) - 1)
+                j = int(shortest.argmin())
+                min_val = float(shortest[j])
+                if not room[j]:
+                    # Prefer the first free class at exactly the same distance.
+                    f = int((shortest + taken).argmin())
+                    if shortest[f] == min_val:
+                        j = f
+                scanned.append(j)
+                dists.append(min_val)
+                if room[j]:
+                    break
+                batch = [i for i in held[j] if i not in reached]
+                reached.update(batch)
+                shortest[j] = np.inf
+                open_v[j] = -np.inf
+
+            # The dense path's update, clamp included.
+            u[start] += min_val
+            for i, t in zip(rows[1:], via[1:]):
+                u[i] += max(min_val - dists[t], 0.0)
+            for j, d in zip(scanned, dists):
+                v[j] -= max(min_val - d, 0.0)
+
+            # The path back from the free class: column class cols[t] takes
+            # rows of class path[t], which gives up as many columns of class
+            # cols[t + 1].  A class was reached from the first step that
+            # attained its final distance.
+            cols, path = [scanned[-1]], []
+            while True:
+                s = int(reach[: len(rows), cols[-1]].argmin())
+                path.append(rows[s])
+                if s == 0:
+                    break
+                cols.append(scanned[via[s]])
+            count = min(supply[start], room[cols[0]],
+                        *(held[c][r] for r, c in zip(path, cols[1:])))
+            for r, c in zip(path, cols):
+                held[c][r] = held[c].get(r, 0) + count
+            for r, c in zip(path, cols[1:]):
+                held[c][r] -= count
+                if not held[c][r]:
+                    del held[c][r]
+            supply[start] -= count
+            room[cols[0]] -= count
+            if not room[cols[0]]:
+                taken[cols[0]] = np.inf
+
+    # Expand: each row, in order, takes the first column not yet taken of
+    # the first column class its class still holds a share of.
+    cols_in = [[] for _ in range(m)]
+    for j, c in enumerate(col_cls.tolist()):
+        cols_in[c].append(j)
+    shares = [[] for _ in range(n)]
+    for c in range(m):
+        cols_in[c].reverse()
+        for r, count in held[c].items():
+            shares[r] += [c] * count
+    for share in shares:
+        share.reverse()
+    col_of_row = [cols_in[shares[r].pop()].pop() for r in row_cls.tolist()]
+    return np.array(col_of_row, dtype=int), u[row_cls], v[col_cls]
 
 
 def _solve_dense(cost: np.ndarray):
@@ -364,11 +544,14 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
     run only when some admissible column below ``home`` is not locked by an
     earlier row.  The first level tries those columns in increasing order;
     from a column the search continues at the row holding it, over every
-    admissible column not locked.  Reaching ``home`` closes an alternating
-    cycle, and each row on it takes the next column.  The matching does not
-    change while the search runs, so a column from which ``home`` was
-    unreachable for one candidate stays so for the next, and the visited
-    marks persist across all of i's candidates.
+    admissible column not locked.  Reaching a row adjacent to ``home``
+    closes an alternating cycle at once, whichever way the search would
+    have reached ``home`` from there: the cycle proves the candidate, and
+    each row on it takes the next column.  A real row's adjacency is one
+    bisection of its sorted tight columns.  The matching does not change
+    while the search runs, so a column from which ``home`` was unreachable
+    for one candidate stays so for the next, and the visited marks persist
+    across all of i's candidates.
 
     Padding nodes are interchangeable, so the square is never built:
 
@@ -380,8 +563,8 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
       repeat.
     * n > m: the padding column a row r holds is numbered m + r.  Rows in
       ``pad`` reach, after their real columns, one cursor per search over
-      the unlocked rows that hold padding; a row homed on padding yields
-      its own first, so reaching it closes the cycle.
+      the unlocked rows that hold padding.  When row i is homed on padding,
+      every row in ``pad`` is adjacent to its home.
     """
     n, m = adm.shape
     tight_rows, tight_cols = np.nonzero(adm)
@@ -418,10 +601,7 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
                 # The virtual row's columns that lead on to a real row.
                 shared = (match[r] for r in range(i, n) if pad[match[r]])
             else:
-                shared = chain(
-                    (home,) if home >= m else (),
-                    (m + r for r in range(i + 1, n) if match[r] < 0),
-                )
+                shared = (m + r for r in range(i + 1, n) if match[r] < 0)
             # rows[k] was reached through column path[k - 1], and todo[k]
             # holds the columns of rows[k] not tried yet.
             rows, todo, path, visited = [i], [iter(below)], [], []
@@ -436,7 +616,21 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
                         path.pop()
                     continue
                 path.append(j)
-                if j == home:
+                seen[j] = True
+                visited.append(j)
+                r = row_of[j]
+                rows.append(r)
+                # A row adjacent to home closes the cycle at once.
+                if r == n:
+                    closes = pad[home]
+                elif home >= m:
+                    closes = pad_row[r]
+                else:
+                    cols = adm_cols[r]
+                    at = bisect_left(cols, home)
+                    closes = at < len(cols) and cols[at] == home
+                if closes:
+                    path.append(home)
                     for r, c in zip(rows, path):
                         if c < m:
                             match[r] = c
@@ -444,10 +638,6 @@ def lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -
                         else:
                             match[r] = -1
                     break
-                seen[j] = True
-                visited.append(j)
-                r = row_of[j]
-                rows.append(r)
                 if r == n:
                     todo.append(shared)
                 elif pad_row[r]:

@@ -17,10 +17,12 @@ units:
     ch. 19): with mu(v) the cheapest weight incident to v, a minimum
     matching on the reduced costs min(0, w(s, t) - mu(s) - mu(t)) is a
     rectangular assignment of the min(n, m) units of the smaller side.
-    A near-square Gallai matrix with few cells below 0 a row, such as that
-    of a sentence whose unaligned predicate turns the ``arg`` filter off,
-    is solved in ``lap`` over those cells alone; the thin matrices of the
-    ``arg`` filter take the whole-row path, which is faster on them.  The
+    A near-square Gallai matrix, such as that of a sentence whose
+    unaligned predicate turns the ``arg`` filter off, is solved in ``lap``
+    over its cells below 0 when they are few a row, and otherwise over its
+    classes of identical rows and columns when they are few: units of one
+    yield have equal rows.  The thin matrices of the ``arg`` filter take
+    the whole-row path, which is faster on them.  The
     cover is decoded on an n×m boolean link mask.  Matched pairs with
     non-positive reduced cost are kept; every unit they leave bare, found
     from those pairs alone before any repair, takes its cheapest incident

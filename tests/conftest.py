@@ -1,5 +1,7 @@
 import itertools
 import os
+from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -179,17 +181,141 @@ def exits_early(adm, col_of_row, pad=None) -> bool:
     return True
 
 
-def record_ceiling_runs(monkeypatch) -> list:
-    """A list that gains one entry per ``lap._solve_below_ceiling`` call."""
+# ``lap.lexmin_perfect_matching`` before its search closed a cycle at the
+# first row adjacent to ``home``, verbatim but for its name: it closes only
+# on reaching ``home`` itself.
+def reference_lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, pad=None) -> np.ndarray:
+    """Lexicographically smallest perfect matching within the admissible graph.
+
+    ``adm`` is the n×m tight-cell matrix, standing for the max(n, m) square
+    whose |n - m| missing nodes ("padding") have cost 0 and dual 0.  A
+    padding node is tight against the larger-side nodes marked in ``pad``,
+    a boolean mask over that side; None marks none.  ``col_of_row`` is a
+    perfect matching of the square inside the admissible graph (the LAP
+    solution is, by complementary slackness), with -1 for a row that holds
+    a padding column.  Rows are fixed in order; for each the smallest
+    admissible column that still admits a completion is kept, padding
+    columns ranking after every real one.  The result, with -1 for rows
+    left on padding, is the lexicographic minimum among all optimal
+    matchings under (row, column) ordering.
+
+    Row i moves off its current column ``home`` by one depth-first search,
+    run only when some admissible column below ``home`` is not locked by an
+    earlier row.  The first level tries those columns in increasing order;
+    from a column the search continues at the row holding it, over every
+    admissible column not locked.  Reaching ``home`` closes an alternating
+    cycle, and each row on it takes the next column.  The matching does not
+    change while the search runs, so a column from which ``home`` was
+    unreachable for one candidate stays so for the next, and the visited
+    marks persist across all of i's candidates.
+
+    Padding nodes are interchangeable, so the square is never built:
+
+    * n < m: one virtual row, index n, holds every column no real row
+      holds, and is adjacent to the ``pad`` columns.  A search goes on from
+      it only to ``pad`` columns that real rows hold; the others lead back
+      to it.  All its visits in a search share one iterator over them,
+      which a fresh iterator over the square's next padding row would only
+      repeat.
+    * n > m: the padding column a row r holds is numbered m + r.  Rows in
+      ``pad`` reach, after their real columns, one cursor per search over
+      the unlocked rows that hold padding; a row homed on padding yields
+      its own first, so reaching it closes the cycle.
+    """
+    n, m = adm.shape
+    tight_rows, tight_cols = np.nonzero(adm)
+    # No row moves when each tight column below a row's home (m for a row
+    # on padding) is held by an earlier row: every row then finds all of
+    # them locked.  holder[c] is n for a column no real row holds, so such
+    # a column fails the test; rows on padding write only to holder[m].
+    col_of_row = np.asarray(col_of_row, dtype=int)
+    homes = np.where(col_of_row < 0, m, col_of_row)
+    holder = np.full(m + 1, n)
+    holder[homes] = np.arange(n)
+    if not ((tight_cols < homes[tight_rows]) & (holder[tight_cols] >= tight_rows)).any():
+        return col_of_row.copy()
+
+    pad = [False] * max(n, m) if pad is None else np.asarray(pad, dtype=bool).tolist()
+    pad_row = pad if n > m else [False] * n
+    ends = np.cumsum(np.bincount(tight_rows, minlength=n)).tolist()
+    flat = tight_cols.tolist()
+    adm_cols = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    # match[n] is the virtual row's slot; row_of[m + r] is r's padding column.
+    match = [*col_of_row.tolist(), -1]
+    row_of = [n] * m + list(range(n))
+    for i, j in enumerate(match[:n]):
+        if j >= 0:
+            row_of[j] = i
+    # Locked columns stay marked; a search unmarks what it visited.
+    seen = [False] * (m + n)
+
+    for i in range(n):
+        home = match[i] if match[i] >= 0 else m + i
+        below = [c for c in adm_cols[i][: bisect_left(adm_cols[i], home)] if not seen[c]]
+        if below:
+            if n <= m:
+                # The virtual row's columns that lead on to a real row.
+                shared = (match[r] for r in range(i, n) if pad[match[r]])
+            else:
+                shared = chain(
+                    (home,) if home >= m else (),
+                    (m + r for r in range(i + 1, n) if match[r] < 0),
+                )
+            # rows[k] was reached through column path[k - 1], and todo[k]
+            # holds the columns of rows[k] not tried yet.
+            rows, todo, path, visited = [i], [iter(below)], [], []
+            while rows:
+                for j in todo[-1]:
+                    if not seen[j]:
+                        break
+                else:
+                    rows.pop()
+                    todo.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(j)
+                if j == home:
+                    for r, c in zip(rows, path):
+                        if c < m:
+                            match[r] = c
+                            row_of[c] = r
+                        else:
+                            match[r] = -1
+                    break
+                seen[j] = True
+                visited.append(j)
+                r = row_of[j]
+                rows.append(r)
+                if r == n:
+                    todo.append(shared)
+                elif pad_row[r]:
+                    todo.append(chain(adm_cols[r], shared))
+                else:
+                    todo.append(iter(adm_cols[r]))
+            for c in visited:
+                seen[c] = False
+        if match[i] >= 0:
+            seen[match[i]] = True
+    return np.array(match[:n], dtype=int)
+
+
+def record_runs(monkeypatch, name: str) -> list:
+    """A list that gains one entry per call of the ``lap`` function ``name``."""
     runs = []
-    real = lap._solve_below_ceiling
+    real = getattr(lap, name)
 
     def spy(*args):
         runs.append(1)
         return real(*args)
 
-    monkeypatch.setattr(lap, "_solve_below_ceiling", spy)
+    monkeypatch.setattr(lap, name, spy)
     return runs
+
+
+def record_ceiling_runs(monkeypatch) -> list:
+    """A list that gains one entry per ``lap._solve_below_ceiling`` call."""
+    return record_runs(monkeypatch, "_solve_below_ceiling")
 
 
 def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):

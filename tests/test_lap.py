@@ -5,12 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import exits_early, record_ceiling_runs
-from roleproj import WEIGHT_CAP, lap
+from conftest import (
+    exits_early,
+    record_ceiling_runs,
+    record_runs,
+    reference_lexmin_perfect_matching,
+)
+from test_corpus import load_corpus_gen
+
+from roleproj import WEIGHT_CAP, lap, pipeline
+from roleproj.corpus import load_corpus
 from roleproj.lap import (
     ADMISSIBLE_TOL,
     CEILING_CELLS_PER_ROW,
     CEILING_COLS_PER_ROW,
+    CLASS_CELLS_SHARE,
     lexmin_perfect_matching,
     solve_lap,
 )
@@ -180,9 +189,12 @@ def tie_heavy_costs(rng, k, m):
     return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
 
 
-def test_solve_lap_equals_the_reference_bit_for_bit():
+def test_solve_lap_equals_the_reference_bit_for_bit(monkeypatch):
     # Same assignment and the same duals to the last bit, so the tight
     # graph, the tie-break and every output byte downstream are unchanged.
+    # The class route returns another optimal solution; the class route's
+    # own tests check it, so it is closed here.
+    monkeypatch.setattr(lap, "CLASS_CELLS_SHARE", 0.0)
     rng = np.random.default_rng(59)
     shapes = [(k, m) for m in range(1, 13) for k in range(1, m + 1) for _ in range(10)]
     shapes += [(114, 120), (47, 51), (8, 116), (1, 150), (150, 150)] * 3
@@ -289,7 +301,9 @@ def test_ceiling_path_cases(monkeypatch):
 
 def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
     # Up to CEILING_CELLS_PER_ROW cells below the ceiling per row on average
-    # the ceiling path runs; above, the dense path, bit for bit.
+    # the ceiling path runs; above, the dense path, bit for bit.  The class
+    # route, which its own tests check, is closed.
+    monkeypatch.setattr(lap, "CLASS_CELLS_SHARE", 0.0)
     ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(97)
     costs = []
@@ -337,7 +351,9 @@ def test_gallai_and_uncapped_matrices_equal_the_dense_path_bit_for_bit(monkeypat
     # matrix of weights within a factor of 2 of each other, every reduced
     # cost negative, and the weights of a graph with no zero similarity.
     # On the shapes of up to 8 rows, at most 16 columns under the bound,
-    # they take the ceiling path whenever the bound admits them.
+    # they take the ceiling path whenever the bound admits them.  The class
+    # route, which its own tests check, is closed.
+    monkeypatch.setattr(lap, "CLASS_CELLS_SHARE", 0.0)
     ceiling_runs = record_ceiling_runs(monkeypatch)
     rng = np.random.default_rng(109)
     shapes = [(k, m) for k in range(1, 9) for m in range(k, 3 * k + 2) for _ in range(3)]
@@ -478,3 +494,151 @@ def test_lexmin_on_rows_held_by_padding():
     assert lexmin_perfect_matching(adm, np.array([-1, 0]), pad).tolist() == [0, -1]
     assert exits_early(adm, np.array([0, -1]), pad)
     assert lexmin_perfect_matching(adm, np.array([0, -1]), pad).tolist() == [0, -1]
+
+
+def twin_heavy_costs(rng, k, m):
+    """Weights and their Gallai matrix, repeating rows and columns.
+
+    k×m similarities of about k/2 distinct rows and m/2 distinct columns,
+    each from {0, 1/6, 1/4, 1/3, 2/5, 1/2}, and about 15% of the distinct
+    rows all zero.  The Gallai matrix has 18-60 cells below 0 a row, as
+    the near-square ones of ``edgecover`` without ``arg`` do.
+    """
+    sim = rng.choice([0.0, 1 / 6, 1 / 4, 1 / 3, 2 / 5, 1 / 2], size=(k // 2, m // 2))
+    sim[rng.random(k // 2) < 0.15] = 0.0
+    sim = sim[np.ix_(rng.integers(0, k // 2, size=k), rng.integers(0, m // 2, size=m))]
+    W = to_weights(sim)
+    return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
+
+
+def twin_heavy_matrices(rng):
+    """``twin_heavy_costs`` of square and wider shapes, and each Gallai
+    matrix again with about 30% of its rows set to 0 while it keeps over
+    ``CEILING_CELLS_PER_ROW`` cells below 0 a row."""
+    costs = []
+    for k, m in [(30, 30), (40, 48), (60, 60), (60, 75), (34, 68), (90, 100)] * 2:
+        W, gallai = twin_heavy_costs(rng, k, m)
+        zeroed = gallai.copy()
+        zeroed[rng.random(k) < 0.3] = 0.0
+        costs += [W, gallai]
+        if np.count_nonzero(zeroed) > CEILING_CELLS_PER_ROW * k:
+            costs.append(zeroed)
+    return costs
+
+
+def corpus_gallai_matrices(directory, filters):
+    """The cost matrices ``edgecover`` hands ``lap.lexmin_matching`` under
+    ``filters``, on 6 generated `long` sentences."""
+    files = load_corpus_gen().generate(directory, "long", 1, 6, (50, 70))
+    bisentences = load_corpus(
+        align_path=files["align"], src_trees_path=files["src.trees"],
+        tgt_trees_path=files["tgt.trees"], src_roles_path=files["src.roles"],
+    )
+    cfg = pipeline.PipelineConfig.from_settings({"model": "edgecover", "filter": filters})
+    costs = []
+    real = lap.lexmin_matching
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lap, "lexmin_matching", lambda cost: costs.append(cost) or real(cost))
+        for b in bisentences:
+            pipeline.run_pipeline(b, cfg)
+    return costs
+
+
+def test_the_class_route_gives_the_dense_paths_link_set(monkeypatch, tmp_path):
+    # Twin-heavy matrices, and the Gallai matrices of generated `nc` and
+    # `none` graphs, in both orientations: the tie-break on the class
+    # route's solution returns the link set it returns on the dense path's.
+    class_runs = record_runs(monkeypatch, "_solve_classes")
+    costs = twin_heavy_matrices(np.random.default_rng(127))
+    costs += [cost for filters in ("nc", "none")
+              for cost in corpus_gallai_matrices(tmp_path / filters, filters)]
+    for n, cost in enumerate(costs):
+        for c in (cost, cost.T):
+            class_runs.clear()
+            got = lap.lexmin_matching(c)
+            assert class_runs == [1], (c.shape, n)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lap, "solve_lap", lap._solve_dense)
+                want = lap.lexmin_matching(c)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (c.shape, n)
+
+
+def test_the_class_route_duals_certify_its_assignment_and_twins_share_them(monkeypatch):
+    # u + v <= cost with equality on matched cells, v <= 0 and 0 on the
+    # unmatched columns: the assignment is optimal, and the tight graph
+    # holds every optimal one.  Identical rows, and identical columns,
+    # have the same dual.
+    class_runs = record_runs(monkeypatch, "_solve_classes")
+    for cost in twin_heavy_matrices(np.random.default_rng(131)):
+        class_runs.clear()
+        col_of_row, u, v = solve_lap(cost)
+        assert class_runs == [1], cost.shape
+        check_duals(cost, col_of_row, u, v)
+        for duals, lines in ((u, cost), (v, cost.T)):
+            twins = (lines[:, None, :] == lines[None, :, :]).all(axis=2)
+            assert (duals[:, None] == duals[None, :])[twins].all(), cost.shape
+        dense_col_of_row = lap._solve_dense(cost)[0]
+        rows = np.arange(len(cost))
+        assert cost[rows, col_of_row].sum() == pytest.approx(
+            cost[rows, dense_col_of_row].sum(), abs=1e-6
+        )
+
+
+def test_twins_are_identical_and_a_row_off_by_less_than_rounding_stands_alone():
+    # Rows 1 and 3 repeat row 0; row 2 differs from it in one cell by less
+    # than the rounding of the projection, so it shares row 0's key.
+    row = np.array([-1.5, 0.0, -2.25, -0.5])
+    near = row.copy()
+    near[1] = -1e-300
+    cost = np.array([row, row, near, row, row - 1.0])
+    cls, first = lap._twins(cost)
+    assert cls.tolist() == [0, 0, 1, 0, 2] and first.tolist() == [0, 2, 4]
+
+
+def test_a_matrix_with_too_few_twins_stays_on_the_dense_path(monkeypatch):
+    # Past the cell bound, a near-square matrix with no twins, or with too
+    # few for its class matrix to fit CLASS_CELLS_SHARE of its cells, takes
+    # the dense path, bit for bit.
+    class_runs = record_runs(monkeypatch, "_solve_classes")
+    rng = np.random.default_rng(137)
+    for k, m in [(30, 30), (40, 48), (60, 75)]:
+        distinct = -rng.integers(1, 13, size=(k, m)) / 6
+        repeated = distinct[np.ix_(rng.integers(0, k, size=k), rng.integers(0, m, size=m))]
+        for cost in (distinct, repeated):
+            share = len(lap._twins(cost)[1]) * len(lap._twins(cost.T)[1]) / cost.size
+            assert share > CLASS_CELLS_SHARE
+            got = solve_lap(cost)
+            assert class_runs == []
+            for a, b in zip(got, lap._solve_dense(cost)):
+                assert np.array_equal(a, b), (k, m)
+
+
+def test_lexmin_search_equals_the_reference_search(monkeypatch):
+    # Tie-heavy graphs of both orientations with padding, started from a
+    # random perfect matching of the padded square, and the tight graphs
+    # that lexmin_matching builds on twin-heavy costs: closing a cycle at
+    # the first row adjacent to home keeps the search's result.
+    rng = np.random.default_rng(139)
+    graphs = []
+    for _ in range(600):
+        n, m = (int(x) for x in rng.integers(1, 25, size=2))
+        adm = rng.random((n, m)) < rng.uniform(0.3, 1.0)
+        pad = rng.random(max(n, m)) < rng.uniform(0.0, 1.0)
+        start = rng.permutation(max(n, m))
+        for r, c in enumerate(start.tolist()):
+            if r < n and c < m:
+                adm[r, c] = True
+            else:
+                pad[c if r >= n else r] = True
+        graphs.append((adm, np.where(start[:n] < m, start[:n], -1), pad))
+    real = lap.lexmin_perfect_matching
+    monkeypatch.setattr(lap, "lexmin_perfect_matching", lambda *a: graphs.append(a) or real(*a))
+    for cost in twin_heavy_matrices(rng)[:9]:
+        lap.lexmin_matching(cost)
+        lap.lexmin_matching(cost.T)
+    searched = 0
+    for adm, col_of_row, pad in graphs:
+        searched += not exits_early(adm, col_of_row, pad)
+        got = real(adm, col_of_row, pad)
+        assert got.tolist() == reference_lexmin_perfect_matching(adm, col_of_row, pad).tolist()
+    assert searched > len(graphs) // 2
