@@ -1,20 +1,28 @@
 """Exact minimum-cost assignment of every row of a k×m matrix, k <= m.
 
-``solve_lap`` is a shortest-augmenting-path solver in three steps:
+``solve_lap`` is one shortest-augmenting-path solver on whole rows, run
+over classes, unless the ceiling path below applies.  Rows and columns
+that repeat make it a transportation problem (Ahuja, Magnanti and Orlin,
+*Network Flows*, 1993, ch. 9): a class of identical rows supplies its
+count of rows, and a class of identical columns has room for its count.
+Most matrices take singleton classes, the dense path, which gathers and
+expands nothing.  Its three steps:
 
 * Warm start.  Each row potential starts at its row minimum and every
-  column potential at zero; in row order, each row takes the
-  smallest-index free column that attains its minimum.  A row whose first
-  minimum is still free takes it in plain Python; only a row whose first
-  minimum is taken searches its other minima.
+  column potential at zero; in row order, each row class fills the
+  smallest-index free columns that attain its minimum.  A class whose
+  first minimum has room for all its rows takes it in plain Python; only
+  one whose first minimum is full searches its other minima.
 * Lazy-dual augmenting paths (Crouse 2016, "On implementing 2D
   rectangular assignment algorithms", the algorithm behind scipy's
-  ``linear_sum_assignment``).  Each row still free runs one Dijkstra
-  phase over reduced costs; the potentials of the rows and columns it
-  scanned are updated once, when the phase ends.  A step keeps only the
-  distances; each step's reduced-cost row goes into a scratch matrix, and
-  when the phase ends the augmenting path is read back from it: a column
-  was reached from the first step that attained its final distance.
+  ``linear_sum_assignment``).  Each row class with rows left runs one
+  Dijkstra phase over reduced costs; the potentials of the rows and
+  columns it scanned are updated once, when the phase ends.  A held column
+  class leads on to every row class that holds it.  A step keeps only the
+  distances; each scanned row's reduced costs go into a scratch matrix,
+  and when the phase ends the augmenting path is read back from it: a
+  column was reached from the first step that attained its final
+  distance.  The path moves as many rows as its bottleneck allows.
 * Exact-tie free-column preference.  When the closest unscanned column is
   already assigned, the first free column at exactly the same distance is
   taken instead, which ends the phase.  It is the argmin of the distances
@@ -73,29 +81,20 @@ cells in plain Python:
 Each step scans the column the dense path would, at the same distance, and
 a column is reached from the row the dense path's rebuild would read, so
 the assignment and the duals are the dense path's to the last bit.  Past
-either bound the dense path runs.  The lists pay for themselves only over
-Dijkstra phases, and a thin wide matrix has few: on the benchmark corpora
-the argument-filtered graphs, of 3-16 rows and over 3 columns a row, almost
-never need one, since nearly every row takes a free minimum at the warm
-start.  The comment on the two constants gives the timings that set them.
+either bound the whole-row solver runs.  The lists pay for themselves only
+over Dijkstra phases, and a thin wide matrix has few: on the benchmark
+corpora the argument-filtered graphs, of 3-16 rows and over 3 columns a
+row, almost never need one, since nearly every row takes a free minimum at
+the warm start.  The comment on the two constants gives the timings.
 
-The class route.  A near-square matrix past the cell bound, such as the
-Gallai matrix of an ``edgecover`` graph without the ``arg`` filter, often
-repeats rows and columns: units of one yield have equal similarity rows.
-An assignment with repeated rows and columns is a transportation problem
-(Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9): a class of
-identical rows supplies its count of rows, and a class of identical
-columns has room for its count.  When the class matrix has at most
-``CLASS_CELLS_SHARE`` of the cells, successive shortest paths solve it
-with the dense path's warm start and lazy-dual Dijkstra step, over the
-classes.  A held column class leads on to every row class that holds it,
-and one path moves as many rows as its bottleneck allows.  The result is
-expanded: twins share their duals, and each row takes a column of a class
-its class was given, so the contract above holds.  It is another optimal
-solution than the dense path's, but any optimal dual has the same optimal
-matchings in its tight graph, so the tie-break returns the same link set.
-Rows are grouped by a projection onto one vector, each checked against its
-class's first row.
+Classes of twins.  A near-square matrix past the cell bound, such as an
+``edgecover`` Gallai matrix without the ``arg`` filter, often repeats rows
+and columns, since units of one yield have equal similarity rows.  When its
+classes leave at most ``CLASS_CELLS_SHARE`` of the cells, the solver runs
+over them; twins share their duals.  The solution may differ from the
+dense path's, but every optimal dual has the same optimal matchings in its
+tight graph, so the tie-break returns the same link set.  Rows are grouped
+by a projection onto one vector, each checked against its class's first row.
 """
 
 from __future__ import annotations
@@ -140,11 +139,12 @@ ADMISSIBLE_TOL = 1e-7
 CEILING_CELLS_PER_ROW = 16
 CEILING_COLS_PER_ROW = 2
 
-# A matrix inside the column bound but past the cell bound runs on its
+# A matrix inside the column bound but past the cell bound runs over its
 # classes of identical rows and columns when the class matrix has at most
-# CLASS_CELLS_SHARE of its cells.  The class route's speed against the dense
-# path's, grouping included, on the class matrices of the near-square
-# Gallai matrices of `short` and `long` under `none` (seeds 1 and 7), each
+# CLASS_CELLS_SHARE of its cells.  The class route's speed against
+# `_solve_dense`, the whole-row solver before singleton classes replaced
+# it, grouping included, on the class matrices of the near-square Gallai
+# matrices of `short` and `long` under `none` (seeds 1 and 7), each
 # re-expanded by random twins to a chosen share:
 #
 #     share of cells     0.95-1.0  0.44  0.36-0.37  0.30-0.31  0.24-0.25  0.19-0.20  0.11
@@ -154,10 +154,9 @@ CEILING_COLS_PER_ROW = 2
 # The near-square Gallai matrices of `edgecover` on the benchmark corpora
 # (seeds 1 and 7, all five filter settings) have shares of 0.01-0.38, and
 # all but one at most 0.30; there the class route ran 3.4x as fast under
-# 0.1, 2.0x at 0.1-0.2 and 1.7x at 0.2-0.3, in total.  Units of one yield
-# have equal similarity rows, and under `nc`, which counts content words
-# alone, so do units with the same content words.  No `perfect` graph of
-# those corpora reaches this route.
+# 0.1, 2.0x at 0.1-0.2 and 1.7x at 0.2-0.3, in total.  Under `nc`, which
+# counts content words alone, units with the same content words are twins
+# too.  No `perfect` graph reaches the route.
 CLASS_CELLS_SHARE = 0.35
 
 
@@ -168,9 +167,9 @@ def solve_lap(cost: np.ndarray):
     column.  ``v`` is non-positive, and zero on the m - k unmatched columns.
     A matrix of at most ``CEILING_COLS_PER_ROW`` columns per row, with at
     most ``CEILING_CELLS_PER_ROW`` cells below its largest cell per row on
-    average, is solved over those cells alone.  Past the cell bound, one
-    whose classes of identical rows and columns leave at most
-    ``CLASS_CELLS_SHARE`` of its cells is solved over those classes.
+    average, is solved over those cells alone; past the cell bound, over
+    its classes of identical rows and columns when they leave at most
+    ``CLASS_CELLS_SHARE`` of its cells.  Any other takes singleton classes.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
@@ -187,10 +186,10 @@ def solve_lap(cost: np.ndarray):
         below = cost < ceiling
         if np.count_nonzero(below) <= CEILING_CELLS_PER_ROW * n:
             return _solve_below_ceiling(cost, below, ceiling)
-        rows, cols = _twins(cost), _twins(cost.T)
-        if len(rows[1]) * len(cols[1]) <= CLASS_CELLS_SHARE * n * m:
-            return _solve_classes(cost, *rows, *cols)
-    return _solve_dense(cost)
+        twins = _twins(cost), _twins(cost.T)
+        if len(twins[0][1]) * len(twins[1][1]) <= CLASS_CELLS_SHARE * n * m:
+            return _solve_classes(cost, twins)
+    return _solve_classes(cost)
 
 
 def _twins(cost: np.ndarray):
@@ -213,38 +212,51 @@ def _twins(cost: np.ndarray):
     return rank[cls], first[order]
 
 
-def _solve_classes(cost, row_cls, row_firsts, col_cls, col_firsts):
-    """``solve_lap`` as a transportation problem over classes of twins.
-
-    Row class r has supply[r] rows still to place and column class c has
-    room[c] free columns; held[c] maps each row class to the number of c's
-    columns it holds.  The steps are the dense path's on the class matrix,
-    except that a held column class leads on to every row class holding
-    it, and a path moves as many rows as its bottleneck allows.  Twins
-    share their duals, so the expanded (u, v) keeps ``solve_lap``'s
-    contract.
+def _solve_classes(cost, twins=None):
+    """``solve_lap`` over the classes ``twins``, ``_twins`` of the rows and
+    of the columns, or over singleton classes, gathering and expanding
+    nothing.  Twins share their duals, so (u, v) keeps the contract.
     """
-    k = cost[np.ix_(row_firsts, col_firsts)]
-    n, m = k.shape
-    supply = np.bincount(row_cls, minlength=n).tolist()
-    room = np.bincount(col_cls, minlength=m).tolist()
-    held = [{} for _ in range(m)]
+    if twins is None:
+        held, u, v = _transport(cost, [1] * len(cost), {})
+        col_of_row = [0] * len(cost)
+        for c, (r,) in held.items():
+            col_of_row[r] = c
+        return np.array(col_of_row, dtype=int), u, v
+    (row_cls, row_firsts), (col_cls, col_firsts) = twins
+    supply = np.bincount(row_cls).tolist()
+    room = dict(enumerate(np.bincount(col_cls).tolist()))
+    held, u, v = _transport(cost[np.ix_(row_firsts, col_firsts)], supply, room)
+    # Expand: each row, in order, takes the first column not yet taken of
+    # the first column class its class still holds a share of.
+    order = np.argsort(col_cls, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(col_cls)).tolist()
+    cols_in = [iter(order[a:b]) for a, b in zip([0, *ends], ends)]
+    shares = [[] for _ in range(len(row_firsts))]
+    for c in sorted(held):
+        for r, count in held[c].items():
+            shares[r] += [c] * count
+    shares = [iter(share) for share in shares]
+    col_of_row = [next(cols_in[next(shares[r])]) for r in row_cls.tolist()]
+    return np.array(col_of_row, dtype=int), u[row_cls], v[col_cls]
 
-    # Warm start: each row class at its minimum, filling the free columns
-    # there in order.  A class whose first minimum has room for all its rows
-    # takes it with no vector operation.
-    u = k.min(axis=1)
+
+def _transport(k, supply, room):
+    """Successive shortest paths on class matrix ``k``: (held, u, v).
+
+    Row class r has supply[r] rows to place and column class c has room[c]
+    free columns (1 while a singleton class is missing from ``room``), both
+    updated in place; held[c] maps each row class to its count of c's columns.
+    """
+    n, m = k.shape
+    u, held = _warm_start(k, supply, room)
     v = np.zeros(m)
-    at_min = k == u[:, None]
-    for r, c in enumerate(at_min.argmax(axis=1).tolist()):
-        cols = [c] if room[c] >= supply[r] else np.flatnonzero(at_min[r]).tolist()
-        for c in cols:
-            take = min(supply[r], room[c])
-            if take:
-                held[c][r] = take
-                supply[r] -= take
-                room[c] -= take
-    taken = np.array([0.0 if f else np.inf for f in room])
+    if not any(supply):
+        return held, u, v
+    # The phases update row potentials one by one: floats, not numpy scalars.
+    u = u.tolist()
+    taken = np.zeros(m)
+    taken[[c for c, left in room.items() if not left]] = np.inf
 
     # One Dijkstra phase per path.  Step s scans row class rows[s], reached
     # through column class scanned[via[s]], and writes its reduced costs
@@ -255,11 +267,15 @@ def _solve_classes(cost, row_cls, row_firsts, col_cls, col_firsts):
     for start in range(n):
         while supply[start]:
             shortest.fill(np.inf)
+            # Scanned classes get v = -inf here: their reduced cost reads +inf.
             np.copyto(open_v, v)
             rows, via, scanned, dists = [], [], [], []
-            batch, reached, min_val = [start], {start}, 0.0
+            batch, reached, min_val = [start], set(), 0.0
             while True:
                 for i in batch:
+                    if i in reached:
+                        continue
+                    reached.add(i)
                     r = reach[len(rows)]
                     np.subtract(k[i], open_v, out=r)
                     r += min_val - u[i]
@@ -268,21 +284,20 @@ def _solve_classes(cost, row_cls, row_firsts, col_cls, col_firsts):
                     via.append(len(scanned) - 1)
                 j = int(shortest.argmin())
                 min_val = float(shortest[j])
-                if not room[j]:
+                if not room.get(j, 1):
                     # Prefer the first free class at exactly the same distance.
                     f = int((shortest + taken).argmin())
                     if shortest[f] == min_val:
                         j = f
                 scanned.append(j)
                 dists.append(min_val)
-                if room[j]:
+                if room.get(j, 1):
                     break
-                batch = [i for i in held[j] if i not in reached]
-                reached.update(batch)
+                batch = held[j]
                 shortest[j] = np.inf
                 open_v[j] = -np.inf
 
-            # The dense path's update, clamp included.
+            # The clamp keeps float rounding from pushing a potential above 0.
             u[start] += min_val
             for i, t in zip(rows[1:], via[1:]):
                 u[i] += max(min_val - dists[t], 0.0)
@@ -292,130 +307,53 @@ def _solve_classes(cost, row_cls, row_firsts, col_cls, col_firsts):
             # The path back from the free class: column class cols[t] takes
             # rows of class path[t], which gives up as many columns of class
             # cols[t + 1].  A class was reached from the first step that
-            # attained its final distance.
-            cols, path = [scanned[-1]], []
+            # attained its final distance, among the bisect_left(via, t) rows
+            # scanned before it.
+            t = len(scanned) - 1
+            cols, path = [], []
             while True:
-                s = int(reach[: len(rows), cols[-1]].argmin())
+                cols.append(scanned[t])
+                s = int(reach[: bisect_left(via, t), scanned[t]].argmin())
                 path.append(rows[s])
                 if s == 0:
                     break
-                cols.append(scanned[via[s]])
-            count = min(supply[start], room[cols[0]],
+                t = via[s]
+            count = min(supply[start], room.get(cols[0], 1),
                         *(held[c][r] for r, c in zip(path, cols[1:])))
             for r, c in zip(path, cols):
-                held[c][r] = held[c].get(r, 0) + count
+                share = held.setdefault(c, {})
+                share[r] = share.get(r, 0) + count
             for r, c in zip(path, cols[1:]):
                 held[c][r] -= count
                 if not held[c][r]:
                     del held[c][r]
             supply[start] -= count
-            room[cols[0]] -= count
+            room[cols[0]] = room.get(cols[0], 1) - count
             if not room[cols[0]]:
                 taken[cols[0]] = np.inf
 
-    # Expand: each row, in order, takes the first column not yet taken of
-    # the first column class its class still holds a share of.
-    cols_in = [[] for _ in range(m)]
-    for j, c in enumerate(col_cls.tolist()):
-        cols_in[c].append(j)
-    shares = [[] for _ in range(n)]
-    for c in range(m):
-        cols_in[c].reverse()
-        for r, count in held[c].items():
-            shares[r] += [c] * count
-    for share in shares:
-        share.reverse()
-    col_of_row = [cols_in[shares[r].pop()].pop() for r in row_cls.tolist()]
-    return np.array(col_of_row, dtype=int), u[row_cls], v[col_cls]
+    return held, np.array(u), v
 
 
-def _solve_dense(cost: np.ndarray):
-    """``solve_lap`` on whole rows: a Dijkstra step is numpy calls on one row."""
-    n, m = cost.shape
-    # Warm start: each row at its minimum, taking the first free column there.
-    # A row whose first minimum is free takes it with no vector operation;
-    # only one whose first minimum is taken searches its minima for a free one.
-    u = cost.min(axis=1)
-    v = np.zeros(m)
-    col_of_row = [-1] * n
-    row_of = [-1] * m
-    free = np.ones(m, dtype=bool)
-    at_min = cost == u[:, None]
-    first = at_min.argmax(axis=1).tolist()
-    for i, j in enumerate(first):
-        if row_of[j] >= 0:
-            j = int(np.argmax(at_min[i] & free))
-            if not at_min[i, j] or row_of[j] >= 0:
-                continue
-        col_of_row[i] = j
-        row_of[j] = i
-        free[j] = False
-
-    # 0 on free columns and +inf on assigned ones: argmin(shortest + taken)
-    # is the first free column at the least distance.
-    taken = np.where(free, 0.0, np.inf)
-
-    # One Dijkstra phase per row left free; `shortest` holds distances over
-    # the phase-start reduced costs.  Step k of a phase writes its row's
-    # reduced costs into reach[k], from which the path is rebuilt when the
-    # phase ends; a phase scans each row at most once, so n rows suffice.
-    shortest = np.empty(m)
-    reach = np.empty((n, m))
-    for start in [i for i, j in enumerate(col_of_row) if j < 0]:
-        shortest.fill(np.inf)
-        # Scanned columns get v = -inf here, so their reduced cost is +inf
-        # and later rows can no longer lower their distance.
-        open_v = v.copy()
-        rows, scanned, dists = [start], [], []
-        i, min_val = start, 0.0
-        while True:
-            r = reach[len(scanned)]
-            np.subtract(cost[i], open_v, out=r)
-            r += min_val - u[i]
-            np.minimum(shortest, r, out=shortest)
-            j = int(shortest.argmin())
-            min_val = float(shortest[j])
-            if row_of[j] >= 0:
-                # Prefer the first free column at exactly the same distance.
-                f = int((shortest + taken).argmin())
-                if shortest[f] == min_val:
-                    j = f
-            scanned.append(j)
-            dists.append(min_val)
-            i = row_of[j]
-            if i < 0:
-                break
-            rows.append(i)
-            shortest[j] = np.inf
-            open_v[j] = -np.inf
-
-        # Distances grow along a phase; the clamp keeps float rounding
-        # from pushing a column potential above zero.
-        cols = np.array(scanned)
-        slack = np.maximum(min_val - np.array(dists), 0.0)
-        u[start] += min_val
-        u[rows[1:]] += slack[:-1]
-        v[cols] -= slack
-
-        # Augment.  A column was reached from the first step that attained
-        # its final distance, the row a strict `<` update on every step would
-        # have kept; after a column is scanned its entries read +inf.  Step
-        # k's row was reached through scanned[k - 1], so the path walks back
-        # along step indices, from the free column to the start row.  Each
-        # path column takes its own argmin: one over axis 0 of the whole
-        # block would copy it transposed, up to another k×m floats.
-        s = len(scanned) - 1
-        taken[scanned[s]] = np.inf
-        while True:
-            j = scanned[s]
-            k = int(reach[: s + 1, j].argmin())
-            i = rows[k]
-            row_of[j] = i
-            col_of_row[i] = j
-            if k == 0:
-                break
-            s = k - 1
-    return np.array(col_of_row, dtype=int), u, v
+def _warm_start(k, supply, room):
+    """``_transport``'s warm start, each row class at its minimum: (u, held)."""
+    held = {}
+    u = k.min(axis=1)
+    at_min = k == u[:, None]
+    for r, c in enumerate(at_min.argmax(axis=1).tolist()):
+        need = supply[r]
+        cols = [c] if room.get(c, 1) >= need else np.flatnonzero(at_min[r]).tolist()
+        for c in cols:
+            left = room.get(c, 1)
+            take = min(need, left)
+            if take:
+                held.setdefault(c, {})[r] = take
+                room[c] = left - take
+                need -= take
+                if not need:
+                    break
+        supply[r] = need
+    return u, held
 
 
 def _solve_below_ceiling(cost: np.ndarray, below: np.ndarray, ceiling: float):
@@ -661,7 +599,8 @@ def lexmin_matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The duals are zero on unmatched units and non-positive on the larger
     side, so unmatched units are tight against every padding cell, and a
     larger-side unit of dual d is tight against one when 0 - d <=
-    ADMISSIBLE_TOL, the test the square would apply; ``lexmin_perfect_matching`` takes those units as a mask.
+    ADMISSIBLE_TOL, the test the square would apply;
+    ``lexmin_perfect_matching`` takes those units as a mask.
     The three steps are module globals, so a wrapper set on lap sees each call.
     """
     n, m = cost.shape

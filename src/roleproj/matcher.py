@@ -19,15 +19,16 @@ units:
     rectangular assignment of the min(n, m) units of the smaller side.
     A near-square Gallai matrix, such as that of a sentence whose
     unaligned predicate turns the ``arg`` filter off, is solved in ``lap``
-    over its cells below 0 when they are few a row, and otherwise over its
-    classes of identical rows and columns when they are few: units of one
-    yield have equal rows.  The thin matrices of the ``arg`` filter take
-    the whole-row path, which is faster on them.  The
-    cover is decoded on an n×m boolean link mask.  Matched pairs with
-    non-positive reduced cost are kept; every unit they leave bare, found
-    from those pairs alone before any repair, takes its cheapest incident
-    edge; and a zero-weight link whose endpoints are both linked
-    elsewhere is dropped, scanning only those links, largest index first.
+    over its cells below 0 when they are few a row; otherwise the whole-row
+    solver runs over its classes of identical rows and columns when they
+    are few (units of one yield have equal rows), and over singleton
+    classes when not.  The thin matrices of the ``arg`` filter skip both
+    tests and take singleton classes.  The cover is decoded on an n×m
+    boolean link mask.  Matched pairs with non-positive reduced cost are
+    kept; every unit they leave bare, found from those pairs alone before
+    any repair, takes its cheapest incident edge; and a zero-weight link
+    whose endpoints are both linked elsewhere is dropped, scanning only
+    those links, largest index first.
     The cover costs the sum of all mu plus the matching cost.
 
 ``total``

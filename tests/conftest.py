@@ -300,13 +300,13 @@ def reference_lexmin_perfect_matching(adm: np.ndarray, col_of_row: np.ndarray, p
     return np.array(match[:n], dtype=int)
 
 
-def record_runs(monkeypatch, name: str) -> list:
-    """A list that gains one entry per call of the ``lap`` function ``name``."""
+def record_runs(monkeypatch, name: str, entry=lambda *args: 1) -> list:
+    """A list that gains ``entry(*args)`` per call of the ``lap`` function ``name``."""
     runs = []
     real = getattr(lap, name)
 
     def spy(*args):
-        runs.append(1)
+        runs.append(entry(*args))
         return real(*args)
 
     monkeypatch.setattr(lap, name, spy)
@@ -316,6 +316,12 @@ def record_runs(monkeypatch, name: str) -> list:
 def record_ceiling_runs(monkeypatch) -> list:
     """A list that gains one entry per ``lap._solve_below_ceiling`` call."""
     return record_runs(monkeypatch, "_solve_below_ceiling")
+
+
+def record_class_runs(monkeypatch) -> list:
+    """A list that gains, per ``lap._solve_classes`` call, True when it runs
+    over classes of twins and False when every row and column is its own."""
+    return record_runs(monkeypatch, "_solve_classes", lambda cost, twins=None: twins is not None)
 
 
 def enumerate_optimal_covers(g: AlignmentGraph, atol: float = COST_ATOL):

@@ -8,7 +8,7 @@ import pytest
 from conftest import (
     exits_early,
     record_ceiling_runs,
-    record_runs,
+    record_class_runs,
     reference_lexmin_perfect_matching,
 )
 from test_corpus import load_corpus_gen
@@ -189,20 +189,26 @@ def tie_heavy_costs(rng, k, m):
     return W, np.minimum(0.0, W - W.min(axis=1)[:, None] - W.min(axis=0)[None, :])
 
 
-def test_solve_lap_equals_the_reference_bit_for_bit(monkeypatch):
+def test_solve_lap_equals_the_reference_bit_for_bit(monkeypatch, tmp_path):
     # Same assignment and the same duals to the last bit, so the tight
     # graph, the tie-break and every output byte downstream are unchanged.
-    # The class route returns another optimal solution; the class route's
-    # own tests check it, so it is closed here.
+    # Over classes of twins the solver returns another optimal solution;
+    # the class route's own tests check it, so it is closed here.  Besides
+    # random matrices, the thin `arg` graphs of generated sentences, whose
+    # Gallai matrices (`edgecover`) and weights (`perfect`) are most of
+    # the traffic over singleton classes.
     monkeypatch.setattr(lap, "CLASS_CELLS_SHARE", 0.0)
     rng = np.random.default_rng(59)
     shapes = [(k, m) for m in range(1, 13) for k in range(1, m + 1) for _ in range(10)]
     shapes += [(114, 120), (47, 51), (8, 116), (1, 150), (150, 150)] * 3
-    for k, m in shapes:
-        for cost in tie_heavy_costs(rng, k, m):
-            got, want = solve_lap(cost), reference_solve_lap(cost)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), (k, m)
+    costs = [cost for k, m in shapes for cost in tie_heavy_costs(rng, k, m)]
+    costs += [cost if cost.shape[0] <= cost.shape[1] else cost.T
+              for model in ("edgecover", "perfect")
+              for cost in corpus_matrices(tmp_path / model, model, "arg")]
+    for cost in costs:
+        got, want = solve_lap(cost), reference_solve_lap(cost)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), cost.shape
 
 
 def test_solve_lap_memory_stays_below_twice_the_cost_matrix():
@@ -251,7 +257,7 @@ def test_ceiling_path_equals_the_dense_path_on_capped_tie_heavy_matrices(monkeyp
         col_of_row, u, v = solve_lap(cost)
         assert ceiling_runs == [1], (k, m)
         check_duals(cost, col_of_row, u, v)
-        for got, want in zip((col_of_row, u, v), lap._solve_dense(cost)):
+        for got, want in zip((col_of_row, u, v), reference_solve_lap(cost)):
             assert np.array_equal(got, want), (k, m)
         rows, cols = linear_sum_assignment(cost)
         assert cost[np.arange(k), col_of_row].sum() == pytest.approx(
@@ -290,7 +296,7 @@ def test_ceiling_path_cases(monkeypatch):
     # One cell at the ceiling, row 2's in column 0; rows 0 and 1 list all
     # their cells.
     cost = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 2.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]).T
-    for got, want in zip(solve_lap(cost), lap._solve_dense(cost)):
+    for got, want in zip(solve_lap(cost), reference_solve_lap(cost)):
         assert np.array_equal(got, want)
     # Every cell at the ceiling: the warm start assigns every row.
     col_of_row, u, v = solve_lap(np.full((3, 5), c))
@@ -319,7 +325,7 @@ def test_above_the_threshold_the_ceiling_changes_nothing(monkeypatch):
         assert ceiling_runs == ([1] if n == 0 else [])
         check_duals(cost, *got)
         if n:
-            for a, b in zip(got, lap._solve_dense(cost)):
+            for a, b in zip(got, reference_solve_lap(cost)):
                 assert np.array_equal(a, b)
 
 
@@ -339,7 +345,7 @@ def test_the_ceiling_path_takes_at_most_the_bound_of_columns_per_row(monkeypatch
                 ceiling_runs.clear()
                 got = solve_lap(cost)
                 assert ceiling_runs == ([] if extra else [1]), (k, m, ceiling)
-                for a, b in zip(got, lap._solve_dense(cost)):
+                for a, b in zip(got, reference_solve_lap(cost)):
                     assert np.array_equal(a, b), (k, m, ceiling)
 
 
@@ -370,7 +376,7 @@ def test_gallai_and_uncapped_matrices_equal_the_dense_path_bit_for_bit(monkeypat
             assert uncapped.max() < WEIGHT_CAP
             matrices += [negative, uncapped]
         for n, cost in enumerate(matrices):
-            want = lap._solve_dense(cost)
+            want = reference_solve_lap(cost)
             for cols_per_row in (CEILING_COLS_PER_ROW, math.inf):
                 monkeypatch.setattr(lap, "CEILING_COLS_PER_ROW", cols_per_row)
                 ceiling_runs.clear()
@@ -526,15 +532,15 @@ def twin_heavy_matrices(rng):
     return costs
 
 
-def corpus_gallai_matrices(directory, filters):
-    """The cost matrices ``edgecover`` hands ``lap.lexmin_matching`` under
+def corpus_matrices(directory, model, filters):
+    """The cost matrices ``model`` hands ``lap.lexmin_matching`` under
     ``filters``, on 6 generated `long` sentences."""
     files = load_corpus_gen().generate(directory, "long", 1, 6, (50, 70))
     bisentences = load_corpus(
         align_path=files["align"], src_trees_path=files["src.trees"],
         tgt_trees_path=files["tgt.trees"], src_roles_path=files["src.roles"],
     )
-    cfg = pipeline.PipelineConfig.from_settings({"model": "edgecover", "filter": filters})
+    cfg = pipeline.PipelineConfig.from_settings({"model": model, "filter": filters})
     costs = []
     real = lap.lexmin_matching
     with pytest.MonkeyPatch.context() as patch:
@@ -548,17 +554,17 @@ def test_the_class_route_gives_the_dense_paths_link_set(monkeypatch, tmp_path):
     # Twin-heavy matrices, and the Gallai matrices of generated `nc` and
     # `none` graphs, in both orientations: the tie-break on the class
     # route's solution returns the link set it returns on the dense path's.
-    class_runs = record_runs(monkeypatch, "_solve_classes")
+    class_runs = record_class_runs(monkeypatch)
     costs = twin_heavy_matrices(np.random.default_rng(127))
     costs += [cost for filters in ("nc", "none")
-              for cost in corpus_gallai_matrices(tmp_path / filters, filters)]
+              for cost in corpus_matrices(tmp_path / filters, "edgecover", filters)]
     for n, cost in enumerate(costs):
         for c in (cost, cost.T):
             class_runs.clear()
             got = lap.lexmin_matching(c)
-            assert class_runs == [1], (c.shape, n)
+            assert class_runs == [True], (c.shape, n)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(lap, "solve_lap", lap._solve_dense)
+                patch.setattr(lap, "solve_lap", reference_solve_lap)
                 want = lap.lexmin_matching(c)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (c.shape, n)
 
@@ -568,16 +574,16 @@ def test_the_class_route_duals_certify_its_assignment_and_twins_share_them(monke
     # unmatched columns: the assignment is optimal, and the tight graph
     # holds every optimal one.  Identical rows, and identical columns,
     # have the same dual.
-    class_runs = record_runs(monkeypatch, "_solve_classes")
+    class_runs = record_class_runs(monkeypatch)
     for cost in twin_heavy_matrices(np.random.default_rng(131)):
         class_runs.clear()
         col_of_row, u, v = solve_lap(cost)
-        assert class_runs == [1], cost.shape
+        assert class_runs == [True], cost.shape
         check_duals(cost, col_of_row, u, v)
         for duals, lines in ((u, cost), (v, cost.T)):
             twins = (lines[:, None, :] == lines[None, :, :]).all(axis=2)
             assert (duals[:, None] == duals[None, :])[twins].all(), cost.shape
-        dense_col_of_row = lap._solve_dense(cost)[0]
+        dense_col_of_row = reference_solve_lap(cost)[0]
         rows = np.arange(len(cost))
         assert cost[rows, col_of_row].sum() == pytest.approx(
             cost[rows, dense_col_of_row].sum(), abs=1e-6
@@ -598,8 +604,8 @@ def test_twins_are_identical_and_a_row_off_by_less_than_rounding_stands_alone():
 def test_a_matrix_with_too_few_twins_stays_on_the_dense_path(monkeypatch):
     # Past the cell bound, a near-square matrix with no twins, or with too
     # few for its class matrix to fit CLASS_CELLS_SHARE of its cells, takes
-    # the dense path, bit for bit.
-    class_runs = record_runs(monkeypatch, "_solve_classes")
+    # the dense path, singleton classes, bit for bit.
+    class_runs = record_class_runs(monkeypatch)
     rng = np.random.default_rng(137)
     for k, m in [(30, 30), (40, 48), (60, 75)]:
         distinct = -rng.integers(1, 13, size=(k, m)) / 6
@@ -607,9 +613,10 @@ def test_a_matrix_with_too_few_twins_stays_on_the_dense_path(monkeypatch):
         for cost in (distinct, repeated):
             share = len(lap._twins(cost)[1]) * len(lap._twins(cost.T)[1]) / cost.size
             assert share > CLASS_CELLS_SHARE
+            class_runs.clear()
             got = solve_lap(cost)
-            assert class_runs == []
-            for a, b in zip(got, lap._solve_dense(cost)):
+            assert class_runs == [False]
+            for a, b in zip(got, reference_solve_lap(cost)):
                 assert np.array_equal(a, b), (k, m)
 
 
